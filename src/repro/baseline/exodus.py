@@ -101,12 +101,17 @@ class TransformationalOptimizer:
     ):
         self.catalog = catalog
         self.config = config if config is not None else OptimizerConfig()
-        self.factory = PlanFactory(catalog, CostModel(catalog, weights))
-        self.model = self.factory.model
+        self.weights = weights
 
     def optimize(self, query: QueryBlock) -> BaselineResult:
         started = time.perf_counter()
         stats = BaselineStats()
+        # Factory and model memoize per-class work and so, like the STAR
+        # engine's, serve exactly one optimization.
+        self.factory = PlanFactory(
+            self.catalog, CostModel(self.catalog, self.weights)
+        )
+        self.model = self.factory.model
         self._memo: dict[tuple, SAP] = {}
         self._query = query
         self._stats = stats

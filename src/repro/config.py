@@ -56,7 +56,7 @@ class OptimizerConfig:
 
     #: Compile each STAR's alternatives, conditions, ``where`` bindings
     #: and REQUIRED specs into Python closures once per RuleSet (hot-path
-    #: layer 4, :mod:`repro.stars.compile`): call targets bound
+    #: layer 5, :mod:`repro.stars.compile`): call targets bound
     #: statically, parameter lookups become slot reads, constant subtrees
     #: folded.  The AST interpreter stays available as the semantics
     #: oracle — toggling this flag never changes a chosen plan (E18).

@@ -108,11 +108,15 @@ class CostModel:
 
     The model owns the weights, the page size (from the catalog), and the
     row-width estimation used to turn cardinalities into pages and bytes.
+    One model serves one optimization, so the width of each distinct COLS
+    set (a relational property: every alternative of a class shares it)
+    is summed once and remembered here.
     """
 
     def __init__(self, catalog: Catalog, weights: CostWeights | None = None):
         self.catalog = catalog
         self.weights = weights if weights is not None else CostWeights()
+        self._row_widths: dict[frozenset | tuple, int] = {}
 
     def total(self, cost: Cost) -> float:
         return self.weights.total(cost)
@@ -127,7 +131,11 @@ class CostModel:
         return TID_WIDTH  # temp-table columns of unknown base: conservative
 
     def row_width(self, columns: frozenset[ColumnRef] | tuple[ColumnRef, ...]) -> int:
-        return max(1, sum(self.column_width(c) for c in columns))
+        width = self._row_widths.get(columns)
+        if width is None:
+            width = max(1, sum(self.column_width(c) for c in columns))
+            self._row_widths[columns] = width
+        return width
 
     def stream_bytes(self, card: float, columns: frozenset[ColumnRef]) -> float:
         return card * self.row_width(columns)

@@ -24,7 +24,7 @@ right regimes.
 from __future__ import annotations
 
 import functools
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import AccessPath
@@ -99,6 +99,21 @@ def index_matching_predicates(
     return frozenset(matched), eq_prefix
 
 
+class _JoinRelational(NamedTuple):
+    """Everything about a JOIN's output that depends only on the
+    *relational* properties of its inputs (Figure 2) and on the predicates
+    it applies.  Section 4.4 hashes the plan table on (TABLES, PREDS)
+    because all alternatives of a class agree on these; so every pair
+    drawn from the same two classes shares one record, by identity."""
+
+    tables: frozenset[str]
+    cols: frozenset[ColumnRef]
+    preds: frozenset[Predicate]
+    #: Joint selectivity of the predicates no input had applied yet.
+    sel: float
+    params: tuple
+
+
 def _traced_propfunc(method):
     """Post-process every successfully constructed LOLEPOP: hash-cons it
     through the factory's interner (when one is attached) so structurally
@@ -126,7 +141,12 @@ def _traced_propfunc(method):
 
 
 class PlanFactory:
-    """Builds plan nodes, computing property vectors as it goes."""
+    """Builds plan nodes, computing property vectors as it goes.
+
+    A factory (and its cost model) serves *one* optimization: it remembers
+    estimates derived from catalog statistics, so whoever optimizes again
+    builds a new one — ``StarEngine`` and the transformational baseline
+    both do."""
 
     def __init__(
         self,
@@ -147,6 +167,11 @@ class PlanFactory:
         #: Optional :class:`~repro.plans.intern.PlanInterner` hash-consing
         #: every node this factory emits (None = off).
         self.interner = interner
+        #: The relational half of every JOIN built so far.  It lives and
+        #: dies with the factory, i.e. with one optimization.
+        self._join_records: dict[tuple, _JoinRelational] = {}
+        #: Selectivity per (predicate, tables it is evaluated over).
+        self._pred_sel: dict[tuple[Predicate, frozenset[str]], float] = {}
 
     def site_usable(self, site: str) -> bool:
         """May plans execute at ``site``?  (Up and not avoided.)"""
@@ -162,9 +187,15 @@ class PlanFactory:
         """Joint selectivity; columns outside ``own_tables`` are bound by
         an enclosing nested-loop join (sideways information passing)."""
         sel = 1.0
+        memo = self._pred_sel
         for pred in preds:
-            bound = pred.tables() - own_tables
-            sel *= self.selectivity.predicate(pred, bound_tables=bound)
+            key = (pred, own_tables)
+            pred_sel = memo.get(key)
+            if pred_sel is None:
+                pred_sel = memo[key] = self.selectivity.predicate(
+                    pred, bound_tables=pred.tables() - own_tables
+                )
+            sel *= pred_sel
         return sel
 
     def _card(self, base: float, preds: Iterable[Predicate], own: frozenset[str]) -> float:
@@ -687,57 +718,76 @@ class PlanFactory:
             raise ReproError("JOIN inputs overlap in tables")
         if flavor == "SJ":
             return self._semijoin(outer, inner, join_preds)
-        own = po.tables | pi.tables
-        newly_applied = (join_preds | residual_preds) - po.preds - pi.preds
-        sel = self._sel(newly_applied, own)
+        rel = self._join_relational(po, pi, join_preds, residual_preds)
         card = self._feedback_card(
-            own,
-            po.preds | pi.preds | join_preds | residual_preds,
-            max(MIN_CARD, po.card * pi.card * sel),
+            rel.tables, rel.preds, max(MIN_CARD, po.card * pi.card * rel.sel)
         )
-
-        def method_cost(outer_cost: Cost, inner_cost: Cost) -> Cost:
-            if flavor == "NL":
-                probes = max(0.0, po.card - 1.0)
-                rescans = pi.rescan_cost.scaled(probes)
-                cpu = po.card * max(1.0, pi.card) + card
-                return outer_cost + inner_cost + rescans + Cost(cpu=cpu)
-            if flavor == "MG":
-                cpu = po.card + pi.card + card
-                return outer_cost + inner_cost + Cost(cpu=cpu)
-            if flavor == "HA":
-                inner_pages = self._pages(pi.card, pi.cols)
-                outer_pages = self._pages(po.card, po.cols)
-                spill_io = (
-                    2.0 * (inner_pages + outer_pages)
-                    if inner_pages > HASH_MEMORY_PAGES
-                    else 0.0
-                )
-                cpu = 1.5 * pi.card + po.card + card
-                return outer_cost + inner_cost + Cost(io=spill_io, cpu=cpu)
+        # The method charges the same on top of its inputs whether they
+        # are produced for the first time or rescanned.
+        cost = po.cost + pi.cost
+        rescan_cost = po.rescan_cost + pi.rescan_cost
+        if flavor == "NL":
+            rescans = pi.rescan_cost.scaled(max(0.0, po.card - 1.0))
+            cost, rescan_cost = cost + rescans, rescan_cost + rescans
+            method = Cost(cpu=po.card * max(1.0, pi.card) + card)
+        elif flavor == "MG":
+            method = Cost(cpu=po.card + pi.card + card)
+        elif flavor == "HA":
+            inner_pages = self._pages(pi.card, pi.cols)
+            spill_io = (
+                2.0 * (inner_pages + self._pages(po.card, po.cols))
+                if inner_pages > HASH_MEMORY_PAGES
+                else 0.0
+            )
+            method = Cost(io=spill_io, cpu=1.5 * pi.card + po.card + card)
+        else:
             raise ReproError(f"unknown join flavor {flavor!r}")
-
-        order: OrderSpec = () if flavor == "HA" else po.order
         props = PropertyVector(
-            tables=own,
-            cols=po.cols | pi.cols,
-            preds=po.preds | pi.preds | join_preds | residual_preds,
-            order=order,
+            tables=rel.tables,
+            cols=rel.cols,
+            preds=rel.preds,
+            order=() if flavor == "HA" else po.order,
             site=po.site,
             temp=False,
             paths=frozenset(),
             stored_as=None,
             card=card,
-            cost=method_cost(po.cost, pi.cost),
-            rescan_cost=method_cost(po.rescan_cost, pi.rescan_cost),
+            cost=cost + method,
+            rescan_cost=rescan_cost + method,
         )
         return PlanNode(
             op=JOIN,
             flavor=flavor,
-            params=make_params(join_preds=join_preds, residual_preds=residual_preds),
+            params=rel.params,
             inputs=(outer, inner),
             props=props,
         )
+
+    def _join_relational(
+        self,
+        po: PropertyVector,
+        pi: PropertyVector,
+        join_preds: frozenset[Predicate],
+        residual_preds: frozenset[Predicate],
+    ) -> _JoinRelational:
+        key = (
+            po.tables, po.preds, po.cols, pi.tables, pi.preds, pi.cols,
+            join_preds, residual_preds,
+        )
+        rel = self._join_records.get(key)
+        if rel is None:
+            tables = po.tables | pi.tables
+            newly_applied = (join_preds | residual_preds) - po.preds - pi.preds
+            rel = self._join_records[key] = _JoinRelational(
+                tables=tables,
+                cols=po.cols | pi.cols,
+                preds=po.preds | pi.preds | join_preds | residual_preds,
+                sel=self._sel(newly_applied, tables),
+                params=make_params(
+                    join_preds=join_preds, residual_preds=residual_preds
+                ),
+            )
+        return rel
 
     def _semijoin(
         self,

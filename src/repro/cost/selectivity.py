@@ -26,6 +26,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.catalog.catalog import Catalog
+from repro.errors import CatalogError
 from repro.query.expressions import ColumnRef, Literal
 from repro.query.predicates import (
     Comparison,
@@ -72,7 +73,7 @@ class Selectivity:
             return None
         try:
             return self._catalog.column_stats(column.table, column.column).n_distinct
-        except Exception:
+        except CatalogError:
             return None
 
     def predicate(
@@ -163,7 +164,7 @@ class Selectivity:
             if literal is not None and self._catalog.has_table(column.table):
                 try:
                     stats = self._catalog.column_stats(column.table, column.column)
-                except Exception:
+                except CatalogError:
                     stats = None
                 if stats is not None:
                     frac = stats.range_fraction(op, literal)

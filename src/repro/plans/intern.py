@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.metrics import stats_snapshot
-from repro.plans.plan import PlanNode
+from repro.plans.plan import PlanNode, _params_bytes
 
 
 @dataclass
@@ -46,11 +46,20 @@ class InternStats:
 class PlanInterner:
     """Digest-keyed hash-consing table for plan nodes."""
 
-    __slots__ = ("_by_digest", "stats")
+    __slots__ = ("_by_digest", "_chunks", "stats")
 
     def __init__(self) -> None:
         self._by_digest: dict[str, PlanNode] = {}
+        #: Digest bytes per distinct parameter tuple: the alternatives of
+        #: a class differ in inputs far more often than in parameters.
+        self._chunks: dict[tuple, bytes] = {}
         self.stats = InternStats()
+
+    def _chunk_of(self, params: tuple) -> bytes:
+        chunk = self._chunks.get(params)
+        if chunk is None:
+            chunk = self._chunks[params] = _params_bytes(params)
+        return chunk
 
     def intern(self, node: PlanNode) -> PlanNode:
         """The canonical node for ``node``'s structure.
@@ -60,7 +69,9 @@ class PlanInterner:
         as the canonical representative.
         """
         self.stats.requests += 1
-        digest = node.digest
+        digest = node._digest or node._compute_digest(
+            self._chunk_of(node.params)
+        )
         existing = self._by_digest.get(digest)
         if existing is not None:
             self.stats.hits += 1

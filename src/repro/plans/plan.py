@@ -17,6 +17,7 @@ Two renderings are provided, matching the paper's two notations:
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -28,11 +29,26 @@ from repro.plans.properties import PropertyVector
 
 def _freeze_param(value: Any) -> Any:
     """Normalize parameter values to hashable, deterministic forms."""
+    if isinstance(value, frozenset):
+        # Its elements are hashable, so nothing inside is left to freeze.
+        return value
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_param(v) for v in value)
-    if isinstance(value, (set, frozenset)):
+    if isinstance(value, set):
         return frozenset(_freeze_param(v) for v in value)
     return value
+
+
+def _params_bytes(params: tuple[tuple[str, Any], ...]) -> bytes:
+    """The bytes a parameter tuple contributes to a plan digest."""
+    chunks = []
+    for key, value in params:
+        chunks.append(key)
+        if isinstance(value, frozenset):
+            chunks.append("|".join(sorted(str(v) for v in value)))
+        else:
+            chunks.append(str(value))
+    return "".join(chunks).encode()
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,25 +90,20 @@ class PlanNode:
 
     @property
     def digest(self) -> str:
-        digest = self._digest
-        if digest is None:
-            digest = self._compute_digest()
-            object.__setattr__(self, "_digest", digest)
-        return digest
+        return self._digest or self._compute_digest()
 
-    def _compute_digest(self) -> str:
-        hasher = hashlib.sha256()
-        hasher.update(self.op.encode())
-        hasher.update((self.flavor or "").encode())
-        for key, value in self.params:
-            hasher.update(key.encode())
-            if isinstance(value, frozenset):
-                hasher.update("|".join(sorted(str(v) for v in value)).encode())
-            else:
-                hasher.update(str(value).encode())
+    def _compute_digest(self, params_chunk: bytes | None = None) -> str:
+        """Compute and cache the digest.  The interner hands in the bytes
+        of ``params`` when it has rendered them for another node already."""
+        if params_chunk is None:
+            params_chunk = _params_bytes(self.params)
+        hasher = hashlib.sha256((self.op + (self.flavor or "")).encode())
+        hasher.update(params_chunk)
         for child in self.inputs:
             hasher.update(child.digest.encode())
-        return hasher.hexdigest()[:16]
+        digest = hasher.hexdigest()[:16]
+        object.__setattr__(self, "_digest", digest)
+        return digest
 
     def __hash__(self) -> int:
         cached = self._hash
@@ -107,6 +118,18 @@ class PlanNode:
         if not isinstance(other, PlanNode):
             return NotImplemented
         return self.digest == other.digest
+
+    def __reduce__(self) -> tuple:
+        # The digest is content and travels; the hash of a string is
+        # salted per process (PYTHONHASHSEED), so it must not.  The state
+        # is in field order, for the ``__setstate__`` a frozen slots
+        # dataclass is given (``__getstate__`` cannot do this: Python 3.10
+        # replaces a hand-written one).
+        state = [
+            self.op, self.flavor, self.params, self.inputs, self.props,
+            self._digest, None,
+        ]
+        return copyreg.__newobj__, (type(self),), state
 
     def param(self, key: str, default: Any = None) -> Any:
         for name, value in self.params:

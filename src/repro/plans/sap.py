@@ -175,10 +175,11 @@ class _DominanceJudge:
 
     Total cost, effective (interesting-prefix) order, and — only when
     site diversity is on — the site/link footprint are each computed once
-    per plan, instead of once per pairwise comparison.
+    per plan, instead of once per pairwise comparison; the TID-free view
+    of COLS once per distinct column set (a class has a handful).
     """
 
-    __slots__ = ("totals", "effective", "footprint")
+    __slots__ = ("totals", "effective", "footprint", "real_cols")
 
     def __init__(
         self,
@@ -193,10 +194,14 @@ class _DominanceJudge:
         self.footprint: dict[str, tuple[frozenset, frozenset]] | None = (
             {} if site_diversity else None
         )
+        self.real_cols: dict[frozenset, frozenset] = {}
         for plan in plans:
             digest = plan.digest
             if digest in self.totals:
                 continue
+            cols = plan.props.cols
+            if cols not in self.real_cols:
+                self.real_cols[cols] = _real_cols(cols)
             self.totals[digest] = total(plan.props.cost)
             self.effective[digest] = _effective_order(
                 plan.props.order, interesting
@@ -254,7 +259,9 @@ def _dominates(a: PlanNode, b: PlanNode, judge: "_DominanceJudge") -> bool:
         return False
     if pa.tables != pb.tables or pa.preds != pb.preds:
         return False
-    if _real_cols(pa.cols) != _real_cols(pb.cols):
+    if pa.cols is not pb.cols and (
+        judge.real_cols[pa.cols] != judge.real_cols[pb.cols]
+    ):
         return False
     if judge.totals[a.digest] > judge.totals[b.digest]:
         return False

@@ -74,11 +74,23 @@ class Predicate:
 
 @dataclass(frozen=True, slots=True)
 class Comparison(Predicate):
-    """A binary comparison ``left op right``."""
+    """A binary comparison ``left op right``.
+
+    ``tables()``, ``str()`` and ``hash()`` are asked of the same few
+    predicates thousands of times per optimization, so each is computed
+    once and kept on the (immutable) instance.  The caches are not part
+    of the value: never compared, never pickled — the hash of a string is
+    salted per process.
+    """
 
     op: str
     left: Expr
     right: Expr
+    _tables: frozenset[str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _str: str | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _OP_FUNCS:
@@ -87,6 +99,13 @@ class Comparison(Predicate):
     def _iter_columns(self) -> Iterator[ColumnRef]:
         yield from self.left._iter_columns()
         yield from self.right._iter_columns()
+
+    def tables(self) -> frozenset[str]:
+        cached = self._tables
+        if cached is None:
+            cached = frozenset(ref.table for ref in self._iter_columns())
+            object.__setattr__(self, "_tables", cached)
+        return cached
 
     def evaluate(self, ctx: RowContext) -> bool:
         left = self.left.evaluate(ctx)
@@ -100,7 +119,22 @@ class Comparison(Predicate):
         return Comparison(_OP_FLIP[self.op], self.right, self.left)
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        cached = self._str
+        if cached is None:
+            cached = f"{self.left} {self.op} {self.right}"
+            object.__setattr__(self, "_str", cached)
+        return cached
+
+    def __hash__(self) -> int:
+        cached = self._hash
+        if cached is None:
+            cached = hash((self.op, self.left, self.right))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self) -> tuple:
+        # Only the value travels; the caches are rebuilt where it lands.
+        return type(self), (self.op, self.left, self.right)
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.catalog import AccessPath, Catalog, ColumnStats, TableDef, TableStats
@@ -97,6 +102,28 @@ def paper_db_distributed():
     cat = paper_catalog(distributed=True)
     db = paper_database(cat)
     return cat, db
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run ``python -c script *argv`` from the repo root in a process of
+    its own under a chosen ``PYTHONHASHSEED`` (set iteration order and
+    cached string hashes depend on it); returns its stdout."""
+    root = pathlib.Path(__file__).parent.parent
+
+    def run(seed: int, script: str, *argv: str, timeout: float = 300) -> str:
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            cwd=root, env=env, capture_output=True, text=True, timeout=timeout,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 def col(table: str, column: str) -> ColumnRef:

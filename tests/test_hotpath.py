@@ -77,6 +77,47 @@ class TestLazyDigest:
         assert fresh is not plan
 
 
+_DUMP = """
+import pickle, sys
+from repro import StarburstOptimizer
+from repro.workloads import chain_workload
+wl = chain_workload(3, rows=30, seed=31)
+plan = StarburstOptimizer(wl.catalog).optimize(wl.query).best_plan
+pred = next(iter(plan.props.preds))
+hash(plan), hash(pred)  # both cache their hash on the instance
+with open(sys.argv[1], "wb") as out:
+    pickle.dump((plan, pred), out)
+"""
+
+_LOAD = """
+import dataclasses, pickle, sys
+with open(sys.argv[1], "rb") as src:
+    plan, pred = pickle.load(src)
+for loaded, fresh in (
+    (plan, dataclasses.replace(plan)),
+    (pred, type(pred)(pred.op, pred.left, pred.right)),
+):
+    assert loaded == fresh
+    assert hash(loaded) == hash(fresh), type(loaded).__name__
+    assert fresh in {loaded} and loaded in {fresh}
+assert plan.digest == sys.argv[2]
+"""
+
+
+class TestPickledHashes:
+    def test_cached_hash_does_not_cross_a_hash_seed_boundary(
+        self, tmp_path, run_python
+    ):
+        """A cached hash is salted by the process that computed it
+        (PYTHONHASHSEED); pools started by spawn/forkserver and restored
+        snapshots read pickles written under another salt."""
+        blob = str(tmp_path / "plan.pickle")
+        run_python(7, _DUMP, blob)
+        wl = chain_workload(3, rows=30, seed=31)
+        digest = _best(wl.catalog, wl.query).best_plan.digest
+        run_python(123, _LOAD, blob, digest)
+
+
 class TestPlanInterner:
     def test_structural_duplicates_share_one_node(self):
         wl = chain_workload(3, rows=30, seed=31)

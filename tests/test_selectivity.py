@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cost.selectivity import DEFAULT_RANGE, Selectivity
+from repro.cost.selectivity import DEFAULT_EQ, DEFAULT_RANGE, Selectivity
+from repro.query.expressions import ColumnRef, Literal
 from repro.query.parser import parse_predicate
+from repro.query.predicates import Comparison
 
 T = ("DEPT", "EMP")
 
@@ -85,3 +87,21 @@ class TestSidewaysBinding:
         p = pred(catalog, "EMP.DNO = DEPT.DNO + 1")
         got = sel.predicate(p, bound_tables=frozenset({"DEPT"}))
         assert got == pytest.approx(1 / 100)
+
+
+class TestEstimatorErrors:
+    """Only a *catalog* miss may fall back to a default estimate."""
+
+    def test_unknown_column_falls_back_to_defaults(self, catalog, sel):
+        ghost = ColumnRef("EMP", "GHOST")
+        assert sel.predicate(Comparison("=", ghost, Literal(1))) == DEFAULT_EQ
+        assert sel.predicate(Comparison("<", ghost, Literal(1))) == DEFAULT_RANGE
+
+    @pytest.mark.parametrize("text", ["ENO = 5", "ENO < 2500"])
+    def test_non_catalog_error_propagates(self, catalog, sel, monkeypatch, text):
+        def broken(table, column):
+            raise TypeError("unhashable memo key")
+
+        monkeypatch.setattr(catalog, "column_stats", broken)
+        with pytest.raises(TypeError, match="unhashable memo key"):
+            sel.predicate(pred(catalog, text))

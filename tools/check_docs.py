@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint (run in CI as a required step).
 
-Two checks, both cheap and purely static:
+Four checks, all cheap and purely static:
 
 1. **Module docstrings** — every public module under ``src/repro/``
    (anything not starting with ``_``, plus ``__init__.py`` and
@@ -18,6 +18,9 @@ Two checks, both cheap and purely static:
    "NAME"`` module constants), and every row's operator must really
    exist — both directions, so the lowering reference can neither rot
    nor invent operators.
+4. **Hot-path layer numbers** — every ``hot-path layer N`` in an
+   ``OptimizerConfig`` field comment (``src/repro/config.py``) must
+   carry the number the README "Performance" list gives that flag.
 
 Exit status 0 when clean, 1 with one ``error:`` line per problem.
 """
@@ -35,6 +38,8 @@ CLI_DOC = REPO / "docs" / "cli.md"
 BACKENDS_DOC = REPO / "docs" / "backends.md"
 MAIN = SRC / "__main__.py"
 OPERATORS = SRC / "plans" / "operators.py"
+CONFIG = SRC / "config.py"
+README = REPO / "README.md"
 
 
 def public_modules() -> list[Path]:
@@ -149,8 +154,51 @@ def check_backends_doc() -> list[str]:
     return errors
 
 
+def config_layers() -> dict[str, int]:
+    """``flag -> N`` for every config field whose ``#:`` comment block
+    says ``hot-path layer N``."""
+    layers: dict[str, int] = {}
+    comment: list[str] = []
+    for line in CONFIG.read_text().splitlines():
+        line = line.strip()
+        if line.startswith("#:"):
+            comment.append(line[2:])
+            continue
+        field = re.match(r"(\w+):", line)
+        said = re.search(r"hot-path\s+layer (\d+)", " ".join(comment))
+        if field and said:
+            layers[field.group(1)] = int(said.group(1))
+        comment = []
+    return layers
+
+
+def readme_layers() -> dict[str, int]:
+    """``flag -> N`` from the README's numbered hot-path list: items
+    shaped ``N. **title** (`flag`)``."""
+    items = re.findall(
+        r"^(\d+)\. \*\*[^*]+\*\* \(`(\w+)`\)", README.read_text(), flags=re.MULTILINE
+    )
+    return {flag: int(number) for number, flag in items}
+
+
+def check_layer_numbers() -> list[str]:
+    listed = readme_layers()
+    errors = []
+    for flag, number in sorted(config_layers().items()):
+        if listed.get(flag) != number:
+            errors.append(
+                f"src/repro/config.py: {flag} is called hot-path layer "
+                f"{number}, but the README Performance list has it as "
+                f"{listed.get(flag, 'no numbered item')}"
+            )
+    return errors
+
+
 def main() -> int:
-    errors = check_docstrings() + check_cli_doc() + check_backends_doc()
+    errors = (
+        check_docstrings() + check_cli_doc() + check_backends_doc()
+        + check_layer_numbers()
+    )
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     modules = len(public_modules())
