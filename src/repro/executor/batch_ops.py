@@ -363,13 +363,11 @@ class BatchBuilder:
         return out
 
 
-def batches_of(
-    rows: Iterator[tuple], schema_len: int, batch_size: int
-) -> Iterator[list]:
+def batches_of(items: Iterator, batch_size: int) -> Iterator[list]:
     """Chunk an iterator into lists of at most ``batch_size`` items,
     pulling lazily so an abandoned stream stops charging I/O."""
     chunk: list = []
-    for item in rows:
+    for item in items:
         chunk.append(item)
         if len(chunk) >= batch_size:
             yield chunk

@@ -45,7 +45,7 @@ from repro.plans.operators import (
     UNION,
 )
 from repro.plans.plan import PlanNode
-from repro.query.expressions import ColumnRef, RowContext
+from repro.query.expressions import ColumnRef, Expr, RowContext
 from repro.query.predicates import Comparison, Predicate, sargable_column
 from repro.query.query import QueryBlock
 from repro.storage.heap import RID
@@ -544,10 +544,10 @@ class _PlanRun:
         bindings: RowContext | None,
     ) -> Iterator[Row]:
         index = data.index(path.name)
-        lo, hi = probe_bounds(index.key_columns, preds, bindings)
+        prefix = probe_bounds(probe_key_exprs(index.key_columns, preds), bindings)
         tid = tid_column(index.key_columns[0].table)
         key_positions = {c: i for i, c in enumerate(index.key_columns)}
-        for key, (rid, stored_row) in index.tree.scan_range(lo=lo, hi=hi):
+        for key, (rid, stored_row) in index.tree.scan_range(lo=prefix, hi=prefix):
             # Predicates may reference key columns that the plan does not
             # project (e.g. TID-only streams for index OR-ing), so build
             # the evaluation row over everything the entry carries.
@@ -852,41 +852,57 @@ class _PlanRun:
         return total
 
 
+def probe_key_exprs(
+    key_columns: tuple[ColumnRef, ...], preds: frozenset[Predicate]
+) -> tuple[tuple[Expr, ...], ...]:
+    """The static half of an index probe: per leading key column, the
+    value sides of the ``col = expr`` predicates that can bind it, up to
+    the first key column nothing binds.
+
+    Depends on the plan node alone, so callers derive it once per node.
+    Candidates are in ``str`` order: which one :func:`probe_bounds` tries
+    first must not hang on set iteration order."""
+    ordered = sorted(preds, key=str)
+    bound = []
+    for column in key_columns:
+        exprs = []
+        for pred in ordered:
+            sarg = sargable_column(
+                pred, column.table, bound_tables=pred.tables() - {column.table}
+            )
+            if sarg is not None and sarg[0] == column and sarg[1] == "=":
+                exprs.append(sarg[2])
+        if not exprs:
+            break
+        bound.append(tuple(exprs))
+    return tuple(bound)
+
+
 def probe_bounds(
-    key_columns: tuple[ColumnRef, ...],
-    preds: frozenset[Predicate],
-    bindings: RowContext | None,
-) -> tuple[tuple | None, tuple | None]:
-    """Derive B-tree probe bounds from sargable predicates whose value
-    side is evaluable now (constants or outer-bound columns).
+    key_exprs: tuple[tuple[Expr, ...], ...], bindings: RowContext | None
+) -> tuple | None:
+    """The B-tree key prefix one probe scans (``lo == hi``), or ``None``
+    for the whole index: each key column takes its first candidate of
+    :func:`probe_key_exprs` that is evaluable now (constants or
+    outer-bound columns), and the prefix ends at the first column without
+    a non-NULL value.
 
     Shared by both executors: the vectorized index scan probes the same
     key range with the same outer-binding resolution."""
     empty = RowContext({}, outer=bindings)
-    lo: list[Any] = []
-    hi: list[Any] = []
-    bounded = True
-    for column in key_columns:
-        if not bounded:
-            break
-        eq_value = None
-        for pred in preds:
-            sarg = sargable_column(
-                pred, column.table, bound_tables=pred.tables() - {column.table}
-            )
-            if sarg is None or sarg[0] != column or sarg[1] != "=":
-                continue
+    prefix: list[Any] = []
+    for exprs in key_exprs:
+        value = None
+        for expr in exprs:
             try:
-                eq_value = sarg[2].evaluate(empty)
+                value = expr.evaluate(empty)
             except ExecutionError:
                 continue
             break
-        if eq_value is not None:
-            lo.append(eq_value)
-            hi.append(eq_value)
-            continue
-        bounded = False
-    return (tuple(lo) or None, tuple(hi) or None)
+        if value is None:
+            break
+        prefix.append(value)
+    return tuple(prefix) or None
 
 
 # ---------------------------------------------------------------------------

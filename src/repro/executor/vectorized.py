@@ -22,17 +22,30 @@ as the correctness oracle; the equivalence contract is:
   as delivered exactly once, after their batch's transfer succeeded —
   never once per attempt (the SHIP-vs-GET row accounting fix).
 
-Sideways information passing is preserved exactly: the nested-loop join
-binds each outer row into a :class:`~repro.query.expressions.RowContext`
-and re-executes the inner subplan per outer row, so index probes under an
-NL join behave identically (including their I/O accounting).
+Sideways information passing.  When the inner of a nested-loop join is
+an *index-probe chain* — ``ACCESS(index)`` under any run of ``GET`` and
+``FILTER``, on a base table or a temp, its leading key columns bound by
+``col = expr`` predicates (:func:`~repro.executor.runtime.probe_key_exprs`)
+— the join works per outer *batch*: the probe keys are evaluated
+column-wise, the B-tree is looked up once per outer row
+(:meth:`~repro.storage.btree.BTree.lookup`), the matches are gathered
+beside their outer rows into one batch, and the ACCESS, GET, FILTER and
+join predicates each run once over that batch.  Rows come out
+outer-major and in index-key order within a probe, ``tuples_flowed``,
+``page_reads`` and ``index_reads`` are what per-row re-execution
+charges, each fused inner node is booked one open per outer row
+(``[rows, opens]``) and, when observed, one span per outer batch
+carrying ``rows=`` and ``opens=``; only ``stats.batches`` differs.
+Every other inner, and any outer row whose probe key fails to evaluate
+or holds a NULL (it degenerates to a wider scan whose reads count), is
+bound into a :class:`~repro.query.expressions.RowContext` and
+re-executes the inner subplan for that row.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from repro.catalog.schema import AccessPath
 from repro.errors import CardinalityViolation, ExecutionError
 from repro.executor.batch_ops import (
     EVAL_FAILED,
@@ -56,6 +69,7 @@ from repro.executor.runtime import (
     _merge_triples,
     _tid_table,
     probe_bounds,
+    probe_key_exprs,
 )
 from repro.obs.trace import Tracer
 from repro.plans.operators import (
@@ -77,7 +91,7 @@ from repro.query.expressions import ColumnRef, RowContext
 from repro.query.predicates import Comparison, Predicate
 from repro.robust.checkpoint import CheckpointBatchIterator
 from repro.storage.heap import RID
-from repro.storage.table import Database, TableData, tid_column
+from repro.storage.table import Database, IndexData, TableData, tid_column
 
 #: Default rows per ColumnBatch.  Large enough to amortize per-batch
 #: dispatch, small enough that SORT/JOIN intermediates stay cache-friendly
@@ -121,8 +135,12 @@ class _BatchRun:
         self._inherited = set(self._temps)
         #: Compiled predicate filters, keyed by (id(node), role) — plan
         #: nodes are alive for the whole run, so identity keys are stable
-        #: and an NL inner re-executed per outer row compiles once.
+        #: and an NL inner re-executed per outer row compiles once.  The
+        #: probe kernel's role is "probe": it sees the same nodes over a
+        #: wider column set (the outer row's columns ride along).
         self._filters: dict[tuple[int, str], object] = {}
+        #: ``probe_key_exprs`` of each index ACCESS node, by id(node).
+        self._probe_keys: dict[int, tuple] = {}
 
     # -- public entry ----------------------------------------------------------------
 
@@ -143,13 +161,21 @@ class _BatchRun:
     def execute(
         self, node: PlanNode, bindings: RowContext | None
     ) -> Iterator[ColumnBatch]:
-        if (
-            self.tracer is None
-            and self.node_counts is None
-            and self.metrics is None
-        ):
+        # A generator: nothing is dispatched before the first pull.
+        yield from self._stream(node, self._dispatch(node, bindings))
+
+    def _stream(
+        self, node: PlanNode, batches: Iterator[ColumnBatch], opens: int = 1
+    ) -> Iterator[ColumnBatch]:
+        """Book ``batches`` as the output of ``opens`` opens of ``node``
+        (more than one when the probe kernel runs a whole outer batch
+        through an NL inner at once)."""
+        tracer = self.tracer
+        metrics = self.metrics
+        counts = self.node_counts
+        if tracer is None and counts is None and metrics is None:
             stats = self.stats
-            for batch in self._dispatch(node, bindings):
+            for batch in batches:
                 n = len(batch)
                 if n == 0:
                     continue
@@ -157,25 +183,17 @@ class _BatchRun:
                 stats.batches += 1
                 yield batch
             return
-        yield from self._execute_observed(node, bindings)
-
-    def _execute_observed(
-        self, node: PlanNode, bindings: RowContext | None
-    ) -> Iterator[ColumnBatch]:
-        tracer = self.tracer
-        metrics = self.metrics
-        counts = self.node_counts
         entry = None
         if counts is not None:
             entry = counts.setdefault(id(node), [0, 0])
-            entry[1] += 1
+            entry[1] += opens
         span = None
         if tracer is not None:
             label = node.op if node.flavor is None else f"{node.op}({node.flavor})"
             span = tracer.begin("executor", label, site=node.props.site or "")
         rows = 0
         try:
-            for batch in self._dispatch(node, bindings):
+            for batch in batches:
                 n = len(batch)
                 if n == 0:
                     continue
@@ -190,7 +208,7 @@ class _BatchRun:
             if entry is not None:
                 entry[0] += rows
             if span is not None:
-                tracer.end(span, rows=rows)
+                tracer.end(span, rows=rows, opens=opens)
 
     def _dispatch(
         self, node: PlanNode, bindings: RowContext | None
@@ -244,7 +262,6 @@ class _BatchRun:
     def _access(
         self, node: PlanNode, bindings: RowContext | None
     ) -> Iterator[ColumnBatch]:
-        path: AccessPath | None = node.param("path")
         columns: frozenset[ColumnRef] = node.param("columns") or frozenset()
         preds: frozenset[Predicate] = node.param("preds") or frozenset()
 
@@ -261,15 +278,15 @@ class _BatchRun:
             return self._scan_table_data(node, data, cols, preds, bindings)
 
         assert node.flavor == "index"
-        if node.inputs:  # dynamic index on a temp
-            data = self._materialize_input(node)
-        else:
-            self._check_site(node.props.site)
-            data = self.db.table(node.param("table"))
-        assert path is not None
-        return self._index_scan(
-            node, data, path, columns or node.props.cols, preds, bindings
-        )
+        return self._index_scan(node, self._index_data(node), bindings)
+
+    def _index_data(self, node: PlanNode) -> TableData:
+        """Open the table an index ACCESS reads: a base table at its
+        site, or the (materialized) temp a dynamic index was built on."""
+        if node.inputs:
+            return self._materialize_input(node)
+        self._check_site(node.props.site)
+        return self.db.table(node.param("table"))
 
     def _scan_table_data(
         self,
@@ -331,60 +348,93 @@ class _BatchRun:
             return
         positions = [(c, data.position(c)) for c in columns if data.has_column(c)]
         entries = ((rid, raw) for _, (rid, raw) in primary.tree.scan_all())
-        for chunk in batches_of(entries, len(positions), self.batch_size):
+        for chunk in batches_of(entries, self.batch_size):
             cols = {c: [raw[pos] for _, raw in chunk] for c, pos in positions}
             batch = ColumnBatch(cols, len(chunk))
             filt = self._filter_for(node, "scan", preds, frozenset(cols))
             yield apply_filter(batch, filt, bindings)
 
     def _index_scan(
+        self, node: PlanNode, data: TableData, bindings: RowContext | None
+    ) -> Iterator[ColumnBatch]:
+        index = data.index(node.param("path").name)
+        prefix = probe_bounds(self._probe_exprs(node, index), bindings)
+        for chunk in batches_of(
+            index.tree.scan_range(lo=prefix, hi=prefix), self.batch_size
+        ):
+            yield self._index_batch(node, data, index, chunk, {}, bindings)
+
+    def _probe_exprs(self, node: PlanNode, index: IndexData) -> tuple:
+        try:
+            return self._probe_keys[id(node)]
+        except KeyError:
+            exprs = self._probe_keys[id(node)] = probe_key_exprs(
+                index.key_columns, node.param("preds") or frozenset()
+            )
+            return exprs
+
+    def _index_batch(
         self,
         node: PlanNode,
         data: TableData,
-        path: AccessPath,
-        columns: frozenset[ColumnRef],
-        preds: frozenset[Predicate],
+        index: IndexData,
+        chunk: list,
+        carried: dict[ColumnRef, list],
         bindings: RowContext | None,
-    ) -> Iterator[ColumnBatch]:
-        index = data.index(path.name)
-        lo, hi = probe_bounds(index.key_columns, preds, bindings)
+    ) -> ColumnBatch:
+        """Index entries ``(key, (rid, stored row))`` to one output batch
+        of the ACCESS.  ``carried`` (empty but in the probe kernel) holds,
+        entry for entry, the columns of the outer row each entry was
+        looked up for; they ride along in front of the ACCESS's own."""
+        columns = node.param("columns") or node.props.cols
+        preds: frozenset[Predicate] = node.param("preds") or frozenset()
         tid = tid_column(index.key_columns[0].table)
-        key_positions = {c: i for i, c in enumerate(index.key_columns)}
-        out_cols = [c for c in columns if not c.column.startswith("#")]
-        for chunk in batches_of(
-            index.tree.scan_range(lo=lo, hi=hi), len(key_positions), self.batch_size
-        ):
-            # Evaluation columns cover everything the entry carries (key
-            # columns, the stored row of a clustered index, and the TID),
-            # exactly like the iterator's per-entry eval_row.
-            eval_cols: dict[ColumnRef, list] = {
-                c: [key[i] for key, _ in chunk] for c, i in key_positions.items()
-            }
-            if index.clustered:
-                for column in data.schema:
-                    if column in eval_cols:
-                        continue
-                    pos = data.position(column)
-                    eval_cols[column] = [
-                        None if stored is None else stored[pos]
-                        for _, (_, stored) in chunk
-                    ]
-            eval_cols[tid] = [rid for _, (rid, _) in chunk]
-            batch = ColumnBatch(eval_cols, len(chunk))
-            filt = self._filter_for(node, "scan", preds, frozenset(eval_cols))
-            batch = apply_filter(batch, filt, bindings).compact()
-            cols: dict[ColumnRef, list] = {tid: batch.columns[tid]}
-            for column in out_cols:
-                col = batch.columns.get(column)
-                if col is not None:
-                    cols[column] = col
-            yield ColumnBatch(cols, batch.length)
+        # Evaluation columns cover everything the entry carries (key
+        # columns, the stored row of a clustered index, and the TID),
+        # exactly like the iterator's per-entry eval_row.
+        eval_cols: dict[ColumnRef, list] = {
+            c: [key[i] for key, _ in chunk]
+            for i, c in enumerate(index.key_columns)
+        }
+        if index.clustered:
+            for column in data.schema:
+                if column in eval_cols:
+                    continue
+                pos = data.position(column)
+                eval_cols[column] = [
+                    None if stored is None else stored[pos]
+                    for _, (_, stored) in chunk
+                ]
+        eval_cols[tid] = [rid for _, (rid, _) in chunk]
+        eval_cols = {**carried, **eval_cols}
+        role = "probe" if carried else "scan"
+        filt = self._filter_for(node, role, preds, frozenset(eval_cols))
+        batch = apply_filter(
+            ColumnBatch(eval_cols, len(chunk)), filt, bindings
+        ).compact()
+        cols = {c: batch.columns[c] for c in carried}
+        cols[tid] = batch.columns[tid]
+        for column in columns:
+            if column.column.startswith("#"):
+                continue
+            col = batch.columns.get(column)
+            if col is not None:
+                cols[column] = col
+        return ColumnBatch(cols, batch.length)
 
     # -- GET -------------------------------------------------------------------------
 
     def _get(
-        self, node: PlanNode, bindings: RowContext | None
+        self,
+        node: PlanNode,
+        bindings: RowContext | None,
+        source: Iterator[ColumnBatch] | None = None,
     ) -> Iterator[ColumnBatch]:
+        """``source`` (probe kernel only) replaces the input stream: the
+        input's batches with their outer rows' columns riding along."""
+        role = "get" if source is None else "probe"
+        if source is None:
+            source = self.execute(node.inputs[0], bindings)
         table = node.param("table")
         columns: frozenset[ColumnRef] = node.param("columns") or frozenset()
         preds: frozenset[Predicate] = node.param("preds") or frozenset()
@@ -393,7 +443,7 @@ class _BatchRun:
         tid = tid_column(table)
         positions = [(c, data.position(c)) for c in columns if data.has_column(c)]
         fetch = data.fetch
-        for batch in self.execute(node.inputs[0], bindings):
+        for batch in source:
             batch = batch.compact()
             rid_col = batch.columns.get(tid)
             if rid_col is None or any(rid is None for rid in rid_col):
@@ -406,7 +456,7 @@ class _BatchRun:
             for c, pos in positions:
                 cols[c] = [raw[pos] for raw in fetched]
             out = ColumnBatch(cols, batch.length)
-            filt = self._filter_for(node, "get", preds, frozenset(cols))
+            filt = self._filter_for(node, role, preds, frozenset(cols))
             yield apply_filter(out, filt, bindings)
 
     # -- SORT / SHIP / FILTER --------------------------------------------------------
@@ -453,12 +503,19 @@ class _BatchRun:
             self.network.transfer(from_site, to_site, 0, 0)
 
     def _filter(
-        self, node: PlanNode, bindings: RowContext | None
+        self,
+        node: PlanNode,
+        bindings: RowContext | None,
+        source: Iterator[ColumnBatch] | None = None,
     ) -> Iterator[ColumnBatch]:
+        """``source``: as in :meth:`_get`."""
+        role = "filter" if source is None else "probe"
+        if source is None:
+            source = self.execute(node.inputs[0], bindings)
         preds: frozenset[Predicate] = node.param("preds") or frozenset()
-        for batch in self.execute(node.inputs[0], bindings):
+        for batch in source:
             batch = batch.compact()
-            filt = self._filter_for(node, "filter", preds, frozenset(batch.columns))
+            filt = self._filter_for(node, role, preds, frozenset(batch.columns))
             yield apply_filter(batch, filt, bindings)
 
     # -- JOIN ------------------------------------------------------------------------
@@ -491,23 +548,110 @@ class _BatchRun:
     ) -> Iterator[ColumnBatch]:
         outer, inner = node.inputs
         preds = self._join_predicates(node)
+        chain = _probe_chain(inner)
         builder = BatchBuilder(self.batch_size)
         for obatch in self.execute(outer, bindings):
             obatch = obatch.compact()
-            ocols = obatch.columns
-            for oi in range(obatch.length):
-                orow = {c: col[oi] for c, col in ocols.items()}
-                inner_bindings = RowContext(orow, outer=bindings)
-                for ibatch in self.execute(inner, inner_bindings):
-                    ibatch = ibatch.compact()
-                    n = ibatch.length
-                    combined = {c: [v] * n for c, v in orow.items()}
-                    combined.update(ibatch.columns)  # inner wins overlaps
-                    chunk = self._check_filter(
-                        node, preds, ColumnBatch(combined, n), bindings
-                    )
-                    yield from builder.append_batch(chunk)
+            if chain is None:
+                rows = range(obatch.length)
+                yield from self._nl_rows(node, preds, obatch, rows, bindings, builder)
+            else:
+                yield from self._nl_probe(node, preds, chain, obatch, bindings, builder)
         yield from builder.flush()
+
+    def _nl_rows(
+        self,
+        node: PlanNode,
+        preds: frozenset[Predicate],
+        obatch: ColumnBatch,
+        rows: Iterable[int],
+        bindings: RowContext | None,
+        builder: BatchBuilder,
+    ) -> Iterator[ColumnBatch]:
+        """The per-row route: bind each of the outer ``rows`` in turn and
+        re-execute the inner subplan under it."""
+        inner = node.inputs[1]
+        ocols = obatch.columns
+        for oi in rows:
+            orow = {c: col[oi] for c, col in ocols.items()}
+            inner_bindings = RowContext(orow, outer=bindings)
+            for ibatch in self.execute(inner, inner_bindings):
+                ibatch = ibatch.compact()
+                n = ibatch.length
+                combined = {c: [v] * n for c, v in orow.items()}
+                combined.update(ibatch.columns)  # inner wins overlaps
+                chunk = self._check_filter(
+                    node, preds, ColumnBatch(combined, n), bindings
+                )
+                yield from builder.append_batch(chunk)
+
+    def _nl_probe(
+        self,
+        node: PlanNode,
+        preds: frozenset[Predicate],
+        chain: tuple[PlanNode, ...],
+        obatch: ColumnBatch,
+        bindings: RowContext | None,
+        builder: BatchBuilder,
+    ) -> Iterator[ColumnBatch]:
+        """The probe kernel: one outer batch against an index-probe chain
+        (module docstring).  Maximal runs of outer rows with a whole key
+        go through the chain as one batch; a row between two runs takes
+        the per-row route in its place, so output stays outer-major."""
+        access = chain[-1]
+        data = self._index_data(access)
+        index = data.index(access.param("path").name)
+        exprs = self._probe_exprs(access, index)
+        n = obatch.length
+        if exprs:
+            keys = key_tuples(obatch, [c[0] for c in exprs], bindings)
+            per_row = [i for i, k in enumerate(keys) if k is None or None in k]
+        else:  # no key column bound: every probe is a full index scan
+            keys, per_row = [], range(n)
+        start = 0
+        for stop in (*per_row, n):
+            if stop > start:
+                opens = stop - start
+                found = self._probe_access(
+                    access, data, index, obatch, keys[start:stop], start, bindings
+                )
+                stream = self._stream(access, found, opens)
+                for stage in reversed(chain[:-1]):
+                    run = self._get if stage.op == GET else self._filter
+                    stream = self._stream(stage, run(stage, bindings, stream), opens)
+                for chunk in stream:
+                    chunk = self._check_filter(node, preds, chunk, bindings)
+                    yield from builder.append_batch(chunk)
+            if stop < n:
+                row = (stop,)
+                yield from self._nl_rows(node, preds, obatch, row, bindings, builder)
+            start = stop + 1
+
+    def _probe_access(
+        self,
+        node: PlanNode,
+        data: TableData,
+        index: IndexData,
+        obatch: ColumnBatch,
+        keys: list[tuple],
+        start: int,
+        bindings: RowContext | None,
+    ) -> Iterator[ColumnBatch]:
+        """Look up one key per outer row (``keys[i]`` belongs to outer
+        row ``start + i``) and gather the matches beside their rows."""
+        lookup = index.tree.lookup
+        orep: list[int] = []
+        entries: list = []
+        for oi, key in enumerate(keys, start):
+            found = lookup(key)
+            if found:
+                orep.extend([oi] * len(found))
+                entries.extend(found)
+        if entries:
+            carried = {
+                c: [col[i] for i in orep] for c, col in obatch.columns.items()
+            }
+            yield self._index_batch(node, data, index, entries, carried, bindings)
 
     def _join_ha(
         self, node: PlanNode, bindings: RowContext | None
@@ -811,6 +955,19 @@ def _hashed_predicates(
         ):
             hashed.add(pred)
     return frozenset(hashed)
+
+
+def _probe_chain(inner: PlanNode) -> tuple[PlanNode, ...] | None:
+    """The nodes of an index-probe chain, top-down — any run of GET and
+    FILTER over an ``ACCESS(index)`` — or ``None`` for any other shape."""
+    chain = []
+    node = inner
+    while node.op in (GET, FILTER):
+        chain.append(node)
+        node = node.inputs[0]
+    if node.op == ACCESS and node.flavor == "index":
+        return (*chain, node)
+    return None
 
 
 def _group_keys(batch: ColumnBatch, key: tuple[ColumnRef, ...]) -> list[tuple]:

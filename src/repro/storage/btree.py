@@ -136,18 +136,14 @@ class BTree:
 
     def _descend_to_leaf(self, key: Key | None) -> _Leaf:
         """Find the left-most leaf that can contain ``key`` (or the
-        left-most leaf overall when key is None), charging reads."""
+        left-most leaf overall when key is None), charging one read per
+        level (every leaf is ``height`` nodes below the root)."""
         node = self._root
-        while isinstance(node, _Internal):
-            self._io.read_index(1)
-            if key is None:
-                node = node.children[0]
-            else:
-                idx = bisect_left(node.keys, key)
-                # Equal separators can have equal keys in the left child
-                # too (duplicates), so descend left of an equal separator.
-                node = node.children[idx]
-        self._io.read_index(1)
+        for _ in range(self._height - 1):
+            # Equal separators can have equal keys in the left child
+            # too (duplicates), so descend left of an equal separator.
+            node = node.children[0 if key is None else bisect_left(node.keys, key)]
+        self._io.read_index(self._height)
         return node
 
     @staticmethod
@@ -176,12 +172,19 @@ class BTree:
         ``(key, value)`` pairs, flattening duplicate values.
         """
         leaf: _Leaf | None = self._descend_to_leaf(lo)
+        # Start at the first key >= lo: a bound shorter than the stored
+        # keys sorts before every key it prefixes.  Only an exclusive
+        # lower bound still has keys to step over (those it prefixes).
+        idx = 0 if lo is None else bisect_left(leaf.keys, lo)
+        skipping = lo is not None and not lo_inclusive
         while leaf is not None:
-            for idx, key in enumerate(leaf.keys):
-                if lo is not None:
-                    cmp = self._prefix_cmp(key, lo)
-                    if cmp < 0 or (cmp == 0 and not lo_inclusive):
+            keys = leaf.keys
+            for idx in range(idx, len(keys)):
+                key = keys[idx]
+                if skipping:
+                    if self._prefix_cmp(key, lo) == 0:
                         continue
+                    skipping = False
                 if hi is not None:
                     cmp = self._prefix_cmp(key, hi)
                     if cmp > 0 or (cmp == 0 and not hi_inclusive):
@@ -189,8 +192,32 @@ class BTree:
                 for value in leaf.values[idx]:
                     yield key, value
             leaf = leaf.next
+            idx = 0
             if leaf is not None:
                 self._io.read_index(1)
+
+    def lookup(self, prefix: Key) -> list[tuple[Key, Any]]:
+        """All entries whose key starts with ``prefix``, in key order, as
+        a list: what draining ``scan_prefix(prefix)`` yields, at the same
+        index-read charge (including the step to ``leaf.next`` when the
+        match ends exactly at a leaf boundary), without a generator."""
+        width = len(prefix)
+        found: list[tuple[Key, Any]] = []
+        leaf = self._descend_to_leaf(prefix)
+        idx = bisect_left(leaf.keys, prefix)
+        while True:
+            keys = leaf.keys
+            for idx in range(idx, len(keys)):
+                key = keys[idx]
+                if key[:width] != prefix:
+                    return found
+                for value in leaf.values[idx]:
+                    found.append((key, value))
+            leaf = leaf.next
+            if leaf is None:
+                return found
+            self._io.read_index(1)
+            idx = 0
 
     def scan_prefix(self, prefix: Key) -> Iterator[tuple[Key, Any]]:
         """All entries whose key starts with ``prefix``, in key order."""
@@ -202,4 +229,4 @@ class BTree:
 
     def search(self, key: Key) -> list[Any]:
         """All values stored under exactly ``key``."""
-        return [value for found, value in self.scan_prefix(key) if found == key]
+        return [value for found, value in self.lookup(key) if found == key]

@@ -1,6 +1,7 @@
 """Unit and property-based tests for the B+-tree."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,3 +197,144 @@ def test_search_finds_all_duplicates(keys, order):
     target = keys[0]
     expected = sorted(i for i, k in enumerate(keys) if k == target)
     assert sorted(tree.search((target,))) == expected
+
+
+# ---------------------------------------------------------------------------
+# Bisecting scans against the linear walk they replaced
+# ---------------------------------------------------------------------------
+
+
+def linear_scan(tree, lo=None, hi=None, lo_inclusive=True, hi_inclusive=True):
+    """The reference: walk the first leaf from its first key, comparing
+    every key with both bounds, one index read per node visited
+    (``scan_range`` as it was before it bisected)."""
+    io = tree._io
+    node = tree._root
+    while not hasattr(node, "values"):  # internal node
+        io.read_index(1)
+        node = node.children[0 if lo is None else bisect_left(node.keys, lo)]
+    io.read_index(1)
+    entries = []
+    while node is not None:
+        for idx, key in enumerate(node.keys):
+            if lo is not None:
+                cmp = tree._prefix_cmp(key, lo)
+                if cmp < 0 or (cmp == 0 and not lo_inclusive):
+                    continue
+            if hi is not None:
+                cmp = tree._prefix_cmp(key, hi)
+                if cmp > 0 or (cmp == 0 and not hi_inclusive):
+                    return entries
+            entries.extend((key, value) for value in node.values[idx])
+        node = node.next
+        if node is not None:
+            io.read_index(1)
+    return entries
+
+
+def charged(tree, scan):
+    """(entries, index reads charged) of running ``scan`` to its end."""
+    before = tree._io.index_reads
+    entries = list(scan())
+    return entries, tree._io.index_reads - before
+
+
+def leaf_edges(tree):
+    """First and last key of every leaf: where a match ends exactly at a
+    leaf boundary, and where it starts on one."""
+    leaf = tree._root
+    while not hasattr(leaf, "values"):
+        leaf = leaf.children[0]
+    edges = []
+    while leaf is not None:
+        edges += [leaf.keys[0], leaf.keys[-1]]
+        leaf = leaf.next
+    return edges
+
+
+class TestBisectMatchesLinearWalk:
+    @pytest.fixture(params=range(3, 9), ids=lambda order: f"order{order}")
+    def tree(self, request):
+        """Even keys 0..118 in a shuffled order, every fourth key three
+        times: leaves are small, so boundaries and duplicates are common."""
+        tree = make_tree(order=request.param)
+        keys = list(range(0, 120, 2))
+        random.Random(request.param).shuffle(keys)
+        for key in keys:
+            for copy in range(3 if key % 8 == 0 else 1):
+                tree.insert((key,), (key, copy))
+        return tree
+
+    def test_point_lookups_present_and_absent(self, tree):
+        assert set(leaf_edges(tree)) <= {(k,) for k in range(0, 120, 2)}
+        for key in range(-1, 122):  # odd keys and both ends are absent
+            want = charged(tree, lambda: linear_scan(tree, (key,), (key,)))
+            assert charged(tree, lambda: tree.scan_prefix((key,))) == want
+            assert charged(tree, lambda: tree.lookup((key,))) == want
+            values, reads = charged(tree, lambda: tree.search((key,)))
+            assert (values, reads) == ([v for _, v in want[0]], want[1])
+
+    def test_leaf_boundary_keys_charge_the_step_to_the_next_leaf(self, tree):
+        edges = leaf_edges(tree)
+        last_of_a_leaf = edges[1:-1:2]
+        assert last_of_a_leaf, "tree too small to have an inner leaf boundary"
+        for key in last_of_a_leaf:
+            entries, reads = charged(tree, lambda: tree.lookup(key))
+            assert entries and reads == tree.height + 1
+        entries, reads = charged(tree, lambda: tree.lookup(edges[-1]))
+        assert entries and reads == tree.height  # no leaf after the last
+
+    @pytest.mark.parametrize("lo_inclusive", [True, False])
+    @pytest.mark.parametrize("hi_inclusive", [True, False])
+    def test_ranges_with_exclusive_bounds(self, tree, lo_inclusive, hi_inclusive):
+        bounds = [None, -3, 0, 7, 8, 16, 57, 58, 118, 121]
+        bounds += [key[0] for key in leaf_edges(tree)[:6]]
+        for lo in bounds:
+            for hi in bounds:
+                args = (
+                    None if lo is None else (lo,),
+                    None if hi is None else (hi,),
+                    lo_inclusive,
+                    hi_inclusive,
+                )
+                want = charged(tree, lambda: linear_scan(tree, *args))
+                assert charged(tree, lambda: tree.scan_range(*args)) == want, args
+
+    def test_abandoned_scan_stops_charging(self, tree):
+        before = tree._io.index_reads
+        scan = tree.scan_range(lo=(10,))
+        next(scan)
+        # The descent, plus at most the step off a leaf that ends below 10.
+        assert tree._io.index_reads - before <= tree.height + 1
+        _, drained = charged(tree, lambda: tree.scan_range(lo=(10,)))
+        assert drained > tree.height + 1
+
+
+@pytest.mark.parametrize("order", range(3, 9))
+def test_composite_prefixes_match_linear_walk(order):
+    tree = make_tree(order=order)
+    pairs = [(a, b) for a in range(0, 24, 2) for b in range(a % 5 + 1)]
+    random.Random(order).shuffle(pairs)
+    for pair in pairs:
+        tree.insert(pair, pair)
+    for a in range(-1, 25):
+        want = charged(tree, lambda: linear_scan(tree, (a,), (a,)))
+        assert [k for k, _ in want[0]] == sorted(p for p in pairs if p[0] == a)
+        assert charged(tree, lambda: tree.lookup((a,))) == want
+        assert charged(tree, lambda: tree.scan_prefix((a,))) == want
+        # A prefix finds nothing "stored under exactly" it.
+        assert charged(tree, lambda: tree.search((a,))) == ([], want[1])
+        for b in range(-1, 6):
+            want = charged(tree, lambda: linear_scan(tree, (a, b), (a, b)))
+            assert charged(tree, lambda: tree.lookup((a, b))) == want
+        for inclusive in (True, False):
+            args = ((a,), (a + 4, 1), inclusive, inclusive)
+            want = charged(tree, lambda: linear_scan(tree, *args))
+            assert charged(tree, lambda: tree.scan_range(*args)) == want
+    assert charged(tree, lambda: tree.lookup(())) == charged(tree, tree.scan_all)
+
+
+def test_lookup_on_an_empty_tree_reads_the_root():
+    tree = make_tree()
+    assert charged(tree, lambda: tree.lookup((1,))) == ([], 1)
+    assert charged(tree, lambda: tree.scan_prefix((1,))) == ([], 1)

@@ -46,6 +46,29 @@ def three_table():
     return database, result
 
 
+def _l_and_r():
+    """L has keys 0..9 (one row each); R has keys 0..4 twice and an index
+    on K.  Returns (catalog, database, factory, the predicate L.K = R.K)."""
+    from repro.catalog import AccessPath, Catalog, TableDef
+    from repro.catalog.catalog import make_columns
+    from repro.cost.propfuncs import PlanFactory
+    from repro.query.parser import parse_predicate
+    from repro.storage import Database
+
+    catalog = Catalog()
+    catalog.add_table(TableDef("L", make_columns("K", "V")))
+    catalog.add_table(TableDef("R", make_columns("K", "W")))
+    catalog.add_index(AccessPath("R_K", "R", ("K",)))
+    database = Database(catalog)
+    database.create_storage("L")
+    database.create_storage("R")
+    database.load("L", [(k, k * 10) for k in range(10)])
+    database.load("R", [(k % 5, k) for k in range(10)])
+    database.analyze_all()
+    pred = parse_predicate("L.K = R.K", catalog, ("L", "R"))
+    return catalog, database, PlanFactory(catalog), pred
+
+
 class TestExplainAnalyze:
     def test_two_join_plan_q_errors_recompute_by_hand(self, three_table):
         """Every reported per-operator Q-error equals the hand formula
@@ -131,26 +154,10 @@ class TestExplainAnalyze:
         L has keys 0..9 (one row each); R has keys 0..4 twice.  The inner
         scan of R under the pushed join predicate therefore opens 10
         times and yields 2 rows for 5 of the probes: [20, 10]."""
-        from repro.catalog import AccessPath, Catalog, TableDef
-        from repro.catalog.catalog import make_columns
-        from repro.cost.propfuncs import PlanFactory
         from repro.executor import QueryExecutor
         from repro.query.expressions import ColumnRef
-        from repro.query.parser import parse_predicate
-        from repro.storage import Database
 
-        catalog = Catalog()
-        catalog.add_table(TableDef("L", make_columns("K", "V")))
-        catalog.add_table(TableDef("R", make_columns("K", "W")))
-        database = Database(catalog)
-        database.create_storage("L")
-        database.create_storage("R")
-        database.load("L", [(k, k * 10) for k in range(10)])
-        database.load("R", [(k % 5, k) for k in range(10)])
-        database.analyze_all()
-
-        factory = PlanFactory(catalog)
-        pred = parse_predicate("L.K = R.K", catalog, ("L", "R"))
+        catalog, database, factory, pred = _l_and_r()
         l_cols = {ColumnRef("L", "K"), ColumnRef("L", "V")}
         r_cols = {ColumnRef("R", "K"), ColumnRef("R", "W")}
         outer = factory.access_base("L", l_cols, set())
@@ -165,6 +172,42 @@ class TestExplainAnalyze:
         # rows-per-loop is what CARD estimates for the inner.
         inner_rows, inner_loops = counts[id(inner)]
         assert inner_rows / inner_loops == 1.0
+
+    def test_nl_index_inner_one_span_per_outer_batch(self):
+        """Under the vectorized probe kernel an index-probe inner still
+        counts one open per outer row, but is traced once per outer
+        *batch*: each fused inner node records one ``executor`` span per
+        outer batch carrying ``rows=`` and ``opens=``, and ``exec.batches``
+        counts exactly the batches ``stats.batches`` does."""
+        from repro.executor import QueryExecutor
+        from repro.query.expressions import ColumnRef
+
+        catalog, database, factory, pred = _l_and_r()
+        l_cols = {ColumnRef("L", "K"), ColumnRef("L", "V")}
+        # SORT re-cuts the outer into batches of batch_size: 4 + 4 + 2.
+        outer = factory.sort(factory.access_base("L", l_cols, set()), [ColumnRef("L", "K")])
+        access = factory.access_index(
+            "R", catalog.path("R", "R_K"), {ColumnRef("R", "K")}, {pred}
+        )
+        inner = factory.get(access, "R", {ColumnRef("R", "W")})
+        join = factory.join("NL", outer, inner, {pred})
+
+        counts: dict[int, list[int]] = {}
+        tracer, metrics = Tracer(), MetricsRegistry()
+        rows, stats = QueryExecutor(
+            database, batch_size=4, tracer=tracer, metrics=metrics
+        ).run_plan(join, node_counts=counts)
+        assert len(rows) == 10
+        assert counts[id(access)] == counts[id(inner)] == [10, 10]
+        for label in ("ACCESS(index)", "GET"):
+            spans = [
+                e for e in tracer.events()
+                if e.cat == "executor" and e.name == label
+            ]
+            assert [e.args["opens"] for e in spans] == [4, 4, 2]
+            assert [e.args["rows"] for e in spans] == [8, 2, 0]
+        assert metrics.snapshot()["exec.batches"] == stats.batches
+        assert stats.batches < 10 + 10 + 3  # not one batch per probe
 
 
 class TestDeterministicEventStreams:

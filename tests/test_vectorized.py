@@ -365,7 +365,7 @@ class TestBatchOps:
         assert [r[self.A] for b in out for r in b.rows()] == [1, None, 3]
 
     def test_batches_of_chunks_lazily(self):
-        chunks = list(batches_of(iter(range(5)), schema_len=1, batch_size=2))
+        chunks = list(batches_of(iter(range(5)), batch_size=2))
         assert chunks == [[0, 1], [2, 3], [4]]
 
     def test_sort_permutation_nones_last_and_stable(self):
