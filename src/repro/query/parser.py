@@ -24,23 +24,23 @@ catalog.  The parser produces conjunct-normalized predicates: the WHERE
 clause is flattened into a tuple of top-level conjuncts (ORs stay intact
 inside a conjunct, matching the paper's treatment of ORs as residual,
 non-join predicates).
+
+The statement is lexed in one regex pass (``_LEX.findall``) and parsed over
+plain strings.  Lines and columns are worked out on demand, from the text,
+once per failed parse: a successful one never counts a newline.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
-
-from typing import TYPE_CHECKING
+import string
+from typing import TYPE_CHECKING, Callable, Iterable, TypeVar
 
 from repro.errors import ParseError
-
-if TYPE_CHECKING:  # imported lazily to avoid a circular import with catalog
-    from repro.catalog.catalog import Catalog
 from repro.query.expressions import Arith, ColumnRef, Expr, FuncCall, Literal
 from repro.query.expressions import scalar_functions
 from repro.query.predicates import (
+    COMPARISON_OPS,
     Comparison,
     Conjunction,
     Disjunction,
@@ -49,137 +49,128 @@ from repro.query.predicates import (
 )
 from repro.query.query import OrderItem, QueryBlock, SelectItem
 
-_KEYWORDS = {
+if TYPE_CHECKING:  # imported lazily to avoid a circular import with catalog
+    from repro.catalog.catalog import Catalog
+
+_T = TypeVar("_T")
+
+_KEYWORDS = frozenset({
     "select", "from", "where", "order", "by", "and", "or", "not",
     "as", "asc", "desc", "between",
-}
+})
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_COMPARISONS = frozenset(COMPARISON_OPS) | {"!="}  # "!=" is read as "<>"
+_ADDITIVE = frozenset("+-")
+_MULTIPLICATIVE = frozenset("*/%")
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+\.\d+|\d+)
-  | (?P<string>'(?:[^']|'')*')
-  | (?P<ident>[A-Za-z_][A-Za-z_0-9#]*)
-  | (?P<op><=|>=|<>|!=|=|<|>)
-  | (?P<punct>[(),.*+\-/%])
-    """,
-    re.VERBOSE,
+#: Optional whitespace, then one token in group 1 (number, string,
+#: identifier, comparison, punctuation) or, with group 1 unset, one
+#: character that starts no token: ``findall`` yields ``""`` for it.
+_LEX = re.compile(
+    r"\s*(?:(\d+\.\d+|\d+|'(?:[^']|'')*'|[A-Za-z_][A-Za-z_0-9#]*"
+    r"|[<>]=|<>|!=|[=<>(),.*+\-/%])|\S)"
 )
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        kind = match.lastgroup or ""
-        token_text = match.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, token_text, line, pos - line_start + 1))
-        else:
-            newlines = token_text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = pos + token_text.rfind("\n") + 1
-        pos = match.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
-    return tokens
+def _position(text: str, index: int) -> tuple[int, int, int]:
+    """Offset, line and column of token ``index`` (``len(tokens)`` is the
+    end of input), or of a character that starts no token if one comes
+    first.  Newlines count between tokens only, not inside a string."""
+    spans = [(m.start(1), m.end()) for m in _LEX.finditer(text)]
+    spans.append((len(text), len(text)))
+    line, line_start, gap = 1, 0, 0
+    for number, (start, end) in enumerate(spans):
+        stray = start < 0  # group 1 unset: the match ends with the character
+        if stray:
+            start = end - 1
+        newlines = text.count("\n", gap, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", gap, start) + 1
+        if number == index or stray:
+            break
+        gap = end
+    return start, line, start - line_start + 1
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive-descent parser over the token strings.
+
+    ``""`` ends the list.  A string literal starts with ``'`` and a number
+    with a digit, so neither ever equals a keyword or punctuation text.
+    """
 
     def __init__(self, text: str, catalog: "Catalog", tables: tuple[str, ...] = ()):
-        self._tokens = _tokenize(text)
+        tokens = _LEX.findall(text)
+        if "" in tokens:  # reported before any grammar error, wherever it sits
+            offset, line, column = _position(text, -1)
+            raise ParseError(f"unexpected character {text[offset]!r}", line, column)
+        tokens.append("")
+        self._tokens: list[str] = tokens
         self._pos = 0
         self._catalog = catalog
         self._tables = tables
 
     # -- token plumbing -------------------------------------------------------
 
-    def _peek(self) -> _Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> _Token:
-        token = self._tokens[self._pos]
-        if token.kind != "eof":
-            self._pos += 1
-        return token
-
     def _error(self, message: str) -> ParseError:
-        token = self._peek()
-        return ParseError(f"{message}, got {token.text!r}", token.line, token.column)
+        """A grammar error at the current token.  It carries no position:
+        ``_parse`` adds one for the caller, and ``_parse_comparison``
+        drops those of a failed speculation without paying for any."""
+        return ParseError(f"{message}, got {self._tokens[self._pos]!r}")
 
-    def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "ident" and token.text.lower() == word
-
-    def _expect_keyword(self, word: str) -> None:
-        if not self._at_keyword(word):
-            raise self._error(f"expected {word.upper()}")
-        self._advance()
-
-    def _expect_punct(self, char: str) -> None:
-        token = self._peek()
-        if token.kind != "punct" or token.text != char:
-            raise self._error(f"expected {char!r}")
-        self._advance()
-
-    def _at_punct(self, char: str) -> bool:
-        token = self._peek()
-        return token.kind == "punct" and token.text == char
-
-    def _accept_punct(self, char: str) -> bool:
-        if self._at_punct(char):
-            self._advance()
+    def _accept_keyword(self, word: str) -> bool:
+        if self._tokens[self._pos].lower() == word:
+            self._pos += 1
             return True
         return False
 
+    def _expect_keyword(self, word: str) -> None:
+        if not self._accept_keyword(word):
+            raise self._error(f"expected {word.upper()}")
+
+    def _accept_punct(self, char: str) -> bool:
+        if self._tokens[self._pos] == char:
+            self._pos += 1
+            return True
+        return False
+
+    def _expect_punct(self, char: str) -> None:
+        if not self._accept_punct(char):
+            raise self._error(f"expected {char!r}")
+
     def _expect_ident(self) -> str:
-        token = self._peek()
-        if token.kind != "ident" or token.text.lower() in _KEYWORDS:
+        token = self._tokens[self._pos]
+        if token[:1] not in _IDENT_START or token.lower() in _KEYWORDS:
             raise self._error("expected identifier")
-        self._advance()
-        return token.text
+        self._pos += 1
+        return token
+
+    def _expect_end(self) -> None:
+        if self._tokens[self._pos]:
+            raise self._error("unexpected trailing input")
 
     # -- query ----------------------------------------------------------------
 
     def parse_query(self) -> QueryBlock:
         self._expect_keyword("select")
-        select_texts = self._parse_select_list_raw()
+        select_spans = self._parse_select_list_raw()
         self._expect_keyword("from")
         tables = [self._expect_ident()]
         while self._accept_punct(","):
             tables.append(self._expect_ident())
         self._tables = tuple(tables)
-        select = self._resolve_select_list(select_texts)
+        select = self._resolve_select_list(select_spans)
         predicates: tuple[Predicate, ...] = ()
-        if self._at_keyword("where"):
-            self._advance()
+        if self._accept_keyword("where"):
             predicates = self.parse_predicate().conjuncts()
         order_by: list[OrderItem] = []
-        if self._at_keyword("order"):
-            self._advance()
+        if self._accept_keyword("order"):
             self._expect_keyword("by")
             order_by.append(self._parse_order_item())
             while self._accept_punct(","):
                 order_by.append(self._parse_order_item())
-        if self._peek().kind != "eof":
-            raise self._error("unexpected trailing input")
+        self._expect_end()
         return QueryBlock(
             tables=self._tables,
             select=tuple(select),
@@ -190,37 +181,32 @@ class _Parser:
     def _parse_select_list_raw(self) -> list[tuple[int, int]]:
         """Record the token spans of select items (columns can only be
         resolved after FROM is known), returning (start, end) positions."""
-        spans: list[tuple[int, int]] = []
-        if self._at_punct("*"):
-            self._advance()
+        if self._accept_punct("*"):
             return [(-1, -1)]
-        spans.append(self._skip_select_item())
+        spans = [self._skip_select_item()]
         while self._accept_punct(","):
             spans.append(self._skip_select_item())
         return spans
 
     def _skip_select_item(self) -> tuple[int, int]:
-        start = self._pos
+        tokens = self._tokens
+        start = pos = self._pos
         depth = 0
         while True:
-            token = self._peek()
-            if token.kind == "eof":
-                break
-            if token.kind == "punct" and token.text == "(":
+            token = tokens[pos]
+            if token == "(":
                 depth += 1
-            elif token.kind == "punct" and token.text == ")":
+            elif token == ")":
                 if depth == 0:
                     break
                 depth -= 1
-            elif depth == 0:
-                if token.kind == "punct" and token.text == ",":
-                    break
-                if token.kind == "ident" and token.text.lower() == "from":
-                    break
-            self._advance()
-        if self._pos == start:
+            elif not token or depth == 0 and (token == "," or token.lower() == "from"):
+                break
+            pos += 1
+        self._pos = pos
+        if pos == start:
             raise self._error("expected select item")
-        return (start, self._pos)
+        return (start, pos)
 
     def _resolve_select_list(self, spans: list[tuple[int, int]]) -> list[SelectItem]:
         if spans == [(-1, -1)]:
@@ -235,8 +221,7 @@ class _Parser:
             self._pos = start
             expr = self.parse_expression()
             alias: str | None = None
-            if self._at_keyword("as"):
-                self._advance()
+            if self._accept_keyword("as"):
                 alias = self._expect_ident()
             if self._pos != end:
                 raise self._error("malformed select item")
@@ -248,20 +233,16 @@ class _Parser:
 
     def _parse_order_item(self) -> OrderItem:
         expr = self._parse_column()
-        descending = False
-        if self._at_keyword("desc"):
-            self._advance()
-            descending = True
-        elif self._at_keyword("asc"):
-            self._advance()
+        descending = self._accept_keyword("desc")
+        if not descending:
+            self._accept_keyword("asc")
         return OrderItem(expr, descending)
 
     # -- predicates -----------------------------------------------------------
 
     def parse_predicate(self) -> Predicate:
         parts = [self._parse_and()]
-        while self._at_keyword("or"):
-            self._advance()
+        while self._accept_keyword("or"):
             parts.append(self._parse_and())
         if len(parts) == 1:
             return parts[0]
@@ -269,59 +250,53 @@ class _Parser:
 
     def _parse_and(self) -> Predicate:
         parts = [self._parse_not()]
-        while self._at_keyword("and"):
-            self._advance()
+        while self._accept_keyword("and"):
             parts.append(self._parse_not())
         if len(parts) == 1:
             return parts[0]
         return Conjunction(tuple(parts))
 
     def _parse_not(self) -> Predicate:
-        if self._at_keyword("not"):
-            self._advance()
+        if self._accept_keyword("not"):
             return Negation(self._parse_not())
         return self._parse_comparison()
 
     def _parse_comparison(self) -> Predicate:
         # A parenthesis may open either a nested predicate or a scalar
         # expression; try the predicate interpretation first.
-        if self._at_punct("("):
-            saved = self._pos
+        saved = self._pos
+        if self._accept_punct("("):
             try:
-                self._advance()
                 pred = self.parse_predicate()
                 self._expect_punct(")")
                 return pred
             except ParseError:
                 self._pos = saved
         left = self.parse_expression()
-        token = self._peek()
-        if self._at_keyword("between"):
-            self._advance()
+        if self._accept_keyword("between"):
             low = self.parse_expression()
             self._expect_keyword("and")
             high = self.parse_expression()
             return Conjunction((Comparison(">=", left, low), Comparison("<=", left, high)))
-        if token.kind != "op":
+        op = self._tokens[self._pos]
+        if op not in _COMPARISONS:
             raise self._error("expected comparison operator")
-        self._advance()
-        op = "<>" if token.text == "!=" else token.text
-        right = self.parse_expression()
-        return Comparison(op, left, right)
+        self._pos += 1
+        return Comparison("<>" if op == "!=" else op, left, self.parse_expression())
 
     # -- expressions ----------------------------------------------------------
 
     def parse_expression(self) -> Expr:
         left = self._parse_term()
-        while self._at_punct("+") or self._at_punct("-"):
-            op = self._advance().text
+        while (op := self._tokens[self._pos]) in _ADDITIVE:
+            self._pos += 1
             left = Arith(op, left, self._parse_term())
         return left
 
     def _parse_term(self) -> Expr:
         left = self._parse_factor()
-        while self._at_punct("*") or self._at_punct("/") or self._at_punct("%"):
-            op = self._advance().text
+        while (op := self._tokens[self._pos]) in _MULTIPLICATIVE:
+            self._pos += 1
             left = Arith(op, left, self._parse_factor())
         return left
 
@@ -334,33 +309,32 @@ class _Parser:
         return self._parse_primary()
 
     def _parse_primary(self) -> Expr:
-        token = self._peek()
-        if token.kind == "number":
-            self._advance()
-            value = float(token.text) if "." in token.text else int(token.text)
-            return Literal(value)
-        if token.kind == "string":
-            self._advance()
-            return Literal(token.text[1:-1].replace("''", "'"))
-        if self._accept_punct("("):
-            expr = self.parse_expression()
-            self._expect_punct(")")
-            return expr
-        if token.kind == "ident" and token.text.lower() not in _KEYWORDS:
-            name = self._expect_ident()
-            if self._at_punct("(") and name.lower() in scalar_functions():
-                self._advance()
+        token = self._tokens[self._pos]
+        first = token[:1]
+        if first in _IDENT_START and token.lower() not in _KEYWORDS:
+            self._pos += 1
+            if self._tokens[self._pos] == "(" and token.lower() in scalar_functions():
+                self._pos += 1
                 args: list[Expr] = []
-                if not self._at_punct(")"):
+                if self._tokens[self._pos] != ")":
                     args.append(self.parse_expression())
                     while self._accept_punct(","):
                         args.append(self.parse_expression())
                 self._expect_punct(")")
-                return FuncCall(name.lower(), tuple(args))
+                return FuncCall(token.lower(), tuple(args))
             if self._accept_punct("."):
-                column = self._expect_ident()
-                return ColumnRef(name, column)
-            return self._catalog.resolve_column(name, self._tables)
+                return ColumnRef(token, self._expect_ident())
+            return self._catalog.resolve_column(token, self._tables)
+        if first.isdecimal():
+            self._pos += 1
+            return Literal(float(token) if "." in token else int(token))
+        if first == "'":
+            self._pos += 1
+            return Literal(token[1:-1].replace("''", "'"))
+        if self._accept_punct("("):
+            expr = self.parse_expression()
+            self._expect_punct(")")
+            return expr
         raise self._error("expected expression")
 
     def _parse_column(self) -> ColumnRef:
@@ -370,24 +344,31 @@ class _Parser:
         return expr
 
 
+def _parse(
+    text: str, catalog: "Catalog", tables: Iterable[str], rule: Callable[[_Parser], _T]
+) -> _T:
+    """Parse all of ``text`` by one grammar rule; a grammar error leaves
+    with the line and column of the token the parser stopped at."""
+    parser = _Parser(text, catalog, tuple(tables))
+    try:
+        result = rule(parser)
+        parser._expect_end()
+        return result
+    except ParseError as error:
+        _, line, column = _position(text, parser._pos)
+        raise ParseError(error.args[0], line, column) from None
+
+
 def parse_query(text: str, catalog: "Catalog") -> QueryBlock:
     """Parse a SELECT statement into a :class:`QueryBlock`."""
-    return _Parser(text, catalog).parse_query()
+    return _parse(text, catalog, (), _Parser.parse_query)
 
 
 def parse_predicate(text: str, catalog: "Catalog", tables: Iterable[str]) -> Predicate:
     """Parse a standalone predicate (for tests and workload builders)."""
-    parser = _Parser(text, catalog, tuple(tables))
-    pred = parser.parse_predicate()
-    if parser._peek().kind != "eof":
-        raise parser._error("unexpected trailing input")
-    return pred
+    return _parse(text, catalog, tables, _Parser.parse_predicate)
 
 
 def parse_expression(text: str, catalog: "Catalog", tables: Iterable[str]) -> Expr:
     """Parse a standalone scalar expression."""
-    parser = _Parser(text, catalog, tuple(tables))
-    expr = parser.parse_expression()
-    if parser._peek().kind != "eof":
-        raise parser._error("unexpected trailing input")
-    return expr
+    return _parse(text, catalog, tables, _Parser.parse_expression)

@@ -31,6 +31,7 @@ R* did), so the default classification restricts ``SP`` to equality.  Pass
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
@@ -40,12 +41,12 @@ from repro.query.expressions import ColumnRef, Expr, Literal, RowContext
 COMPARISON_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
 _OP_FUNCS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 _OP_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}

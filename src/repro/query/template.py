@@ -34,6 +34,7 @@ from repro.query.predicates import (
     Disjunction,
     Negation,
     Predicate,
+    _OP_FLIP,
 )
 from repro.query.query import QueryBlock
 
@@ -114,15 +115,8 @@ def predicate_shape(pred: Predicate) -> tuple:
     canonicalizations :func:`template_key` promises.
     """
     if isinstance(pred, Comparison):
-        original = ("cmp", pred.op, expr_shape(pred.left), expr_shape(pred.right))
-        flipped_pred = pred.flipped()
-        flipped = (
-            "cmp",
-            flipped_pred.op,
-            expr_shape(flipped_pred.left),
-            expr_shape(flipped_pred.right),
-        )
-        return min(original, flipped)
+        left, right = expr_shape(pred.left), expr_shape(pred.right)
+        return min(("cmp", pred.op, left, right), ("cmp", _OP_FLIP[pred.op], right, left))
     if isinstance(pred, Conjunction):
         return ("and", tuple(sorted(predicate_shape(p) for p in pred.parts)))
     if isinstance(pred, Disjunction):

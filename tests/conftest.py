@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import settings
 
 from repro.catalog import AccessPath, Catalog, ColumnStats, TableDef, TableStats
 from repro.catalog.catalog import make_columns
@@ -16,6 +17,10 @@ from repro.query.expressions import ColumnRef
 from repro.query.parser import parse_predicate, parse_query
 from repro.storage import Database
 from repro.workloads.paper import figure1_query, paper_catalog, paper_database
+
+# The example budget of tests that set none of their own: CI re-runs the SQL
+# front-end differential file with ``--hypothesis-profile=ci --hypothesis-seed=0``.
+settings.register_profile("ci", max_examples=2000)
 
 
 @pytest.fixture()

@@ -13,10 +13,12 @@ from __future__ import annotations
 import pytest
 
 from repro.optimizer.batch import optimize_many
-from repro.query.parser import parse_query
+from repro.query.parser import parse_predicate, parse_query
+from repro.query.predicates import COMPARISON_OPS
 from repro.query.template import (
     PARAM,
     canonical_key,
+    expr_shape,
     predicate_shape,
     query_key,
     query_template,
@@ -104,6 +106,17 @@ class TestTemplateKey:
         a = _parse(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 5")
         b = _parse(workload, "SELECT R0.ID FROM R0 WHERE 5 > R0.VAL")
         assert query_template(a) == query_template(b)
+
+    @pytest.mark.parametrize("op", COMPARISON_OPS)
+    @pytest.mark.parametrize("sides", ["R0.VAL {} 5", "5 {} R0.VAL", "R0.ID {} R1.FK + 1"])
+    def test_shape_is_the_smaller_of_the_two_orientations(self, workload, op, sides):
+        pred = parse_predicate(sides.format(op), workload.catalog, ("R0", "R1"))
+        flipped = pred.flipped()
+        through_flipped = min(
+            ("cmp", p.op, expr_shape(p.left), expr_shape(p.right))
+            for p in (pred, flipped)
+        )
+        assert predicate_shape(pred) == through_flipped == predicate_shape(flipped)
 
     def test_different_operators_differ(self, workload):
         a = _parse(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 5")
