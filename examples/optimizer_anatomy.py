@@ -10,7 +10,7 @@ Walks the paper's machinery step by step on a three-table query:
 5. execution with actual-vs-estimated accounting.
 """
 
-from repro import OptimizerConfig, QueryExecutor, StarburstOptimizer, parse_query
+from repro import QueryExecutor, StarburstOptimizer, Tracer, parse_query
 from repro.plans.plan import render_tree
 from repro.workloads.paper import paper_catalog, paper_database, with_proj
 
@@ -28,7 +28,7 @@ def main() -> None:
     print(f"query: {query}\n")
 
     # 1. Rules are data.
-    optimizer = StarburstOptimizer(catalog, config=OptimizerConfig(trace=True))
+    optimizer = StarburstOptimizer(catalog, tracer=Tracer())
     print("the JMeth STAR, as loaded from DSL text:")
     print(optimizer.rules.get("JMeth"))
 

@@ -150,21 +150,6 @@ def _maybe_profile(enabled: bool, fn):
     return result
 
 
-def _print_compile_split(compiled, expansion_seconds: float) -> None:
-    """The ``--profile`` compile-time vs expansion-time split: the
-    one-time cost of lowering the rule set next to what this run's
-    expansion actually took."""
-    if compiled is None:
-        print("compile split: compile off — all expansion "
-              f"({expansion_seconds * 1e3:.1f} ms, AST interpreter)")
-        return
-    cs = compiled.stats
-    print(f"compile split: {cs.compile_seconds * 1e3:.2f} ms one-time "
-          f"({cs.stars_compiled} STAR(s), {cs.constant_folds} constant "
-          f"fold(s), {cs.fallbacks} fallback(s), reused {cs.cache_hits}×); "
-          f"expansion {expansion_seconds * 1e3:.1f} ms")
-
-
 def _rule_set(name: str):
     if name == "base":
         return default_rules()
@@ -191,13 +176,11 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     catalog, database = _load_workload(args.workload)
-    config = OptimizerConfig(
-        trace=args.trace, compile_stars=not args.no_compile
+    optimizer = StarburstOptimizer(
+        catalog, rules=_rule_set(args.rules),
+        tracer=Tracer() if args.trace else None,
     )
-    optimizer = StarburstOptimizer(catalog, rules=_rule_set(args.rules), config=config)
     result = _maybe_profile(args.profile, lambda: optimizer.optimize(args.sql))
-    if args.profile:
-        _print_compile_split(result.engine.compiled, result.elapsed_seconds)
     print(f"query: {result.query}")
     print(f"alternatives surviving: {len(result.alternatives)}")
     print(f"estimated cost: {result.best_cost:.2f} ({result.best_plan.props.cost})")
@@ -294,21 +277,8 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
         memo_stars=not args.no_memo,
         intern_plans=not args.no_intern,
         prune=not args.no_prune,
-        compile_stars=not args.no_compile,
     )
     rules = _rule_set(args.rules)
-
-    compiled = None
-    compile_seconds = 0.0
-    if config.compile_stars:
-        # Compile once up front (timed): inline runs then hit the program
-        # cache, so the batch never re-pays the one-time cost.
-        from repro.stars.compile import compile_rules
-        from repro.stars.registry import default_registry
-
-        started = _time.perf_counter()
-        compiled = compile_rules(rules, default_registry())
-        compile_seconds = _time.perf_counter() - started
 
     def run():
         best = None
@@ -330,17 +300,8 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
           f"workers: {args.workers}  repeat: {args.repeat}")
     print(f"layers: memo={'on' if config.memo_stars else 'off'} "
           f"intern={'on' if config.intern_plans else 'off'} "
-          f"prune={'on' if config.prune else 'off'} "
-          f"compile={'on' if config.compile_stars else 'off'}")
+          f"prune={'on' if config.prune else 'off'}")
     print(f"wall time: {elapsed:.3f}s  throughput: {throughput:.2f} queries/s")
-    if args.profile:
-        if compiled is not None:
-            print(f"compile split: {compile_seconds * 1e3:.2f} ms one-time "
-                  f"({compiled.stats.stars_compiled} STAR(s)); expansion "
-                  f"{elapsed * 1e3:.1f} ms across {len(results)} query(ies)")
-        else:
-            print("compile split: compile off — all expansion "
-                  f"({elapsed * 1e3:.1f} ms, AST interpreter)")
     ok_results = [r for r in results if r.ok]
     if ok_results:
         sample = ok_results[0]
@@ -365,7 +326,6 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
                 "memo_stars": config.memo_stars,
                 "intern_plans": config.intern_plans,
                 "prune": config.prune,
-                "compile_stars": config.compile_stars,
             },
             "results": [r.as_dict() for r in results],
         }
@@ -981,13 +941,9 @@ def main(argv: list[str] | None = None) -> int:
     optimize.add_argument("--execute", action="store_true", help="run the chosen plan")
     optimize.add_argument("--trace", action="store_true", help="print the expansion trace")
     optimize.add_argument("--limit", type=int, default=10, help="rows to print")
-    optimize.add_argument("--no-compile", action="store_true",
-                          help="disable compiled STAR closures (layer 5: "
-                               "interpret the rule AST instead)")
     optimize.add_argument("--profile", action="store_true",
                           help="run under cProfile and print the top-20 "
-                               "functions by cumulative time, plus the "
-                               "compile-time vs expansion-time split")
+                               "functions by cumulative time")
     optimize.add_argument("--executor", default="vectorized",
                           choices=QueryExecutor.EXECUTORS,
                           help="execution engine for --execute: batch-at-a-time "
@@ -1055,8 +1011,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="disable plan interning (layer 2)")
     bench_opt.add_argument("--no-prune", action="store_true",
                            help="disable dominance pruning (layer 3)")
-    bench_opt.add_argument("--no-compile", action="store_true",
-                           help="disable compiled STAR closures (layer 5)")
     bench_opt.add_argument("--json", metavar="FILE",
                            help="write per-query results as JSON")
     bench_opt.add_argument("--profile", action="store_true",

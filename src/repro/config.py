@@ -54,15 +54,6 @@ class OptimizerConfig:
     #: once.  Off only for A/B measurement (E13).
     intern_plans: bool = True
 
-    #: Compile each STAR's alternatives, conditions, ``where`` bindings
-    #: and REQUIRED specs into Python closures once per RuleSet (hot-path
-    #: layer 5, :mod:`repro.stars.compile`): call targets bound
-    #: statically, parameter lookups become slot reads, constant subtrees
-    #: folded.  The AST interpreter stays available as the semantics
-    #: oracle — toggling this flag never changes a chosen plan (E18).
-    #: Off only for A/B measurement and differential tests.
-    compile_stars: bool = True
-
     #: Safety limit on STAR expansion depth (a DBC-authored rule cycle
     #: fails fast instead of recursing forever).
     max_depth: int = 64
@@ -74,10 +65,6 @@ class OptimizerConfig:
     #: Alternatives are tried in definition order, so a DBC orders the
     #: preferred strategies first and caps the search budget here.
     max_plans_per_reference: int | None = None
-
-    #: Collect a human-readable expansion trace ("rules ... may be traced
-    #: to explain the origin of any execution plan", section 1).
-    trace: bool = False
 
     #: Sites the optimizer must plan around, in addition to any sites the
     #: catalog has marked down (``Catalog.mark_site_down``): no base-table

@@ -28,7 +28,6 @@ from repro.robust.budget import BudgetExhausted, OptimizerBudget
 from repro.robust.fallback import heuristic_plan
 from repro.stars.ast import RuleSet
 from repro.stars.builtin_rules import extended_rules
-from repro.stars.compile import compile_rules
 from repro.stars.engine import ExpansionStats, StarEngine
 from repro.stars.plantable import PlanTableStats
 from repro.stars.registry import FunctionRegistry, default_registry
@@ -127,14 +126,6 @@ class StarburstOptimizer:
         #: runtime-observed cardinalities.
         self.feedback = feedback
         validate_rules(self.rules, self.registry, raise_on_error=True)
-        #: Compiled closures for the rule set, built exactly once here at
-        #: validate time (and cached on the RuleSet), so the per-optimize
-        #: engines never pay compile cost — they fetch the same program.
-        self.compiled = (
-            compile_rules(self.rules, self.registry)
-            if self.config.compile_stars
-            else None
-        )
 
     def optimize(self, query: QueryBlock | str) -> OptimizationResult:
         """Optimize a query block (or SQL text) into its best plan."""
@@ -231,10 +222,6 @@ class StarburstOptimizer:
             interner = engine.ctx.factory.interner
             if interner is not None:
                 self.metrics.ingest(interner.stats.as_dict(), prefix="intern.")
-            if engine.compiled is not None:
-                self.metrics.ingest(
-                    engine.compiled.stats.as_dict(), prefix="compile."
-                )
             self.metrics.observe(
                 "optimizer.elapsed_seconds", elapsed
             )

@@ -19,10 +19,7 @@ This package implements:
   written in the DSL;
 * a rule-set validator (:mod:`repro.stars.validate`) addressing the
   paper's open issue "how to verify that any given set of STARs is
-  correct";
-* the rule compiler (:mod:`repro.stars.compile`) — every STAR lowered to
-  Python closures once per RuleSet, with the interpreter retained as the
-  parity oracle (toggle :attr:`OptimizerConfig.compile_stars`).
+  correct".
 """
 
 from repro.stars.ast import (
@@ -40,14 +37,6 @@ from repro.stars.ast import (
     StarDef,
     StarRef,
 )
-from repro.stars.compile import (
-    CompiledRuleSet,
-    CompiledStar,
-    CompileStats,
-    compile_expr,
-    compile_rules,
-    uncompilable_sites,
-)
 from repro.stars.dsl import parse_rules
 from repro.stars.engine import ExpansionStats, RuleContext, StarEngine
 from repro.stars.glue import Glue
@@ -59,9 +48,6 @@ __all__ = [
     "Alternative",
     "Call",
     "Compare",
-    "CompileStats",
-    "CompiledRuleSet",
-    "CompiledStar",
     "Const",
     "ExpansionStats",
     "ForAll",
@@ -78,11 +64,8 @@ __all__ = [
     "StarDef",
     "StarEngine",
     "StarRef",
-    "compile_expr",
-    "compile_rules",
     "default_registry",
     "parse_rules",
     "rule_function",
-    "uncompilable_sites",
     "validate_rules",
 ]

@@ -328,10 +328,6 @@ class RuleSet:
 
     def __init__(self, stars: tuple[StarDef, ...] = ()):
         self._stars: dict[str, StarDef] = {}
-        #: Mutation counter: every add/replace/extend bumps it, which
-        #: invalidates any compiled program cached for this rule set
-        #: (see :mod:`repro.stars.compile`).
-        self._version = 0
         for star in stars:
             self.add(star)
 
@@ -339,11 +335,9 @@ class RuleSet:
         if star.name in self._stars:
             raise RuleError(f"STAR {star.name} already defined")
         self._stars[star.name] = star
-        self._version += 1
 
     def replace(self, star: StarDef) -> None:
         self._stars[star.name] = star
-        self._version += 1
 
     def extend(self, name: str, extra: tuple[Alternative, ...],
                extra_bindings: tuple[tuple[str, RuleExpr], ...] = ()) -> None:
@@ -356,7 +350,6 @@ class RuleSet:
             exclusive=star.exclusive,
             bindings=star.bindings + extra_bindings,
         )
-        self._version += 1
 
     def get(self, name: str) -> StarDef:
         try:

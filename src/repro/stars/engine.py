@@ -92,7 +92,6 @@ class ExpansionStats:
     glue_references: int = 0
     forall_iterations: int = 0
     veneers_added: int = 0
-    compiled_star_evals: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Serialize through the shared metrics-snapshot path, so
@@ -163,10 +162,6 @@ class StarEngine:
     ):
         config = config if config is not None else OptimizerConfig()
         tracer = active_tracer(tracer)
-        if tracer is None and config.trace:
-            # ``config.trace`` keeps its PR-1 meaning — collect an
-            # expansion trace — but the substrate is now structured events.
-            tracer = Tracer()
         factory = PlanFactory(
             catalog,
             model,
@@ -202,17 +197,9 @@ class StarEngine:
         #: is off): engine-local, never shared across optimizations.
         self.memo: StarMemo | None = StarMemo() if config.memo_stars else None
         self._depth = 0
-        #: Compiled fast path (None when ``config.compile_stars`` is off):
-        #: the RuleSet's closures, fetched from (or built into) the
-        #: program cache — free after the first engine over a rule set.
-        self.compiled = None
-        if config.compile_stars:
-            from repro.stars.compile import compile_rules
-
-            self.compiled = compile_rules(rules, self.ctx.registry)
-        #: Call-site → resolved StarRef cache for the interpreter's
-        #: Call-to-STAR dispatch (avoids rebuilding the StarRef + Argument
-        #: tuple per evaluation); keyed by AST node identity, which is
+        #: Call-site → resolved StarRef cache for Call-to-STAR dispatch
+        #: (avoids rebuilding the StarRef + Argument tuple per
+        #: evaluation); keyed by AST node identity, which is
         #: stable for this engine's lifetime because ctx.rules owns the
         #: nodes and outlives the engine.
         self._call_refs: dict[int, StarRef] = {}
@@ -234,7 +221,7 @@ class StarEngine:
 
     def trace(self) -> str:
         """The expansion trace rendered from structured events (empty
-        unless tracing is on — ``config.trace`` or an attached Tracer)."""
+        unless a Tracer is attached)."""
         tracer = self.ctx.tracer
         if tracer is None:
             return ""
@@ -302,22 +289,10 @@ class StarEngine:
         self._depth += 1
         result: SAP | None = None
         try:
-            compiled_star = None
-            if self.compiled is not None:
-                compiled_star = self.compiled.stars.get(star.name)
-                if compiled_star is not None and compiled_star.star is not star:
-                    # The rule set changed under a live engine (replace/
-                    # extend after construction): the program is a stale
-                    # snapshot for this STAR — use the oracle.
-                    compiled_star = None
-            if compiled_star is not None:
-                ctx.stats.compiled_star_evals += 1
-                result = compiled_star.evaluate(self, args)
-            else:
-                env: dict[str, Any] = dict(zip(star.params, args))
-                for bound, expr in star.bindings:
-                    env[bound] = self._eval_expr(expr, env)
-                result = self._eval_alternatives(star, env)
+            env: dict[str, Any] = dict(zip(star.params, args))
+            for bound, expr in star.bindings:
+                env[bound] = self._eval_expr(expr, env)
+            result = self._eval_alternatives(star, env)
         finally:
             self._depth -= 1
             if tracer is not None:
@@ -714,30 +689,30 @@ def _as_colset(value: Any) -> Any:
 
 
 def _compare(op: str, left: Any, right: Any) -> bool:
-    if op == "==":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "in":
-        return left in right
-    if isinstance(left, (frozenset, set)) or isinstance(right, (frozenset, set)):
-        left_s, right_s = _as_set(left), _as_set(right)
+    try:
+        if op == "==":
+            return left == right
+        if op == "!=":
+            return left != right
+        if op == "in":
+            return left in right
+        if isinstance(left, (frozenset, set)) or isinstance(right, (frozenset, set)):
+            left, right = _as_set(left), _as_set(right)
         if op == "<=":
-            return left_s <= right_s
+            return left <= right
         if op == "<":
-            return left_s < right_s
+            return left < right
         if op == ">=":
-            return left_s >= right_s
+            return left >= right
         if op == ">":
-            return left_s > right_s
-    if op == "<=":
-        return left <= right
-    if op == "<":
-        return left < right
-    if op == ">=":
-        return left >= right
-    if op == ">":
-        return left > right
+            return left > right
+    except TypeError:
+        # A DBC-authored condition over mixed types is a rule fault, not
+        # a crash: optimize() reports it like every other RuleError.
+        raise RuleError(
+            f"ill-typed rule comparison: {type(left).__name__} {op} "
+            f"{type(right).__name__}"
+        ) from None
     raise RuleError(f"unknown comparison {op!r}")
 
 

@@ -64,13 +64,6 @@ class FunctionRegistry:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self._functions))
 
-    def fingerprint(self) -> tuple[tuple[str, int], ...]:
-        """Identity of the name → function bindings, used to key compiled
-        rule programs (:mod:`repro.stars.compile`): two registries holding
-        the same function objects under the same names — e.g. copies of
-        the default registry — fingerprint equal and share one program."""
-        return tuple(sorted((name, id(fn)) for name, fn in self._functions.items()))
-
     def copy(self) -> "FunctionRegistry":
         return FunctionRegistry(self._functions)
 

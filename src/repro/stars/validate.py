@@ -18,11 +18,7 @@ checks:
 * an *exclusive* STAR (the paper's curly brace: first alternative whose
   condition holds is taken) whose final alternative is still conditional
   is flagged as a warning — when every condition is false the STAR
-  produces nothing, which usually means the DBC forgot an ``OTHERWISE``;
-* expressions the rule compiler (:mod:`repro.stars.compile`) cannot
-  lower to closures — e.g. calls to unregistered names — are flagged as
-  warnings, so ``--strict`` surfaces rules that would silently pay the
-  interpreter at runtime.
+  produces nothing, which usually means the DBC forgot an ``OTHERWISE``.
 """
 
 from __future__ import annotations
@@ -115,13 +111,6 @@ def validate_rules(
     cycle = _find_cycle(edges)
     if cycle is not None:
         report.errors.append("cyclic STAR references: " + " -> ".join(cycle))
-
-    if not report.errors:
-        # Only meaningful for sets that are otherwise usable: an invalid
-        # set would just duplicate its errors as fallback warnings.
-        from repro.stars.compile import uncompilable_sites
-
-        report.warnings.extend(uncompilable_sites(rules, registry))
 
     if raise_on_error:
         report.raise_if_invalid()

@@ -4,9 +4,12 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.errors import ExpansionError, RuleError
-from repro.plans.sap import Stream
+from repro.obs.trace import Tracer
+from repro.optimizer import StarburstOptimizer
+from repro.plans.sap import SAP, Stream
 from repro.query.expressions import ColumnRef
 from repro.query.parser import parse_query
+from repro.stars.ast import Alternative, Call, Const, ForAll, Param, RuleSet, StarDef
 from repro.stars.dsl import parse_rules
 from repro.stars.engine import StarEngine
 from repro.stars.registry import default_registry
@@ -16,7 +19,7 @@ MGR = ColumnRef("DEPT", "MGR")
 
 
 def make_engine(catalog, rule_text, query_sql="SELECT MGR FROM DEPT", config=None,
-                registry=None):
+                registry=None, tracer=None):
     query = parse_query(query_sql, catalog)
     return StarEngine(
         parse_rules(rule_text),
@@ -24,6 +27,7 @@ def make_engine(catalog, rule_text, query_sql="SELECT MGR FROM DEPT", config=Non
         query,
         config=config,
         registry=registry,
+        tracer=tracer,
     )
 
 
@@ -244,7 +248,7 @@ class TestTrace:
         engine = make_engine(
             catalog,
             "star S(T) { alt -> ACCESS(T, {}, {}); }",
-            config=OptimizerConfig(trace=True),
+            tracer=Tracer(),
         )
         engine.expand("S", ("DEPT",))
         assert "S(" in engine.trace()
@@ -302,6 +306,51 @@ class TestLolepopDispatch:
         )
         with pytest.raises(RuleError, match="non-stream"):
             engine.expand("S", ("DEPT",))
+
+
+def _pick_engine(catalog, fig1_query, body):
+    """An engine over one STAR ``Pick(X)`` with the given body, plus the
+    two real plans its ``t_pick(key)`` registry function hands out (one
+    singleton SAP per key 0 / 1)."""
+    plans = list(StarburstOptimizer(catalog).optimize(fig1_query).alternatives)[:2]
+    assert len(plans) == 2
+    registry = default_registry()
+    registry.register("t_pick", lambda ctx, key: SAP([plans[key]]))
+    rules = RuleSet([
+        StarDef(name="Pick", params=("X",), alternatives=(Alternative(term=body),))
+    ])
+    return StarEngine(rules, catalog, fig1_query, registry=registry), plans
+
+
+class TestForAllShadowing:
+    def test_forall_variable_shadows_star_parameter(self, catalog, fig1_query):
+        """A ∀ variable named like a STAR parameter: the body sees the
+        loop element, and the parameter is intact for the set expression."""
+        engine, plans = _pick_engine(
+            catalog,
+            fig1_query,
+            ForAll(var="X", set_expr=Param("X"), term=Call("t_pick", (Param("X"),))),
+        )
+        sap = engine.expand("Pick", (frozenset({0, 1}),))
+        assert {p.digest for p in sap} == {plans[0].digest, plans[1].digest}
+        assert len(sap) == 2
+
+
+class TestCallRefCache:
+    def test_call_to_star_reuses_one_starref(self, catalog, fig1_query):
+        engine, plans = _pick_engine(
+            catalog, fig1_query, Call("t_pick", (Param("X"),))
+        )
+        expr = Call("Pick", (Const(0),))
+        env: dict = {}
+        first = engine._eval_expr(expr, env)
+        assert len(engine._call_refs) == 1
+        ref = next(iter(engine._call_refs.values()))
+        second = engine._eval_expr(expr, env)
+        assert engine._call_refs[id(expr)] is ref
+        assert {p.digest for p in first} == {p.digest for p in second} == {
+            plans[0].digest
+        }
 
 
 def _registry_with_order_helper():

@@ -58,9 +58,9 @@ class TestOptimizerConfig:
         assert config.prune
 
     def test_with_options(self):
-        config = OptimizerConfig().with_options(trace=True, max_depth=10)
-        assert config.trace and config.max_depth == 10
-        assert not OptimizerConfig().trace  # original untouched
+        config = OptimizerConfig().with_options(prune=False, max_depth=10)
+        assert not config.prune and config.max_depth == 10
+        assert OptimizerConfig().prune  # original untouched
 
     def test_bad_glue_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ class TestOptimizerConfig:
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            OptimizerConfig().trace = True  # type: ignore[misc]
+            OptimizerConfig().prune = False  # type: ignore[misc]
 
 
 class TestBenchReporting:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.cost.model import CostWeights
+from repro.obs.trace import Tracer
 from repro.optimizer import StarburstOptimizer
 from repro.plans.operators import JOIN, SHIP, SORT
 from repro.plans.properties import requirements
@@ -105,9 +106,9 @@ class TestConfigurationKnobs:
         assert expensive.best_cost > cheap.best_cost
 
     def test_trace_available_with_config(self, catalog):
-        result = StarburstOptimizer(
-            catalog, config=OptimizerConfig(trace=True)
-        ).optimize("SELECT MGR FROM DEPT")
+        result = StarburstOptimizer(catalog, tracer=Tracer()).optimize(
+            "SELECT MGR FROM DEPT"
+        )
         assert "AccessRoot" in result.engine.trace()
 
     def test_stats_exposed(self, catalog, fig1_query):

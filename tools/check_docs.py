@@ -11,7 +11,11 @@ Four checks, all cheap and purely static:
 2. **CLI coverage** — every subcommand registered via ``add_parser``
    in ``src/repro/__main__.py`` must have a matching ``## `name```
    section in ``docs/cli.md``, and ``docs/cli.md`` must not document
-   subcommands that no longer exist.
+   subcommands that no longer exist.  Likewise per flag: the ``--flag``
+   rows of a subcommand's table (plus those of any shared section a
+   ``see [...](#anchor)`` row links to) must be exactly the ``--flag``s
+   its ``add_argument`` calls register, so a removed switch cannot
+   linger in the docs.
 3. **LOLEPOP lowering coverage** — the per-LOLEPOP table in
    ``docs/backends.md`` must have exactly one row per operator
    declared in ``src/repro/plans/operators.py`` (the ``NAME =
@@ -64,45 +68,120 @@ def check_docstrings() -> list[str]:
     return errors
 
 
-def registered_subcommands() -> set[str]:
-    """Subcommand names passed to ``add_parser(...)`` in ``__main__.py``."""
+def registered_flags() -> dict[str, set[str]]:
+    """``subcommand -> {--flag, ...}`` from ``__main__.py``: each
+    ``X = sub.add_parser("name")`` binds a parser variable, each
+    ``X.add_argument("--flag")`` registers on it, and a helper
+    ``def _group(p): p.add_argument(...)`` called as ``_group(X)``
+    registers its whole group."""
     tree = ast.parse(MAIN.read_text(), filename=str(MAIN))
-    names = set()
-    for node in ast.walk(tree):
-        if (
+
+    def is_call(node: ast.AST, attr: str) -> bool:
+        return (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_parser"
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str)
+            and node.func.attr == attr
+            and isinstance(node.func.value, ast.Name)
+        )
+
+    def flags_added(call: ast.Call) -> set[str]:
+        return {
+            arg.value
+            for arg in call.args
+            if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")
+        }
+
+    groups: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and len(node.args.args) == 1:
+            param = node.args.args[0].arg
+            added: set[str] = set()
+            for call in ast.walk(node):
+                if is_call(call, "add_argument") and call.func.value.id == param:
+                    added |= flags_added(call)
+            if added:
+                groups[node.name] = added
+
+    parsers: dict[str, str] = {}
+    flags: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and is_call(node.value, "add_parser")
+            and isinstance(node.targets[0], ast.Name)
         ):
-            names.add(node.args[0].value)
-    return names
+            name = node.value.args[0].value
+            parsers[node.targets[0].id] = name
+            flags[name] = set()
+    for node in ast.walk(tree):
+        if is_call(node, "add_argument") and node.func.value.id in parsers:
+            flags[parsers[node.func.value.id]] |= flags_added(node)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in groups
+            and node.args
+            and isinstance(node.args[0], ast.Name)
+            and node.args[0].id in parsers
+        ):
+            flags[parsers[node.args[0].id]] |= groups[node.func.id]
+    return flags
 
 
-def documented_subcommands() -> set[str]:
-    """``## `name``` headings in docs/cli.md."""
-    text = CLI_DOC.read_text()
-    return set(re.findall(r"^## `([a-z0-9-]+)`", text, flags=re.MULTILINE))
+def documented_flags() -> dict[str, set[str]]:
+    """``subcommand -> {--flag, ...}`` from docs/cli.md: the ``| `--flag``
+    rows under each ``## `name``` heading, plus the rows of every shared
+    section (``## Some flags``) that a ``see [...](#some-flags)`` row of
+    that subcommand's table links to."""
+    rows: dict[str, set[str]] = {}
+    links: dict[str, set[str]] = {}
+    subcommands: dict[str, str] = {}
+    anchor = None
+    for line in CLI_DOC.read_text().splitlines():
+        if line.startswith("## "):
+            title = line[3:].strip()
+            anchor = title.replace("`", "").lower().replace(" ", "-")
+            rows[anchor], links[anchor] = set(), set()
+            if re.fullmatch(r"`[a-z0-9-]+`", title):
+                subcommands[title.strip("`")] = anchor
+        elif anchor is not None and line.startswith("|"):
+            flag = re.match(r"\| `(--[a-z0-9-]+)", line)
+            if flag:
+                rows[anchor].add(flag.group(1))
+            links[anchor].update(re.findall(r"\]\(#([a-z0-9-]+)\)", line))
+    return {
+        name: rows[anchor].union(*(rows.get(a, set()) for a in links[anchor]))
+        for name, anchor in subcommands.items()
+    }
 
 
 def check_cli_doc() -> list[str]:
     if not CLI_DOC.exists():
         return [f"{CLI_DOC.relative_to(REPO)}: missing"]
-    registered = registered_subcommands()
-    documented = documented_subcommands()
+    registered = registered_flags()
+    documented = documented_flags()
     errors = []
-    for name in sorted(registered - documented):
+    for name in sorted(set(registered) - set(documented)):
         errors.append(
             f"docs/cli.md: subcommand {name!r} is registered in "
             f"src/repro/__main__.py but has no '## `{name}`' section"
         )
-    for name in sorted(documented - registered):
+    for name in sorted(set(documented) - set(registered)):
         errors.append(
             f"docs/cli.md: documents subcommand {name!r} which is not "
             "registered in src/repro/__main__.py"
         )
+    for name in sorted(set(registered) & set(documented)):
+        for flag in sorted(registered[name] - documented[name]):
+            errors.append(
+                f"docs/cli.md: `{name}` registers {flag} in "
+                f"src/repro/__main__.py but its table has no row for it"
+            )
+        for flag in sorted(documented[name] - registered[name]):
+            errors.append(
+                f"docs/cli.md: `{name}` documents {flag}, which "
+                f"src/repro/__main__.py does not register for it"
+            )
     return errors
 
 
@@ -202,7 +281,7 @@ def main() -> int:
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     modules = len(public_modules())
-    subcommands = len(registered_subcommands())
+    subcommands = len(registered_flags())
     lolepops = len(declared_lolepops())
     verdict = "PASS" if not errors else f"FAIL ({len(errors)} problem(s))"
     print(
