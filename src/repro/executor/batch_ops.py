@@ -23,8 +23,11 @@ supplies the columnar data plane the batch interpreter
   expression over a batch, marking rows whose evaluation fails with
   :data:`EVAL_FAILED` (the batch analogue of the iterator's
   ``except ExecutionError: continue``);
-* :class:`BatchBuilder` — accumulates join output columns and emits
-  full batches;
+* :func:`gather` / :func:`column_of` — the one gather and the one
+  row-major to column-major transposition idiom every kernel uses, both
+  a C-level ``map`` with no bytecode per element;
+* :class:`BatchBuilder` — cuts join output chunks into full batches,
+  copying each value once;
 * :func:`sort_permutation` / :func:`batch_bytes` — the SORT key and the
   SHIP byte-accounting kernels, bit-compatible with the iterator's
   ``_sort_key`` and ``_row_bytes``.
@@ -36,7 +39,8 @@ so the two executors produce byte-identical result rows.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, Expr, Literal, RowContext
@@ -55,6 +59,19 @@ Row = dict[ColumnRef, Any]
 def _sort_key(value: Any) -> tuple:
     """None-safe sort key (Nones first) — identical to the iterator's."""
     return (value is None, value)
+
+
+def gather(col: list, indices: Iterable[int]) -> list:
+    """``[col[i] for i in indices]`` without a bytecode per element — the
+    one gather idiom of every kernel (selection vectors, join assembly,
+    SORT permutations)."""
+    return list(map(col.__getitem__, indices))
+
+
+def column_of(raws: Iterable[Sequence], pos: int) -> list:
+    """Column ``pos`` of a run of stored row tuples — the one row-major
+    to column-major transposition idiom of the scans and GET."""
+    return list(map(itemgetter(pos), raws))
 
 
 class ColumnBatch:
@@ -91,16 +108,12 @@ class ColumnBatch:
             return self
         if len(sel) == self.length:
             return ColumnBatch(self.columns, self.length)
-        columns = {
-            c: [col[i] for i in sel] for c, col in self.columns.items()
-        }
+        columns = {c: gather(col, sel) for c, col in self.columns.items()}
         return ColumnBatch(columns, len(sel))
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Gather the given (dense) row positions into a new dense batch."""
-        columns = {
-            c: [col[i] for i in indices] for c, col in self.columns.items()
-        }
+        columns = {c: gather(col, indices) for c, col in self.columns.items()}
         return ColumnBatch(columns, len(indices))
 
     def row(self, i: int) -> Row:
@@ -305,53 +318,62 @@ def key_tuples(
     """Per-row key tuples over a batch; ``None`` marks a row whose key
     could not be evaluated (dropped from hash joins, as in the iterator)."""
     batch = batch.compact()
+    if not exprs:
+        return [()] * batch.length
+    columns = batch.columns
+    if all(isinstance(e, ColumnRef) and e in columns for e in exprs):
+        # Bare stream columns: nothing is evaluated, so nothing can fail.
+        return list(zip(*[columns[e] for e in exprs]))
     value_lists = [extract_values(batch, e, bindings) for e in exprs]
-    keys: list[tuple | None] = []
-    for values in zip(*value_lists) if value_lists else ():
-        keys.append(None if EVAL_FAILED in values else values)
-    if not value_lists:
-        keys = [()] * batch.length
-    return keys
+    return [
+        None if EVAL_FAILED in values else values
+        for values in zip(*value_lists)
+    ]
 
 
 class BatchBuilder:
     """Accumulates output rows column-wise and emits full batches.
 
-    Join kernels append *chunks* (already-filtered column dicts); the
-    builder slices the accumulated columns into ``batch_size`` pieces so
-    downstream operators always see bounded batches.
+    Join kernels append *chunks* (already-filtered column batches); the
+    builder cuts them into ``batch_size`` pieces so downstream operators
+    always see bounded batches.  Every value of a chunk is copied once,
+    by a slice: the head that completes the pending batch, each whole
+    batch, and the tail that stays pending — so a chunk of any length
+    costs time linear in its rows.  The builder never mutates a list it
+    was given and never hands one out (a chunk may share its columns
+    with a batch that is still in use upstream): what it emits and what
+    it keeps are always slices of its own making.
     """
 
     def __init__(self, batch_size: int):
         self.batch_size = batch_size
+        #: The pending rows — fewer than ``batch_size`` between calls.
         self._columns: dict[ColumnRef, list] | None = None
         self._length = 0
 
     def append_batch(self, batch: ColumnBatch) -> list[ColumnBatch]:
         batch = batch.compact()
-        if batch.length == 0:
+        n = batch.length
+        if n == 0:
             return []
         if self._columns is None:
-            self._columns = {c: list(col) for c, col in batch.columns.items()}
-            self._length = batch.length
-        else:
-            for c, col in self._columns.items():
-                col.extend(batch.columns[c])
-            self._length += batch.length
-        return self._drain_full()
-
-    def _drain_full(self) -> list[ColumnBatch]:
-        out: list[ColumnBatch] = []
-        while self._length >= self.batch_size:
-            assert self._columns is not None
-            head = {
-                c: col[: self.batch_size] for c, col in self._columns.items()
-            }
-            self._columns = {
-                c: col[self.batch_size:] for c, col in self._columns.items()
-            }
-            self._length -= self.batch_size
-            out.append(ColumnBatch(head, self.batch_size))
+            self._columns = {c: [] for c in batch.columns}
+        size = self.batch_size
+        head = min(n, size - self._length)
+        for c, col in self._columns.items():
+            col.extend(batch.columns[c][:head])
+        self._length += head
+        if self._length < size:
+            return []
+        out = [ColumnBatch(self._columns, size)]
+        stop = head  # the chunk is cut up to here
+        for stop in range(head + size, n + 1, size):
+            out.append(ColumnBatch(
+                {c: batch.columns[c][stop - size:stop] for c in self._columns},
+                size,
+            ))
+        self._columns = {c: batch.columns[c][stop:] for c in self._columns}
+        self._length = n - stop
         return out
 
     def flush(self) -> list[ColumnBatch]:

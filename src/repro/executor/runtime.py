@@ -29,7 +29,7 @@ from repro.executor.chaos import ChaosEngine, RetryPolicy, SimClock
 from repro.executor.network import NetworkSim
 from repro.obs.metrics import stats_snapshot
 from repro.obs.telemetry import TraceContext
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import TimedPulls, Tracer, active_tracer
 from repro.plans.operators import (
     ACCESS,
     BUILDIX,
@@ -166,6 +166,10 @@ class QueryExecutor:
         #: The NetworkSim of the most recent ``run_plan`` call, kept even
         #: when execution raises — failover code aggregates its stats.
         self.last_network: NetworkSim | None = None
+        #: What operators of the most recent vectorized run found out
+        #: about their inputs (``id(node) -> {"build": "unique", ...}``
+        #: for a hash join) — EXPLAIN ANALYZE prints it beside them.
+        self.last_node_notes: dict[int, dict] = {}
 
     # -- public API ----------------------------------------------------------------
 
@@ -244,6 +248,7 @@ class QueryExecutor:
             checkpoints=self.checkpoints, temp_cache=self.temp_cache,
             batch_size=self.batch_size, metrics=self.metrics,
         )
+        self.last_node_notes = run.node_notes
         started = time.perf_counter()
         io_before = self.db.io.snapshot()
         try:
@@ -415,23 +420,34 @@ class _PlanRun:
     def _execute_observed(
         self, node: PlanNode, bindings: RowContext | None
     ) -> Iterator[Row]:
-        """One traced/counted operator open: a span covering open→close
-        (closed on generator finalization, which under lazy pipelining may
-        happen out of stack order — the tracer's complete-event model
-        handles that) and a ``[rows, opens]`` tally per plan node."""
+        """One traced/counted operator open: a span from the first pull,
+        lasting the time spent inside this operator's pulls (inputs
+        included; what the consumer does between pulls is not the
+        operator's), closed on generator finalization — which under lazy
+        pipelining may happen out of stack order; the tracer's
+        complete-event model handles that — and a ``[rows, opens]`` tally
+        per plan node."""
         tracer = self.tracer
         counts = self.node_counts
         entry = None
         if counts is not None:
             entry = counts.setdefault(id(node), [0, 0])
             entry[1] += 1
-        span = None
+
+        def opened() -> Iterator[Row]:
+            # Dispatch inside the first pull: STORE and BUILDIX
+            # materialize there, and that is this operator's time.
+            yield from self._dispatch(node, bindings)
+
+        source = opened()
+        span = pulls = None
         if tracer is not None:
             label = node.op if node.flavor is None else f"{node.op}({node.flavor})"
             span = tracer.begin("executor", label, site=node.props.site or "")
+            source = pulls = TimedPulls(source, tracer.now)
         rows = 0
         try:
-            for row in self._dispatch(node, bindings):
+            for row in source:
                 self.stats.tuples_flowed += 1
                 rows += 1
                 yield row
@@ -439,7 +455,7 @@ class _PlanRun:
             if entry is not None:
                 entry[0] += rows
             if span is not None:
-                tracer.end(span, rows=rows)
+                tracer.end(span, dur=pulls.busy, rows=rows)
 
     def _dispatch(self, node: PlanNode, bindings: RowContext | None) -> Iterator[Row]:
         if node.op == ACCESS:

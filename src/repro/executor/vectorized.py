@@ -40,10 +40,35 @@ Every other inner, and any outer row whose probe key fails to evaluate
 or holds a NULL (it degenerates to a wider scan whose reads count), is
 bound into a :class:`~repro.query.expressions.RowContext` and
 re-executes the inner subplan for that row.
+
+The hash-join table.  ``JOIN(HA)`` buffers its inner side column-wise and
+maps each build key to global row numbers.  Which table it builds follows
+from the keys it sees, nothing else: it starts out *unique* — ``key ->
+the one row number``, one ``dict.update(zip(keys, range(...)))`` per
+inner batch — and a table shorter than the rows read so far is the first
+repeated key, which *demotes* it, once, to *buckets* — ``key -> [row
+numbers]`` — by replaying the keys of every buffered row in row order
+(bare-column keys are read back from the buffered columns; expression
+keys are evaluated again, which is pure).  A hash join on a primary key
+is then an index lookup: the probe is ``map(table.get, keys)``, a batch
+whose every outer row hits (FK -> PK) passes its outer columns through
+untouched and gathers only the inner ones, a partial batch is cut down
+with ``itertools.compress``.  Neither order nor accounting can tell the
+two tables apart: output is outer-major with a bucket's rows in
+insertion order either way (a unique table is the case of one row per
+bucket), keys that can never match (failed evaluations; NULLs when every
+hash side is a bare column) are dropped from either table after the
+build, and ``tuples_flowed``, ``batches``, ``[rows, opens]``,
+checkpoints and SHIP accounting are booked on the streams, which are the
+same rows in the same batches.  The join says which table it built:
+``build=unique|buckets`` and ``build_rows=`` on its executor span and
+beside the operator in EXPLAIN ANALYZE.
 """
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_not
 from typing import Iterable, Iterator
 
 from repro.errors import CardinalityViolation, ExecutionError
@@ -54,9 +79,11 @@ from repro.executor.batch_ops import (
     apply_filter,
     batch_bytes,
     batches_of,
+    column_of,
     compile_predicates,
     concat_batches,
     extract_values,
+    gather,
     key_tuples,
     sort_permutation,
 )
@@ -71,7 +98,7 @@ from repro.executor.runtime import (
     probe_bounds,
     probe_key_exprs,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import TimedPulls, Tracer
 from repro.plans.operators import (
     ACCESS,
     BUILDIX,
@@ -141,6 +168,11 @@ class _BatchRun:
         self._filters: dict[tuple[int, str], object] = {}
         #: ``probe_key_exprs`` of each index ACCESS node, by id(node).
         self._probe_keys: dict[int, tuple] = {}
+        #: What an operator found out about its input at its last open
+        #: (``build=`` / ``build_rows=`` of a hash join), by id(node):
+        #: deterministic args of the node's executor span, and printed
+        #: beside the operator by EXPLAIN ANALYZE.
+        self.node_notes: dict[int, dict] = {}
 
     # -- public entry ----------------------------------------------------------------
 
@@ -187,10 +219,14 @@ class _BatchRun:
         if counts is not None:
             entry = counts.setdefault(id(node), [0, 0])
             entry[1] += opens
-        span = None
+        span = pulls = None
         if tracer is not None:
             label = node.op if node.flavor is None else f"{node.op}({node.flavor})"
             span = tracer.begin("executor", label, site=node.props.site or "")
+            # The span's ``dur`` is the time inside this operator's pulls
+            # (inputs included), not first pull to exhaustion: what the
+            # consumer does between two pulls is the consumer's time.
+            batches = pulls = TimedPulls(batches, tracer.now)
         rows = 0
         try:
             for batch in batches:
@@ -208,7 +244,10 @@ class _BatchRun:
             if entry is not None:
                 entry[0] += rows
             if span is not None:
-                tracer.end(span, rows=rows, opens=opens)
+                tracer.end(
+                    span, dur=pulls.busy, rows=rows, opens=opens,
+                    **self.node_notes.get(id(node), {}),
+                )
 
     def _dispatch(
         self, node: PlanNode, bindings: RowContext | None
@@ -324,7 +363,7 @@ class _BatchRun:
         self, node, raws, rids, positions, tid, preds, bindings
     ) -> ColumnBatch:
         cols: dict[ColumnRef, list] = {
-            c: [r[pos] for r in raws] for c, pos in positions
+            c: column_of(raws, pos) for c, pos in positions
         }
         if tid is not None:
             cols[tid] = rids
@@ -347,10 +386,10 @@ class _BatchRun:
             yield from self._scan_table_data(node, data, columns, preds, bindings)
             return
         positions = [(c, data.position(c)) for c in columns if data.has_column(c)]
-        entries = ((rid, raw) for _, (rid, raw) in primary.tree.scan_all())
-        for chunk in batches_of(entries, self.batch_size):
-            cols = {c: [raw[pos] for _, raw in chunk] for c, pos in positions}
-            batch = ColumnBatch(cols, len(chunk))
+        stored = (raw for _, (_, raw) in primary.tree.scan_all())
+        for raws in batches_of(stored, self.batch_size):
+            cols = {c: column_of(raws, pos) for c, pos in positions}
+            batch = ColumnBatch(cols, len(raws))
             filt = self._filter_for(node, "scan", preds, frozenset(cols))
             yield apply_filter(batch, filt, bindings)
 
@@ -454,7 +493,7 @@ class _BatchRun:
             ]
             cols = dict(batch.columns)
             for c, pos in positions:
-                cols[c] = [raw[pos] for raw in fetched]
+                cols[c] = column_of(fetched, pos)
             out = ColumnBatch(cols, batch.length)
             filt = self._filter_for(node, role, preds, frozenset(cols))
             yield apply_filter(out, filt, bindings)
@@ -648,9 +687,7 @@ class _BatchRun:
                 orep.extend([oi] * len(found))
                 entries.extend(found)
         if entries:
-            carried = {
-                c: [col[i] for i in orep] for c, col in obatch.columns.items()
-            }
+            carried = {c: gather(col, orep) for c, col in obatch.columns.items()}
             yield self._index_batch(node, data, index, entries, carried, bindings)
 
     def _join_ha(
@@ -690,13 +727,16 @@ class _BatchRun:
                 return extract_values(batch, exprs[0], bindings)
             return key_tuples(batch, exprs, bindings)
 
-        # Build: buffer the inner side columnar, bucket global row indices.
-        # Failed keys never enter the buckets, and with ``covered`` the
-        # None-valued keys don't either — so the probe side needs no key
-        # validity test at all: invalid keys simply miss.
+        # Build: buffer the inner side columnar and map each key to its
+        # global row numbers.  The table starts out *unique* (key -> the
+        # one row number), filled by one C-level update per batch; the
+        # first repeated key shows as a table shorter than the rows read
+        # and demotes it, once, to buckets (key -> [row numbers]) by
+        # replaying the keys of every buffered row in row order.
         inner_cols: dict[ColumnRef, list] | None = None
-        buckets: dict = {}
-        base = 0
+        table: dict = {}
+        unique = True
+        rows = 0
         for ibatch in self.execute(inner, bindings):
             ibatch = ibatch.compact()
             if inner_cols is None:
@@ -704,41 +744,76 @@ class _BatchRun:
             else:
                 for c, col in inner_cols.items():
                     col.extend(ibatch.columns[c])
-            for i, key in enumerate(batch_keys(ibatch, inner_exprs)):
-                if single:
-                    if key is EVAL_FAILED or (covered and key is None):
-                        continue
-                elif key is None or (covered and None in key):
+            keys = batch_keys(ibatch, inner_exprs)
+            first = rows
+            rows += ibatch.length
+            if unique:
+                table.update(zip(keys, range(first, rows)))
+                if len(table) == rows:
                     continue
-                bucket = buckets.get(key)
+                unique = False
+                table = {}
+                keys = batch_keys(ColumnBatch(inner_cols, rows), inner_exprs)
+                first = 0
+            for i, key in enumerate(keys, first):
+                bucket = table.get(key)
                 if bucket is None:
-                    buckets[key] = [base + i]
+                    table[key] = [i]
                 else:
-                    bucket.append(base + i)
-            base += ibatch.length
+                    bucket.append(i)
+        # Keys that can never match leave the table, once per distinct
+        # key: failed evaluations, and with ``covered`` the None-valued
+        # keys — so the probe side needs no key validity test at all:
+        # invalid keys simply miss.
+        if single:
+            table.pop(EVAL_FAILED, None)
+            if covered:
+                table.pop(None, None)
+        else:
+            table.pop(None, None)
+            if covered:
+                for key in [k for k in table if None in k]:
+                    del table[key]
+        self.node_notes[id(node)] = {
+            "build": "unique" if unique else "buckets", "build_rows": rows,
+        }
 
         builder = BatchBuilder(self.batch_size)
-        bucket_get = buckets.get
+        lookup = table.get
         for obatch in self.execute(outer, bindings):
             obatch = obatch.compact()
-            orep: list[int] = []
-            igat: list[int] = []
-            for oi, key in enumerate(batch_keys(obatch, outer_exprs)):
-                matches = bucket_get(key)
-                if not matches:
-                    continue
-                orep.extend([oi] * len(matches))
-                igat.extend(matches)
-            if not orep:
+            keys = batch_keys(obatch, outer_exprs)
+            ocols = obatch.columns
+            if unique:
+                # One inner row per hit: outer-major order is the outer
+                # order.  A batch whose every row hits (FK -> PK) keeps
+                # the outer columns as they are.
+                igat = list(map(lookup, keys))
+                if None in igat:
+                    found = list(map(is_not, igat, repeat(None)))
+                    igat = list(compress(igat, found))
+                    if igat:
+                        ocols = {
+                            c: list(compress(col, found)) for c, col in ocols.items()
+                        }
+            else:
+                orep: list[int] = []
+                igat = []
+                for oi, key in enumerate(keys):
+                    matches = lookup(key)
+                    if not matches:
+                        continue
+                    orep.extend([oi] * len(matches))
+                    igat.extend(matches)
+                ocols = {c: gather(col, orep) for c, col in ocols.items()}
+            if not igat:
                 continue
-            combined = {
-                c: [col[i] for i in orep] for c, col in obatch.columns.items()
-            }
+            combined = dict(ocols)
             assert inner_cols is not None  # matches imply a non-empty inner
             for c, col in inner_cols.items():
-                combined[c] = [col[j] for j in igat]  # inner wins overlaps
+                combined[c] = gather(col, igat)  # inner wins overlaps
             chunk = self._check_filter(
-                node, check, ColumnBatch(combined, len(orep)), bindings
+                node, check, ColumnBatch(combined, len(igat)), bindings
             )
             yield from builder.append_batch(chunk)
         yield from builder.flush()

@@ -154,7 +154,9 @@ def plan_walk(plan: PlanNode) -> list[tuple[PlanNode, int]]:
     return out
 
 
-def _operator_label(node: PlanNode) -> str:
+def _operator_label(node: PlanNode, notes: dict | None = None) -> str:
+    """``notes``: what the executor found out about the operator's input
+    at run time (a hash join's ``build=unique|buckets build_rows=N``)."""
     label = node.op
     if node.flavor:
         label += f"({node.flavor})"
@@ -165,6 +167,8 @@ def _operator_label(node: PlanNode) -> str:
         label += f" →{node.param('to_site')}"
     elif node.props.site not in (None, "local"):
         label += f" @{node.props.site}"
+    if notes:
+        label += " [" + " ".join(f"{k}={v}" for k, v in notes.items()) + "]"
     return label
 
 
@@ -200,7 +204,7 @@ def explain_analyze(
         operators.append(
             OperatorMeasure(
                 node=node,
-                label=_operator_label(node),
+                label=_operator_label(node, executor.last_node_notes.get(id(node))),
                 depth=depth,
                 estimated_rows=node.props.card,
                 actual_rows=rows,

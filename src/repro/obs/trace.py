@@ -15,7 +15,11 @@ category     emitted by
 ``plantable``  :class:`~repro.stars.plantable.PlanTable` probe/insert
 ``propfunc``   :class:`~repro.cost.propfuncs.PlanFactory` — one instant
              per property-function evaluation (LOLEPOP constructed)
-``executor``   run-time operator open→close spans with row counts
+``executor``   run-time operator spans: ``ts`` = first pull, ``dur`` =
+             time inside the operator's own pulls (inputs included; see
+             :class:`TimedPulls`); args ``rows``, ``opens`` and, on a
+             vectorized ``JOIN(HA)``, ``build=unique|buckets`` and
+             ``build_rows``
 ``ship``     :class:`~repro.executor.network.NetworkSim` transfer
              attempts, retries, backoff and completions
 ``chaos``    :class:`~repro.executor.chaos.ChaosEngine` fault injections
@@ -202,7 +206,8 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
 
-    def _now(self) -> float:
+    def now(self) -> float:
+        """Seconds since the tracer's epoch, on the tracer's clock."""
         return self._clock() - self._epoch
 
     def begin(self, cat: str, name: str, **args: Any) -> int:
@@ -216,18 +221,26 @@ class Tracer:
         if self._context:
             cleaned = {**self._context, **cleaned}
         frame = _Frame(
-            span_id, cat, name, self._now(), len(self._stack), parent,
+            span_id, cat, name, self.now(), len(self._stack), parent,
             cleaned,
         )
         self._stack.append(frame)
         return span_id
 
-    def end(self, span_id: int | None = None, **args: Any) -> None:
+    def end(
+        self, span_id: int | None = None, *, dur: float | None = None, **args: Any
+    ) -> None:
         """Close a span (the innermost by default) and record it.
 
         Closing by explicit ``span_id`` tolerates out-of-order closes —
         executor generators are finalized in GC order, not stack order.
         Ending with an empty stack or an unknown id is a silent no-op.
+
+        ``dur`` replaces begin-to-end wall time as the span's duration:
+        a pipelined operator stays open while its consumer works, so the
+        executors pass the time spent inside the operator's own pulls
+        (:class:`TimedPulls`).  Like ``ts`` it is a wall-clock field,
+        outside :meth:`signature`.
         """
         if not self.enabled or not self._stack:
             return
@@ -247,7 +260,8 @@ class Tracer:
             frame = self._stack.pop(index)
         if args:
             frame.args.update(_clean_args(args))
-        now = self._now()
+        if dur is None:
+            dur = self.now() - frame.start
         self._record(
             TraceEvent(
                 seq=self._seq,
@@ -255,7 +269,7 @@ class Tracer:
                 cat=frame.cat,
                 name=frame.name,
                 ts=frame.start,
-                dur=now - frame.start,
+                dur=dur,
                 depth=frame.depth,
                 span=frame.span_id,
                 parent=frame.parent,
@@ -279,7 +293,7 @@ class Tracer:
                 ph="i",
                 cat=cat,
                 name=name,
-                ts=self._now(),
+                ts=self.now(),
                 dur=0.0,
                 depth=len(self._stack),
                 span=span_id,
@@ -383,6 +397,29 @@ class Tracer:
         return json.dumps(
             {"traceEvents": trace_events, "displayTimeUnit": "ms"}, indent=1
         )
+
+
+class TimedPulls:
+    """Iterate ``source``, summing in :attr:`busy` the time spent inside
+    its ``next`` calls — the part of an open stream's lifetime that is
+    the producer's (and its inputs'), not its consumer's."""
+
+    __slots__ = ("busy", "_pull", "_now")
+
+    def __init__(self, source: Iterable, now) -> None:
+        self.busy = 0.0
+        self._pull = iter(source).__next__
+        self._now = now
+
+    def __iter__(self) -> "TimedPulls":
+        return self
+
+    def __next__(self):
+        started = self._now()
+        try:
+            return self._pull()
+        finally:
+            self.busy += self._now() - started
 
 
 def _clean_args(args: dict[str, Any]) -> dict[str, Any]:

@@ -147,6 +147,26 @@ class TestExplainAnalyze:
             [m for m in plan_walk(result.best_plan)]
         ) - 1  # every operator opened at least once (loops may share spans)
 
+    @pytest.mark.parametrize("engine", ["vectorized", "iterator"])
+    def test_hash_join_label_says_what_it_built(self, engine):
+        """The vectorized JOIN(HA) reports the table it built beside the
+        operator; the iterator has one regime and nothing to say."""
+        from repro.stars.builtin_rules import extended_rules
+
+        catalog = paper_catalog()
+        database = paper_database(catalog)
+        result = StarburstOptimizer(catalog, rules=extended_rules()).optimize(
+            figure1_query(catalog)
+        )
+        assert result.best_plan.flavor == "HA"
+        report = explain_analyze(result, database, executor=engine)
+        build_rows = report.operators[2].actual_rows  # the inner input
+        want = "JOIN(HA)"
+        if engine == "vectorized":
+            want += f" [build=unique build_rows={build_rows}]"
+        assert report.operators[0].label == want
+        assert want in report.render()
+
     def test_nl_inner_loops_hand_computed(self):
         """An NL-join inner stream opens once per outer row; node_counts
         records [total rows, opens] so rows/loop matches per-probe CARD.
@@ -208,6 +228,69 @@ class TestExplainAnalyze:
             assert [e.args["rows"] for e in spans] == [8, 2, 0]
         assert metrics.snapshot()["exec.batches"] == stats.batches
         assert stats.batches < 10 + 10 + 3  # not one batch per probe
+
+
+class TestExecutorSpanTime:
+    """An executor span lasts the time spent inside its operator's pulls:
+    a pipelined producer is not billed for what its consumer does between
+    two pulls (it was, when ``dur`` ran from first pull to exhaustion)."""
+
+    @pytest.mark.parametrize("engine", ["vectorized", "iterator"])
+    def test_join_work_between_pulls_is_join_self_time(self, engine):
+        from dataclasses import dataclass
+
+        from repro.executor import QueryExecutor
+        from repro.query.expressions import ColumnRef
+        from repro.query.predicates import Predicate
+
+        class Clock:
+            """Stands still unless a predicate burns time."""
+
+            t = 0.0
+
+            def __call__(self) -> float:
+                return self.t
+
+        clock = Clock()
+
+        @dataclass(frozen=True)
+        class Burn(Predicate):
+            """Always true; evaluating it takes ``seconds``."""
+
+            column: ColumnRef
+            seconds: float
+
+            def _iter_columns(self):
+                yield self.column
+
+            def evaluate(self, ctx) -> bool:
+                clock.t += self.seconds
+                return True
+
+            def __str__(self) -> str:
+                return f"burn({self.column}, {self.seconds})"
+
+        _, database, factory, pred = _l_and_r()
+        l_cols = {ColumnRef("L", "K"), ColumnRef("L", "V")}
+        r_cols = {ColumnRef("R", "K"), ColumnRef("R", "W")}
+        # 1 s per row scanned on the outer, 5 s per joined row in the join.
+        outer = factory.access_base("L", l_cols, {Burn(ColumnRef("L", "K"), 1.0)})
+        inner = factory.access_base("R", r_cols, set())
+        join = factory.join("HA", outer, inner, {pred}, {Burn(ColumnRef("R", "W"), 5.0)})
+
+        tracer = Tracer(clock=clock)
+        rows, _ = QueryExecutor(
+            database, executor=engine, batch_size=4, tracer=tracer
+        ).run_plan(join)
+        assert len(rows) == 10 and clock.t == 10 * 1.0 + 10 * 5.0
+
+        spans = {e.span: e for e in tracer.events()}
+        root, build, probe = spans[0], spans[1], spans[2]
+        assert (root.name, build.parent, probe.parent) == ("JOIN(HA)", 0, 0)
+        # dur − Σ children, the arithmetic every consumer of the trace uses
+        assert root.dur - build.dur - probe.dur == 50.0  # JOIN self time
+        assert (build.dur, probe.dur) == (0.0, 10.0)  # ACCESS self times
+        assert root.dur == clock.t
 
 
 class TestDeterministicEventStreams:

@@ -7,6 +7,7 @@ import pytest
 from repro.obs.trace import (
     CATEGORIES,
     EVENT_SCHEMA,
+    TimedPulls,
     TraceEvent,
     Tracer,
     active_tracer,
@@ -81,6 +82,36 @@ class TestSpans:
         by_name = {e.name: e for e in tracer.events()}
         assert by_name["outer"].ts < by_name["inner"].ts
         assert by_name["outer"].dur > by_name["inner"].dur
+
+
+    def test_end_with_explicit_duration(self):
+        """``dur=`` replaces begin-to-end time (a pipelined operator
+        stays open while its consumer works) and is no span argument."""
+        tracer = Tracer(clock=FakeClock(step=1.0))
+        span = tracer.begin("executor", "ACCESS(heap)")
+        tracer.end(span, dur=0.25, rows=3)
+        (event,) = tracer.events()
+        assert event.dur == 0.25 and event.args == {"rows": 3}
+        plain = Tracer(clock=FakeClock(step=1.0))
+        plain.end(plain.begin("executor", "ACCESS(heap)"), rows=3)
+        assert plain.events()[0].dur == 1.0
+        assert plain.signature() == tracer.signature()
+
+    def test_timed_pulls_sums_time_inside_next_only(self):
+        clock = FakeClock(step=1.0)
+
+        def source():
+            for item in "ab":
+                clock.now += 10.0  # the producer's work
+                yield item
+
+        pulls = TimedPulls(source(), clock)
+        seen = []
+        for item in pulls:
+            clock.now += 100.0  # the consumer's work
+            seen.append(item)
+        # three pulls (the last one ends the stream), one step per reading
+        assert seen == ["a", "b"] and pulls.busy == 2 * 10.0 + 3 * 1.0
 
 
 class TestDisabled:

@@ -364,6 +364,56 @@ class TestBatchOps:
         assert [len(b) for b in out] == [2, 1]
         assert [r[self.A] for b in out for r in b.rows()] == [1, None, 3]
 
+    def test_batch_builder_one_big_chunk_equals_many_appends(self):
+        """A 50 x batch_size chunk comes out as the same batches as 50
+        appends of one batch each, whatever is pending when it arrives."""
+        size, n = 8, 50 * 8
+        values = list(range(n))
+        labels = [str(v) for v in values]
+
+        def emitted(pending: int, cuts: list[int]) -> list[tuple[list, list]]:
+            builder = BatchBuilder(batch_size=size)
+            out = builder.append_batch(
+                ColumnBatch({self.A: [-1] * pending, self.B: ["-"] * pending}, pending)
+            )
+            for lo, hi in zip(cuts, cuts[1:]):
+                out += builder.append_batch(
+                    ColumnBatch({self.A: values[lo:hi], self.B: labels[lo:hi]}, hi - lo)
+                )
+            out += builder.flush()
+            return [(b.columns[self.A], b.columns[self.B]) for b in out]
+
+        for pending in (0, 3, size - 1):
+            whole = emitted(pending, [0, n])
+            assert whole == emitted(pending, list(range(0, n + 1, size)))
+            assert [len(a) for a, _ in whole[:-1]] == [size] * (len(whole) - 1)
+            assert sum(len(a) for a, _ in whole) == pending + n
+
+    def test_batch_builder_copies_each_value_once(self):
+        """Draining is linear in the chunk (it was quadratic: every
+        emitted batch re-sliced the whole remainder), and the builder
+        neither mutates nor hands out a list it was given."""
+
+        class CountingList(list):
+            copied = 0
+
+            def __getitem__(self, index):
+                got = list.__getitem__(self, index)
+                if isinstance(index, slice):
+                    CountingList.copied += len(got)
+                return got
+
+        size, n = 16, 50 * 16 + 5
+        given = CountingList(range(n))
+        builder = BatchBuilder(batch_size=size)
+        builder.append_batch(ColumnBatch({self.A: [0] * 3}, 3))
+        out = builder.append_batch(ColumnBatch({self.A: given}, n))
+        out += builder.flush()
+        assert CountingList.copied == n
+        assert given == list(range(n))
+        assert all(b.columns[self.A] is not given for b in out)
+        assert [v for b in out for v in b.columns[self.A]] == [0] * 3 + list(range(n))
+
     def test_batches_of_chunks_lazily(self):
         chunks = list(batches_of(iter(range(5)), batch_size=2))
         assert chunks == [[0, 1], [2, 3], [4]]
