@@ -3,10 +3,11 @@
 Every earlier differential check compared two interpreters we wrote
 ourselves.  This experiment closes the loophole: each chosen QEP is
 lowered by :mod:`repro.backends` to deterministic standalone SQL and
-run on stock in-memory SQLite — an engine we did not write — and
-code-generated into one fused Python pipeline, then all four runtimes
-(iterator, vectorized, pyloop, sqlite) must produce identical
-normalized row sets.
+run on stock in-memory SQLite — an engine we did not write — and the
+query evaluator (``vectorized``) must produce the identical normalized
+row set.  (The tuple-at-a-time reference of
+``tests/reference_executor.py`` is the third leg, in tier-1:
+``tests/test_backends.py`` runs the same oracle three-way.)
 
 * **Part A — paper workloads, whole SAPs.**  The paper scenario (local
   and Figure-3 distributed), the synthetic join shapes, the extended
@@ -23,10 +24,7 @@ normalized row sets.
   which unit tests cover on hand-built plans), every JOIN flavor
   (NL/MG/HA/SJ), and every ACCESS flavor (heap/btree/index/temp);
   the SQL lowering must compile every checked plan
-  (``sql_coverage_floor``), and the fused pipeline must run natively
-  — no vectorized fallback — on at least
-  ``min_pyloop_native_fraction`` of them, so the codegen path cannot
-  silently rot into a fallback shim.
+  (``sql_coverage_floor``).
 
 Results are written to ``BENCH_e19.json``.  ``--smoke`` runs
 scaled-down data for CI (same gates).
@@ -85,7 +83,6 @@ class Sweep:
         self.plans = 0
         self.mismatches: list[str] = []
         self.sql_supported = 0
-        self.pyloop_native = 0
         self.per_workload: dict[str, dict] = {}
 
     def run(self, tag, catalog, database, query, rules=None, config=None, cap=24):
@@ -111,7 +108,6 @@ class Sweep:
         plans = [plans[0], *sorted(plans[1:], key=rarity)][:cap]
         agreed = 0
         sql_backend = get_backend("sql")
-        pyloop = get_backend("pyloop")
         for plan in plans:
             self.plans += 1
             for node in plan.nodes():
@@ -121,8 +117,6 @@ class Sweep:
                 self.sql_supported += 1
             except ReproError:
                 pass
-            if pyloop.supports(result.query, plan):
-                self.pyloop_native += 1
             report = ORACLE.check(result.query, plan, database)
             if report.agreed:
                 agreed += 1
@@ -209,7 +203,6 @@ def run_experiment(smoke: bool = False) -> str:
     mismatches = paper.mismatches + random_sweep.mismatches
     agreement = 1.0 - len(mismatches) / total_plans if total_plans else 0.0
     sql_fraction = (paper.sql_supported + random_sweep.sql_supported) / total_plans
-    native_fraction = (paper.pyloop_native + random_sweep.pyloop_native) / total_plans
 
     ops = paper.ops + random_sweep.ops
     seen_ops = {key.split("/")[0] for key in ops}
@@ -226,7 +219,6 @@ def run_experiment(smoke: bool = False) -> str:
         "random_agreement": not random_sweep.mismatches,
         "agreement_floor": agreement >= gates["agreement_floor"],
         "sql_coverage": sql_fraction >= gates["sql_coverage_floor"],
-        "pyloop_native": native_fraction >= gates["min_pyloop_native_fraction"],
         "op_coverage": coverage_ok,
     }
     ok = all(checks.values())
@@ -237,7 +229,6 @@ def run_experiment(smoke: bool = False) -> str:
         "plans_checked": total_plans,
         "agreement": agreement,
         "sql_supported_fraction": sql_fraction,
-        "pyloop_native_fraction": native_fraction,
         "op_histogram": dict(sorted(ops.items())),
         "missing_ops": sorted(REQUIRED_OPS - seen_ops),
         "paper": paper.per_workload,
@@ -250,7 +241,7 @@ def run_experiment(smoke: bool = False) -> str:
 
     table = Table(["measurement", "value", "gate", "verdict"])
     table.add(
-        f"row-set agreement ({total_plans} plans x 4 backends)",
+        f"row-set agreement ({total_plans} plans x {len(ORACLE.backends)} backends)",
         f"{agreement:.1%}",
         f">= {gates['agreement_floor']:.0%}",
         "pass" if checks["agreement_floor"] and not mismatches else "FAIL",
@@ -260,12 +251,6 @@ def run_experiment(smoke: bool = False) -> str:
         f"{sql_fraction:.1%}",
         f">= {gates['sql_coverage_floor']:.0%}",
         "pass" if checks["sql_coverage"] else "FAIL",
-    )
-    table.add(
-        "pyloop native (no fallback)",
-        f"{native_fraction:.1%}",
-        f">= {gates['min_pyloop_native_fraction']:.0%}",
-        "pass" if checks["pyloop_native"] else "FAIL",
     )
     table.add(
         "operator coverage",
@@ -278,11 +263,10 @@ def run_experiment(smoke: bool = False) -> str:
     lines = [
         banner(
             "E19 — multi-backend plan compilation: the external-oracle discipline",
-            "Every checked QEP lowered to standalone SQL (run on stock "
-            "SQLite) and a fused Python pipeline; iterator, vectorized, "
-            "pyloop and sqlite must return identical normalized row "
-            "sets.  The gate is 100% agreement, zero tolerated "
-            "mismatches.",
+            "Every checked QEP lowered to standalone SQL and run on stock "
+            "SQLite; the query evaluator and sqlite must return identical "
+            "normalized row sets.  The gate is 100% agreement, zero "
+            "tolerated mismatches.",
         ),
         str(table),
     ]

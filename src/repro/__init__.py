@@ -95,7 +95,6 @@ from repro.robust import (
     AdaptiveExecutor,
     AdaptiveReport,
     BudgetExhausted,
-    CheckpointIterator,
     CheckpointPolicy,
     FeedbackCache,
     OptimizerBudget,
@@ -124,7 +123,6 @@ __all__ = [
     "CardinalityViolation",
     "Catalog",
     "CatalogError",
-    "CheckpointIterator",
     "CheckpointPolicy",
     "ChaosConfig",
     "ChaosEngine",

@@ -7,8 +7,8 @@ Subcommands:
   built-in workload; ``--trace`` prints the STAR expansion trace.
 * ``compile-plan`` — optimize a query and lower the chosen QEP through a
   registered backend to a standalone artifact: deterministic SQL
-  (``--backend sql``), a fused Python pipeline (``--backend pyloop``),
-  or the rendered plan tree for the in-process engines.
+  (``--backend sql``), or the rendered plan tree for the in-process
+  engine.
 * ``diff`` — run the chosen plan (and, with ``--alternatives N``, more
   plans from the SAP) through the differential oracle: every requested
   backend executes the same plan and the normalized row sets must
@@ -189,9 +189,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print("\nexpansion trace:")
         print(result.engine.trace())
     if args.execute:
-        answer = QueryExecutor(database, executor=args.executor).run(
-            result.query, result.best_plan
-        )
+        answer = QueryExecutor(database).run(result.query, result.best_plan)
         print(f"\nexecuted: {len(answer)} rows, {answer.stats.total_io} page I/Os, "
               f"{answer.stats.tuples_flowed} tuples flowed")
         limit = args.limit
@@ -204,7 +202,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 def cmd_compile_plan(args: argparse.Namespace) -> int:
     """Optimize a query and lower the chosen QEP through one backend,
-    printing the standalone artifact (SQL text or a Python module)."""
+    printing the standalone artifact (SQL text or the plan tree)."""
     catalog, _database, default_query = _load_workload_full(args.workload)
     backend = get_backend(args.backend)
     optimizer = StarburstOptimizer(catalog, rules=_rule_set(args.rules))
@@ -224,11 +222,8 @@ def cmd_diff(args: argparse.Namespace) -> int:
     """Run the chosen plan (and optionally SAP alternatives) through the
     differential oracle and report per-backend row-set agreement."""
     catalog, database, default_query = _load_workload_full(args.workload)
-    if args.backend:
-        lineup = ["iterator"] + [b for b in args.backend if b != "iterator"]
-        if len(lineup) == 1:
-            lineup.append("vectorized")
-    else:
+    lineup = ["vectorized"] + [b for b in args.backend or () if b != "vectorized"]
+    if len(lineup) == 1:  # no --backend, or only the engine itself
         lineup = list(DEFAULT_BACKENDS)
     optimizer = StarburstOptimizer(catalog, rules=_rule_set(args.rules))
     result = optimizer.optimize(args.sql if args.sql else default_query)
@@ -243,24 +238,20 @@ def cmd_diff(args: argparse.Namespace) -> int:
             plans.append(plan)
     oracle = DifferentialOracle(tuple(lineup))
     disagreements = 0
-    fell_back = False
     for plan in plans:
         report = oracle.check(result.query, plan, database)
         counts = ", ".join(
             f"{o.backend}={'ERR' if o.error is not None else o.row_count}"
-            + ("*" if o.fell_back else "")
             for o in report.outcomes
         )
         print(f"{'AGREE   ' if report.agreed else 'DISAGREE'} plan {plan.digest}: {counts}")
         for err in report.errors:
             print(f"  error {err}")
-        fell_back = fell_back or bool(report.fallbacks)
         if not report.agreed:
             disagreements += 1
             print(report.mismatch_summary())
-    trailer = " (* = fell back to the vectorized engine)" if fell_back else ""
     print(f"checked {len(plans)} plan(s) on {', '.join(lineup)}; "
-          f"{disagreements} disagreement(s){trailer}")
+          f"{disagreements} disagreement(s)")
     return 1 if disagreements else 0
 
 
@@ -463,10 +454,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     database, tracer, metrics, result = _traced_run(
         args.sql, args.workload, args.rules
     )
-    report = explain_analyze(
-        result, database, tracer=tracer, metrics=metrics,
-        executor=args.executor,
-    )
+    report = explain_analyze(result, database, tracer=tracer, metrics=metrics)
     print(f"query: {result.query}")
     print(report.render())
     if args.json:
@@ -944,15 +932,11 @@ def main(argv: list[str] | None = None) -> int:
     optimize.add_argument("--profile", action="store_true",
                           help="run under cProfile and print the top-20 "
                                "functions by cumulative time")
-    optimize.add_argument("--executor", default="vectorized",
-                          choices=QueryExecutor.EXECUTORS,
-                          help="execution engine for --execute: batch-at-a-time "
-                               "vectorized (default) or tuple-at-a-time iterator")
     optimize.set_defaults(fn=cmd_optimize)
 
     compile_plan = sub.add_parser(
         "compile-plan",
-        help="lower the chosen plan to a standalone artifact (SQL, Python, ...)",
+        help="lower the chosen plan to a standalone artifact (SQL, plan tree)",
     )
     compile_plan.add_argument("sql", nargs="?", default=None,
                               help="a SELECT statement (default: the workload's query)")
@@ -977,8 +961,8 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("--rules", default="extended", help="base | extended | all")
     diff.add_argument("--backend", action="append", choices=backend_names(),
                       metavar="NAME",
-                      help="backend to compare against iterator (repeatable; "
-                           "default lineup: iterator, vectorized, pyloop, sqlite)")
+                      help="backend to compare against vectorized (repeatable; "
+                           "default lineup: vectorized, sqlite)")
     diff.add_argument("--alternatives", type=int, default=1, metavar="N",
                       help="check up to N distinct plans from the SAP (default 1: "
                            "the chosen plan only)")
@@ -1080,10 +1064,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="also print the plan-level summary as JSON")
     analyze.add_argument("--metrics", action="store_true",
                          help="also print the full metrics snapshot")
-    analyze.add_argument("--executor", default="vectorized",
-                         choices=QueryExecutor.EXECUTORS,
-                         help="execution engine: batch-at-a-time vectorized "
-                              "(default) or tuple-at-a-time iterator")
     analyze.set_defaults(fn=cmd_analyze)
 
     adaptive = sub.add_parser(

@@ -6,19 +6,16 @@ runtime.  Every backend implements the small
 standalone artifact, execute it against a workload database, declare
 its supported subset — and registers under a name:
 
-``iterator`` / ``vectorized``
-    The in-process interpreters (:mod:`repro.backends.inprocess`).
+``vectorized``
+    The in-process query evaluator (:mod:`repro.backends.inprocess`).
 ``sql`` / ``sqlite``
     Lowering to deterministic standalone SQL
     (:mod:`repro.backends.sql`) and its reference runner on an
     in-memory SQLite mirror of the workload
     (:mod:`repro.backends.sqlite`).
-``pyloop``
-    Fused per-plan Python pipelines — produce/consume code generation
-    down the operator tree (:mod:`repro.backends.pyloop`).
 
 The :class:`~repro.backends.oracle.DifferentialOracle` runs one plan on
-all of them and requires identical normalized row sets, which is the
+several of them and requires identical normalized row sets, which is the
 E19 gate and the ``python -m repro diff`` subcommand.  See
 ``docs/backends.md`` for the per-LOLEPOP lowering rules and the
 walkthrough for adding a backend.
@@ -40,15 +37,12 @@ from repro.backends.oracle import (
     DifferentialOracle,
     OracleReport,
 )
-from repro.backends.pyloop import PyLoopBackend
 from repro.backends.sql import SqlBackend, SqlEmitter
 from repro.backends.sqlite import SqliteBackend, load_database
 
-register_backend("iterator", lambda: InProcessBackend("iterator"))
-register_backend("vectorized", lambda: InProcessBackend("vectorized"))
+register_backend("vectorized", InProcessBackend)
 register_backend("sql", SqlBackend)
 register_backend("sqlite", SqliteBackend)
-register_backend("pyloop", PyLoopBackend)
 
 __all__ = [
     "Backend",
@@ -58,7 +52,6 @@ __all__ = [
     "DifferentialOracle",
     "InProcessBackend",
     "OracleReport",
-    "PyLoopBackend",
     "SqlBackend",
     "SqlEmitter",
     "SqliteBackend",

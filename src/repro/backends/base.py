@@ -1,9 +1,9 @@
 """Backend protocol, registry, and row-set normalization.
 
 A *backend* is one way to turn a chosen QEP into answers: the in-process
-interpreters execute the plan directly, while compiling backends lower
-it to a standalone artifact (SQL text, generated Python) that runs
-without the optimizer in the loop.  All backends implement the same
+evaluator executes the plan directly, while compiling backends lower it
+to a standalone artifact (SQL text) that runs without the optimizer in
+the loop.  All backends implement the same
 small protocol so the :class:`~repro.backends.oracle.DifferentialOracle`
 can drive them interchangeably:
 
@@ -38,12 +38,12 @@ from repro.storage.table import Database
 class CompiledPlan:
     """The deterministic artifact one backend produced for one QEP.
 
-    ``text`` is the complete standalone artifact (SQL statement, Python
-    module source, or a rendered plan tree for interpreting backends);
-    ``language`` names its dialect so callers can route it (``"sql"``,
-    ``"python"``, ``"plan"``).  ``notes`` records lowering decisions
-    that do not change the row set — collapsed SHIPs, index choices,
-    order-preserving rewrites — mirrored as comments inside ``text``.
+    ``text`` is the complete standalone artifact (SQL statement, or a
+    rendered plan tree for interpreting backends); ``language`` names its
+    dialect so callers can route it (``"sql"``, ``"plan"``).  ``notes``
+    records lowering decisions that do not change the row set —
+    collapsed SHIPs, index choices, order-preserving rewrites — mirrored
+    as comments inside ``text``.
     """
 
     backend: str

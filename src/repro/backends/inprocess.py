@@ -1,10 +1,9 @@
-"""The in-process engines exposed through the backend protocol.
+"""The in-process engine exposed through the backend protocol.
 
-``iterator`` and ``vectorized`` are the existing
-:class:`~repro.executor.runtime.QueryExecutor` interpreters wrapped so
-the :class:`~repro.backends.oracle.DifferentialOracle` and the CLI can
-drive them like any compiling backend.  Their "compiled artifact" is
-the rendered plan tree — interpreters have no lower form — which keeps
+``vectorized`` is :class:`~repro.executor.runtime.QueryExecutor` wrapped
+so the :class:`~repro.backends.oracle.DifferentialOracle` and the CLI can
+drive it like any compiling backend.  Its "compiled artifact" is the
+rendered plan tree — an interpreter has no lower form — which keeps
 ``compile-plan`` meaningful for every registered backend name.
 """
 
@@ -13,20 +12,18 @@ from __future__ import annotations
 from typing import Any
 
 from repro.backends.base import CompiledPlan
+from repro.executor.runtime import QueryExecutor
 from repro.plans.plan import PlanNode, render_tree
 from repro.query.query import QueryBlock
 from repro.storage.table import Database
 
 
 class InProcessBackend:
-    """One interpreter (``iterator`` or ``vectorized``) behind the
-    backend protocol; supports every valid plan."""
+    """The query evaluator behind the backend protocol; supports every
+    valid plan."""
 
+    name = "vectorized"
     language = "plan"
-
-    def __init__(self, executor: str) -> None:
-        self.name = executor
-        self._executor = executor
 
     def compile_plan(
         self, query: QueryBlock, plan: PlanNode, catalog: Any = None
@@ -40,10 +37,7 @@ class InProcessBackend:
         return CompiledPlan(backend=self.name, language=self.language, text=text)
 
     def execute(self, query: QueryBlock, plan: PlanNode, database: Database) -> list[tuple]:
-        from repro.executor.runtime import QueryExecutor
-
-        executor = QueryExecutor(database, executor=self._executor)
-        return executor.run(query, plan).rows
+        return QueryExecutor(database).run(query, plan).rows
 
     def supports(self, query: QueryBlock, plan: PlanNode) -> bool:
         return True

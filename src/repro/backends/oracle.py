@@ -2,15 +2,13 @@
 
 Executes the same ``(query, plan, database)`` on each requested backend
 and compares the :func:`~repro.backends.base.normalize_rows` forms.
-Two in-process interpreters agreeing is a parity test; an *external*
-engine (SQLite, via emitted SQL) agreeing is an independent correctness
-check of both the plan and the lowering — the external-oracle
-discipline experiment E19 gates on.
+An *external* engine (SQLite, via emitted SQL) agreeing with the
+in-process evaluator is an independent correctness check of both the
+plan and the lowering — the external-oracle discipline experiment E19
+gates on.
 
-A backend can end a check three ways: a normalized row set (compared),
-a declared fallback (``pyloop`` executing an unsupported plan through
-the vectorized engine — still compared, but flagged so coverage stats
-stay honest), or an error (recorded, excluded from comparison).
+A backend can end a check two ways: a normalized row set (compared) or
+an error (recorded, excluded from comparison).
 :meth:`OracleReport.assert_agreement` turns any disagreement — or a
 check where fewer than two backends produced rows — into a
 :class:`~repro.errors.BackendError` whose message shows the first
@@ -27,9 +25,9 @@ from repro.plans.plan import PlanNode
 from repro.query.query import QueryBlock
 from repro.storage.table import Database
 
-#: The standard oracle lineup: both interpreters, the fused-Python
-#: pipeline, and the external SQLite check.
-DEFAULT_BACKENDS = ("iterator", "vectorized", "pyloop", "sqlite")
+#: The standard oracle lineup: the query evaluator and the external
+#: SQLite check.
+DEFAULT_BACKENDS = ("vectorized", "sqlite")
 
 
 @dataclass
@@ -39,8 +37,6 @@ class BackendOutcome:
     backend: str
     rows: tuple | None = None  #: normalized row set (None on error)
     row_count: int | None = None
-    supported: bool = True
-    fell_back: bool = False
     error: str | None = None
 
     @property
@@ -63,10 +59,6 @@ class OracleReport:
         return len(rowsets) >= 2 and all(r == rowsets[0] for r in rowsets)
 
     @property
-    def fallbacks(self) -> tuple[str, ...]:
-        return tuple(o.backend for o in self.outcomes if o.fell_back)
-
-    @property
     def errors(self) -> tuple[str, ...]:
         return tuple(
             f"{o.backend}: {o.error}" for o in self.outcomes if o.error is not None
@@ -81,8 +73,7 @@ class OracleReport:
             if o.error is not None:
                 lines.append(f"  {o.backend}: ERROR {o.error}")
                 continue
-            status = " (fell back)" if o.fell_back else ""
-            lines.append(f"  {o.backend}: {o.row_count} row(s){status}")
+            lines.append(f"  {o.backend}: {o.row_count} row(s)")
             if reference is not None and o.rows != reference.rows:
                 extra = [r for r in o.rows if r not in reference.rows][:sample]
                 missing = [r for r in reference.rows if r not in o.rows][:sample]
@@ -112,7 +103,6 @@ class DifferentialOracle:
         for name in self.backends:
             backend = get_backend(name)
             outcome = BackendOutcome(backend=name)
-            outcome.supported = backend.supports(query, plan)
             try:
                 rows = backend.execute(query, plan, database)
             except ReproError as exc:
@@ -120,7 +110,6 @@ class DifferentialOracle:
             else:
                 outcome.rows = normalize_rows(rows)
                 outcome.row_count = len(rows)
-                outcome.fell_back = not outcome.supported
             report.outcomes.append(outcome)
         return report
 

@@ -45,7 +45,7 @@ from typing import Any, Callable
 
 from repro.backends.base import CompiledPlan
 from repro.errors import UnsupportedPlanError
-from repro.executor.runtime import _hash_sides
+from repro.executor.keys import _hash_sides
 from repro.plans.operators import (
     ACCESS,
     BUILDIX,
@@ -485,7 +485,7 @@ class SqlEmitter:
         o_resolve = self._scope(oa, o.cols)
         i_resolve = self._scope(ia, i.cols)
         matches = []
-        for o_expr, i_expr in sides:
+        for o_expr, i_expr, _ in sides:
             left = _render_expr(o_expr, o_resolve)
             right = _render_expr(i_expr, i_resolve)
             guards = []

@@ -6,10 +6,15 @@ routine that will be invoked by the query evaluator".  This package is
 that evaluator, interpreting plan DAGs against a
 :class:`~repro.storage.table.Database`:
 
-* :class:`~repro.executor.runtime.QueryExecutor` — the plan interpreter,
-  including nested-loop joins with sideways information passing, merge
-  and hash joins, SHIP across simulated sites, and STORE/BUILDIX temp
-  materialization;
+* :class:`~repro.executor.runtime.QueryExecutor` — the one plan
+  interpreter and its stats envelope;
+* :mod:`repro.executor.vectorized` — the run-time routine of every
+  LOLEPOP, batch-at-a-time over
+  :class:`~repro.executor.batch_ops.ColumnBatch` columns: nested-loop
+  joins with sideways information passing, merge and hash joins, SHIP
+  across simulated sites, STORE/BUILDIX temp materialization;
+* :mod:`repro.executor.keys` — probe-key, hash-side and merge-column
+  derivation, shared with the SQL lowering;
 * :class:`~repro.executor.network.NetworkSim` — per-link message/byte
   accounting for the simulated distributed system, with bounded-retry
   SHIP under a :class:`~repro.executor.chaos.RetryPolicy`;
@@ -20,10 +25,6 @@ that evaluator, interpreting plan DAGs against a
   failover: on a permanent failure, re-execute the cheapest surviving
   alternative plan, falling back to re-optimization against the degraded
   catalog;
-* :mod:`repro.executor.vectorized` — the batch-at-a-time twin of the
-  iterator interpreter: :class:`~repro.executor.batch_ops.ColumnBatch`
-  columns flow through batch implementations of every LOLEPOP
-  (``QueryExecutor(executor="vectorized")``, the default engine);
 * :mod:`repro.executor.naive` — a brute-force reference evaluator used
   for differential testing of optimizer + executor correctness.
 """

@@ -1,13 +1,12 @@
-"""Column batches and the batch-at-a-time kernels of the vectorized executor.
+"""Column batches and the batch-at-a-time kernels of the query evaluator.
 
-The iterator executor (:mod:`repro.executor.runtime`) interprets a plan as
-a tree of Python generators pulling one ``dict`` row at a time; every
-tuple pays generator dispatch, dict construction, and per-row predicate
-evaluation through a fresh :class:`~repro.query.expressions.RowContext`.
-Lohman's LOLEPOPs, however, are defined over *streams* with property
-vectors, so nothing in their semantics is tuple-at-a-time.  This module
-supplies the columnar data plane the batch interpreter
-(:mod:`repro.executor.vectorized`) runs on:
+Lohman's LOLEPOPs are defined over *streams* with property vectors, so
+nothing in their semantics is tuple-at-a-time; pulling one ``dict`` row
+at a time through a tree of generators makes every tuple pay generator
+dispatch, dict construction, and predicate evaluation through a fresh
+:class:`~repro.query.expressions.RowContext`.  This module supplies the
+columnar data plane the plan interpreter
+(:mod:`repro.executor.vectorized`) runs on instead:
 
 * :class:`ColumnBatch` — a fixed-capacity slice of a stream stored as
   column lists keyed by :class:`~repro.query.expressions.ColumnRef`, with
@@ -21,20 +20,21 @@ supplies the columnar data plane the batch interpreter
   else (ORs, arithmetic, outer-bound columns);
 * expression extraction — :func:`extract_values` evaluates a join-key
   expression over a batch, marking rows whose evaluation fails with
-  :data:`EVAL_FAILED` (the batch analogue of the iterator's
-  ``except ExecutionError: continue``);
+  :data:`EVAL_FAILED` (such a row has no key and joins nothing);
 * :func:`gather` / :func:`column_of` — the one gather and the one
   row-major to column-major transposition idiom every kernel uses, both
   a C-level ``map`` with no bytecode per element;
 * :class:`BatchBuilder` — cuts join output chunks into full batches,
   copying each value once;
 * :func:`sort_permutation` / :func:`batch_bytes` — the SORT key and the
-  SHIP byte-accounting kernels, bit-compatible with the iterator's
-  ``_sort_key`` and ``_row_bytes``.
+  SHIP byte-accounting kernels;
+* :class:`CheckpointBatchIterator` — counts a batch stream for the
+  cardinality checkpoint of the operator that buffers it.
 
-Every kernel preserves the iterator executor's row *order* and its
-``None`` semantics (a comparison with ``None`` on either side is false),
-so the two executors produce byte-identical result rows.
+Every kernel keeps its input's row *order* and the engine's two-valued
+``None`` semantics (a comparison with ``None`` on either side is false):
+``tests/reference_executor.py`` holds them to a tuple-at-a-time
+interpreter on both.
 """
 
 from __future__ import annotations
@@ -47,17 +47,17 @@ from repro.query.expressions import ColumnRef, Expr, Literal, RowContext
 from repro.query.predicates import Comparison, Conjunction, Predicate, _OP_FUNCS
 
 #: Sentinel marking a row whose key expression raised ExecutionError —
-#: such rows silently drop out of hash/merge keys, as in the iterator.
+#: such rows silently drop out of hash/merge keys.
 EVAL_FAILED = object()
 
-#: Width charged for a TID pseudo-column value (matches the iterator).
+#: Width charged for a shipped TID pseudo-column value.
 TID_WIDTH = 8
 
 Row = dict[ColumnRef, Any]
 
 
 def _sort_key(value: Any) -> tuple:
-    """None-safe sort key (Nones first) — identical to the iterator's."""
+    """None-safe sort key: values in order, Nones after them."""
     return (value is None, value)
 
 
@@ -115,10 +115,6 @@ class ColumnBatch:
         """Gather the given (dense) row positions into a new dense batch."""
         columns = {c: gather(col, indices) for c, col in self.columns.items()}
         return ColumnBatch(columns, len(indices))
-
-    def row(self, i: int) -> Row:
-        """Materialize one (dense) row as a dict — used for NL bindings."""
-        return {c: col[i] for c, col in self.columns.items()}
 
     def rows(self) -> Iterator[Row]:
         """Materialize every row as a dict, selection applied."""
@@ -316,7 +312,7 @@ def key_tuples(
     bindings: RowContext | None,
 ) -> list[tuple | None]:
     """Per-row key tuples over a batch; ``None`` marks a row whose key
-    could not be evaluated (dropped from hash joins, as in the iterator)."""
+    could not be evaluated (dropped from hash joins)."""
     batch = batch.compact()
     if not exprs:
         return [()] * batch.length
@@ -398,6 +394,45 @@ def batches_of(items: Iterator, batch_size: int) -> Iterator[list]:
         yield chunk
 
 
+class CheckpointBatchIterator:
+    """Wrap a batch stream; checkpoint its producing node on exhaustion.
+
+    Only a *fully drained* stream yields a trustworthy count, so each
+    yielded batch adds its row count and the check runs exactly once,
+    when the underlying iterator raises ``StopIteration``.  Abandoned
+    iterators (e.g. a merge join whose other side ran dry) never check —
+    a partial count would poison the feedback cache.  ``observe`` is a
+    callable rather than a policy so the executor can attach its partial
+    stats to a violation before it escapes.
+    """
+
+    def __init__(
+        self,
+        batches: Iterable,
+        node: Any,
+        observe: Callable[[Any, int], None],
+    ):
+        self._batches = iter(batches)
+        self._node = node
+        self._observe = observe
+        self.count = 0
+        self._checked = False
+
+    def __iter__(self) -> Iterator:
+        return self
+
+    def __next__(self):
+        try:
+            batch = next(self._batches)
+        except StopIteration:
+            if not self._checked:
+                self._checked = True
+                self._observe(self._node, self.count)
+            raise
+        self.count += len(batch)
+        return batch
+
+
 def sort_permutation(
     batch: ColumnBatch, order: Sequence[ColumnRef]
 ) -> list[int]:
@@ -433,8 +468,7 @@ def concat_batches(batches: Sequence[ColumnBatch]) -> ColumnBatch:
 
 def batch_bytes(batch: ColumnBatch) -> int:
     """Shipped-byte accounting for a batch: 8 bytes per TID, string
-    length for strings, 8 for floats, 4 otherwise — column-at-a-time but
-    value-identical to the iterator's per-row ``_row_bytes``."""
+    length for strings, 8 for floats, 4 otherwise."""
     batch = batch.compact()
     total = 0
     for ref, col in batch.columns.items():

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.executor.runtime import ExecutionResult, ExecutionStats, _sort_key
+from repro.executor.batch_ops import _sort_key
+from repro.executor.runtime import ExecutionResult, ExecutionStats
 from repro.query.expressions import ColumnRef, RowContext
 from repro.query.query import QueryBlock
 from repro.storage.table import Database

@@ -116,11 +116,9 @@ class ResilientExecutor:
         metrics: MetricsRegistry | None = None,
         checkpoints=None,
         temp_cache: dict | None = None,
-        executor: str = "vectorized",
     ):
         self.db = database
         self.optimizer = optimizer
-        self.executor = executor
         if isinstance(chaos, ChaosConfig):
             chaos = ChaosEngine(chaos)
         self.chaos = chaos if chaos is not None else ChaosEngine()
@@ -148,7 +146,6 @@ class ResilientExecutor:
             tracer=tracer,
             checkpoints=self.checkpoints,
             temp_cache=self.temp_cache,
-            executor=self.executor,
         )
         query = opt_result.query
         model = opt_result.engine.ctx.model

@@ -1,22 +1,25 @@
-"""The vectorized (batch-at-a-time) plan interpreter.
+"""The run-time routines of the query evaluator, batch-at-a-time.
 
-Same LOLEPOP semantics as :class:`repro.executor.runtime._PlanRun`, but
-streams flow as :class:`~repro.executor.batch_ops.ColumnBatch` objects of
-up to ``batch_size`` rows instead of per-tuple dicts, so Python dispatch,
-predicate evaluation and join assembly amortize over whole batches.  The
-iterator executor stays available (``QueryExecutor(executor="iterator")``)
-as the correctness oracle; the equivalence contract is:
+Section 5: a new LOLEPOP needs one property function and "a run-time
+execution routine that will be invoked by the query evaluator".  This
+module holds those routines — one ``_BatchRun`` method per LOLEPOP, one
+per JOIN flavor — and :class:`~repro.executor.runtime.QueryExecutor`
+invokes them.  Streams flow as
+:class:`~repro.executor.batch_ops.ColumnBatch` objects of up to
+``batch_size`` rows, so Python dispatch, predicate evaluation and join
+assembly amortize over whole batches.  What every routine guarantees,
+held to the tuple-at-a-time interpreter of ``tests/reference_executor.py``
+by the differential tests:
 
-* **byte-identical result rows, in the same order** — every operator
-  preserves the iterator's emission order (scans in heap/key order, hash
-  joins outer-major in bucket insertion order, merge joins outer-major
-  within matching groups);
-* **identical accounting** — ``tuples_flowed``, per-node
+* **row order** — scans emit in heap/key order, hash joins outer-major in
+  bucket insertion order, merge joins outer-major within matching groups;
+* **accounting per stream, not per batch** — ``tuples_flowed``, per-node
   ``[rows, opens]`` counts for EXPLAIN ANALYZE, temp materialization,
-  checkpoint observations, and shipped bytes all match the iterator;
+  checkpoint observations and shipped bytes do not depend on
+  ``batch_size``;
 * **batch-boundary robustness** — cardinality checkpoints fire with the
-  same counts at the same SORT/STORE materialization points (via
-  :class:`~repro.robust.checkpoint.CheckpointBatchIterator`), and SHIP
+  stream's count at the SORT/STORE materialization points (via
+  :class:`~repro.executor.batch_ops.CheckpointBatchIterator`), and SHIP
   transfers one message bundle per batch: a chaos retry re-sends the
   failed batch inside :meth:`NetworkSim.transfer`, and rows are counted
   as delivered exactly once, after their batch's transfer succeeded —
@@ -25,7 +28,7 @@ as the correctness oracle; the equivalence contract is:
 Sideways information passing.  When the inner of a nested-loop join is
 an *index-probe chain* — ``ACCESS(index)`` under any run of ``GET`` and
 ``FILTER``, on a base table or a temp, its leading key columns bound by
-``col = expr`` predicates (:func:`~repro.executor.runtime.probe_key_exprs`)
+``col = expr`` predicates (:func:`~repro.executor.keys.probe_key_exprs`)
 — the join works per outer *batch*: the probe keys are evaluated
 column-wise, the B-tree is looked up once per outer row
 (:meth:`~repro.storage.btree.BTree.lookup`), the matches are gathered
@@ -69,13 +72,15 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from operator import is_not
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.errors import CardinalityViolation, ExecutionError
 from repro.executor.batch_ops import (
     EVAL_FAILED,
     BatchBuilder,
+    CheckpointBatchIterator,
     ColumnBatch,
+    _sort_key,
     apply_filter,
     batch_bytes,
     batches_of,
@@ -88,16 +93,14 @@ from repro.executor.batch_ops import (
     sort_permutation,
 )
 from repro.executor.chaos import ChaosEngine
-from repro.executor.network import NetworkSim
-from repro.executor.runtime import (
-    ExecutionStats,
-    Row,
+from repro.executor.keys import (
     _hash_sides,
     _merge_triples,
     _tid_table,
     probe_bounds,
     probe_key_exprs,
 )
+from repro.executor.network import NetworkSim
 from repro.obs.trace import TimedPulls, Tracer
 from repro.plans.operators import (
     ACCESS,
@@ -115,23 +118,25 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PlanNode
 from repro.query.expressions import ColumnRef, RowContext
-from repro.query.predicates import Comparison, Predicate
-from repro.robust.checkpoint import CheckpointBatchIterator
+from repro.query.predicates import Predicate
 from repro.storage.heap import RID
 from repro.storage.table import Database, IndexData, TableData, tid_column
 
+if TYPE_CHECKING:
+    from repro.executor.runtime import ExecutionStats
+
 #: Default rows per ColumnBatch.  Large enough to amortize per-batch
 #: dispatch, small enough that SORT/JOIN intermediates stay cache-friendly
-#: and most test streams still fit in one batch (keeping per-stream SHIP
-#: message accounting identical to the iterator).
+#: and most test streams still fit in one batch (one SHIP message bundle
+#: per stream).
 DEFAULT_BATCH_SIZE = 1024
 
 
 class _BatchRun:
-    """One vectorized plan execution: dispatch + temp cache + accounting.
+    """One plan execution: dispatch + temp cache + accounting.
 
-    Mirrors ``_PlanRun`` method-for-method; every ``_dispatch`` target
-    returns an iterator of dense, non-empty ColumnBatches.
+    Every ``_dispatch`` target returns an iterator of dense, non-empty
+    ColumnBatches.
     """
 
     def __init__(
@@ -174,16 +179,6 @@ class _BatchRun:
         #: beside the operator by EXPLAIN ANALYZE.
         self.node_notes: dict[int, dict] = {}
 
-    # -- public entry ----------------------------------------------------------------
-
-    def run_to_rows(self, plan: PlanNode) -> list[Row]:
-        """Drain the root stream, converting batches to the iterator
-        executor's dict-row representation."""
-        rows: list[Row] = []
-        for batch in self.execute(plan, None):
-            rows.extend(batch.rows())
-        return rows
-
     def _check_site(self, site: str | None) -> None:
         if self.chaos is not None and site is not None:
             self.chaos.check_site(site)
@@ -194,7 +189,19 @@ class _BatchRun:
         self, node: PlanNode, bindings: RowContext | None
     ) -> Iterator[ColumnBatch]:
         # A generator: nothing is dispatched before the first pull.
-        yield from self._stream(node, self._dispatch(node, bindings))
+        if self.tracer is None:
+            yield from self._stream(node, self._dispatch(node, bindings))
+        else:
+            yield from self._stream(node, self._opened(node, bindings))
+
+    def _opened(
+        self, node: PlanNode, bindings: RowContext | None
+    ) -> Iterator[ColumnBatch]:
+        """Traced runs dispatch inside the operator's first timed pull:
+        ``ACCESS(temp)``, a dynamic-index ACCESS and a bare STORE/BUILDIX
+        materialize at dispatch, and that is this operator's time and the
+        materialized subtree its child."""
+        yield from self._dispatch(node, bindings)
 
     def _stream(
         self, node: PlanNode, batches: Iterator[ColumnBatch], opens: int = 1
@@ -339,8 +346,8 @@ class _BatchRun:
         want_tid = any(c.column.startswith("#") for c in columns)
         positions = [(c, data.position(c)) for c in wanted if data.has_column(c)]
         tid = tid_column(_tid_table(columns, data)) if want_tid else None
-        # Pull whole pages (same lazy one-read-per-page accounting as the
-        # iterator's row-at-a-time scan) and slice them into batches.
+        # Pull whole pages (lazily: one read per page, none for pages an
+        # abandoned scan never reached) and slice them into batches.
         # RIDs are only built when the stream actually wants a TID column.
         batch_size = self.batch_size
         rids: list = []
@@ -429,8 +436,8 @@ class _BatchRun:
         preds: frozenset[Predicate] = node.param("preds") or frozenset()
         tid = tid_column(index.key_columns[0].table)
         # Evaluation columns cover everything the entry carries (key
-        # columns, the stored row of a clustered index, and the TID),
-        # exactly like the iterator's per-entry eval_row.
+        # columns, the stored row of a clustered index, and the TID):
+        # predicates may reference key columns the plan does not project.
         eval_cols: dict[ColumnRef, list] = {
             c: [key[i] for key, _ in chunk]
             for i, c in enumerate(index.key_columns)
@@ -506,8 +513,8 @@ class _BatchRun:
         order: tuple[ColumnRef, ...] = node.param("order", ())
         source = self.execute(node.inputs[0], bindings)
         # SORT buffers its whole input — the cardinality checkpoint fires
-        # on the final batch boundary with the exact stream count, as in
-        # the iterator (streams under sideways bindings are never checked).
+        # on the final batch boundary with the exact stream count (streams
+        # under sideways bindings carry per-probe counts: never checked).
         if self.checkpoints is not None and bindings is None:
             source = CheckpointBatchIterator(
                 source, node.inputs[0], self._checkpoint
@@ -537,8 +544,8 @@ class _BatchRun:
             transferred = True
             yield batch
         if not transferred:
-            # The iterator charges one (empty) transfer per drained
-            # stream; keep that accounting for empty streams.
+            # A drained stream is at least one transfer, also when it
+            # turned out empty.
             self.network.transfer(from_site, to_site, 0, 0)
 
     def _filter(
@@ -699,24 +706,22 @@ class _BatchRun:
         sides = _hash_sides(join_preds, outer.props.tables)
         if not sides:
             raise ExecutionError("hash join without hashable predicates")
-        inner_exprs = [expr for _, expr in sides]
-        outer_exprs = [expr for expr, _ in sides]
+        inner_exprs = [expr for _, expr, _ in sides]
+        outer_exprs = [expr for expr, _, _ in sides]
         # When every hash side is a bare column, a bucket match on
         # non-None keys IS the conjunction of the hashed equality
         # predicates, so exactly those predicates can be elided from the
         # check — provided rows with a None key value are dropped up
-        # front (a None comparison is false, so the iterator's check
-        # would drop those matches anyway).  Non-hashable join predicates
+        # front (a None comparison is false, so the check would drop
+        # those matches anyway).  Non-hashable join predicates
         # (inequalities, same-side comparisons) always stay in the check.
         covered = all(
             isinstance(o, ColumnRef) and isinstance(i, ColumnRef)
-            for o, i in sides
+            for o, i, _ in sides
         )
+        check = join_preds | residual
         if covered:
-            hashed = _hashed_predicates(join_preds, outer.props.tables)
-            check = (join_preds | residual) - hashed
-        else:
-            check = join_preds | residual
+            check -= {pred for _, _, pred in sides}
         single = len(sides) == 1
 
         # Single-column keys stay raw values (EVAL_FAILED marks
@@ -826,8 +831,8 @@ class _BatchRun:
         sides = _hash_sides(join_preds, outer.props.tables)
         if not sides:
             raise ExecutionError("semijoin without hashable predicates")
-        inner_exprs = [expr for _, expr in sides]
-        outer_exprs = [expr for expr, _ in sides]
+        inner_exprs = [expr for _, expr, _ in sides]
+        outer_exprs = [expr for expr, _, _ in sides]
         keys: set[tuple] = set()
         for ibatch in self.execute(inner, bindings):
             for key in key_tuples(ibatch, inner_exprs, bindings):
@@ -1004,32 +1009,15 @@ class _BatchRun:
         return data
 
     def _checkpoint(self, node: PlanNode, actual: int) -> None:
-        """Run a cardinality checkpoint; on abort, the shared stats ride
-        along on the violation (same contract as the iterator)."""
+        """Run a cardinality checkpoint.  When the policy aborts, the
+        shared stats ride along on the violation: ``QueryExecutor``'s
+        ``finally`` fills them before the exception escapes, so the
+        adaptive loop sees the true cost of the aborted attempt."""
         try:
             self.checkpoints.observe(node, actual)
         except CardinalityViolation as violation:
             violation.partial_stats = self.stats
             raise
-
-
-def _hashed_predicates(
-    join_preds: frozenset[Predicate], outer_tables: frozenset[str]
-) -> frozenset[Predicate]:
-    """The subset of join predicates that ``_hash_sides`` turns into hash
-    key pairs (same membership condition, order-insensitive)."""
-    hashed = set()
-    for pred in join_preds:
-        if not isinstance(pred, Comparison) or pred.op != "=":
-            continue
-        left_tables, right_tables = pred.left.tables(), pred.right.tables()
-        if not left_tables or not right_tables:
-            continue
-        if (left_tables <= outer_tables and not right_tables & outer_tables) or (
-            right_tables <= outer_tables and not left_tables & outer_tables
-        ):
-            hashed.add(pred)
-    return frozenset(hashed)
 
 
 def _probe_chain(inner: PlanNode) -> tuple[PlanNode, ...] | None:
@@ -1059,7 +1047,7 @@ def _batch_groups(
     """Group consecutive rows of a batch stream by key (inputs sorted).
 
     Yields ``(key, group columns, group length)``; raises on out-of-order
-    input exactly like the iterator's ``_grouped``.
+    input.
     """
     current_key: tuple | None = None
     group: dict[ColumnRef, list] | None = None
@@ -1086,11 +1074,7 @@ def _batch_groups(
                     col.extend(batch.columns[c][i:j])
                 group_len += j - i
             else:
-                sortable_prev = tuple(
-                    (v is None, v) for v in current_key
-                )
-                sortable_now = tuple((v is None, v) for v in key)
-                if sortable_now < sortable_prev:
+                if tuple(map(_sort_key, key)) < tuple(map(_sort_key, current_key)):
                     raise ExecutionError(
                         f"merge join input out of order: {key} after {current_key}"
                     )

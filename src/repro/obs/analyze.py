@@ -180,15 +180,12 @@ def explain_analyze(
     retry: "RetryPolicy | None" = None,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    executor: str = "vectorized",
 ) -> AnalyzeReport:
     """Execute ``opt_result.best_plan`` and join actual per-operator rows
     against estimated CARD, computing per-operator and plan Q-error."""
     from repro.executor.runtime import QueryExecutor  # avoid import cycle
 
-    executor = QueryExecutor(
-        database, chaos=chaos, retry=retry, tracer=tracer, executor=executor
-    )
+    executor = QueryExecutor(database, chaos=chaos, retry=retry, tracer=tracer)
     node_counts: dict[int, list[int]] = {}
     result = executor.run(
         opt_result.query, opt_result.best_plan, node_counts=node_counts

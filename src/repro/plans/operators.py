@@ -9,8 +9,10 @@ methods).
 This module declares the operator vocabulary and the parameter schema of
 each operator.  Plan nodes themselves live in :mod:`repro.plans.plan`;
 property functions in :mod:`repro.cost.propfuncs`; run-time routines in
-:mod:`repro.executor.runtime`.  Adding a LOLEPOP (paper section 5) means
-adding an entry here plus one property function and one run-time routine.
+:mod:`repro.executor.vectorized`.  Adding a LOLEPOP (paper section 5) means
+adding an entry here plus one property function and one run-time routine
+(E19's SQLite oracle additionally wants its SQL lowering in
+:mod:`repro.backends.sql`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,9 @@ the estimates feeding it are wrong:
 * :mod:`repro.robust.feedback` — :class:`FeedbackCache` of observed
   cardinalities keyed exactly like the plan table, consulted by the
   selectivity estimator on subsequent optimizations.
-* :mod:`repro.robust.checkpoint` — :class:`CheckpointPolicy` /
-  :class:`CheckpointIterator` compare actual rows against the property
-  vector's CARD at materialization points (SORT / STORE / TEMP).
+* :mod:`repro.robust.checkpoint` — :class:`CheckpointPolicy` compares
+  actual rows against the property vector's CARD at materialization
+  points (SORT / STORE / TEMP).
 * :mod:`repro.robust.adaptive` — :class:`AdaptiveExecutor` composes the
   chaos-tolerant :class:`~repro.executor.resilient.ResilientExecutor`
   with checkpoints and re-optimization into a runtime feedback loop.
@@ -23,7 +23,7 @@ the estimates feeding it are wrong:
 
 from repro.robust.adaptive import AdaptiveExecutor, AdaptiveReport
 from repro.robust.budget import BudgetExhausted, OptimizerBudget
-from repro.robust.checkpoint import CheckpointIterator, CheckpointPolicy
+from repro.robust.checkpoint import CheckpointPolicy
 from repro.robust.fallback import heuristic_plan
 from repro.robust.feedback import FeedbackCache
 
@@ -31,7 +31,6 @@ __all__ = [
     "AdaptiveExecutor",
     "AdaptiveReport",
     "BudgetExhausted",
-    "CheckpointIterator",
     "CheckpointPolicy",
     "FeedbackCache",
     "OptimizerBudget",

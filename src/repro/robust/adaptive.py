@@ -138,7 +138,6 @@ class AdaptiveExecutor:
         retry: RetryPolicy | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        executor: str = "vectorized",
     ):
         self.db = database
         self.optimizer = optimizer
@@ -146,7 +145,6 @@ class AdaptiveExecutor:
         self.max_reoptimizations = max_reoptimizations
         self.chaos = chaos
         self.retry = retry
-        self.executor = executor
         self.tracer = active_tracer(tracer)
         self.metrics = metrics
         if feedback is None:
@@ -194,7 +192,6 @@ class AdaptiveExecutor:
                     metrics=self.metrics,
                     checkpoints=policy,
                     temp_cache=temp_cache,
-                    executor=self.executor,
                 )
                 try:
                     exec_report = resilient.run(opt)

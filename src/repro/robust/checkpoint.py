@@ -10,19 +10,9 @@ performs that comparison, always records the observation into the
 :class:`~repro.errors.CardinalityViolation` when the Q-error exceeds the
 threshold — the signal the :class:`~repro.robust.adaptive.AdaptiveExecutor`
 turns into a re-optimization.
-
-:class:`CheckpointIterator` is the stream-shaped form of the same check
-for call sites that cannot buffer rows themselves: it counts rows as they
-flow and runs the checkpoint when the wrapped iterator is exhausted.
-:class:`CheckpointBatchIterator` is its batch-granular twin for the
-vectorized executor: it counts whole :class:`ColumnBatch` lengths as the
-batches flow, so checkpoints fire on batch boundaries with exactly the
-same counts as the tuple-at-a-time form.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Iterable, Iterator
 
 from repro.errors import CardinalityViolation
 from repro.obs.analyze import q_error
@@ -105,78 +95,3 @@ class CheckpointPolicy:
             "violations": float(self.violations),
             "armed": float(self.armed),
         }
-
-
-class CheckpointIterator:
-    """Wrap a row stream; checkpoint its producing node on exhaustion.
-
-    Only a *fully drained* stream yields a trustworthy count, so the
-    check runs exactly once, when the underlying iterator raises
-    ``StopIteration``.  Abandoned iterators (e.g. a LIMIT upstream) never
-    check — a partial count would poison the feedback cache.
-    """
-
-    def __init__(
-        self,
-        rows: Iterable,
-        node: PlanNode,
-        policy: CheckpointPolicy,
-    ):
-        self._rows = iter(rows)
-        self._node = node
-        self._policy = policy
-        self.count = 0
-        self._checked = False
-
-    def __iter__(self) -> Iterator:
-        return self
-
-    def __next__(self):
-        try:
-            row = next(self._rows)
-        except StopIteration:
-            if not self._checked:
-                self._checked = True
-                self._policy.observe(self._node, self.count)
-            raise
-        self.count += 1
-        return row
-
-
-class CheckpointBatchIterator:
-    """Wrap a batch stream; checkpoint its producing node on exhaustion.
-
-    The batch-granular twin of :class:`CheckpointIterator`: each yielded
-    batch adds its row count, and the checkpoint runs exactly once, when
-    the underlying batch iterator is exhausted — so the vectorized SORT
-    observes the same stream count at the same materialization boundary
-    as the iterator executor.  ``observe`` is a callable rather than a
-    policy so the executor can attach its partial stats to a violation
-    before it escapes.
-    """
-
-    def __init__(
-        self,
-        batches: Iterable,
-        node: PlanNode,
-        observe: Callable[[PlanNode, int], None],
-    ):
-        self._batches = iter(batches)
-        self._node = node
-        self._observe = observe
-        self.count = 0
-        self._checked = False
-
-    def __iter__(self) -> Iterator:
-        return self
-
-    def __next__(self):
-        try:
-            batch = next(self._batches)
-        except StopIteration:
-            if not self._checked:
-                self._checked = True
-                self._observe(self._node, self.count)
-            raise
-        self.count += len(batch)
-        return batch

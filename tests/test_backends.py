@@ -1,11 +1,13 @@
 """Backend tests: golden SQL emission, differential oracle agreement,
 edge-case semantics, and the unsupported-plan contract.
 
-The oracle lineup (iterator ≡ vectorized ≡ pyloop ≡ sqlite) is the
-strongest check in this file: SQLite is an engine we did not write, so
-agreement validates both the plan and the lowering.  Golden files under
-``tests/fixtures/sql/`` pin the emitted SQL byte-for-byte (the emitter
-is deterministic by construction); regenerate with
+The oracle lineup (iterator ≡ vectorized ≡ sqlite) is the strongest
+check in this file: SQLite is an engine we did not write, so agreement
+validates both the plan and the lowering, and ``iterator`` is the
+tuple-at-a-time reference of ``tests/reference_executor.py``, registered
+for this module through the public ``register_backend``.  Golden files
+under ``tests/fixtures/sql/`` pin the emitted SQL byte-for-byte (the
+emitter is deterministic by construction); regenerate with
 ``REGEN_SQL_GOLDEN=1 pytest tests/test_backends.py``.
 """
 
@@ -21,16 +23,19 @@ from repro.__main__ import main
 from repro.backends import (
     Backend,
     DifferentialOracle,
+    InProcessBackend,
     SqlBackend,
     backend_names,
     get_backend,
     normalize_rows,
+    register_backend,
 )
+from repro.backends import base as backends_base
 from repro.catalog import AccessPath, Catalog, TableDef
 from repro.catalog.schema import ColumnDef
 from repro.config import OptimizerConfig
 from repro.cost.propfuncs import PlanFactory
-from repro.errors import BackendError, UnsupportedPlanError
+from repro.errors import BackendError
 from repro.optimizer import StarburstOptimizer
 from repro.plans.operators import STORE
 from repro.query.expressions import ColumnRef
@@ -39,9 +44,29 @@ from repro.stars.builtin_rules import extended_rules
 from repro.storage import Database
 from repro.workloads import chain_workload, clique_workload, star_workload
 from repro.workloads.paper import figure1_query, paper_catalog, paper_database
+from tests.reference_executor import ReferenceExecutor
 
 FIXTURES = Path(__file__).parent / "fixtures" / "sql"
-ORACLE = DifferentialOracle()
+ORACLE = DifferentialOracle(("iterator", "vectorized", "sqlite"))
+
+
+class ReferenceBackend(InProcessBackend):
+    """The reference iterator behind the backend protocol."""
+
+    name = "iterator"
+
+    def execute(self, query, plan, database):
+        return ReferenceExecutor(database).run(query, plan).rows
+
+
+@pytest.fixture(scope="module", autouse=True)
+def iterator_backend():
+    register_backend("iterator", ReferenceBackend)
+    yield
+    # The registry has no public unregister: a test-only name must not
+    # outlive the module that registered it.
+    backends_base._REGISTRY.pop("iterator")
+    backends_base._INSTANCES.pop("iterator", None)
 
 
 @pytest.fixture(scope="module")
@@ -257,7 +282,7 @@ class TestEdgeSemantics:
 
     def test_null_arithmetic_raises_in_every_python_backend(self, null_db):
         """Arithmetic over NULL is an *error* in the engine (not a NULL
-        result); the three Python backends must agree on raising.  SQL
+        result); both Python evaluators must agree on raising.  SQL
         would yield NULL instead, so such queries sit outside the
         oracle's comparable set — a documented semantic boundary."""
         cat, db = null_db
@@ -265,7 +290,7 @@ class TestEdgeSemantics:
         result = StarburstOptimizer(cat).optimize(query)
         report = ORACLE.check(result.query, result.best_plan, db)
         by_name = {o.backend: o for o in report.outcomes}
-        for name in ("iterator", "vectorized", "pyloop"):
+        for name in ("iterator", "vectorized"):
             assert by_name[name].error is not None
 
     def test_duplicates_preserved(self, null_db):
@@ -316,7 +341,7 @@ class TestEdgeSemantics:
 
 
 # ---------------------------------------------------------------------------
-# Unsupported plans: clean refusal + honest fallback
+# Plans with materialized temps
 # ---------------------------------------------------------------------------
 
 
@@ -327,29 +352,6 @@ class TestUnsupported:
             if any(n.op == STORE for n in plan.nodes()):
                 return result.query, plan
         pytest.skip("no STORE plan in the SAP")
-
-    def test_pyloop_declares_store_unsupported(self, paper_db_distributed):
-        cat, db = paper_db_distributed
-        query, plan = self._store_plan(cat, db)
-        backend = get_backend("pyloop")
-        assert backend.supports(query, plan) is False
-        with pytest.raises(UnsupportedPlanError) as err:
-            backend.compile_plan(query, plan, cat)
-        assert err.value.op is not None
-
-    def test_pyloop_fallback_matches_vectorized(self, paper_db_distributed):
-        cat, db = paper_db_distributed
-        query, plan = self._store_plan(cat, db)
-        rows = get_backend("pyloop").execute(query, plan, db)
-        expected = get_backend("vectorized").execute(query, plan, db)
-        assert normalize_rows(rows) == normalize_rows(expected)
-
-    def test_oracle_flags_fallback(self, paper_db_distributed):
-        cat, db = paper_db_distributed
-        query, plan = self._store_plan(cat, db)
-        report = ORACLE.check(query, plan, db)
-        assert report.agreed
-        assert "pyloop" in report.fallbacks
 
     def test_sql_supports_store_plans(self, paper_db_distributed):
         """STORE is inside the SQL subset (it becomes a CTE)."""
@@ -365,9 +367,7 @@ class TestUnsupported:
 
 class TestProtocol:
     def test_registry_names(self):
-        assert {"iterator", "vectorized", "sql", "sqlite", "pyloop"} <= set(
-            backend_names()
-        )
+        assert backend_names() == ("iterator", "sql", "sqlite", "vectorized")
 
     def test_instances_cached_and_conform(self):
         for name in backend_names():
@@ -398,12 +398,6 @@ class TestCli:
         assert "-- repro sql backend" in out
         assert "SELECT" in out
 
-    def test_compile_plan_pyloop_out(self, tmp_path, capsys):
-        target = tmp_path / "plan.py"
-        assert main(["compile-plan", "--backend", "pyloop",
-                     "--out", str(target)]) == 0
-        assert "def run(tables):" in target.read_text()
-
     def test_diff_default_lineup(self, capsys):
         assert main(["diff"]) == 0
         out = capsys.readouterr().out
@@ -413,7 +407,7 @@ class TestCli:
     def test_diff_single_backend(self, capsys):
         assert main(["diff", "--backend", "sqlite"]) == 0
         out = capsys.readouterr().out
-        assert "iterator" in out and "sqlite" in out
+        assert "vectorized" in out and "sqlite" in out
 
     def test_diff_alternatives(self, capsys):
         assert main(["diff", "--alternatives", "3",

@@ -17,7 +17,6 @@ from repro.optimizer import StarburstOptimizer
 from repro.query.expressions import ColumnRef
 from repro.robust import (
     AdaptiveExecutor,
-    CheckpointIterator,
     CheckpointPolicy,
     FeedbackCache,
 )
@@ -83,31 +82,6 @@ class TestCheckpointPolicy:
         assert event.cat == "robust"
         assert event.args["violated"] is False
         assert metrics.snapshot()["checkpoint.checks"] == 1
-
-
-class TestCheckpointIterator:
-    def test_counts_and_checks_once_on_exhaustion(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0)
-        wrapped = CheckpointIterator(iter(range(7)), fake_node(7.0), policy)
-        assert list(wrapped) == list(range(7))
-        assert wrapped.count == 7
-        assert policy.checks == 1
-        # Draining an exhausted iterator again must not double-check.
-        assert list(wrapped) == []
-        assert policy.checks == 1
-
-    def test_abandoned_iterator_never_checks(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0)
-        wrapped = CheckpointIterator(iter(range(100)), fake_node(5.0), policy)
-        next(wrapped)
-        del wrapped  # e.g. a LIMIT upstream stopped pulling
-        assert policy.checks == 0
-
-    def test_violation_surfaces_at_exhaustion(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0)
-        wrapped = CheckpointIterator(iter(range(2)), fake_node(900.0), policy)
-        with pytest.raises(CardinalityViolation):
-            list(wrapped)
 
 
 class TestStoreCheckpointAndTempReuse:

@@ -17,6 +17,7 @@ from repro.workloads.paper import (
     paper_three_table_query,
     with_proj,
 )
+from tests.reference_executor import ENGINES, ReferenceExecutor
 
 
 class TestQErrorMath:
@@ -148,18 +149,23 @@ class TestExplainAnalyze:
         ) - 1  # every operator opened at least once (loops may share spans)
 
     @pytest.mark.parametrize("engine", ["vectorized", "iterator"])
-    def test_hash_join_label_says_what_it_built(self, engine):
-        """The vectorized JOIN(HA) reports the table it built beside the
-        operator; the iterator has one regime and nothing to say."""
+    def test_hash_join_label_says_what_it_built(self, engine, monkeypatch):
+        """The engine's JOIN(HA) reports the table it built beside the
+        operator; an evaluator with nothing to say (the reference
+        iterator has one regime) gets the bare label."""
         from repro.stars.builtin_rules import extended_rules
 
+        if engine == "iterator":
+            monkeypatch.setattr(
+                "repro.executor.runtime.QueryExecutor", ReferenceExecutor
+            )
         catalog = paper_catalog()
         database = paper_database(catalog)
         result = StarburstOptimizer(catalog, rules=extended_rules()).optimize(
             figure1_query(catalog)
         )
         assert result.best_plan.flavor == "HA"
-        report = explain_analyze(result, database, executor=engine)
+        report = explain_analyze(result, database)
         build_rows = report.operators[2].actual_rows  # the inner input
         want = "JOIN(HA)"
         if engine == "vectorized":
@@ -235,17 +241,16 @@ class TestExecutorSpanTime:
     a pipelined producer is not billed for what its consumer does between
     two pulls (it was, when ``dur`` ran from first pull to exhaustion)."""
 
-    @pytest.mark.parametrize("engine", ["vectorized", "iterator"])
-    def test_join_work_between_pulls_is_join_self_time(self, engine):
+    @staticmethod
+    def _burning_clock():
+        """An injected clock that stands still unless a ``Burn``
+        predicate is evaluated, and that predicate's class."""
         from dataclasses import dataclass
 
-        from repro.executor import QueryExecutor
         from repro.query.expressions import ColumnRef
         from repro.query.predicates import Predicate
 
         class Clock:
-            """Stands still unless a predicate burns time."""
-
             t = 0.0
 
             def __call__(self) -> float:
@@ -270,6 +275,13 @@ class TestExecutorSpanTime:
             def __str__(self) -> str:
                 return f"burn({self.column}, {self.seconds})"
 
+        return clock, Burn
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_join_work_between_pulls_is_join_self_time(self, engine):
+        from repro.query.expressions import ColumnRef
+
+        clock, Burn = self._burning_clock()
         _, database, factory, pred = _l_and_r()
         l_cols = {ColumnRef("L", "K"), ColumnRef("L", "V")}
         r_cols = {ColumnRef("R", "K"), ColumnRef("R", "W")}
@@ -279,8 +291,8 @@ class TestExecutorSpanTime:
         join = factory.join("HA", outer, inner, {pred}, {Burn(ColumnRef("R", "W"), 5.0)})
 
         tracer = Tracer(clock=clock)
-        rows, _ = QueryExecutor(
-            database, executor=engine, batch_size=4, tracer=tracer
+        rows, _ = ENGINES[engine](
+            database, batch_size=4, tracer=tracer
         ).run_plan(join)
         assert len(rows) == 10 and clock.t == 10 * 1.0 + 10 * 5.0
 
@@ -291,6 +303,41 @@ class TestExecutorSpanTime:
         assert root.dur - build.dur - probe.dur == 50.0  # JOIN self time
         assert (build.dur, probe.dur) == (0.0, 10.0)  # ACCESS self times
         assert root.dur == clock.t
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_temp_materialization_is_inside_the_access_that_opens_it(self, engine):
+        """``ACCESS(temp)`` materializes its STORE when it is opened: that
+        time is inside its span and the stored subtree hangs under it —
+        not under whichever span happened to be open (the engine used to
+        dispatch, and so materialize, before it opened the span)."""
+        from repro.query.expressions import ColumnRef
+
+        clock, Burn = self._burning_clock()
+        _, database, factory, pred = _l_and_r()
+        l_cols = {ColumnRef("L", "K"), ColumnRef("L", "V")}
+        r_cols = {ColumnRef("R", "K"), ColumnRef("R", "W")}
+        outer = factory.sort(factory.access_base("L", l_cols, set()), [ColumnRef("L", "K")])
+        # 1 s per row scanned under the STORE.
+        stored = factory.sort(
+            factory.access_base("R", r_cols, {Burn(ColumnRef("R", "K"), 1.0)}),
+            [ColumnRef("R", "K")],
+        )
+        inner = factory.access_temp(factory.store(stored))
+        join = factory.join("MG", outer, inner, {pred})
+
+        tracer = Tracer(clock=clock)
+        rows, _ = ENGINES[engine](
+            database, batch_size=4, tracer=tracer
+        ).run_plan(join)
+        assert len(rows) == 10 and clock.t == 10 * 1.0
+
+        events = tracer.events()
+        root = next(e for e in events if e.name == "JOIN(MG)")
+        temp = next(e for e in events if e.name == "ACCESS(temp)")
+        (under_temp,) = [e for e in events if e.parent == temp.span]
+        (scan,) = [e for e in events if e.parent == under_temp.span]
+        assert (under_temp.name, scan.name) == ("SORT", "ACCESS(heap)")
+        assert temp.dur == under_temp.dur == scan.dur == root.dur == clock.t
 
 
 class TestDeterministicEventStreams:

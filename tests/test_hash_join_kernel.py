@@ -3,7 +3,7 @@
 The hash join builds an optimistic *unique* table (``key -> row number``)
 and demotes to buckets (``key -> [row numbers]``) at the first repeated
 build key.  Whatever the build side looks like, the vectorized engine is
-held to the iterator on rows (values and order), every
+held to the reference iterator on rows (values and order), every
 ``ExecutionStats`` counter and per-node ``[rows, opens]``, at batch
 sizes that put the first duplicate inside the first inner batch, in a
 later one, or nowhere.
@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 from repro.catalog import Catalog, TableDef
 from repro.catalog.catalog import make_columns
 from repro.cost.propfuncs import PlanFactory
-from repro.executor import QueryExecutor
 from repro.obs import Tracer
 from repro.plans.plan import PlanNode
 from repro.query.expressions import Arith, Literal
 from repro.storage import Database
+from tests.reference_executor import ENGINES
 from tests.test_probe_join import BATCH_SIZES, cmp, col
 
 #: Wall-clock, and the one counter only the vectorized engine has.
@@ -136,8 +136,8 @@ def cases(f: PlanFactory) -> dict[str, tuple[PlanNode, str]]:
 
 def run(database, plan, engine, batch_size, observed=True, tracer=None):
     counts: dict[int, list[int]] | None = {} if observed else None
-    rows, stats = QueryExecutor(
-        database, executor=engine, batch_size=batch_size, tracer=tracer
+    rows, stats = ENGINES[engine](
+        database, batch_size=batch_size, tracer=tracer
     ).run_plan(plan, node_counts=counts)
     flat = [sorted((str(c), repr(v)) for c, v in row.items()) for row in rows]
     counters = dataclasses.asdict(stats)

@@ -3,8 +3,9 @@
 When an NL join's inner is an index-probe chain (``ACCESS(index)`` under
 any run of GET / FILTER) the vectorized engine runs one outer *batch*
 through it at a time instead of re-executing it per outer row.  Every
-case here must agree exactly with the iterator on rows (values and
-order), ``tuples_flowed``, ``page_reads``, ``index_reads`` and per-node
+case here must agree exactly with the reference iterator
+(``tests/reference_executor.py``) on rows (values and order),
+``tuples_flowed``, ``page_reads``, ``index_reads`` and per-node
 ``[rows, opens]`` — exact, not up to read-ahead, because an NL join
 drains every inner stream.
 """
@@ -20,11 +21,11 @@ from repro.catalog import AccessPath, Catalog, TableDef
 from repro.catalog.catalog import make_columns
 from repro.cost.propfuncs import PlanFactory
 from repro.errors import ExecutionError
-from repro.executor import QueryExecutor
 from repro.plans.plan import PlanNode
 from repro.query.expressions import Arith, ColumnRef, Literal
 from repro.query.predicates import Comparison
 from repro.storage import Database
+from tests.reference_executor import ENGINES
 
 BATCH_SIZES = (1, 2, 7, 1024)
 AGREE = ("tuples_flowed", "page_reads", "index_reads")
@@ -130,9 +131,9 @@ def cases(catalog: Catalog) -> dict[str, PlanNode]:
 
 def run(database, plan, engine, batch_size, observed=True):
     counts: dict[int, list[int]] | None = {} if observed else None
-    rows, stats = QueryExecutor(
-        database, executor=engine, batch_size=batch_size
-    ).run_plan(plan, node_counts=counts)
+    rows, stats = ENGINES[engine](database, batch_size=batch_size).run_plan(
+        plan, node_counts=counts
+    )
     flat = [sorted((str(c), repr(v)) for c, v in row.items()) for row in rows]
     return flat, {name: getattr(stats, name) for name in AGREE}, counts, stats
 
@@ -195,9 +196,9 @@ def test_null_arithmetic_fails_in_both_engines(env):
     outer = f.access_base("O", {col("O.K")}, set())
     inner = f.access_index("I", database.catalog.path("I", "I_K"), {col("I.K")}, {pred})
     plan = f.join("NL", outer, inner, {pred})
-    for engine in ("iterator", "vectorized"):
+    for engine in ENGINES.values():
         with pytest.raises(ExecutionError, match="arithmetic failed"):
-            QueryExecutor(database, executor=engine, batch_size=7).run_plan(plan)
+            engine(database, batch_size=7).run_plan(plan)
 
 
 @pytest.mark.parametrize("shape", ["bare", "filter-get", "clustered"])

@@ -27,6 +27,27 @@ class TestExports:
                 assert hasattr(module, name), f"{pkg_name}.{name}"
 
 
+class TestOneEvaluator:
+    def test_nothing_selects_an_engine(self):
+        """``QueryExecutor`` is the batch engine: no layer takes an
+        ``executor`` name, and the backend registry holds the engine and
+        the SQL pair only (tests that register more clean up after
+        themselves)."""
+        import repro.backends
+        from repro import (
+            AdaptiveExecutor,
+            QueryExecutor,
+            ResilientExecutor,
+            explain_analyze,
+        )
+
+        for api in (QueryExecutor, ResilientExecutor, AdaptiveExecutor, explain_analyze):
+            assert "executor" not in inspect.signature(api).parameters, api
+        assert repro.backends.backend_names() == ("sql", "sqlite", "vectorized")
+        assert not hasattr(repro.backends, "pyloop")
+        assert not hasattr(repro.backends, "PyLoopBackend")
+
+
 class TestDocstrings:
     def test_every_module_documented(self):
         missing = []

@@ -1,11 +1,11 @@
-"""Executor-equivalence suite: the vectorized engine vs the iterator.
+"""Executor-equivalence suite: the engine vs the reference iterator.
 
-The batch-at-a-time interpreter (``QueryExecutor(executor="vectorized")``,
-the default) must be observationally identical to the tuple-at-a-time
-iterator oracle: same rows in the same order, same accounting
-(tuples flowed, messages, bytes shipped, I/O), same checkpoint behavior,
-and same delivered-row counts under chaos retries.  Plus unit tests for
-the ColumnBatch kernels and the CLI flag.
+The batch-at-a-time interpreter (``QueryExecutor``) must be
+observationally identical to the tuple-at-a-time oracle of
+``tests/reference_executor.py``: same rows in the same order, same
+accounting (tuples flowed, messages, bytes shipped, I/O), same checkpoint
+behavior, and same delivered-row counts under chaos retries.  Plus unit
+tests for the ColumnBatch kernels.
 """
 
 import pytest
@@ -22,6 +22,7 @@ from repro.executor import (
 )
 from repro.executor.batch_ops import (
     BatchBuilder,
+    CheckpointBatchIterator,
     ColumnBatch,
     batch_bytes,
     batches_of,
@@ -33,7 +34,6 @@ from repro.optimizer import StarburstOptimizer
 from repro.query.expressions import ColumnRef, Literal
 from repro.query.predicates import Comparison
 from repro.robust import CheckpointPolicy
-from repro.robust.checkpoint import CheckpointBatchIterator
 from repro.storage import Database
 from repro.workloads import (
     chain_workload,
@@ -44,6 +44,7 @@ from repro.workloads import (
     skewed_workload,
     star_workload,
 )
+from tests.reference_executor import ENGINES, ReferenceExecutor
 
 #: Stats fields that must agree exactly across engines on every plan
 #: (``batches`` and ``elapsed_seconds`` are engine-specific by design).
@@ -71,12 +72,8 @@ def assert_engines_agree(database, query, plan):
     columns, and accounting must be identical up to batch read-ahead."""
     counts_v: dict[int, list[int]] = {}
     counts_i: dict[int, list[int]] = {}
-    vec = QueryExecutor(database, executor="vectorized").run(
-        query, plan, node_counts=counts_v
-    )
-    it = QueryExecutor(database, executor="iterator").run(
-        query, plan, node_counts=counts_i
-    )
+    vec = QueryExecutor(database).run(query, plan, node_counts=counts_v)
+    it = ReferenceExecutor(database).run(query, plan, node_counts=counts_i)
     assert vec.columns == it.columns
     assert vec.rows == it.rows, f"rows diverged under plan:\n{plan}"
     for name in EXACT_STATS:
@@ -160,15 +157,12 @@ def _workload(wl):
 
 def test_best_plan_accounting_identical_on_e9_suite():
     """Best plans of the E9 chain suite drain every stream, so the two
-    engines must agree on *every* counter — the premise the E14
-    throughput benchmark's tuples-per-second comparison rests on."""
+    engines must agree on *every* counter."""
     for n_tables in (3, 4, 5, 6):
         wl = chain_workload(n_tables, rows=50, seed=31)
         plan = StarburstOptimizer(wl.catalog).optimize(wl.query).best_plan
-        vec = QueryExecutor(wl.database, executor="vectorized").run(
-            wl.query, plan
-        )
-        it = QueryExecutor(wl.database, executor="iterator").run(wl.query, plan)
+        vec = QueryExecutor(wl.database).run(wl.query, plan)
+        it = ReferenceExecutor(wl.database).run(wl.query, plan)
         assert vec.rows == it.rows
         for name in EXACT_STATS + READAHEAD_STATS:
             assert getattr(vec.stats, name) == getattr(it.stats, name), (
@@ -181,12 +175,8 @@ def test_small_batch_size_is_equivalent():
     boundaries inside joins, sorts, and SHIPs) must not change rows."""
     wl = chain_workload(4, rows=60, seed=8, n_sites=2)
     plan = StarburstOptimizer(wl.catalog).optimize(wl.query).best_plan
-    reference = QueryExecutor(wl.database, executor="iterator").run(
-        wl.query, plan
-    )
-    tiny = QueryExecutor(
-        wl.database, executor="vectorized", batch_size=7
-    ).run(wl.query, plan)
+    reference = ReferenceExecutor(wl.database).run(wl.query, plan)
+    tiny = QueryExecutor(wl.database, batch_size=7).run(wl.query, plan)
     assert tiny.rows == reference.rows
     assert tiny.stats.tuples_flowed == reference.stats.tuples_flowed
     assert tiny.stats.bytes_shipped == reference.stats.bytes_shipped
@@ -201,15 +191,13 @@ class TestChaosRetryAccounting:
     def _run(self, executor_name, chaos=None, retry=None):
         wl = chain_workload(4, rows=40, seed=8, n_sites=2)
         plan = StarburstOptimizer(wl.catalog).optimize(wl.query).best_plan
-        executor = QueryExecutor(
-            wl.database, chaos=chaos, retry=retry, executor=executor_name
-        )
+        executor = ENGINES[executor_name](wl.database, chaos=chaos, retry=retry)
         return executor.run(wl.query, plan)
 
     CHAOS = dict(seed=4, link_failure_prob=0.5)
     RETRY = dict(max_attempts=12, base_backoff=0.0)
 
-    @pytest.mark.parametrize("engine", QueryExecutor.EXECUTORS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_transient_retries_do_not_inflate_delivery(self, engine):
         clean = self._run(engine)
         chaotic = self._run(
@@ -236,7 +224,7 @@ class TestChaosRetryAccounting:
                 chaos=ChaosEngine(ChaosConfig(**self.CHAOS)),
                 retry=RetryPolicy(**self.RETRY),
             )
-            for engine in QueryExecutor.EXECUTORS
+            for engine in ENGINES
         ]
         vec, it = results
         assert vec.rows == it.rows
@@ -263,11 +251,11 @@ class TestCheckpointEquivalence:
         plan = factory.access_temp(factory.store(scan))
         return db, plan
 
-    @pytest.mark.parametrize("engine", QueryExecutor.EXECUTORS)
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_store_checkpoint_fires(self, engine):
         db, plan = self._build()
         policy = CheckpointPolicy(qerror_threshold=10.0)
-        executor = QueryExecutor(db, checkpoints=policy, executor=engine)
+        executor = ENGINES[engine](db, checkpoints=policy)
         with pytest.raises(CardinalityViolation) as excinfo:
             executor.run_plan(plan)
         assert excinfo.value.actual == 3
@@ -277,11 +265,10 @@ class TestCheckpointEquivalence:
 
     def test_violations_identical_across_engines(self):
         violations = []
-        for engine in QueryExecutor.EXECUTORS:
+        for engine in ENGINES.values():
             db, plan = self._build()
-            executor = QueryExecutor(
-                db, checkpoints=CheckpointPolicy(qerror_threshold=10.0),
-                executor=engine,
+            executor = engine(
+                db, checkpoints=CheckpointPolicy(qerror_threshold=10.0)
             )
             with pytest.raises(CardinalityViolation) as excinfo:
                 executor.run_plan(plan)
@@ -447,36 +434,10 @@ class TestBatchOps:
 
 
 class TestExecutorSelection:
-    def test_unknown_executor_rejected(self):
-        wl = chain_workload(3, rows=10, seed=1)
-        with pytest.raises(ValueError, match="unknown executor"):
-            QueryExecutor(wl.database, executor="bogus")
-
     def test_bad_batch_size_rejected(self):
         wl = chain_workload(3, rows=10, seed=1)
         with pytest.raises(ValueError, match="batch_size"):
             QueryExecutor(wl.database, batch_size=0)
-
-    def test_vectorized_is_default(self):
-        wl = chain_workload(3, rows=10, seed=1)
-        assert QueryExecutor(wl.database).executor == "vectorized"
-
-    def test_cli_executor_flag(self, capsys):
-        from repro.__main__ import main
-
-        for engine in QueryExecutor.EXECUTORS:
-            assert main(
-                ["optimize", "SELECT MGR FROM DEPT", "--execute",
-                 "--executor", engine]
-            ) == 0
-            assert "executed:" in capsys.readouterr().out
-
-    def test_cli_rejects_unknown_executor(self):
-        from repro.__main__ import main
-
-        with pytest.raises(SystemExit):
-            main(["optimize", "SELECT MGR FROM DEPT", "--execute",
-                  "--executor", "bogus"])
 
     def test_metrics_record_batch_shape(self):
         from repro.obs import MetricsRegistry

@@ -21,7 +21,9 @@ Four checks, all cheap and purely static:
    declared in ``src/repro/plans/operators.py`` (the ``NAME =
    "NAME"`` module constants), and every row's operator must really
    exist — both directions, so the lowering reference can neither rot
-   nor invent operators.
+   nor invent operators.  Likewise the backend table (``| name |
+   artifact | executes via |``) must list exactly the names passed to
+   ``register_backend(...)`` in ``src/repro/backends/__init__.py``.
 4. **Hot-path layer numbers** — every ``hot-path layer N`` in an
    ``OptimizerConfig`` field comment (``src/repro/config.py``) must
    carry the number the README "Performance" list gives that flag.
@@ -42,6 +44,7 @@ CLI_DOC = REPO / "docs" / "cli.md"
 BACKENDS_DOC = REPO / "docs" / "backends.md"
 MAIN = SRC / "__main__.py"
 OPERATORS = SRC / "plans" / "operators.py"
+BACKENDS_INIT = SRC / "backends" / "__init__.py"
 CONFIG = SRC / "config.py"
 README = REPO / "README.md"
 
@@ -209,12 +212,49 @@ def documented_lolepops() -> list[str]:
     return re.findall(r"^\| `([A-Z]+)` \|", text, flags=re.MULTILINE)
 
 
+def registered_backends() -> set[str]:
+    """Names passed as the first argument of a ``register_backend(...)``
+    call in ``backends/__init__.py``."""
+    tree = ast.parse(BACKENDS_INIT.read_text(), filename=str(BACKENDS_INIT))
+    return {
+        node.args[0].value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "register_backend"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def documented_backends() -> set[str]:
+    """First-cell names of docs/backends.md's backend table: the rows
+    under the ``| name | artifact | executes via |`` header."""
+    table = re.search(
+        r"^\| name \| artifact \| executes via \|\n\|[-|]+\|\n((?:\|.*\n)*)",
+        BACKENDS_DOC.read_text(), flags=re.MULTILINE,
+    )
+    rows = table.group(1) if table else ""
+    return set(re.findall(r"^\| `([\w-]+)` \|", rows, flags=re.MULTILINE))
+
+
 def check_backends_doc() -> list[str]:
     if not BACKENDS_DOC.exists():
         return [f"{BACKENDS_DOC.relative_to(REPO)}: missing"]
     declared = declared_lolepops()
     documented = documented_lolepops()
     errors = []
+    registered, listed = registered_backends(), documented_backends()
+    for name in sorted(listed - registered):
+        errors.append(
+            f"docs/backends.md: backend table lists {name!r}, which "
+            "src/repro/backends/__init__.py does not register"
+        )
+    for name in sorted(registered - listed):
+        errors.append(
+            f"docs/backends.md: backend {name!r} is registered in "
+            "src/repro/backends/__init__.py but has no backend-table row"
+        )
     for name in sorted(set(documented) - declared):
         errors.append(
             f"docs/backends.md: lowering table names operator {name!r} "
