@@ -50,8 +50,9 @@ class OptimizerConfig:
     #: Hash-cons plan nodes (hot-path layer 2): structurally identical
     #: plans constructed through different rule paths become the *same*
     #: object, so shared fragments are physically shared, equality
-    #: short-circuits on identity, and each unique subtree is digested
-    #: once.  Off only for A/B measurement (E13).
+    #: short-circuits on identity, and a LOLEPOP applied again to the
+    #: same input nodes is looked up instead of priced.  Off only for A/B
+    #: measurement (E13).
     intern_plans: bool = True
 
     #: Safety limit on STAR expansion depth (a DBC-authored rule cycle

@@ -23,7 +23,6 @@ right regimes.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, NamedTuple
 
 from repro.catalog.catalog import Catalog
@@ -114,32 +113,6 @@ class _JoinRelational(NamedTuple):
     params: tuple
 
 
-def _traced_propfunc(method):
-    """Post-process every successfully constructed LOLEPOP: hash-cons it
-    through the factory's interner (when one is attached) so structurally
-    identical constructions collapse to one shared object, and emit one
-    ``propfunc`` trace instant."""
-
-    @functools.wraps(method)
-    def wrapper(self, *args, **kwargs):
-        node = method(self, *args, **kwargs)
-        if isinstance(node, PlanNode):
-            if self.interner is not None:
-                node = self.interner.intern(node)
-            tracer = self.tracer
-            if tracer is not None:
-                name = node.op if node.flavor is None else f"{node.op}({node.flavor})"
-                tracer.instant(
-                    "propfunc", name,
-                    card=round(node.props.card, 3),
-                    cost=round(self.model.total(node.props.cost), 3),
-                    site=node.props.site,
-                )
-        return node
-
-    return wrapper
-
-
 class PlanFactory:
     """Builds plan nodes, computing property vectors as it goes.
 
@@ -181,6 +154,40 @@ class PlanFactory:
         if not self.site_usable(site):
             raise ReproError(f"cannot {doing}: site {site} is down or avoided")
 
+    # -- hash-consing ------------------------------------------------------------
+
+    def _known(self, op, flavor, params, inputs) -> PlanNode | None:
+        """Look a LOLEPOP application up *before pricing it*: the node an
+        earlier application to the same input nodes built, or None.  A
+        property function is pure in (parameters, inputs), so the found
+        node is the one pricing would rebuild."""
+        if self.interner is None:
+            return None
+        node = self.interner.find((op, flavor, params, inputs))
+        if node is not None and self.tracer is not None:
+            self._trace(node)
+        return node
+
+    def _node(self, op, flavor, params, inputs, props) -> PlanNode:
+        """Every LOLEPOP application ends here or in a :meth:`_known` hit:
+        build the node, hash-cons it (when an interner is attached) and
+        emit the application's one ``propfunc`` trace instant."""
+        node = PlanNode(op, flavor, params, inputs, props)
+        if self.interner is not None:
+            node = self.interner.intern(node)
+        if self.tracer is not None:
+            self._trace(node)
+        return node
+
+    def _trace(self, node: PlanNode) -> None:
+        name = node.op if node.flavor is None else f"{node.op}({node.flavor})"
+        self.tracer.instant(
+            "propfunc", name,
+            card=round(node.props.card, 3),
+            cost=round(self.model.total(node.props.cost), 3),
+            site=node.props.site,
+        )
+
     # -- shared estimation helpers --------------------------------------------
 
     def _sel(self, preds: Iterable[Predicate], own_tables: frozenset[str]) -> float:
@@ -218,7 +225,6 @@ class PlanFactory:
 
     # -- ACCESS ----------------------------------------------------------------
 
-    @_traced_propfunc
     def access_base(
         self,
         table: str,
@@ -260,7 +266,7 @@ class PlanFactory:
             cost=scan_cost,
             rescan_cost=scan_cost,
         )
-        return PlanNode(
+        return self._node(
             op=ACCESS,
             flavor=tdef.storage,
             params=make_params(
@@ -270,7 +276,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def access_index(
         self,
         table: str,
@@ -353,7 +358,7 @@ class PlanFactory:
             cost=scan_cost,
             rescan_cost=rescan,
         )
-        return PlanNode(
+        return self._node(
             op=ACCESS,
             flavor="index",
             params=make_params(
@@ -363,7 +368,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def access_temp(
         self,
         stored: PlanNode,
@@ -378,6 +382,14 @@ class PlanFactory:
         if not columns <= in_props.cols:
             raise ReproError("temp does not hold all requested columns")
         preds = frozenset(preds)
+        # ``make_params`` order, spelled out: the values are frozen already.
+        params = (
+            ("columns", columns), ("path", None), ("preds", preds),
+            ("table", in_props.stored_as),
+        )
+        known = self._known(ACCESS, "temp", params, (stored,))
+        if known is not None:
+            return known
         own = in_props.tables
         card = self._card(in_props.card, preds, own)
         pages = self._pages(in_props.card, in_props.cols)
@@ -395,17 +407,8 @@ class PlanFactory:
             cost=in_props.cost + scan,
             rescan_cost=scan,
         )
-        return PlanNode(
-            op=ACCESS,
-            flavor="temp",
-            params=make_params(
-                table=in_props.stored_as, path=None, columns=columns, preds=preds
-            ),
-            inputs=(stored,),
-            props=props,
-        )
+        return self._node(ACCESS, "temp", params, (stored,), props)
 
-    @_traced_propfunc
     def access_temp_index(
         self,
         stored: PlanNode,
@@ -463,7 +466,7 @@ class PlanFactory:
             cost=in_props.cost + probe,
             rescan_cost=reprobe,
         )
-        return PlanNode(
+        return self._node(
             op=ACCESS,
             flavor="index",
             params=make_params(
@@ -475,7 +478,6 @@ class PlanFactory:
 
     # -- GET ---------------------------------------------------------------------
 
-    @_traced_propfunc
     def get(
         self,
         input_plan: PlanNode,
@@ -533,7 +535,7 @@ class PlanFactory:
             cost=in_props.cost + fetch,
             rescan_cost=in_props.rescan_cost + fetch,
         )
-        return PlanNode(
+        return self._node(
             op=GET,
             flavor=None,
             params=make_params(table=table, columns=columns, preds=preds),
@@ -543,7 +545,6 @@ class PlanFactory:
 
     # -- SORT / SHIP / STORE / BUILDIX --------------------------------------------
 
-    @_traced_propfunc
     def sort(self, input_plan: PlanNode, order: Iterable[ColumnRef]) -> PlanNode:
         """SORT the stream into ``order`` (changes the ORDER property)."""
         order = tuple(order)
@@ -555,6 +556,10 @@ class PlanFactory:
             raise ReproError(
                 f"SORT on columns not in the stream: {sorted(str(c) for c in missing)}"
             )
+        params = (("order", order),)
+        known = self._known(SORT, None, params, (input_plan,))
+        if known is not None:
+            return known
         pages = self._pages(in_props.card, in_props.cols)
         spill = pages > SORT_MEMORY_PAGES
         sort_cost = Cost(
@@ -575,15 +580,8 @@ class PlanFactory:
             cost=in_props.cost + sort_cost,
             rescan_cost=rescan,
         )
-        return PlanNode(
-            op=SORT,
-            flavor=None,
-            params=make_params(order=order),
-            inputs=(input_plan,),
-            props=props,
-        )
+        return self._node(SORT, None, params, (input_plan,), props)
 
-    @_traced_propfunc
     def ship(self, input_plan: PlanNode, to_site: str) -> PlanNode:
         """SHIP the stream to ``to_site`` (changes the SITE property)."""
         self.catalog.site(to_site)
@@ -591,6 +589,10 @@ class PlanFactory:
         in_props = input_plan.props
         if in_props.site == to_site:
             raise ReproError(f"stream is already at site {to_site}")
+        params = (("to_site", to_site),)
+        known = self._known(SHIP, None, params, (input_plan,))
+        if known is not None:
+            return known
         cost = self.model.ship_cost(in_props.card, in_props.cols)
         props = PropertyVector(
             tables=in_props.tables,
@@ -605,17 +607,13 @@ class PlanFactory:
             cost=in_props.cost + cost,
             rescan_cost=in_props.rescan_cost + cost,
         )
-        return PlanNode(
-            op=SHIP,
-            flavor=None,
-            params=make_params(to_site=to_site),
-            inputs=(input_plan,),
-            props=props,
-        )
+        return self._node(SHIP, None, params, (input_plan,), props)
 
-    @_traced_propfunc
     def store(self, input_plan: PlanNode) -> PlanNode:
         """STORE the stream as a temporary stored table (TEMP := true)."""
+        known = self._known(STORE, None, (), (input_plan,))
+        if known is not None:
+            return known
         in_props = input_plan.props
         pages = self._pages(in_props.card, in_props.cols)
         write = Cost(io=pages, cpu=max(1.0, in_props.card))
@@ -633,15 +631,16 @@ class PlanFactory:
             cost=in_props.cost + write,
             rescan_cost=Cost(io=pages, cpu=max(1.0, in_props.card)),
         )
-        return PlanNode(
-            op=STORE, flavor=None, params=(), inputs=(input_plan,), props=props
-        )
+        return self._node(STORE, None, (), (input_plan,), props)
 
-    @_traced_propfunc
     def buildix(self, stored: PlanNode, key: Iterable[ColumnRef]) -> PlanNode:
         """BUILDIX: create an index on a stored temp (the dynamically
         created index of section 4.5.3).  Adds to the PATHS property."""
         key = tuple(key)
+        params = (("key", key),)
+        known = self._known(BUILDIX, None, params, (stored,))
+        if known is not None:
+            return known
         in_props = stored.props
         if in_props.stored_as is None:
             raise ReproError("BUILDIX input must be a stored object")
@@ -679,17 +678,10 @@ class PlanFactory:
             cost=in_props.cost + build,
             rescan_cost=in_props.rescan_cost,
         )
-        return PlanNode(
-            op=BUILDIX,
-            flavor=None,
-            params=make_params(key=key),
-            inputs=(stored,),
-            props=props,
-        )
+        return self._node(BUILDIX, None, params, (stored,), props)
 
     # -- JOIN / FILTER / UNION ------------------------------------------------------
 
-    @_traced_propfunc
     def join(
         self,
         flavor: str,
@@ -719,27 +711,42 @@ class PlanFactory:
         if flavor == "SJ":
             return self._semijoin(outer, inner, join_preds)
         rel = self._join_relational(po, pi, join_preds, residual_preds)
+        known = self._known(JOIN, flavor, rel.params, (outer, inner))
+        if known is not None:
+            return known
+        o_card, i_card = po.card, pi.card
         card = self._feedback_card(
-            rel.tables, rel.preds, max(MIN_CARD, po.card * pi.card * rel.sel)
+            rel.tables, rel.preds, max(MIN_CARD, o_card * i_card * rel.sel)
         )
-        # The method charges the same on top of its inputs whether they
-        # are produced for the first time or rescanned.
-        cost = po.cost + pi.cost
-        rescan_cost = po.rescan_cost + pi.rescan_cost
+        # ``(outer + inner [+ rescans]) + method`` for the first-time and
+        # the rescan vector, component by component on local floats in the
+        # association order of the ``Cost.__add__`` / ``scaled`` chain this
+        # replaces (bit-identical results, tests/test_join_pricing.py): a
+        # candidate allocates the two ``Cost`` objects it keeps and no
+        # other.  The method charges the same on top of its inputs whether
+        # they are produced for the first time or rescanned.
+        oc, ic, orc, irc = po.cost, pi.cost, po.rescan_cost, pi.rescan_cost
+        io, cpu = oc.io + ic.io, oc.cpu + ic.cpu
+        msgs, sent = oc.msgs + ic.msgs, oc.bytes_sent + ic.bytes_sent
+        r_io, r_cpu = orc.io + irc.io, orc.cpu + irc.cpu
+        r_msgs, r_sent = orc.msgs + irc.msgs, orc.bytes_sent + irc.bytes_sent
+        m_io = 0.0
         if flavor == "NL":
-            rescans = pi.rescan_cost.scaled(max(0.0, po.card - 1.0))
-            cost, rescan_cost = cost + rescans, rescan_cost + rescans
-            method = Cost(cpu=po.card * max(1.0, pi.card) + card)
+            # One rescan of the inner per outer row after the first.
+            factor = max(0.0, o_card - 1.0)
+            s_io, s_cpu = irc.io * factor, irc.cpu * factor
+            s_msgs, s_sent = irc.msgs * factor, irc.bytes_sent * factor
+            io, cpu, msgs, sent = io + s_io, cpu + s_cpu, msgs + s_msgs, sent + s_sent
+            r_io, r_cpu = r_io + s_io, r_cpu + s_cpu
+            r_msgs, r_sent = r_msgs + s_msgs, r_sent + s_sent
+            m_cpu = o_card * max(1.0, i_card) + card
         elif flavor == "MG":
-            method = Cost(cpu=po.card + pi.card + card)
+            m_cpu = o_card + i_card + card
         elif flavor == "HA":
-            inner_pages = self._pages(pi.card, pi.cols)
-            spill_io = (
-                2.0 * (inner_pages + self._pages(po.card, po.cols))
-                if inner_pages > HASH_MEMORY_PAGES
-                else 0.0
-            )
-            method = Cost(io=spill_io, cpu=1.5 * pi.card + po.card + card)
+            inner_pages = self._pages(i_card, pi.cols)
+            if inner_pages > HASH_MEMORY_PAGES:
+                m_io = 2.0 * (inner_pages + self._pages(o_card, po.cols))
+            m_cpu = 1.5 * i_card + o_card + card
         else:
             raise ReproError(f"unknown join flavor {flavor!r}")
         props = PropertyVector(
@@ -752,16 +759,11 @@ class PlanFactory:
             paths=frozenset(),
             stored_as=None,
             card=card,
-            cost=cost + method,
-            rescan_cost=rescan_cost + method,
+            # The method's msgs and bytes are 0.0, and still added.
+            cost=Cost(io + m_io, cpu + m_cpu, msgs + 0.0, sent + 0.0),
+            rescan_cost=Cost(r_io + m_io, r_cpu + m_cpu, r_msgs + 0.0, r_sent + 0.0),
         )
-        return PlanNode(
-            op=JOIN,
-            flavor=flavor,
-            params=rel.params,
-            inputs=(outer, inner),
-            props=props,
-        )
+        return self._node(JOIN, flavor, rel.params, (outer, inner), props)
 
     def _join_relational(
         self,
@@ -817,7 +819,7 @@ class PlanFactory:
             cost=po.cost + pi.cost + build_probe,
             rescan_cost=po.rescan_cost + pi.rescan_cost + build_probe,
         )
-        return PlanNode(
+        return self._node(
             op=JOIN,
             flavor="SJ",
             params=make_params(join_preds=join_preds, residual_preds=frozenset()),
@@ -825,7 +827,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def project(self, input_plan: PlanNode, columns: Iterable[ColumnRef]) -> PlanNode:
         """PROJECT: narrow the stream to ``columns`` (drops bytes, keeps
         rows) — lets the semijoin strategy ship only join columns."""
@@ -857,7 +858,7 @@ class PlanFactory:
             cost=in_props.cost + cpu,
             rescan_cost=in_props.rescan_cost + cpu,
         )
-        return PlanNode(
+        return self._node(
             op=PROJECT,
             flavor=None,
             params=make_params(columns=columns),
@@ -865,7 +866,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def filter(self, input_plan: PlanNode, preds: Iterable[Predicate]) -> PlanNode:
         """FILTER: apply predicates to a stream (retrofit veneer)."""
         preds = frozenset(preds)
@@ -891,7 +891,7 @@ class PlanFactory:
             cost=in_props.cost + cpu,
             rescan_cost=in_props.rescan_cost + cpu,
         )
-        return PlanNode(
+        return self._node(
             op=FILTER,
             flavor=None,
             params=make_params(preds=preds),
@@ -899,7 +899,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def dedup(self, input_plan: PlanNode, key: Iterable[ColumnRef]) -> PlanNode:
         """DEDUP: keep the first row per ``key`` (hash distinct).
 
@@ -931,7 +930,7 @@ class PlanFactory:
             cost=in_props.cost + cpu,
             rescan_cost=in_props.rescan_cost + cpu,
         )
-        return PlanNode(
+        return self._node(
             op=DEDUP,
             flavor=None,
             params=make_params(key=key),
@@ -939,7 +938,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def intersect(
         self, left: PlanNode, right: PlanNode, key: Iterable[ColumnRef]
     ) -> PlanNode:
@@ -974,7 +972,7 @@ class PlanFactory:
             cost=pl.cost + pr.cost + cpu,
             rescan_cost=pl.rescan_cost + pr.rescan_cost + cpu,
         )
-        return PlanNode(
+        return self._node(
             op=INTERSECT,
             flavor=None,
             params=make_params(key=key),
@@ -982,7 +980,6 @@ class PlanFactory:
             props=props,
         )
 
-    @_traced_propfunc
     def union(self, left: PlanNode, right: PlanNode) -> PlanNode:
         """UNION ALL of two compatible streams (same COLS and SITE)."""
         pl, pr = left.props, right.props
@@ -1004,4 +1001,4 @@ class PlanFactory:
             cost=pl.cost + pr.cost + Cost(cpu=card),
             rescan_cost=pl.rescan_cost + pr.rescan_cost + Cost(cpu=card),
         )
-        return PlanNode(op=UNION, flavor=None, params=(), inputs=(left, right), props=props)
+        return self._node(op=UNION, flavor=None, params=(), inputs=(left, right), props=props)

@@ -50,7 +50,7 @@ class JoinEnumerator:
 
         if len(tables) == 1:
             only = frozenset([tables[0]])
-            sap = ctx.plan_table.lookup(only, self._standard_preds(only))
+            sap = ctx.plan_table.lookup(only, ctx.standard_preds(only))
             assert sap is not None
             return sap
 
@@ -81,10 +81,10 @@ class JoinEnumerator:
                         self.subsets_skipped += 1
                     continue
                 feasible.add(subset)
-                ctx.plan_table.insert(subset, self._standard_preds(subset), plans)
+                ctx.plan_table.insert(subset, ctx.standard_preds(subset), plans)
 
         final = frozenset(tables)
-        sap = ctx.plan_table.lookup(final, self._standard_preds(final))
+        sap = ctx.plan_table.lookup(final, ctx.standard_preds(final))
         if sap is None or not sap:
             raise OptimizationError(
                 f"no plan joins all tables {sorted(final)}; enable "
@@ -93,12 +93,6 @@ class JoinEnumerator:
         return sap
 
     # -- helpers -------------------------------------------------------------
-
-    def _standard_preds(self, tables: frozenset[str]):
-        query = self._engine.ctx.query
-        return frozenset(
-            p for p in query.predicates if p.tables() and p.tables() <= tables
-        )
 
     def _partitions(self, subset: frozenset[str], feasible, config):
         """Unordered partitions of ``subset`` into two feasible streams.

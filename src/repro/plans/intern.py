@@ -8,15 +8,21 @@ distinct, so every DAG walk (``nodes()``, site footprints, execution)
 revisits what is logically one fragment, and every equality check falls
 through to digest comparison.
 
-:class:`PlanInterner` dedupes nodes by structural digest as they leave
-the :class:`~repro.cost.propfuncs.PlanFactory`: the first construction
-of a shape wins and every later structurally-identical construction
-returns the *same object*.  Plans built from interned children therefore
-share subtrees physically, equality short-circuits on identity, and the
-per-unique-subtree digest is computed exactly once.  One interner lives
-for one optimization (it is part of the engine's per-query state), so
-interned plans never leak property vectors across catalogs or feedback
-epochs.
+:class:`PlanInterner` keys a node on what a LOLEPOP application *is*:
+``(op, flavor, params, inputs)`` — the node minus what pricing finds.  The
+inputs left the same interner, so each structure has one object and
+identity *is* structure: the key's input nodes hash by their cached
+structural hash and compare by identity (two equal twins built outside
+any interner still meet, through the digest fallback of
+``PlanNode.__eq__``).  Because the key needs no node,
+:class:`~repro.cost.propfuncs.PlanFactory` asks :meth:`PlanInterner.find`
+*before pricing*: a hit returns the existing node and the property
+function never runs; a miss is priced, built and registered through
+:meth:`PlanInterner.intern`.  Nothing here computes a digest —
+:attr:`PlanNode.digest` stays lazy and is paid only for nodes somebody
+names.  One interner lives for one optimization (it is part of the
+engine's per-query state), so interned plans never leak property vectors
+across catalogs or feedback epochs.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.obs.metrics import stats_snapshot
-from repro.plans.plan import PlanNode, _params_bytes
+from repro.plans.plan import PlanNode
 
 
 @dataclass
@@ -44,22 +50,24 @@ class InternStats:
 
 
 class PlanInterner:
-    """Digest-keyed hash-consing table for plan nodes."""
+    """Hash-consing table for plan nodes, keyed by their structure."""
 
-    __slots__ = ("_by_digest", "_chunks", "stats")
+    __slots__ = ("_nodes", "stats")
 
     def __init__(self) -> None:
-        self._by_digest: dict[str, PlanNode] = {}
-        #: Digest bytes per distinct parameter tuple: the alternatives of
-        #: a class differ in inputs far more often than in parameters.
-        self._chunks: dict[tuple, bytes] = {}
+        self._nodes: dict[tuple, PlanNode] = {}
         self.stats = InternStats()
 
-    def _chunk_of(self, params: tuple) -> bytes:
-        chunk = self._chunks.get(params)
-        if chunk is None:
-            chunk = self._chunks[params] = _params_bytes(params)
-        return chunk
+    def find(self, key: tuple) -> PlanNode | None:
+        """The node already built for the application ``key = (op, flavor,
+        params, inputs)``, if any.  A hit is one request and one hit, as
+        interning the rebuilt twin would have counted; a miss counts
+        nothing until the node is interned."""
+        node = self._nodes.get(key)
+        if node is not None:
+            self.stats.requests += 1
+            self.stats.hits += 1
+        return node
 
     def intern(self, node: PlanNode) -> PlanNode:
         """The canonical node for ``node``'s structure.
@@ -69,19 +77,16 @@ class PlanInterner:
         as the canonical representative.
         """
         self.stats.requests += 1
-        digest = node._digest or node._compute_digest(
-            self._chunk_of(node.params)
+        nodes = self._nodes
+        known = len(nodes)
+        existing = nodes.setdefault(
+            (node.op, node.flavor, node.params, node.inputs), node
         )
-        existing = self._by_digest.get(digest)
-        if existing is not None:
+        if len(nodes) == known:
             self.stats.hits += 1
-            return existing
-        self._by_digest[digest] = node
-        self.stats.unique += 1
-        return node
-
-    def get(self, digest: str) -> PlanNode | None:
-        return self._by_digest.get(digest)
+        else:
+            self.stats.unique += 1
+        return existing
 
     def __len__(self) -> int:
-        return len(self._by_digest)
+        return len(self._nodes)

@@ -57,11 +57,15 @@ class PlanNode:
 
     ``digest`` is a content hash of the plan's *structure* (operators,
     parameters, children — not cost), computed lazily on first use from
-    the children's cached digests and memoized on the node.  Node
-    construction itself never hashes — plans that are built and discarded
-    by a pruning pass (most of them, in a big search) pay nothing.
-    Structural equality, hashing, SAP deduplication and memoization keys
-    all run on the cached digest in O(1).
+    the children's cached digests and memoized on the node.  Neither
+    construction nor interning asks for it — plans that are built and
+    discarded by a pruning pass (most of them, in a big search) never pay
+    a SHA-256; it is computed for the nodes somebody names: a STORE's
+    ``#temp(<digest>)``, memo keys, results, snapshots, the executor's
+    temp cache.  ``hash()`` is a cached *structural* hash over
+    ``(op, flavor, params, inputs)``; equality is identity first (all the
+    optimizer ever needs of interned nodes) and digest equality for
+    structurally equal twins built apart.
     """
 
     op: str
@@ -92,13 +96,9 @@ class PlanNode:
     def digest(self) -> str:
         return self._digest or self._compute_digest()
 
-    def _compute_digest(self, params_chunk: bytes | None = None) -> str:
-        """Compute and cache the digest.  The interner hands in the bytes
-        of ``params`` when it has rendered them for another node already."""
-        if params_chunk is None:
-            params_chunk = _params_bytes(self.params)
+    def _compute_digest(self) -> str:
         hasher = hashlib.sha256((self.op + (self.flavor or "")).encode())
-        hasher.update(params_chunk)
+        hasher.update(_params_bytes(self.params))
         for child in self.inputs:
             hasher.update(child.digest.encode())
         digest = hasher.hexdigest()[:16]
@@ -108,7 +108,7 @@ class PlanNode:
     def __hash__(self) -> int:
         cached = self._hash
         if cached is None:
-            cached = hash(self.digest)
+            cached = hash((self.op, self.flavor, self.params, self.inputs))
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -120,11 +120,11 @@ class PlanNode:
         return self.digest == other.digest
 
     def __reduce__(self) -> tuple:
-        # The digest is content and travels; the hash of a string is
-        # salted per process (PYTHONHASHSEED), so it must not.  The state
-        # is in field order, for the ``__setstate__`` a frozen slots
-        # dataclass is given (``__getstate__`` cannot do this: Python 3.10
-        # replaces a hand-written one).
+        # The digest is content and travels; the structural hash is built
+        # on string hashes, salted per process (PYTHONHASHSEED), so it must
+        # not.  The state is in field order, for the ``__setstate__`` a
+        # frozen slots dataclass is given (``__getstate__`` cannot do this:
+        # Python 3.10 replaces a hand-written one).
         state = [
             self.op, self.flavor, self.params, self.inputs, self.props,
             self._digest, None,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from repro.cost.model import CostModel
-from repro.plans.plan import PlanNode, plan_digest, plan_links, plan_sites
-from repro.plans.properties import Requirements, order_satisfies
+from repro.plans.plan import PlanNode, plan_links, plan_sites
+from repro.plans.properties import Requirements
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,12 +53,9 @@ class SAP:
     __slots__ = ("plans",)
 
     def __init__(self, plans: Iterable[PlanNode] = ()):
-        deduped: dict[str, PlanNode] = {}
-        for plan in plans:
-            digest = plan_digest(plan)
-            if digest not in deduped:
-                deduped[digest] = plan
-        self.plans: tuple[PlanNode, ...] = tuple(deduped.values())
+        # Interned nodes are equal only if identical; twins built apart
+        # collide on the structural hash and are told apart by digest.
+        self.plans: tuple[PlanNode, ...] = tuple(dict.fromkeys(plans))
 
     def __iter__(self) -> Iterator[PlanNode]:
         return iter(self.plans)
@@ -70,6 +67,10 @@ class SAP:
         return bool(self.plans)
 
     def union(self, other: "SAP") -> "SAP":
+        if not other.plans:  # nothing to dedupe against
+            return self
+        if not self.plans:
+            return other
         return SAP((*self.plans, *other.plans))
 
     def map(self, fn: Callable[[PlanNode], PlanNode | None]) -> "SAP":
@@ -145,8 +146,8 @@ def merge_pruned(
     (equivalent plans) the established plan wins, exactly as the cheaper/
     earlier candidate wins in the full sort-based pass.
     """
-    seen = {p.digest for p in existing.plans}
-    new = [p for p in incoming.plans if p.digest not in seen]
+    seen = set(existing.plans)
+    new = [p for p in incoming.plans if p not in seen]
     if not new:
         return existing
     judge = _DominanceJudge(
@@ -170,16 +171,24 @@ def merge_pruned(
     return SAP((*survivors, *kept_new))
 
 
-class _DominanceJudge:
-    """Precomputed per-plan state for one dominance-pruning pass.
+#: Where a dominance record keeps the plan's total cost.
+_TOTAL = 8
 
-    Total cost, effective (interesting-prefix) order, and — only when
-    site diversity is on — the site/link footprint are each computed once
-    per plan, instead of once per pairwise comparison; the TID-free view
-    of COLS once per distinct column set (a class has a handful).
+
+class _DominanceJudge:
+    """One dominance record per plan for one pruning pass.
+
+    Everything :meth:`dominated_by_any` compares — ``(site, temp,
+    stored?, effective order, paths, tables, preds, TID-free cols, total
+    cost, footprint)`` — is read off the property vector once per plan,
+    instead of once per pairwise comparison, and kept under the plan's
+    identity (the pass holds every plan it judges).  The effective order
+    is the interesting prefix; the footprint is ``None`` unless site
+    diversity is on; the TID-free view of COLS is computed once per
+    distinct column set (a class has a handful).
     """
 
-    __slots__ = ("totals", "effective", "footprint", "real_cols")
+    __slots__ = ("records",)
 
     def __init__(
         self,
@@ -189,34 +198,55 @@ class _DominanceJudge:
         site_diversity: bool,
     ) -> None:
         total = model.total
-        self.totals: dict[str, float] = {}
-        self.effective: dict[str, tuple] = {}
-        self.footprint: dict[str, tuple[frozenset, frozenset]] | None = (
-            {} if site_diversity else None
-        )
-        self.real_cols: dict[frozenset, frozenset] = {}
+        real_cols: dict[frozenset, frozenset] = {}
+        records: dict[int, tuple] = {}
+        self.records = records
         for plan in plans:
-            digest = plan.digest
-            if digest in self.totals:
-                continue
-            cols = plan.props.cols
-            if cols not in self.real_cols:
-                self.real_cols[cols] = _real_cols(cols)
-            self.totals[digest] = total(plan.props.cost)
-            self.effective[digest] = _effective_order(
-                plan.props.order, interesting
+            props = plan.props
+            cols = real_cols.get(props.cols)
+            if cols is None:
+                cols = real_cols[props.cols] = _real_cols(props.cols)
+            records[id(plan)] = (
+                props.site, props.temp, props.stored_as is not None,
+                _effective_order(props.order, interesting), props.paths,
+                props.tables, props.preds, cols, total(props.cost),
+                (plan_sites(plan), plan_links(plan)) if site_diversity else None,
             )
-            if self.footprint is not None:
-                self.footprint[digest] = (plan_sites(plan), plan_links(plan))
 
     def by_cost(self, plans: Iterable[PlanNode]) -> list[PlanNode]:
-        return sorted(plans, key=lambda p: self.totals[p.digest])
+        records = self.records
+        return sorted(plans, key=lambda p: records[id(p)][_TOTAL])
 
     def dominated_by_any(
         self, keepers: Iterable[PlanNode], cand: PlanNode
     ) -> bool:
+        """Does some keeper dominate ``cand`` (see :meth:`SAP.pruned`)?"""
+        records = self.records
+        (site, temp, stored, order, paths, tables, preds, cols, total,
+         footprint) = records[id(cand)]
+        prefix = len(order)
         for kept in keepers:
-            if _dominates(kept, cand, self):
+            (k_site, k_temp, k_stored, k_order, k_paths, k_tables, k_preds,
+             k_cols, k_total, k_footprint) = records[id(kept)]
+            if (
+                k_site == site
+                and not k_total > total
+                and (k_temp or not temp)
+                and (k_stored or not stored)
+                and k_order[:prefix] == order
+                and paths <= k_paths
+                and k_tables == tables
+                and k_preds == preds
+                and (k_cols is cols or k_cols == cols)
+                # The keeper may only subsume the candidate if everything
+                # it depends on, the candidate depends on too — otherwise
+                # the candidate survives failures the keeper does not.
+                and (
+                    footprint is None
+                    or k_footprint[0] <= footprint[0]
+                    and k_footprint[1] <= footprint[1]
+                )
+            ):
                 return True
         return False
 
@@ -236,33 +266,3 @@ def _real_cols(cols: frozenset) -> frozenset:
     """Columns excluding TID pseudo-columns (which carry no information
     the query needs and should not shield a plan from pruning)."""
     return frozenset(c for c in cols if not c.column.startswith("#"))
-
-
-def _dominates(a: PlanNode, b: PlanNode, judge: "_DominanceJudge") -> bool:
-    pa, pb = a.props, b.props
-    if pa.site != pb.site:
-        return False
-    if judge.footprint is not None:
-        a_sites, a_links = judge.footprint[a.digest]
-        b_sites, b_links = judge.footprint[b.digest]
-        # A may only subsume B if everything A depends on, B depends on
-        # too — otherwise B survives failures A does not.
-        if not (a_sites <= b_sites and a_links <= b_links):
-            return False
-    if pb.temp and not pa.temp:
-        return False
-    if pb.stored_as is not None and pa.stored_as is None:
-        return False
-    if not order_satisfies(judge.effective[a.digest], judge.effective[b.digest]):
-        return False
-    if not (pb.paths <= pa.paths):
-        return False
-    if pa.tables != pb.tables or pa.preds != pb.preds:
-        return False
-    if pa.cols is not pb.cols and (
-        judge.real_cols[pa.cols] != judge.real_cols[pb.cols]
-    ):
-        return False
-    if judge.totals[a.digest] > judge.totals[b.digest]:
-        return False
-    return True

@@ -348,15 +348,19 @@ def _parse(
     text: str, catalog: "Catalog", tables: Iterable[str], rule: Callable[[_Parser], _T]
 ) -> _T:
     """Parse all of ``text`` by one grammar rule; a grammar error leaves
-    with the line and column of the token the parser stopped at."""
+    with the line and column of the token the parser stopped at.  So does
+    nesting deeper than the interpreter's stack lets the descent follow."""
     parser = _Parser(text, catalog, tuple(tables))
     try:
         result = rule(parser)
         parser._expect_end()
         return result
-    except ParseError as error:
+    except (ParseError, RecursionError) as error:
+        message = (
+            error.args[0] if isinstance(error, ParseError) else "nesting too deep"
+        )
         _, line, column = _position(text, parser._pos)
-        raise ParseError(error.args[0], line, column) from None
+        raise ParseError(message, line, column) from None
 
 
 def parse_query(text: str, catalog: "Catalog") -> QueryBlock:

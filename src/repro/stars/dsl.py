@@ -413,5 +413,8 @@ def parse_rules(text: str, base: RuleSet | None = None) -> RuleSet:
     """Parse rule text into a :class:`RuleSet` (optionally extending an
     existing one in place)."""
     parser = _RuleParser(text)
-    rules = parser.parse(base)
-    return rules
+    try:
+        return parser.parse(base)
+    except RecursionError:
+        # Deeper than the interpreter's stack lets the descent follow.
+        raise parser._error("nesting too deep") from None

@@ -138,9 +138,24 @@ class RuleContext:
         #: search dies with BudgetExhausted (the optimizer catches it and
         #: assembles the best anytime answer).
         self.budget = budget
+        self._standard_preds: dict[frozenset[str], frozenset] = {}
         # Back-references installed by StarEngine.__init__.
         self.engine: "StarEngine" = None  # type: ignore[assignment]
         self.glue: Glue = None  # type: ignore[assignment]
+
+    def standard_preds(self, tables: frozenset[str]) -> frozenset:
+        """Predicates a plan over ``tables`` has applied when built by the
+        normal bottom-up enumeration: every query predicate local to the
+        table set.  A relational property of the class, so it is worked
+        out once per table set for the optimization."""
+        preds = self._standard_preds.get(tables)
+        if preds is None:
+            preds = self._standard_preds[tables] = frozenset(
+                p
+                for p in self.query.predicates
+                if (own := p.tables()) and own <= tables
+            )
+        return preds
 
 
 class StarEngine:

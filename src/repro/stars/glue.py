@@ -158,7 +158,7 @@ class Glue:
                 plans.append(ctx.factory.filter(plan, missing) if missing else plan)
             return SAP(plans)
 
-        standard = self._standard_preds(stream.tables)
+        standard = ctx.standard_preds(stream.tables)
         target = standard | push
         found = ctx.plan_table.lookup(stream.tables, target)
         if found is not None:
@@ -186,14 +186,6 @@ class Glue:
             return base
         filtered = base.map(lambda p: self._try(lambda: ctx.factory.filter(p, push)))
         return ctx.plan_table.insert(stream.tables, target, filtered)
-
-    def _standard_preds(self, tables: frozenset[str]) -> frozenset[Predicate]:
-        """Predicates a plan over ``tables`` has applied when built by the
-        normal bottom-up enumeration: every query predicate local to the
-        table set."""
-        return frozenset(
-            p for p in self._ctx.query.predicates if p.tables() and p.tables() <= tables
-        )
 
     # -- veneers (step 2) ------------------------------------------------------------
 

@@ -118,10 +118,8 @@ class PlanTable:
             # The stored SAP is non-dominated by construction, so the
             # merge only has to judge the new plans against the class —
             # O(new × total) instead of re-pruning the union from scratch.
-            known = {q.digest for q in existing}
-            before = len(existing) + sum(
-                1 for p in incoming if p.digest not in known
-            )
+            known = set(existing)
+            before = len(existing) + sum(1 for p in incoming if p not in known)
             merged = merge_pruned(
                 existing, incoming, self._model, self._interesting,
                 site_diversity=self._site_diversity,

@@ -103,3 +103,22 @@ class TestEnumeration:
         keys = engine.plan_table.keys()
         sizes = {len(tables) for tables, _ in keys}
         assert {1, 2} <= sizes
+
+    def test_standard_preds_has_one_definition_worked_out_once(self, catalog):
+        """Glue and the enumerator key the plan table on the same set: every
+        query predicate local to the table set, computed once per set."""
+        _, _, engine = run_enum(
+            catalog,
+            "SELECT NAME, MGR FROM DEPT, EMP "
+            "WHERE DEPT.DNO = EMP.DNO AND MGR = 'Haas' AND 1 = 1",
+        )
+        ctx, predicates = engine.ctx, engine.ctx.query.predicates
+        both, dept = frozenset(["DEPT", "EMP"]), frozenset(["DEPT"])
+        # ``1 = 1`` names no table: local to none, applied by none.
+        assert ctx.standard_preds(both) == frozenset(predicates[:2])
+        assert ctx.standard_preds(dept) == frozenset(predicates[1:2])
+        assert ctx.standard_preds(frozenset(["EMP"])) == frozenset()
+        assert ctx.standard_preds(frozenset(both)) is ctx.standard_preds(both)
+        assert set(engine.plan_table.keys()) >= {
+            (both, ctx.standard_preds(both)), (dept, ctx.standard_preds(dept))
+        }

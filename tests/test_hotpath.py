@@ -130,7 +130,18 @@ class TestPlanInterner:
         assert interner.stats.requests == 2
         assert interner.stats.hits == 1
         assert interner.stats.unique == 1
-        assert interner.get(plan.digest) is plan
+        # The key is the structure; what pricing found is not part of it.
+        repriced = dataclasses.replace(
+            plan, props=dataclasses.replace(plan.props, card=plan.props.card + 1)
+        )
+        assert interner.intern(repriced) is plan
+        assert len(interner) == 1
+        # A twin built apart (other objects all the way down) hashes alike
+        # and is recognized by digest.
+        stranger = _best(wl.catalog, wl.query).best_plan
+        assert stranger is not plan and stranger.inputs[0] is not plan.inputs[0]
+        assert interner.intern(stranger) is plan
+        assert len(interner) == 1
 
     def test_engine_interner_dedupes_during_optimization(self):
         wl = chain_workload(4, rows=30, seed=31)

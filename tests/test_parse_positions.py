@@ -72,3 +72,22 @@ def test_error_on_later_line_counts_newlines():
     with pytest.raises(ParseError) as exc:
         parse_rules(text)
     assert exc.value.line == 6
+
+
+@pytest.mark.parametrize(
+    "head, opening, closing, tail",
+    [
+        ("star S(T) { alt -> ", "f(", ")", "; }"),
+        ("star S(T) { alt if ", "(", ")", " -> T; }"),
+        ("star S(T) { where X = ", "{", "}", "; alt -> T; }"),
+    ],
+    ids=["calls", "condition-parentheses", "set-literals"],
+)
+def test_nesting_deeper_than_the_stack_is_a_parse_error(head, opening, closing, tail):
+    """Rule text is outside input (a DBC's file): nesting the descent
+    cannot follow is a positioned ``ParseError``, not a ``RecursionError``."""
+    parse_rules(head + opening * 50 + "T" + closing * 50 + tail)
+    for depth in (500, 5_000):
+        with pytest.raises(ParseError, match="nesting too deep") as exc:
+            parse_rules(head + opening * depth + "T" + closing * depth + tail)
+        assert exc.value.line == 1 and exc.value.column > len(head)

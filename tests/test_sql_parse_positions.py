@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ParseError
-from repro.query.parser import parse_query
+from repro.query.parser import parse_expression, parse_predicate, parse_query
 from repro.workloads import chain_workload
 
 #: (SQL text, expected line, expected column, message up to the position).
@@ -89,3 +89,33 @@ def test_positions_are_worked_out_once_per_failed_parse(catalog, monkeypatch):
     with pytest.raises(ParseError):
         parse_query(nested + " AND ((R0.VAL + 1)) >", catalog)
     assert len(calls) == 1
+
+
+#: Every entry point, with the text that nests its grammar ``depth`` deep.
+NESTED = {
+    "parse_query": lambda catalog, depth: parse_query(
+        "SELECT R0.ID FROM R0\nWHERE " + "(" * depth + "R0.VAL = 1" + ")" * depth,
+        catalog,
+    ),
+    "parse_predicate": lambda catalog, depth: parse_predicate(
+        "(" * depth + "R0.VAL = 1" + ")" * depth, catalog, ("R0",)
+    ),
+    "parse_expression": lambda catalog, depth: parse_expression(
+        "(" * depth + "R0.VAL" + ")" * depth, catalog, ("R0",)
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", NESTED)
+def test_nesting_deeper_than_the_stack_is_a_parse_error(catalog, entry):
+    """A recursive descent cannot follow nesting past the interpreter's
+    stack; that is the statement's fault and reads like one — a
+    ``ParseError`` with a position, never a raw ``RecursionError``."""
+    NESTED[entry](catalog, 50)
+    for depth in (500, 5_000):
+        with pytest.raises(ParseError, match="nesting too deep") as exc:
+            NESTED[entry](catalog, depth)
+        err = exc.value
+        assert err.line == (2 if entry == "parse_query" else 1)
+        assert err.column > 1
+        assert str(err).endswith(f"(line {err.line}, column {err.column})")
