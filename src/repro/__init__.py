@@ -80,7 +80,6 @@ from repro.executor import (
 from repro.obs import (
     AnalyzeReport,
     MetricsRegistry,
-    Observability,
     TraceEvent,
     Tracer,
     explain_analyze,
@@ -141,7 +140,6 @@ __all__ = [
     "LinkError",
     "MetricsRegistry",
     "NetworkError",
-    "Observability",
     "OptimizationError",
     "OptimizationResult",
     "OptimizerBudget",

@@ -51,7 +51,7 @@ Subcommands:
 
 ``serve``, ``loadgen`` and ``dash`` share the telemetry flags
 (``--sample``, ``--flight-size``, ``--flight-out``, ``--slo-latency``,
-``--metrics-port``, ``--no-telemetry``) — experiment E16's CLI face —
+``--metrics-port``) — experiment E16's CLI face —
 and the crash-safety flags (``--pool-workers``, ``--pool-timeout``,
 ``--respawn-budget``, ``--snapshot-dir``, ``--snapshot-every``,
 ``--quarantine-strikes``) — experiment E17's.
@@ -118,6 +118,11 @@ def _load_workload_full(spec: str):
         shape, _, count = spec.partition(":")
         makers = {"chain": chain_workload, "star": star_workload, "clique": clique_workload}
         if shape in makers:
+            if not count.isdigit():
+                raise ReproError(
+                    f"workload {spec!r}: size must be a whole number, "
+                    f"got {count!r}"
+                )
             wl = makers[shape](int(count))
             return wl.catalog, wl.database, wl.query
     raise SystemExit(
@@ -264,11 +269,7 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
 
     catalog, _database, query = _load_workload_full(args.workload)
     queries = [args.sql if args.sql is not None else query] * args.queries
-    config = OptimizerConfig(
-        memo_stars=not args.no_memo,
-        intern_plans=not args.no_intern,
-        prune=not args.no_prune,
-    )
+    config = OptimizerConfig(prune=not args.no_prune)
     rules = _rule_set(args.rules)
 
     def run():
@@ -289,9 +290,7 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
     throughput = len(results) / elapsed if elapsed else 0.0
     print(f"workload: {args.workload}  queries: {len(results)}  "
           f"workers: {args.workers}  repeat: {args.repeat}")
-    print(f"layers: memo={'on' if config.memo_stars else 'off'} "
-          f"intern={'on' if config.intern_plans else 'off'} "
-          f"prune={'on' if config.prune else 'off'}")
+    print(f"layers: prune={'on' if config.prune else 'off'}")
     print(f"wall time: {elapsed:.3f}s  throughput: {throughput:.2f} queries/s")
     ok_results = [r for r in results if r.ok]
     if ok_results:
@@ -299,9 +298,8 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
         print(f"best plan: {sample.plan_digest} cost {sample.best_cost:.2f} "
               f"({sample.alternatives} alternative(s))")
         memo = sample.memo_stats
-        if memo:
-            print(f"memo: {memo.get('hits', 0):.0f}/{memo.get('lookups', 0):.0f} "
-                  f"hits (rate {memo.get('hit_rate', 0.0):.2f})")
+        print(f"memo: {memo['hits']:.0f}/{memo['lookups']:.0f} "
+              f"hits (rate {memo['hit_rate']:.2f})")
     for failure in failed:
         print(f"error: query #{failure.index}: {failure.error}", file=sys.stderr)
     if args.json:
@@ -313,11 +311,7 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
             "workers": args.workers,
             "elapsed_seconds": elapsed,
             "throughput_qps": throughput,
-            "config": {
-                "memo_stars": config.memo_stars,
-                "intern_plans": config.intern_plans,
-                "prune": config.prune,
-            },
+            "config": {"prune": config.prune},
             "results": [r.as_dict() for r in results],
         }
         with open(args.json, "w") as handle:
@@ -581,8 +575,6 @@ def _service_config(args: argparse.Namespace) -> "ServiceConfig":
 def _telemetry_config(args: argparse.Namespace) -> "TelemetryConfig":
     from repro.obs import SLObjective, TelemetryConfig
 
-    if args.no_telemetry:
-        return TelemetryConfig.disabled()
     slos = ()
     if args.slo_latency is not None:
         slos = (SLObjective.latency(
@@ -908,6 +900,14 @@ def cmd_rules(args: argparse.Namespace) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -986,13 +986,9 @@ def main(argv: list[str] | None = None) -> int:
     bench_opt.add_argument("--workers", type=int, default=1,
                            help="process-pool workers; <=1 runs inline "
                                 "(default: 1)")
-    bench_opt.add_argument("--repeat", type=int, default=1,
+    bench_opt.add_argument("--repeat", type=_at_least_one, default=1,
                            help="repetitions; the fastest run is reported "
                                 "(default: 1)")
-    bench_opt.add_argument("--no-memo", action="store_true",
-                           help="disable the STAR memo (layer 1)")
-    bench_opt.add_argument("--no-intern", action="store_true",
-                           help="disable plan interning (layer 2)")
     bench_opt.add_argument("--no-prune", action="store_true",
                            help="disable dominance pruning (layer 3)")
     bench_opt.add_argument("--json", metavar="FILE",
@@ -1167,9 +1163,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--trace-out", metavar="FILE",
                        help="write the request-stamped event log as JSON "
                             "lines")
-        p.add_argument("--no-telemetry", action="store_true",
-                       help="disable request tracing, the flight recorder "
-                            "and SLO monitoring (the E16 baseline)")
 
     def _loadgen_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--requests", type=int, default=60,
@@ -1217,7 +1210,7 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("--tenants", type=int, default=1,
                        help="tenants requests are spread over round-robin "
                             "(default: 1)")
-    serve.add_argument("--burst", type=int, default=None,
+    serve.add_argument("--burst", type=_at_least_one, default=None,
                        help="requests submitted back-to-back before awaiting "
                             "(default: the queue limit)")
     _service_flags(serve)
@@ -1286,7 +1279,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ReproError as exc:
+    except (ReproError, ValueError) as exc:
+        # ValueError: a flag value outside the range a config dataclass's
+        # __post_init__ accepts — those validators are the one definition
+        # of the legal ranges.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

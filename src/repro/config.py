@@ -38,23 +38,6 @@ class OptimizerConfig:
     #: alternatives that could never win.
     prune: bool = True
 
-    #: Memoize STAR expansions per optimization (hot-path layer 1): a
-    #: repeated reference of a STAR with the same canonicalized arguments
-    #: — including any Requirements riding on stream arguments — returns
-    #: the cached SAP instead of re-expanding.  Cache hits are free: they
-    #: are not charged against an :class:`~repro.robust.budget.
-    #: OptimizerBudget`'s expansion counter.  Off only for A/B
-    #: measurement (E13) and correctness cross-checks.
-    memo_stars: bool = True
-
-    #: Hash-cons plan nodes (hot-path layer 2): structurally identical
-    #: plans constructed through different rule paths become the *same*
-    #: object, so shared fragments are physically shared, equality
-    #: short-circuits on identity, and a LOLEPOP applied again to the
-    #: same input nodes is looked up instead of priced.  Off only for A/B
-    #: measurement (E13).
-    intern_plans: bool = True
-
     #: Safety limit on STAR expansion depth (a DBC-authored rule cycle
     #: fails fast instead of recursing forever).
     max_depth: int = 64

@@ -27,9 +27,7 @@ columnar data plane the plan interpreter
 * :class:`BatchBuilder` — cuts join output chunks into full batches,
   copying each value once;
 * :func:`sort_permutation` / :func:`batch_bytes` — the SORT key and the
-  SHIP byte-accounting kernels;
-* :class:`CheckpointBatchIterator` — counts a batch stream for the
-  cardinality checkpoint of the operator that buffers it.
+  SHIP byte-accounting kernels.
 
 Every kernel keeps its input's row *order* and the engine's two-valued
 ``None`` semantics (a comparison with ``None`` on either side is false):
@@ -392,45 +390,6 @@ def batches_of(items: Iterator, batch_size: int) -> Iterator[list]:
             chunk = []
     if chunk:
         yield chunk
-
-
-class CheckpointBatchIterator:
-    """Wrap a batch stream; checkpoint its producing node on exhaustion.
-
-    Only a *fully drained* stream yields a trustworthy count, so each
-    yielded batch adds its row count and the check runs exactly once,
-    when the underlying iterator raises ``StopIteration``.  Abandoned
-    iterators (e.g. a merge join whose other side ran dry) never check —
-    a partial count would poison the feedback cache.  ``observe`` is a
-    callable rather than a policy so the executor can attach its partial
-    stats to a violation before it escapes.
-    """
-
-    def __init__(
-        self,
-        batches: Iterable,
-        node: Any,
-        observe: Callable[[Any, int], None],
-    ):
-        self._batches = iter(batches)
-        self._node = node
-        self._observe = observe
-        self.count = 0
-        self._checked = False
-
-    def __iter__(self) -> Iterator:
-        return self
-
-    def __next__(self):
-        try:
-            batch = next(self._batches)
-        except StopIteration:
-            if not self._checked:
-                self._checked = True
-                self._observe(self._node, self.count)
-            raise
-        self.count += len(batch)
-        return batch
 
 
 def sort_permutation(

@@ -31,7 +31,7 @@ from repro.errors import NetworkError, OptimizationError, ReproError
 from repro.executor.chaos import ChaosConfig, ChaosEngine, RetryPolicy
 from repro.executor.runtime import ExecutionResult, ExecutionStats, QueryExecutor
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.plans.plan import PlanNode, plan_links, plan_sites
 from repro.storage.table import Database
 
@@ -124,7 +124,7 @@ class ResilientExecutor:
         self.chaos = chaos if chaos is not None else ChaosEngine()
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_failovers = max_failovers
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self.metrics = metrics
         #: Optional CheckpointPolicy / shared temp cache threaded through to
         #: every QueryExecutor this run constructs (the adaptive loop's hooks).

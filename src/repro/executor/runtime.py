@@ -30,7 +30,7 @@ from repro.executor.network import NetworkSim
 from repro.executor.vectorized import DEFAULT_BATCH_SIZE, _BatchRun
 from repro.obs.metrics import stats_snapshot
 from repro.obs.telemetry import TraceContext
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.plans.plan import PlanNode
 from repro.query.expressions import ColumnRef, RowContext
 from repro.query.query import QueryBlock
@@ -124,7 +124,7 @@ class QueryExecutor:
         self.metrics = metrics
         #: Structured-event tracer; normalized so that a disabled tracer
         #: costs exactly as much as no tracer (the <5% overhead budget).
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         #: Optional :class:`~repro.robust.checkpoint.CheckpointPolicy`;
         #: when set, every completed materialization compares actual rows
         #: against the property vector's CARD.

@@ -18,8 +18,7 @@ by the differential tests:
   checkpoint observations and shipped bytes do not depend on
   ``batch_size``;
 * **batch-boundary robustness** — cardinality checkpoints fire with the
-  stream's count at the SORT/STORE materialization points (via
-  :class:`~repro.executor.batch_ops.CheckpointBatchIterator`), and SHIP
+  stream's count at the SORT/STORE materialization points, and SHIP
   transfers one message bundle per batch: a chaos retry re-sends the
   failed batch inside :meth:`NetworkSim.transfer`, and rows are counted
   as delivered exactly once, after their batch's transfer succeeded —
@@ -78,7 +77,6 @@ from repro.errors import CardinalityViolation, ExecutionError
 from repro.executor.batch_ops import (
     EVAL_FAILED,
     BatchBuilder,
-    CheckpointBatchIterator,
     ColumnBatch,
     _sort_key,
     apply_filter,
@@ -511,15 +509,12 @@ class _BatchRun:
         self, node: PlanNode, bindings: RowContext | None
     ) -> Iterator[ColumnBatch]:
         order: tuple[ColumnRef, ...] = node.param("order", ())
-        source = self.execute(node.inputs[0], bindings)
-        # SORT buffers its whole input — the cardinality checkpoint fires
-        # on the final batch boundary with the exact stream count (streams
-        # under sideways bindings carry per-probe counts: never checked).
+        combined = concat_batches(list(self.execute(node.inputs[0], bindings)))
+        # SORT buffers its whole input, so the buffer's length is the exact
+        # stream count the cardinality checkpoint needs (streams under
+        # sideways bindings carry per-probe counts: never checked).
         if self.checkpoints is not None and bindings is None:
-            source = CheckpointBatchIterator(
-                source, node.inputs[0], self._checkpoint
-            )
-        combined = concat_batches(list(source))
+            self._checkpoint(node.inputs[0], combined.length)
         perm = sort_permutation(combined, order)
         for start in range(0, combined.length, self.batch_size):
             yield combined.take(perm[start:start + self.batch_size])

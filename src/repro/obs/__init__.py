@@ -13,15 +13,9 @@ The measurement substrate for the reproduction's efficiency claims:
 * :func:`~repro.obs.analyze.explain_analyze` — execute the chosen QEP
   and join per-operator actual rows against estimated CARD, computing
   per-operator and plan-level Q-error.
-
-``Observability`` bundles a tracer and a registry for APIs that thread
-both (:class:`~repro.optimizer.optimizer.StarburstOptimizer`,
-:class:`~repro.executor.resilient.ResilientExecutor`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.obs.analyze import (
     AnalyzeReport,
@@ -65,26 +59,9 @@ from repro.obs.trace import (
     PHASES,
     TraceEvent,
     Tracer,
-    active_tracer,
     validate_events,
     validate_jsonl,
 )
-
-
-@dataclass
-class Observability:
-    """A tracer + metrics registry pair, enabled as a unit."""
-
-    tracer: Tracer = field(default_factory=Tracer)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-
-    @classmethod
-    def enabled(cls, capacity: int = 65536) -> "Observability":
-        return cls(tracer=Tracer(capacity=capacity), metrics=MetricsRegistry())
-
-    @classmethod
-    def disabled(cls) -> "Observability":
-        return cls(tracer=Tracer.disabled(), metrics=MetricsRegistry())
 
 
 __all__ = [
@@ -98,7 +75,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Observability",
     "OperatorMeasure",
     "PHASES",
     "SLObjective",
@@ -109,7 +85,6 @@ __all__ = [
     "TraceEvent",
     "TraceSampler",
     "Tracer",
-    "active_tracer",
     "explain_analyze",
     "q_error",
     "render_openmetrics",

@@ -20,8 +20,8 @@ still emit a single ``serve``/``error`` instant carrying their rid.
 :class:`TelemetryConfig` bundles the serving-telemetry knobs — sampling
 rate, flight-recorder capacity and dump path, SLO objectives and the
 burn-rate thresholds at which :meth:`OptimizerService._choose_tier`
-starts degrading — so ``telemetry=TelemetryConfig.disabled()`` is the
-measured-baseline switch of the E16 overhead gate.
+starts degrading.  Each feature has its own zero (``sample_every=0``,
+``flight_capacity=0``, ``slos=()``); there is no master switch.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ class TelemetryConfig:
     chooser so degradation becomes a measured policy.
     """
 
-    #: Master switch: False disables request tracing, the flight
-    #: recorder, and SLO monitoring (the E16 overhead baseline).
-    enabled: bool = True
     #: Trace 1-in-N requests (0 = never, 1 = every request).
     sample_every: int = 16
     #: Flight-recorder ring size in requests (0 disables the recorder).
@@ -115,11 +112,6 @@ class TelemetryConfig:
             raise ValueError("flight_capacity must be >= 0")
         if self.slo_anytime_burn <= 0 or self.slo_heuristic_burn <= 0:
             raise ValueError("SLO burn thresholds must be positive")
-
-    @classmethod
-    def disabled(cls) -> "TelemetryConfig":
-        return cls(enabled=False, sample_every=0, flight_capacity=0)
-
 
 # ---------------------------------------------------------------------------
 # Span-tree reassembly

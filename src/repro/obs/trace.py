@@ -38,10 +38,9 @@ category     emitted by
 
 Design constraints:
 
-* **zero cost when disabled** — every instrumented hot path guards on
-  ``tracer is not None``; constructors normalize a disabled tracer to
-  ``None`` so the disabled mode is literally the uninstrumented code
-  path (benchmarked by E11);
+* **zero cost when off** — "no tracing" is ``tracer=None``, and every
+  instrumented hot path guards on ``tracer is not None``, so the
+  untraced mode is literally the uninstrumented code path;
 * **bounded memory** — events land in a ring buffer (``capacity``);
   eviction is counted in :attr:`Tracer.dropped`, never an error;
 * **deterministic streams** — event identity (phase, category, name,
@@ -170,22 +169,11 @@ class _Frame:
 
 
 class Tracer:
-    """Collects trace events into a ring buffer.
+    """Collects trace events into a ring buffer."""
 
-    A disabled tracer (``enabled=False``) accepts every call as a no-op;
-    instrumented components additionally normalize disabled tracers to
-    ``None`` at construction so their hot paths stay untouched.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 65536,
-        enabled: bool = True,
-        clock=time.perf_counter,
-    ):
+    def __init__(self, capacity: int = 65536, clock=time.perf_counter):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        self.enabled = enabled
         self.capacity = capacity
         self._clock = clock
         self._epoch = clock()
@@ -200,10 +188,6 @@ class Tracer:
         #: Events evicted from the ring buffer so far.
         self.dropped = 0
 
-    @classmethod
-    def disabled(cls) -> "Tracer":
-        return cls(capacity=1, enabled=False)
-
     # -- recording ----------------------------------------------------------
 
     def now(self) -> float:
@@ -212,8 +196,6 @@ class Tracer:
 
     def begin(self, cat: str, name: str, **args: Any) -> int:
         """Open a span; returns its id for :meth:`end`."""
-        if not self.enabled:
-            return -1
         span_id = self._next_span
         self._next_span += 1
         parent = self._stack[-1].span_id if self._stack else None
@@ -242,7 +224,7 @@ class Tracer:
         (:class:`TimedPulls`).  Like ``ts`` it is a wall-clock field,
         outside :meth:`signature`.
         """
-        if not self.enabled or not self._stack:
+        if not self._stack:
             return
         if span_id is None or self._stack[-1].span_id == span_id:
             frame = self._stack.pop()
@@ -279,8 +261,6 @@ class Tracer:
 
     def instant(self, cat: str, name: str, **args: Any) -> None:
         """Record a zero-duration event at the current nesting depth."""
-        if not self.enabled:
-            return
         span_id = self._next_span
         self._next_span += 1
         parent = self._stack[-1].span_id if self._stack else None
@@ -321,9 +301,6 @@ class Tracer:
         request handling in ``tracer.context(rid=...)`` and the whole
         span tree comes out stamped.  Contexts nest; inner keys win.
         """
-        if not self.enabled:
-            yield self
-            return
         self._context_stack.append(self._context)
         merged = dict(self._context)
         merged.update(_clean_args(args))
@@ -500,11 +477,3 @@ def validate_jsonl(text: str) -> list[str]:
             errors.append(f"line {lineno}: invalid JSON ({exc})")
     errors.extend(validate_events(records))
     return errors
-
-
-def active_tracer(tracer: Tracer | None) -> Tracer | None:
-    """Normalize a tracer for hot-path guards: disabled tracers become
-    ``None`` so instrumented code pays nothing when tracing is off."""
-    if tracer is None or not tracer.enabled:
-        return None
-    return tracer

@@ -136,11 +136,7 @@ def _run_query(optimizer, index: int, query: QueryBlock | str) -> BatchResult:
         elapsed_seconds=time.perf_counter() - started,
         expansion_stats=result.stats.as_dict(),
         plan_table_stats=result.plan_table_stats.as_dict(),
-        memo_stats=(
-            result.engine.memo.stats.as_dict()
-            if result.engine.memo is not None
-            else {}
-        ),
+        memo_stats=result.engine.memo.stats.as_dict(),
         budget_exhausted=result.budget_exhausted,
         heuristic_fallback=result.heuristic_fallback,
     )

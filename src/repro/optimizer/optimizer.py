@@ -17,7 +17,7 @@ from repro.config import OptimizerConfig
 from repro.cost.model import CostModel, CostWeights
 from repro.errors import GlueError, OptimizationError, ReproError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.optimizer.enumerator import JoinEnumerator
 from repro.plans.plan import PlanNode
 from repro.plans.properties import Requirements
@@ -115,7 +115,7 @@ class StarburstOptimizer:
         self.weights = weights
         #: Structured observability, threaded into every engine this
         #: optimizer spins up (None = disabled = zero overhead).
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self.metrics = metrics
         #: Optional OptimizerBudget, reset at the start of every
         #: :meth:`optimize` call; on exhaustion the search stops and the
@@ -217,11 +217,10 @@ class StarburstOptimizer:
             self.metrics.ingest(
                 engine.plan_table.stats.as_dict(), prefix="plantable."
             )
-            if engine.memo is not None:
-                self.metrics.ingest(engine.memo.stats.as_dict(), prefix="memo.")
-            interner = engine.ctx.factory.interner
-            if interner is not None:
-                self.metrics.ingest(interner.stats.as_dict(), prefix="intern.")
+            self.metrics.ingest(engine.memo.stats.as_dict(), prefix="memo.")
+            self.metrics.ingest(
+                engine.ctx.factory.interner.stats.as_dict(), prefix="intern."
+            )
             self.metrics.observe(
                 "optimizer.elapsed_seconds", elapsed
             )

@@ -34,7 +34,7 @@ from repro.executor.chaos import ChaosConfig, ChaosEngine, RetryPolicy
 from repro.executor.resilient import ExecutionReport, ResilientExecutor
 from repro.executor.runtime import ExecutionResult, ExecutionStats
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.plans.plan import PlanNode
 from repro.query.query import QueryBlock
 from repro.robust.checkpoint import CheckpointPolicy
@@ -145,7 +145,7 @@ class AdaptiveExecutor:
         self.max_reoptimizations = max_reoptimizations
         self.chaos = chaos
         self.retry = retry
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         self.metrics = metrics
         if feedback is None:
             feedback = getattr(optimizer, "feedback", None) or FeedbackCache(

@@ -48,9 +48,9 @@ are silenced for the duration), except that failures always emit a
 ``serve``/``error`` instant.  A :class:`~repro.obs.flight.FlightRecorder`
 keeps the last K request summaries and dumps them when the drift
 breaker trips, a deadline-bounded request exhausts its budget, or an
-SLO enters violation.  ``telemetry=TelemetryConfig.disabled()`` turns
-the whole layer off (the E16 overhead baseline) and restores PR 6
-behavior: every request traced, unstamped, when a tracer is attached.
+SLO enters violation.  Each of the three has its own zero in
+:class:`~repro.obs.telemetry.TelemetryConfig` (``sample_every=0``,
+``flight_capacity=0``, ``slos=()``); there is no master switch.
 
 The service is single-loop asyncio: workers interleave with admission
 but optimizations themselves run inline, so behavior under a
@@ -86,7 +86,7 @@ from repro.obs.flight import FlightRecord, FlightRecorder
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.slo import SLOMonitor
 from repro.obs.telemetry import TelemetryConfig, TraceContext, TraceSampler
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.optimizer.batch import BatchSpec
 from repro.optimizer.optimizer import StarburstOptimizer
 from repro.query.parser import parse_query
@@ -373,7 +373,7 @@ class OptimizerService:
         self.telemetry = (
             telemetry if telemetry is not None else TelemetryConfig()
         )
-        self.tracer = active_tracer(tracer)
+        self.tracer = tracer
         # The registry is always present: it is the single path behind
         # ServiceReport percentiles and the /metrics endpoint.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -397,18 +397,13 @@ class OptimizerService:
             tracer=self.tracer,
             metrics=self.metrics,
         )
-        telemetry_on = self.telemetry.enabled
         self._sampler = TraceSampler(
-            self.telemetry.sample_every
-            if telemetry_on and self.tracer is not None else 0
+            self.telemetry.sample_every if self.tracer is not None else 0
         )
-        self._slo = SLOMonitor(
-            self.telemetry.slos if telemetry_on else (),
-            metrics=self.metrics,
-        )
+        self._slo = SLOMonitor(self.telemetry.slos, metrics=self.metrics)
         self.flight: FlightRecorder | None = (
             FlightRecorder(self.telemetry.flight_capacity)
-            if telemetry_on and self.telemetry.flight_capacity > 0 else None
+            if self.telemetry.flight_capacity > 0 else None
         )
         #: Text of the most recent flight-recorder dump (None until one
         #: triggers) — what tests and the forced-trip E16 gate read.
@@ -853,8 +848,6 @@ class OptimizerService:
         quarantines_before: int = 0,
     ) -> None:
         """Post-response telemetry: error instants, SLOs, flight recorder."""
-        if not self.telemetry.enabled:
-            return
         if (
             self.tracer is not None
             and not response.ok
@@ -926,19 +919,8 @@ class OptimizerService:
             return self._handle_traced(request, query, ctx)
         if self.tracer is None:
             return self._plan(request, query, ctx)
-        if not self.telemetry.enabled:
-            # PR 6 behavior when telemetry is off: every request gets an
-            # (unstamped) serve span, component tracers untouched.
-            span = self.tracer.begin("serve", "request", tenant=request.tenant)
-            tier = "?"
-            try:
-                response = self._plan(request, query, ctx)
-                tier = response.tier
-                return response
-            finally:
-                self.tracer.end(span, tier=tier)
-        # Telemetry on, request not sampled: silence the component
-        # tracers so unsampled requests cost (almost) nothing to trace.
+        # A tracer is attached but this request is not sampled: silence
+        # the component tracers so it costs (almost) nothing to trace.
         previous = (self.optimizer.tracer, self.cache.tracer)
         self.optimizer.tracer = None
         self.cache.tracer = None

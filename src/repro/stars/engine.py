@@ -65,7 +65,7 @@ from repro.stars.ast import (
     Term,
 )
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
-from repro.obs.trace import Tracer, active_tracer
+from repro.obs.trace import Tracer
 from repro.plans.intern import PlanInterner
 from repro.stars.glue import Glue
 from repro.stars.memo import StarMemo
@@ -176,13 +176,12 @@ class StarEngine:
         feedback=None,
     ):
         config = config if config is not None else OptimizerConfig()
-        tracer = active_tracer(tracer)
         factory = PlanFactory(
             catalog,
             model,
             avoid_sites=config.avoid_sites,
             feedback=feedback,
-            interner=PlanInterner() if config.intern_plans else None,
+            interner=PlanInterner(),
         )
         factory.tracer = tracer
         if plan_table is None:
@@ -208,9 +207,9 @@ class StarEngine:
         )
         self.ctx.engine = self
         self.ctx.glue = Glue(self.ctx)
-        #: Per-optimization expansion memo (None when ``config.memo_stars``
-        #: is off): engine-local, never shared across optimizations.
-        self.memo: StarMemo | None = StarMemo() if config.memo_stars else None
+        #: Per-optimization expansion memo: engine-local, never shared
+        #: across optimizations.
+        self.memo = StarMemo()
         self._depth = 0
         #: Call-site → resolved StarRef cache for Call-to-STAR dispatch
         #: (avoids rebuilding the StarRef + Argument tuple per
@@ -270,20 +269,12 @@ class StarEngine:
                 f"STAR {star.name} takes {len(star.params)} argument(s), "
                 f"got {len(args)}"
             )
-        key = None
-        if self.memo is not None:
-            key = (star.name, tuple(_canonical(a) for a in args))
-            cached = self.memo.get(key)
-            if cached is not None:
-                # A memo hit dispatches in O(1): no alternatives evaluated,
-                # no plans built, and — deliberately — no budget charge.
-                ctx.stats.memo_hits += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.instant(
-                        "star", star.name, memo_hit=True, plans=len(cached)
-                    )
-                return cached
-            ctx.stats.memo_misses += 1
+        key = (star.name, tuple(_canonical(a) for a in args))
+        cached = self._recall(key, "star", star.name)
+        if cached is not None:
+            # A memo hit dispatches in O(1): no alternatives evaluated,
+            # no plans built, and — deliberately — no budget charge.
+            return cached
         if ctx.budget is not None:
             # BudgetExhausted is deliberately NOT a ReproError: it must cut
             # through every per-plan ``except ReproError`` on its way out.
@@ -316,9 +307,22 @@ class StarEngine:
                 else:
                     tracer.end(span, plans=len(result))
 
-        if self.memo is not None:
-            self.memo.put(key, result)
+        self.memo.put(key, result)
         return result
+
+    def _recall(self, key, cat: str, name: str) -> SAP | None:
+        """The memoized SAP for ``key``, counted and traced as a hit of
+        ``cat``/``name``; None (counted as a miss) when the caller must
+        compute it and ``self.memo.put`` it."""
+        ctx = self.ctx
+        cached = self.memo.get(key)
+        if cached is None:
+            ctx.stats.memo_misses += 1
+        else:
+            ctx.stats.memo_hits += 1
+            if ctx.tracer is not None:
+                ctx.tracer.instant(cat, name, memo_hit=True, plans=len(cached))
+        return cached
 
     def _eval_alternatives(self, star: StarDef, env: dict[str, Any]) -> SAP:
         ctx = self.ctx
@@ -411,25 +415,15 @@ class StarEngine:
         target = values[0]
         extra = frozenset(values[1]) if len(values) > 1 and values[1] else frozenset()
         if isinstance(target, Stream):
-            key = None
-            if self.memo is not None:
-                # Glue resolution is deterministic within one optimization:
-                # the plan-table class a stream reads is built exactly once
-                # and never replaced, so (stream, pushed preds) keys the
-                # result.  Both permutations of a merge-join pair request
-                # the same sorted sides — this is where the memo pays.
-                key = ("Glue", _canonical(target), _canonical(extra))
-                cached = self.memo.get(key)
-                if cached is not None:
-                    self.ctx.stats.memo_hits += 1
-                    if self.ctx.tracer is not None:
-                        self.ctx.tracer.instant(
-                            "glue", "resolve", memo_hit=True, plans=len(cached)
-                        )
-                    return cached
-                self.ctx.stats.memo_misses += 1
-            result = self.ctx.glue.resolve(target, extra_preds=extra)
-            if self.memo is not None:
+            # Glue resolution is deterministic within one optimization:
+            # the plan-table class a stream reads is built exactly once
+            # and never replaced, so (stream, pushed preds) keys the
+            # result.  Both permutations of a merge-join pair request
+            # the same sorted sides — this is where the memo pays.
+            key = ("Glue", _canonical(target), _canonical(extra))
+            result = self._recall(key, "glue", "resolve")
+            if result is None:
+                result = self.ctx.glue.resolve(target, extra_preds=extra)
                 self.memo.put(key, result)
             return result
         if isinstance(target, SAP):
@@ -441,20 +435,10 @@ class StarEngine:
     def _glue_augment(self, sap: SAP, req: Requirements) -> SAP:
         """Memoized veneer application for SAP-valued arguments — the
         ``T[temp]`` / ``[order = ...]`` decorations rules attach."""
-        key = None
-        if self.memo is not None:
-            key = ("Glue.augment", _canonical(sap), req)
-            cached = self.memo.get(key)
-            if cached is not None:
-                self.ctx.stats.memo_hits += 1
-                if self.ctx.tracer is not None:
-                    self.ctx.tracer.instant(
-                        "glue", "augment", memo_hit=True, plans=len(cached)
-                    )
-                return cached
-            self.ctx.stats.memo_misses += 1
-        result = self.ctx.glue.augment(sap, req)
-        if self.memo is not None:
+        key = ("Glue.augment", _canonical(sap), req)
+        result = self._recall(key, "glue", "augment")
+        if result is None:
+            result = self.ctx.glue.augment(sap, req)
             self.memo.put(key, result)
         return result
 

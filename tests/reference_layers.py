@@ -1,0 +1,73 @@
+"""The optimizer without hot-path layers 1 and 2, for the tests to compare against.
+
+``StarEngine`` always builds a :class:`~repro.stars.memo.StarMemo` and
+always hands its ``PlanFactory`` a :class:`~repro.plans.intern.PlanInterner`;
+nothing in ``src/`` can ask for an optimization without them.  What the
+old ``memo_stars=False`` / ``intern_plans=False`` switches gave — every
+STAR reference expanded again, every LOLEPOP application priced and built
+again — lives here as a memo that never remembers and an interner that
+never shares, with the attribute surface (``stats`` included) of the
+classes they stand in for.  The ``layers_off`` fixture puts them where the
+engine looks its collaborators up, the way
+``test_hash_join_label_says_what_it_built[iterator]`` substitutes
+``repro.executor.runtime.QueryExecutor``.  It is test code: nothing under
+``src/`` imports it.  (Layer 3, dominance pruning, stays
+``OptimizerConfig(prune=False)``: ablation A1 and the backend tests ask
+for the unpruned space.)
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import pytest
+
+from repro.plans.intern import PlanInterner
+from repro.plans.plan import PlanNode
+from repro.stars.memo import StarMemo
+
+
+class ForgetfulMemo(StarMemo):
+    """Every lookup misses: each reference pays for its own expansion."""
+
+    __slots__ = ()
+
+    def put(self, key, sap) -> None:
+        pass
+
+
+class SeparateInterner(PlanInterner):
+    """Every application is new: nothing is found before pricing and every
+    node built is its own canonical representative."""
+
+    __slots__ = ()
+
+    def find(self, key: tuple) -> None:
+        return None
+
+    def intern(self, node: PlanNode) -> PlanNode:
+        self.stats.requests += 1
+        self.stats.unique += 1
+        return node
+
+
+#: Layer name → (where ``StarEngine`` looks the collaborator up, stand-in).
+REFERENCES = {
+    "memo": ("repro.stars.engine.StarMemo", ForgetfulMemo),
+    "intern": ("repro.stars.engine.PlanInterner", SeparateInterner),
+}
+
+
+@pytest.fixture
+def layers_off(monkeypatch):
+    """``with layers_off("memo", "intern"): ...`` — engines constructed in
+    the block run on the stand-ins for the named layers."""
+
+    @contextmanager
+    def off(*layers: str):
+        with monkeypatch.context() as patch:
+            for layer in layers:
+                patch.setattr(*REFERENCES[layer])
+            yield
+
+    return off

@@ -37,12 +37,17 @@ from repro.config import OptimizerConfig
 from repro.cost.propfuncs import PlanFactory
 from repro.errors import BackendError
 from repro.optimizer import StarburstOptimizer
-from repro.plans.operators import STORE
+from repro.plans.operators import LOLEPOPS, STORE
 from repro.query.expressions import ColumnRef
 from repro.query.parser import parse_predicate, parse_query
 from repro.stars.builtin_rules import extended_rules
 from repro.storage import Database
-from repro.workloads import chain_workload, clique_workload, star_workload
+from repro.workloads import (
+    chain_workload,
+    clique_workload,
+    skewed_workload,
+    star_workload,
+)
 from repro.workloads.paper import figure1_query, paper_catalog, paper_database
 from tests.reference_executor import ReferenceExecutor
 
@@ -92,14 +97,27 @@ def distinct_plans(result, limit=None):
     return plans
 
 
+#: ``(op, flavor)`` of every node of every plan :func:`assert_agreement`
+#: has passed — what ``test_checked_plans_cover_the_repertoire`` reads.
+CHECKED: set[tuple[str, str | None]] = set()
+
+
+def assert_agreement(query, plan, database):
+    """All three backends return rows (so the SQL lowering compiled the
+    plan) and the same normalized row set."""
+    report = ORACLE.check(query, plan, database)
+    assert not report.errors, report.mismatch_summary()
+    assert report.agreed, report.mismatch_summary()
+    CHECKED.update((node.op, node.flavor) for node in plan.nodes())
+
+
 def assert_plans_agree(catalog, database, query, rules=None, config=None, limit=None):
     optimizer = StarburstOptimizer(catalog, rules=rules, config=config)
     result = optimizer.optimize(query)
     plans = distinct_plans(result, limit)
     assert plans
     for plan in plans:
-        report = ORACLE.check(result.query, plan, database)
-        assert report.agreed, report.mismatch_summary()
+        assert_agreement(result.query, plan, database)
     return result
 
 
@@ -225,6 +243,13 @@ class TestOracleAgreement:
         flavors = {n.flavor for p in distinct_plans(result, 32) for n in p.nodes()}
         assert "SJ" in flavors
 
+    def test_btree_organized_table(self):
+        """The skewed workload's R0 is stored as a B-tree: ACCESS(btree)."""
+        wl = skewed_workload(n0=400, n1=120)
+        result = assert_plans_agree(wl.catalog, wl.database, wl.query, limit=8)
+        flavors = {n.flavor for p in distinct_plans(result, 8) for n in p.nodes()}
+        assert "btree" in flavors
+
 
 # ---------------------------------------------------------------------------
 # NULL, empty-table, and duplicate-row semantics
@@ -336,8 +361,7 @@ class TestEdgeSemantics:
         pred = parse_predicate("NOT (T.B < 4)", cat, ("T",))
         cols = frozenset(ColumnRef("T", c) for c in ("A", "B"))
         plan = factory.filter(factory.access_base("T", cols, ()), {pred})
-        report = ORACLE.check(query, plan, db)
-        assert report.agreed, report.mismatch_summary()
+        assert_agreement(query, plan, db)
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +464,7 @@ def test_random_predicates_all_backends(paper_db, mgr, dno, low, high):
     )
     result = StarburstOptimizer(cat).optimize(query)
     for plan in distinct_plans(result, limit=4):
-        report = ORACLE.check(result.query, plan, db)
-        assert report.agreed, report.mismatch_summary()
+        assert_agreement(result.query, plan, db)
 
 
 @settings(
@@ -459,5 +482,20 @@ def test_random_workloads_all_backends(maker, n, seed, sites):
     wl = maker(n, rows=60, seed=seed, n_sites=sites)
     result = StarburstOptimizer(wl.catalog).optimize(wl.query)
     for plan in distinct_plans(result, limit=3):
-        report = ORACLE.check(result.query, plan, wl.database)
-        assert report.agreed, report.mismatch_summary()
+        assert_agreement(result.query, plan, wl.database)
+
+
+def test_checked_plans_cover_the_repertoire():
+    """The plans this module put through the oracle exercise every LOLEPOP
+    and every ACCESS and JOIN flavor, so agreement above is agreement on
+    the whole repertoire.  Reads what the tests above recorded: it runs
+    last, and means something only after they ran."""
+    if not CHECKED:
+        pytest.skip("no oracle test of this module ran before this one")
+    repertoire = {
+        (op, flavor)
+        for op, spec in LOLEPOPS.items()
+        for flavor in (spec.flavors or (None,))
+    }
+    missing = repertoire - CHECKED
+    assert not missing, f"never put through the oracle: {sorted(missing, key=str)}"

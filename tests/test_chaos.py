@@ -9,12 +9,16 @@ import pytest
 from repro.cost.model import MESSAGE_SIZE, CostModel, ship_messages
 from repro.errors import (
     LinkError,
+    NetworkError,
     SiteUnavailableError,
     TransientNetworkError,
 )
+from repro.executor import QueryExecutor
 from repro.executor.chaos import ChaosConfig, ChaosEngine, RetryPolicy, SimClock
 from repro.executor.network import NetworkSim
+from repro.optimizer import StarburstOptimizer
 from repro.query.expressions import ColumnRef
+from repro.workloads.paper import figure1_query, paper_catalog, paper_database
 
 
 class TestRetryPolicy:
@@ -167,6 +171,45 @@ class TestNetworkRetries:
         assert link.attempts == 1
         assert link.retries == 0
         assert link.tuples == 5
+
+
+@pytest.fixture(scope="module")
+def figure3_plan():
+    """The Figure-3 distributed query's chosen plan and its database."""
+    catalog = paper_catalog(distributed=True)
+    result = StarburstOptimizer(catalog).optimize(figure1_query(catalog))
+    return paper_database(catalog), result.best_plan
+
+
+class TestRetrySweep:
+    """Experiment E10 part 1: the chosen distributed plan executed under
+    per-attempt transient SHIP failures, one run per seed.  Every draw is
+    seeded and backoff runs on the simulated clock, so the counts repeat."""
+
+    SEEDS = range(60)
+
+    def _successes(self, database, plan, prob, policy):
+        done = 0
+        for seed in self.SEEDS:
+            chaos = ChaosEngine(ChaosConfig(seed=seed, link_failure_prob=prob))
+            try:
+                QueryExecutor(database, chaos=chaos, retry=policy).run_plan(plan)
+            except NetworkError:
+                continue
+            done += 1
+        return done
+
+    @pytest.mark.parametrize("prob", [0.05, 0.10, 0.20, 0.30])
+    def test_bounded_retries_absorb_transient_link_failures(
+        self, figure3_plan, prob
+    ):
+        database, plan = figure3_plan
+        retried = self._successes(database, plan, prob, RetryPolicy())
+        unretried = self._successes(
+            database, plan, prob, RetryPolicy.no_retries()
+        )
+        assert retried >= 0.95 * len(self.SEEDS)
+        assert unretried < retried
 
 
 class TestMessageAccounting:

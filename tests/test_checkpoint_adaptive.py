@@ -131,10 +131,10 @@ class TestStoreCheckpointAndTempReuse:
         db.drop_temps()
 
 
-@pytest.fixture(scope="module")
-def skewed():
-    """The E12 kernel at test scale, plus its static baseline."""
-    wl = skewed_workload(n0=4000, n1=300, seed=3)
+def _with_static_baseline(wl):
+    """A skewed workload plus the static plan's rows and executed cost,
+    under the paper's NL + MG join repertoire (the hash-join extension
+    would shrink the static plan space the checkpoint escapes from)."""
     rules = extended_rules(hash_join=False)
     weights = CostWeights()
     optimizer = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
@@ -146,6 +146,29 @@ def skewed():
     return wl, rules, weights, static_result, static_cost
 
 
+@pytest.fixture(scope="module")
+def skewed():
+    """The E12 kernel at test scale, plus its static baseline."""
+    return _with_static_baseline(skewed_workload(n0=4000, n1=300, seed=3))
+
+
+#: Experiment E12's five misestimated workloads at its smoke scale: the
+#: statistics claim ``VAL`` spans ``[0, stats_high]`` when it spans
+#: ``[0, val_range)``, so the filter estimate is off by their ratio.
+E12_SKEWS = {
+    "mg-trap-100x": dict(seed=3, n0=4000, n1=200, ndist=50,
+                         val_range=1000, cut=5, stats_high=9),
+    "big-base-100x": dict(seed=11, n0=8000, n1=200, ndist=50,
+                          val_range=1000, cut=5, stats_high=9),
+    "fat-fanout-100x": dict(seed=23, n0=4000, n1=200, ndist=25,
+                            val_range=1000, cut=5, stats_high=9),
+    "mild-40x": dict(seed=31, n0=4000, n1=300, ndist=50,
+                     val_range=1000, cut=5, stats_high=24),
+    "extreme-250x": dict(seed=47, n0=6000, n1=200, ndist=40,
+                         val_range=2000, cut=4, stats_high=7),
+}
+
+
 def _adaptive(skewed_fixture, **kwargs):
     wl, rules, weights, _, _ = skewed_fixture
     optimizer = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
@@ -153,36 +176,31 @@ def _adaptive(skewed_fixture, **kwargs):
 
 
 class TestAdaptiveLoop:
-    def test_violation_triggers_reoptimization_and_wins(self, skewed):
-        _, _, _, static_result, static_cost = skewed
-        report = _adaptive(skewed, qerror_threshold=10.0).run(skewed[0].query)
-        assert report.succeeded
-        assert report.checkpoint_violations >= 1
-        assert report.reoptimizations >= 1
-        assert report.attempts == report.reoptimizations + 1
-        assert report.result.as_multiset() == static_result.as_multiset()
-        # Total adaptive cost (aborted work included) beats the static
-        # plan: the checkpoint fired before the expensive merge scan.
-        assert report.executed_cost < static_cost
+    def test_violation_triggers_reoptimization_and_wins(self):
+        # A loop, not ``parametrize``: the five workloads are one claim
+        # (E12: adaptive beats static wherever the statistics lie).
+        for name, spec in E12_SKEWS.items():
+            setup = _with_static_baseline(skewed_workload(**spec))
+            wl, _, _, static_result, static_cost = setup
+            report = _adaptive(setup, qerror_threshold=10.0).run(wl.query)
+            assert report.succeeded, name
+            assert report.checkpoint_violations >= 1, name
+            assert report.reoptimizations >= 1, name
+            assert report.attempts == report.reoptimizations + 1, name
+            assert report.result.as_multiset() == static_result.as_multiset(), name
+            # Total adaptive cost (aborted work included) beats the static
+            # plan: the checkpoint fired before the expensive merge scan.
+            assert report.executed_cost < static_cost, name
 
     def test_accurate_statistics_run_unperturbed(self):
-        wl = skewed_workload(n0=4000, n1=300, seed=3, stats_high=None)
-        rules = extended_rules(hash_join=False)
-        weights = CostWeights()
-        optimizer = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
-        static = optimizer.optimize(wl.query)
-        static_result = QueryExecutor(wl.database).run(
-            static.query, static.best_plan
+        setup = _with_static_baseline(
+            skewed_workload(n0=4000, n1=300, seed=3, stats_high=None)
         )
-        report = _adaptive(
-            (wl, rules, weights, None, None), qerror_threshold=10.0
-        ).run(wl.query)
+        report = _adaptive(setup, qerror_threshold=10.0).run(setup[0].query)
         assert report.succeeded
         assert report.attempts == 1
         assert report.checkpoint_violations == 0
-        assert report.executed_cost == pytest.approx(
-            executed_cost(static_result.stats, weights)
-        )
+        assert report.executed_cost == pytest.approx(setup[-1])
 
     def test_final_attempt_runs_disarmed(self, skewed):
         _, _, _, static_result, _ = skewed

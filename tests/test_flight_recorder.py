@@ -11,6 +11,7 @@ from repro.obs import (
     FlightRecord,
     FlightRecorder,
     TelemetryConfig,
+    q_error,
     validate_flight_dump,
 )
 from repro.obs.flight import parse_dumps
@@ -144,12 +145,16 @@ def _tripped_service(workload):
 
 class TestServiceIncidents:
     def _drift(self, service, feedback, workload):
+        """Record a runtime observation 100x the cached entry's estimate;
+        returns ``(query, estimate, observation)``."""
         from repro.query.parser import parse_query
 
         query = parse_query(SQL_B, workload.catalog)
         entry = service.cache.lookup_stale(query)
         assert entry is not None
-        feedback.record(*entry.exact_key, entry.estimated_card * 100.0)
+        observed = entry.estimated_card * 100.0
+        feedback.record(*entry.exact_key, observed)
+        return query, entry.estimated_card, observed
 
     def test_breaker_trip_dumps_flight_recorder(self, workload):
         service, feedback = _tripped_service(workload)
@@ -162,6 +167,22 @@ class TestServiceIncidents:
         header = json.loads(service.last_flight_dump.splitlines()[0])
         assert "breaker_trip" in header["reason"]
         assert service.metrics.snapshot()["telemetry.flight_dumps"] == 1
+
+    def test_trip_reoptimizes_back_inside_the_drift_threshold(self, workload):
+        """The recovery half of the incident (experiment E15 part C): the
+        trip forces a re-optimization that the observation now steers, so
+        the replacement entry no longer drifts and serves hits again."""
+        service, feedback = _tripped_service(workload)
+        query, estimated, observed = self._drift(service, feedback, workload)
+        threshold = service.config.drift_threshold
+        assert q_error(estimated, observed) > threshold
+        responses = service.serve_all([Request(SQL_B)] * 3, burst=1)
+        # breaker_threshold=2: a drifted hit inside the grace window, the
+        # trip and its re-optimization, then a hit on the fresh entry.
+        assert [r.tier for r in responses] == ["cached", "full", "cached"]
+        fresh = service.cache.lookup_stale(query)
+        assert q_error(fresh.estimated_card, observed) <= threshold
+        assert service.cache.stats.breaker_trips == 1
 
     def test_dump_goes_to_file_when_configured(self, workload, tmp_path):
         path = tmp_path / "incidents.jsonl"

@@ -3,7 +3,8 @@ STAR/Glue memoization, and the parallel batch driver.
 
 The load-bearing invariant everywhere: the performance layers must be
 *invisible* in the optimizer's answers — same best plan, same cost, with
-every layer toggled on or off.
+or without each of them.  The memo and the interner are not options of
+the optimizer; ``tests/reference_layers.py`` holds what runs without them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ from repro.workloads import (
     star_workload,
 )
 
+from tests.reference_layers import (
+    ForgetfulMemo,
+    SeparateInterner,
+    layers_off,  # noqa: F401 — pytest fixture
+)
+
 
 def _workloads():
     """Small paper-workload suite: every shape, exhaustible sizes."""
@@ -44,14 +51,13 @@ def _workloads():
     ]
 
 
-#: Layer toggles: every single layer off, and everything off at once.
-_CONFIGS = {
-    "memo-off": OptimizerConfig(memo_stars=False),
-    "intern-off": OptimizerConfig(intern_plans=False),
-    "prune-off": OptimizerConfig(prune=False),
-    "all-off": OptimizerConfig(
-        memo_stars=False, intern_plans=False, prune=False
-    ),
+#: Layer toggles — (reference layers substituted, config): every single
+#: layer off, and everything off at once.
+_TOGGLES = {
+    "memo-off": (("memo",), OptimizerConfig()),
+    "intern-off": (("intern",), OptimizerConfig()),
+    "prune-off": ((), OptimizerConfig(prune=False)),
+    "all-off": (("memo", "intern"), OptimizerConfig(prune=False)),
 }
 
 
@@ -180,13 +186,19 @@ class TestLayerEquivalence:
         "name,catalog,query", _workloads(), ids=lambda v: str(v)[:20]
     )
     def test_same_best_plan_and_cost_under_every_toggle(
-        self, name, catalog, query
+        self, name, catalog, query, layers_off
     ):
         baseline = _best(catalog, query)
-        assert baseline.engine.memo is not None  # default-on
-        assert baseline.engine.ctx.factory.interner is not None
-        for label, config in _CONFIGS.items():
-            variant = _best(catalog, query, config)
+        for label, (off, config) in _TOGGLES.items():
+            with layers_off(*off):
+                variant = _best(catalog, query, config)
+            memo = variant.engine.memo
+            interner = variant.engine.ctx.factory.interner
+            # The stand-ins really ran and kept nothing; the real ones did.
+            assert isinstance(memo, ForgetfulMemo) == ("memo" in off)
+            assert isinstance(interner, SeparateInterner) == ("intern" in off)
+            assert (len(memo) == 0) == ("memo" in off)
+            assert (len(interner) == 0) == ("intern" in off)
             assert variant.best_plan.digest == baseline.best_plan.digest, (
                 f"{name}/{label}: best plan changed"
             )

@@ -10,7 +10,6 @@ from repro.obs.trace import (
     TimedPulls,
     TraceEvent,
     Tracer,
-    active_tracer,
     validate_events,
     validate_jsonl,
 )
@@ -112,21 +111,6 @@ class TestSpans:
             seen.append(item)
         # three pulls (the last one ends the stream), one step per reading
         assert seen == ["a", "b"] and pulls.busy == 2 * 10.0 + 3 * 1.0
-
-
-class TestDisabled:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer.disabled()
-        span = tracer.begin("star", "S")
-        tracer.instant("glue", "veneer")
-        tracer.end(span)
-        assert len(tracer) == 0 and tracer.open_spans == 0
-
-    def test_active_tracer_normalizes(self):
-        assert active_tracer(None) is None
-        assert active_tracer(Tracer.disabled()) is None
-        live = Tracer()
-        assert active_tracer(live) is live
 
 
 class TestRingBuffer:

@@ -47,6 +47,28 @@ class TestOneEvaluator:
         assert not hasattr(repro.backends, "pyloop")
         assert not hasattr(repro.backends, "PyLoopBackend")
 
+    def test_nothing_selects_a_layer(self):
+        """The STAR memo, the plan interner, serving telemetry and an
+        attached tracer have no off switch: "no tracing" is ``None`` and
+        each telemetry feature has its own zero.  (What runs without the
+        memo and the interner is ``tests/reference_layers.py``.)"""
+        import dataclasses
+
+        import repro.obs
+        from repro import OptimizerConfig, Tracer
+        from repro.obs import TelemetryConfig
+
+        config_fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
+        assert not config_fields & {"memo_stars", "intern_plans"}
+        telemetry_fields = {f.name for f in dataclasses.fields(TelemetryConfig)}
+        assert "enabled" not in telemetry_fields
+        assert not hasattr(TelemetryConfig, "disabled")
+        assert "enabled" not in inspect.signature(Tracer).parameters
+        assert not hasattr(Tracer, "disabled")
+        for package in (repro, repro.obs):
+            for name in ("active_tracer", "Observability"):
+                assert not hasattr(package, name), (package.__name__, name)
+
 
 class TestDocstrings:
     def test_every_module_documented(self):

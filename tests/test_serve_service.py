@@ -340,6 +340,45 @@ class TestCrashSafety:
         finally:
             service.close()
 
+    def test_seeded_crash_and_hang_stream_resolves_labeled(self):
+        """Experiment E17 part A: a generated stream through a one-worker
+        pool whose workers crash and hang on seeded requests.  Every
+        request still gets a plan, and the ``pool_failure`` labels are
+        exactly the injected faults.  (30 requests, not E17's smoke 24:
+        seed 17 draws four hangs first and its first crash at seq 28.)"""
+        from repro.serve import LoadSpec, PoolChaos, generate
+
+        stream_workload, requests = generate(
+            LoadSpec(n_tables=3, rows=60, wild_fraction=0.0,
+                     deadline_fraction=0.0),
+            30,
+        )
+        chaos = PoolChaos(seed=17, crash_prob=0.2, hang_prob=0.04)
+        service = OptimizerService(
+            stream_workload.catalog,
+            service=ServiceConfig(
+                workers=1, queue_limit=64, cache_capacity=0,
+                pool_workers=1, pool_timeout=0.5, pool_respawn_budget=64,
+                quarantine_strikes=0,
+            ),
+            pool_chaos=chaos,
+        )
+        try:
+            responses = service.serve_all(requests, burst=4)
+            stats = service.pool.stats
+            assert stats.crashes > 0 and stats.timeouts > 0
+            assert all(r.ok for r in responses)
+            # No cache and one service worker: request i is dispatch i.
+            label = {"crash": "crash", "hang": "timeout", None: None}
+            assert [r.pool_failure for r in responses] == [
+                label[chaos.decide(seq, None)] for seq in range(30)
+            ]
+            assert all(
+                r.tier == TIER_HEURISTIC for r in responses if r.pool_failure
+            )
+        finally:
+            service.close()
+
     def test_pool_survives_serve_all_restarts(self, workload):
         service = _service(workload, pool_workers=1)
         try:

@@ -17,7 +17,14 @@ from repro.obs import (
     span_tree,
     validate_request_tree,
 )
-from repro.serve import OptimizerService, Request, ServiceConfig, percentile
+from repro.serve import (
+    LoadSpec,
+    OptimizerService,
+    Request,
+    ServiceConfig,
+    generate,
+    percentile,
+)
 from repro.workloads import chain_workload
 
 SQL = "SELECT R0.ID, R2.ID FROM R0, R1, R2 WHERE R0.ID = R1.FK AND R1.ID = R2.FK"
@@ -74,12 +81,6 @@ class TestTraceSampler:
 
 
 class TestTelemetryConfig:
-    def test_disabled_switches_everything_off(self):
-        cfg = TelemetryConfig.disabled()
-        assert not cfg.enabled
-        assert cfg.sample_every == 0
-        assert cfg.flight_capacity == 0
-
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             TelemetryConfig(sample_every=-1)
@@ -111,6 +112,22 @@ class TestRequestTree:
         assert validate_request_tree(
             events, "req-000001", required=("admitted", "tier", "cache_hit")
         ) == []
+
+    def test_every_request_of_a_sampled_stream_is_one_tree(self):
+        """Experiment E16 part B: a generated 24-request stream, fully
+        sampled — one well-formed tree per request, no event evicted."""
+        stream_workload, requests = generate(
+            LoadSpec(wild_fraction=0.0, deadline_fraction=0.0), 24
+        )
+        service = _service(stream_workload, queue_limit=64)
+        responses = service.serve_all(requests, burst=4)
+        assert all(r.ok and r.sampled for r in responses)
+        events = service.tracer.events()
+        for response in responses:
+            assert validate_request_tree(
+                events, response.request_id, required=("admitted", "tier")
+            ) == []
+        assert service.tracer.dropped == 0
 
     def test_unsampled_requests_leave_no_stamped_events(self, workload):
         service = _service(
@@ -215,24 +232,19 @@ class TestConcurrentRequests:
 
 
 class TestTelemetryDisabled:
-    def test_disabled_keeps_legacy_untagged_span(self, workload):
-        """telemetry=disabled + a tracer must behave like PR 6: one
-        serve/request span per request, no rid stamps."""
-        service = _service(workload, telemetry=TelemetryConfig.disabled())
-        service.serve_all([Request(SQL)] * 2, burst=1)
-        events = service.tracer.events()
-        spans = [e for e in events if (e.cat, e.name) == ("serve", "request")]
-        assert len(spans) == 2
-        assert all("rid" not in e.args for e in events)
+    """Every telemetry feature at its own zero: nothing sampled, no
+    flight recorder, no SLOs."""
+
+    OFF = TelemetryConfig(sample_every=0, flight_capacity=0)
 
     def test_disabled_has_no_flight_recorder(self, workload):
-        service = _service(workload, telemetry=TelemetryConfig.disabled())
+        service = _service(workload, telemetry=self.OFF)
         assert service.flight is None
         service.serve_all([Request(SQL)])
         assert service.last_flight_dump is None
 
     def test_report_still_has_latency_quantiles(self, workload):
-        service = _service(workload, telemetry=TelemetryConfig.disabled())
+        service = _service(workload, telemetry=self.OFF)
         service.serve_all([Request(SQL)] * 3, burst=1)
         report = service.report()
         assert report.latency_p50 > 0.0

@@ -22,7 +22,6 @@ from repro.executor import (
 )
 from repro.executor.batch_ops import (
     BatchBuilder,
-    CheckpointBatchIterator,
     ColumnBatch,
     batch_bytes,
     batches_of,
@@ -237,7 +236,7 @@ class TestChaosRetryAccounting:
 class TestCheckpointEquivalence:
     """Cardinality checkpoints must fire identically under both engines."""
 
-    def _build(self):
+    def _build(self, buffer="store"):
         cat = Catalog(query_site="local")
         # Statistics claim 1000 rows; only 3 are loaded (no analyze).
         cat.add_table(TableDef("R", make_columns("K", "W")), TableStats(card=1000))
@@ -248,8 +247,9 @@ class TestCheckpointEquivalence:
         scan = factory.access_base(
             "R", {ColumnRef("R", "K"), ColumnRef("R", "W")}, set()
         )
-        plan = factory.access_temp(factory.store(scan))
-        return db, plan
+        if buffer == "sort":
+            return db, factory.sort(scan, (ColumnRef("R", "K"),))
+        return db, factory.access_temp(factory.store(scan))
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_store_checkpoint_fires(self, engine):
@@ -264,36 +264,24 @@ class TestCheckpointEquivalence:
         db.drop_temps()
 
     def test_violations_identical_across_engines(self):
-        violations = []
-        for engine in ENGINES.values():
-            db, plan = self._build()
-            executor = engine(
-                db, checkpoints=CheckpointPolicy(qerror_threshold=10.0)
+        # Both materialization points: STORE counts as it inserts, SORT
+        # reads the length of the buffer it sorts.
+        for buffer in ("store", "sort"):
+            violations = []
+            for engine in ENGINES.values():
+                db, plan = self._build(buffer)
+                executor = engine(
+                    db, checkpoints=CheckpointPolicy(qerror_threshold=10.0)
+                )
+                with pytest.raises(CardinalityViolation) as excinfo:
+                    executor.run_plan(plan)
+                violations.append(excinfo.value)
+                db.drop_temps()
+            vec, it = violations
+            assert vec.actual == 3
+            assert (vec.label, vec.tables, vec.estimated, vec.actual, vec.q) == (
+                it.label, it.tables, it.estimated, it.actual, it.q
             )
-            with pytest.raises(CardinalityViolation) as excinfo:
-                executor.run_plan(plan)
-            violations.append(excinfo.value)
-            db.drop_temps()
-        vec, it = violations
-        assert (vec.label, vec.tables, vec.estimated, vec.actual, vec.q) == (
-            it.label, it.tables, it.estimated, it.actual, it.q
-        )
-
-
-def test_checkpoint_batch_iterator_observes_once():
-    observed = []
-    batches = [
-        ColumnBatch({ColumnRef("T", "A"): [1, 2, 3]}, 3),
-        ColumnBatch({ColumnRef("T", "A"): [4, 5]}, 2),
-    ]
-    wrapped = CheckpointBatchIterator(
-        iter(batches), node="sentinel", observe=lambda n, c: observed.append((n, c))
-    )
-    assert [len(b) for b in wrapped] == [3, 2]
-    assert observed == [("sentinel", 5)]
-    # Exhausting again must not re-observe.
-    assert list(wrapped) == []
-    assert observed == [("sentinel", 5)]
 
 
 class TestBatchOps:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint (run in CI as a required step).
 
-Four checks, all cheap and purely static:
+Five checks, all cheap and purely static:
 
 1. **Module docstrings** — every public module under ``src/repro/``
    (anything not starting with ``_``, plus ``__init__.py`` and
@@ -27,6 +27,10 @@ Four checks, all cheap and purely static:
 4. **Hot-path layer numbers** — every ``hot-path layer N`` in an
    ``OptimizerConfig`` field comment (``src/repro/config.py``) must
    carry the number the README "Performance" list gives that flag.
+5. **Named files exist** — every ``benchmarks/*.py``, ``tests/*.py``,
+   ``tools/*.py`` and root ``BENCH_*.json`` path named in ``README.md``,
+   ``DESIGN.md``, ``docs/*.md`` or ``.claude/skills/*/SKILL.md`` must be
+   a file in the tree, so deleting a script cannot leave a pointer to it.
 
 Exit status 0 when clean, 1 with one ``error:`` line per problem.
 """
@@ -313,10 +317,34 @@ def check_layer_numbers() -> list[str]:
     return errors
 
 
+#: A path the docs may name and the tree must hold: a script directly
+#: under benchmarks/, tests/ or tools/, or a root BENCH_*.json (not one
+#: under another directory, e.g. a result file of benchmarks/e2e/).
+_NAMED_FILE = re.compile(
+    r"(?<![\w/.-])((?:benchmarks|tests|tools)/\w+\.py|BENCH_\w+\.json)\b"
+)
+
+
+def check_named_files() -> list[str]:
+    docs = [
+        README, REPO / "DESIGN.md", *sorted((REPO / "docs").glob("*.md")),
+        *sorted((REPO / ".claude" / "skills").glob("*/SKILL.md")),
+    ]
+    errors = []
+    for doc in docs:
+        for name in sorted(set(_NAMED_FILE.findall(doc.read_text()))):
+            if not (REPO / name).is_file():
+                errors.append(
+                    f"{doc.relative_to(REPO)}: names {name}, which is not "
+                    "in the tree"
+                )
+    return errors
+
+
 def main() -> int:
     errors = (
         check_docstrings() + check_cli_doc() + check_backends_doc()
-        + check_layer_numbers()
+        + check_layer_numbers() + check_named_files()
     )
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
