@@ -13,8 +13,8 @@ Subcommands:
   plans from the SAP) through the differential oracle: every requested
   backend executes the same plan and the normalized row sets must
   match; the exit code reflects disagreement.
-* ``rules`` — print the builtin rule repertoire, or statically validate
-  a Database Customizer's rule file.
+* ``rules`` — print the builtin rule repertoire (``validate`` lints a
+  Database Customizer's rule file).
 * ``chaos`` — run the Figure-3 distributed query under deterministic
   fault injection, with retries and SAP-driven plan failover
   (``--trace-out`` captures the structured event log as JSON lines).
@@ -303,9 +303,7 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
     for failure in failed:
         print(f"error: query #{failure.index}: {failure.error}", file=sys.stderr)
     if args.json:
-        import json as _json
-
-        payload = {
+        _write_json(args.json, {
             "workload": args.workload,
             "queries": len(results),
             "workers": args.workers,
@@ -313,10 +311,7 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
             "throughput_qps": throughput,
             "config": {"prune": config.prune},
             "results": [r.as_dict() for r in results],
-        }
-        with open(args.json, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"JSON report written to {args.json}")
+        })
     return 1 if failed else 0
 
 
@@ -553,7 +548,7 @@ def _service_config(args: argparse.Namespace) -> "ServiceConfig":
     from repro.serve import ServiceConfig
 
     snapshot_path = None
-    if getattr(args, "snapshot_dir", None):
+    if args.snapshot_dir:
         os.makedirs(args.snapshot_dir, exist_ok=True)
         snapshot_path = os.path.join(args.snapshot_dir, SNAPSHOT_FILENAME)
     return ServiceConfig(
@@ -563,12 +558,12 @@ def _service_config(args: argparse.Namespace) -> "ServiceConfig":
         band_factor=args.band,
         drift_threshold=args.drift_threshold,
         breaker_threshold=args.breaker,
-        pool_workers=getattr(args, "pool_workers", 0),
-        pool_timeout=getattr(args, "pool_timeout", 30.0),
-        pool_respawn_budget=getattr(args, "respawn_budget", 3),
-        quarantine_strikes=getattr(args, "quarantine_strikes", 3),
+        pool_workers=args.pool_workers,
+        pool_timeout=args.pool_timeout,
+        pool_respawn_budget=args.respawn_budget,
+        quarantine_strikes=args.quarantine_strikes,
         snapshot_path=snapshot_path,
-        snapshot_every=getattr(args, "snapshot_every", 0),
+        snapshot_every=args.snapshot_every,
     )
 
 
@@ -613,6 +608,14 @@ def _report_flight(service) -> None:
     print(f"flight recorder: {dumps} dump(s), last {where}")
 
 
+def _write_json(path: str, payload) -> None:
+    import json as _json
+
+    with open(path, "w") as handle:
+        _json.dump(payload, handle, indent=2, sort_keys=True)
+    print(f"JSON report written to {path}")
+
+
 def _write_trace(args: argparse.Namespace, tracer) -> None:
     if tracer is None:
         return
@@ -625,8 +628,6 @@ def _write_trace(args: argparse.Namespace, tracer) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run queries through the optimizer service and report tier labels,
     cache behavior, and admission-control outcomes."""
-    import json as _json
-
     from repro.serve import OptimizerService, Request
 
     catalog, _database, default_query = _load_workload_full(args.workload)
@@ -671,18 +672,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(report.summary())
     _report_flight(service)
     if args.json:
-        with open(args.json, "w") as handle:
-            _json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-        print(f"JSON report written to {args.json}")
+        _write_json(args.json, report.as_dict())
     return 1 if report.errors else 0
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive the service with a deterministic skewed request stream."""
-    import json as _json
+def _run_loadgen(args: argparse.Namespace, progress=None):
+    """Build the spec, service and phases ``loadgen`` and ``dash`` share,
+    drive the load (``progress`` is :func:`run_load`'s per-burst sink),
+    tear down and write the trace.  Returns ``(spec, service, report)``."""
+    import asyncio as _asyncio
 
     from repro.serve import (
-        LoadSpec, OptimizerService, default_phases, drive, generate,
+        LoadSpec, OptimizerService, default_phases, generate, run_load,
     )
 
     spec = LoadSpec(
@@ -705,19 +706,25 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     phases = default_phases(requests, args.queue_limit)
     server = _start_metrics_server(args, service.metrics)
     try:
-        report = drive(service, phases)
+        report = _asyncio.run(run_load(service, phases, progress=progress))
     finally:
         service.close()
         if server is not None:
             server.stop()
     _write_trace(args, tracer)
+    return spec, service, report
+
+
+def cmd_loadgen(args: argparse.Namespace) -> int:
+    """Drive the service with a deterministic skewed request stream."""
+    spec, service, report = _run_loadgen(args)
     print(report.summary())
     print()
     service_report = service.report()
     print(service_report.summary())
     _report_flight(service)
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "spec": {
                 "tables": spec.n_tables, "rows": spec.rows,
                 "templates": spec.templates, "zipf_s": spec.zipf_s,
@@ -725,10 +732,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             },
             "load": report.as_dict(),
             "service": service_report.as_dict(),
-        }
-        with open(args.json, "w") as handle:
-            _json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"JSON report written to {args.json}")
+        })
     if report.unhandled:
         print(f"error: {report.unhandled} unhandled request(s)",
               file=sys.stderr)
@@ -805,44 +809,12 @@ def cmd_snapshot(args: argparse.Namespace) -> int:
 
 def cmd_dash(args: argparse.Namespace) -> int:
     """The loadgen run as a live terminal dashboard."""
-    import asyncio as _asyncio
+    from repro.serve import Dashboard
 
-    from repro.serve import (
-        Dashboard, LoadSpec, OptimizerService, default_phases, generate,
-        run_load,
-    )
-
-    spec = LoadSpec(
-        n_tables=args.tables,
-        rows=args.rows,
-        templates=args.templates,
-        zipf_s=args.skew,
-        param_jitter=args.jitter,
-        wild_fraction=args.wild,
-        tenants=args.tenants,
-        seed=args.seed,
-    )
-    workload, requests = generate(spec, args.requests)
-    tracer = Tracer() if args.trace_out else None
-    service = OptimizerService(
-        workload.catalog, rules=_rule_set(args.rules),
-        service=_service_config(args),
-        tracer=tracer, telemetry=_telemetry_config(args),
-    )
-    phases = default_phases(requests, args.queue_limit)
     dashboard = Dashboard(
         sys.stdout, repaint=not args.no_repaint, every=args.refresh
     )
-    server = _start_metrics_server(args, service.metrics)
-    try:
-        report = _asyncio.run(
-            run_load(service, phases, progress=dashboard.update)
-        )
-    finally:
-        service.close()
-        if server is not None:
-            server.stop()
-    _write_trace(args, tracer)
+    _spec, service, report = _run_loadgen(args, progress=dashboard.update)
     print()
     print(service.report().summary())
     _report_flight(service)
@@ -879,18 +851,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_rules(args: argparse.Namespace) -> int:
-    registry = default_registry()
-    if args.validate is not None:
-        with open(args.validate) as handle:
-            text = handle.read()
-        rules = parse_rules(text, base=default_rules() if args.extend_builtin else None)
-        report = validate_rules(rules, registry)
-        for error in report.errors:
-            print(f"error: {error}")
-        for warning in report.warnings:
-            print(f"warning: {warning}")
-        print("rule set is", "VALID" if report.ok else "INVALID")
-        return 0 if report.ok else 1
     if args.show_dsl:
         print(BASE_RULES.strip())
         return 0
@@ -998,14 +958,10 @@ def main(argv: list[str] | None = None) -> int:
                                 "functions by cumulative time")
     bench_opt.set_defaults(fn=cmd_bench_opt)
 
-    rules = sub.add_parser("rules", help="print or validate rule sets")
+    rules = sub.add_parser("rules", help="print the builtin rule sets")
     rules.add_argument("--rules", default="extended", help="base | extended | all")
     rules.add_argument("--show-dsl", action="store_true",
                        help="print the base repertoire's DSL source text")
-    rules.add_argument("--validate", metavar="FILE",
-                       help="statically validate a rule file")
-    rules.add_argument("--extend-builtin", action="store_true",
-                       help="validate FILE as an extension of the builtin rules")
     rules.set_defaults(fn=cmd_rules)
 
     chaos = sub.add_parser(

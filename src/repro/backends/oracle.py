@@ -112,10 +112,3 @@ class DifferentialOracle:
                 outcome.row_count = len(rows)
             report.outcomes.append(outcome)
         return report
-
-    def check_or_raise(
-        self, query: QueryBlock, plan: PlanNode, database: Database
-    ) -> OracleReport:
-        report = self.check(query, plan, database)
-        report.assert_agreement()
-        return report

@@ -136,10 +136,6 @@ class Catalog:
         """Names of all sites currently marked down."""
         return frozenset(self._down_sites)
 
-    def up_sites(self) -> tuple[SiteDef, ...]:
-        """All registered sites that are currently up."""
-        return tuple(s for s in self._sites.values() if s.name not in self._down_sites)
-
     def set_table_stats(self, table: str, stats: TableStats) -> None:
         """Replace a table's statistics."""
         self.table(table)
@@ -166,10 +162,6 @@ class Catalog:
     def tables(self) -> tuple[TableDef, ...]:
         """All registered table definitions."""
         return tuple(self._tables.values())
-
-    def table_names(self) -> tuple[str, ...]:
-        """Names of all registered tables."""
-        return tuple(self._tables)
 
     def paths_for(self, table: str) -> tuple[AccessPath, ...]:
         """All access paths defined on ``table``."""

@@ -155,9 +155,6 @@ class ChaosEngine:
     def site_up(self, site: str) -> bool:
         return site not in self.downed_sites
 
-    def link_up(self, from_site: str, to_site: str) -> bool:
-        return (from_site, to_site) not in self.downed_links
-
     def check_site(self, site: str) -> None:
         """Raise :class:`SiteUnavailableError` if ``site`` is down."""
         if site in self.downed_sites:

@@ -30,8 +30,6 @@ from repro.obs.flight import (
 )
 from repro.obs.metrics import (
     BUCKET_BASE,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     stats_snapshot,
@@ -68,11 +66,9 @@ __all__ = [
     "AnalyzeReport",
     "BUCKET_BASE",
     "CATEGORIES",
-    "Counter",
     "EVENT_SCHEMA",
     "FlightRecord",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "OperatorMeasure",

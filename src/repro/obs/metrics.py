@@ -1,52 +1,42 @@
 """Counters, gauges and histograms behind one flat snapshot.
 
-The repo grew three ad-hoc statistics dataclasses before this module
-(:class:`~repro.stars.engine.ExpansionStats`,
-:class:`~repro.stars.plantable.PlanTableStats`,
-:class:`~repro.executor.runtime.ExecutionStats` plus the per-link
-:class:`~repro.executor.network.LinkStats`), each serializing itself a
-slightly different way.  :func:`stats_snapshot` is now the single
-serialization path: it flattens any stats dataclass into a
-``{name: number}`` dict, so ``OptimizationError`` diagnostics, chaos
-reports and the metrics registry all share one schema.
+Every count in the repo lives in one place — a stats dataclass (or a
+plain attribute) of the object the event happens to — and
+:func:`stats_snapshot` is the single serialization path: it flattens any
+stats dataclass into a ``{name: number}`` dict, so ``OptimizationError``
+diagnostics, chaos reports and the metrics registry all share one
+schema.  The registry learns those numbers in one of two ways, by the
+owner's lifetime:
 
-:class:`MetricsRegistry` is the accumulation side: named counters
-(monotonic), gauges (point-in-time) and histograms (count/sum/min/max
-plus fixed log-bucketed counts answering :meth:`Histogram.quantile`),
-snapshotable as one flat dict — the shape benchmark JSON and the CLI
-report.
+* **a run's report is ingested** — an optimization, an execution, a
+  resilient / adaptive / EXPLAIN ANALYZE run builds a fresh stats object
+  and hands its ``as_dict()`` to :meth:`MetricsRegistry.ingest` once,
+  when the run is over (gauges: the last run's figures);
+* **a live component is read** — a cache, pool, quarantine or service
+  that outlives any one request calls :meth:`MetricsRegistry.register`
+  once, at construction, and the registry calls its ``as_dict`` back
+  whenever somebody asks (:meth:`~MetricsRegistry.snapshot`,
+  :meth:`~MetricsRegistry.counters`, :meth:`~MetricsRegistry.gauges`).
+  The component's hot path is an attribute add and nothing else, and
+  every reader sees the one number.
+
+What is still pushed (:meth:`~MetricsRegistry.inc` /
+:meth:`~MetricsRegistry.observe`) is what no object holds: histograms,
+and counts whose owner lives for less than the process
+(``optimizer.rule.*.fired``, ``budget.exhaustions``, the per-attempt
+``checkpoint.*``).
+
+:class:`MetricsRegistry` itself: named counters (monotonic), gauges
+(point-in-time) and histograms (count/sum/min/max plus fixed
+log-bucketed counts answering :meth:`Histogram.quantile`), snapshotable
+as one flat dict — the shape benchmark JSON and the CLI report.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Iterator, Mapping
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n: int = 1) -> int:
-        self.value += n
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+from typing import Any, Callable, Iterable, Mapping
 
 
 #: Log-bucket geometry: each bucket spans one power of ``BUCKET_BASE``
@@ -140,14 +130,6 @@ class Histogram:
                 return min(max(mid, self.minimum), self.maximum)
         return self.maximum
 
-    def bucket_counts(self) -> Iterator[tuple[float, int]]:
-        """(upper bound, count) pairs in ascending bucket order, the
-        underflow bucket (values <= 0) first with bound 0.0."""
-        if self._underflow:
-            yield 0.0, self._underflow
-        for index in sorted(self._buckets):
-            yield BUCKET_BASE ** (index + 1), self._buckets[index]
-
 
 class MetricsRegistry:
     """Named counters/gauges/histograms with a flat snapshot.
@@ -160,37 +142,29 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
+        #: Pushed counters (monotonic) and gauges (last write wins).
+        self._counters: dict[str, float] = {}
+        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
+        #: prefix → (read, gauge fields) of every registered live source.
+        self._sources: dict[
+            str, tuple[Callable[[], Mapping[str, float]], frozenset[str]]
+        ] = {}
 
-    # -- get-or-create ------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter()
-        return counter
-
-    def gauge(self, name: str) -> Gauge:
-        gauge = self._gauges.get(name)
-        if gauge is None:
-            gauge = self._gauges[name] = Gauge()
-        return gauge
+    # -- writers --------------------------------------------------------------
 
     def histogram(self, name: str) -> Histogram:
+        """The named histogram, created on first use."""
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = Histogram()
         return histogram
 
-    # -- convenience writers ------------------------------------------------
-
     def inc(self, name: str, n: int = 1) -> None:
-        self.counter(name).inc(n)
+        self._counters[name] = self._counters.get(name, 0) + n
 
     def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
+        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
@@ -203,13 +177,42 @@ class MetricsRegistry:
                 continue
             self.set_gauge(prefix + key, value)
 
+    def register(
+        self,
+        prefix: str,
+        read: Callable[[], Mapping[str, float]],
+        gauges: Iterable[str] = (),
+    ) -> None:
+        """Read a live component's counts whenever the registry is read.
+
+        ``read()`` returns the component's flat ``{field: number}`` dict
+        (its ``as_dict``); each field appears as ``prefix + field`` — a
+        gauge when named in ``gauges``, a counter otherwise.  There is
+        one source per prefix: registering a prefix again replaces it,
+        so an object handed to two consumers is never read twice — and a
+        component that is re-created (a pool after ``close()``) restarts
+        its counters from its own zero, as a restarted process would.
+        """
+        self._sources[prefix] = (read, frozenset(gauges))
+
     # -- typed read access (the OpenMetrics renderer needs the kinds) -------
 
-    def counters(self) -> dict[str, Counter]:
-        return dict(self._counters)
+    def _typed(self) -> tuple[dict[str, float], dict[str, float]]:
+        """``(counters, gauges)`` as ``{name: value}``: what was pushed
+        plus every live source, read now.  Works on copies — a scrape
+        thread may read while the serving loop adds a name."""
+        counters, gauges = dict(self._counters), dict(self._gauges)
+        for prefix, (read, gauge_fields) in list(self._sources.items()):
+            for field, value in read().items():
+                kind = gauges if field in gauge_fields else counters
+                kind[prefix + field] = value
+        return counters, gauges
 
-    def gauges(self) -> dict[str, Gauge]:
-        return dict(self._gauges)
+    def counters(self) -> dict[str, float]:
+        return self._typed()[0]
+
+    def gauges(self) -> dict[str, float]:
+        return self._typed()[1]
 
     def histograms(self) -> dict[str, Histogram]:
         return dict(self._histograms)
@@ -223,11 +226,8 @@ class MetricsRegistry:
         rather than leaking ``inf``/``-inf`` (which ``json.dumps`` would
         render as the invalid-JSON token ``Infinity``).
         """
-        out: dict[str, float] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, gauge in self._gauges.items():
-            out[name] = gauge.value
+        counters, gauges = self._typed()
+        out = {**counters, **gauges}
         for name, histogram in self._histograms.items():
             out[f"{name}.count"] = histogram.count
             out[f"{name}.sum"] = histogram.total
@@ -239,7 +239,8 @@ class MetricsRegistry:
         return dict(sorted(out.items()))
 
     def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
+        counters, gauges = self._typed()
+        return len(counters) + len(gauges) + len(self._histograms)
 
 
 def stats_snapshot(

@@ -56,33 +56,39 @@ def render_openmetrics(registry: MetricsRegistry) -> str:
     """The registry as OpenMetrics exposition text (ends with ``# EOF``).
 
     Raises :class:`ValueError` when two registry names sanitize to the
-    same metric name — a silent merge would corrupt the scrape.
+    same metric name, or one name is held under two kinds (a counter
+    somebody also ingests as a gauge) — a silent merge would corrupt
+    the scrape, a second ``# TYPE`` line makes the scraper reject it.
     """
     families: list[tuple[str, str, list[str]]] = []
-    seen: dict[str, str] = {}
+    seen: dict[str, tuple[str, str]] = {}
 
-    def claim(name: str) -> str:
+    def claim(name: str, kind: str) -> str:
         cleaned = sanitize_name(name)
-        if cleaned in seen and seen[cleaned] != name:
+        held = seen.setdefault(cleaned, (name, kind))
+        if held[0] != name:
             raise ValueError(
-                f"metric name collision: {name!r} and {seen[cleaned]!r} "
+                f"metric name collision: {name!r} and {held[0]!r} "
                 f"both sanitize to {cleaned!r}"
             )
-        seen[cleaned] = name
+        if held[1] != kind:
+            raise ValueError(
+                f"metric {name!r} is held as a {held[1]} and as a {kind}"
+            )
         return cleaned
 
-    for name, counter in sorted(registry.counters().items()):
-        metric = claim(name)
+    for name, value in sorted(registry.counters().items()):
+        metric = claim(name, "counter")
         families.append((metric, "counter", [
-            f"{metric}_total {_format_value(counter.value)}",
+            f"{metric}_total {_format_value(value)}",
         ]))
-    for name, gauge in sorted(registry.gauges().items()):
-        metric = claim(name)
+    for name, value in sorted(registry.gauges().items()):
+        metric = claim(name, "gauge")
         families.append((metric, "gauge", [
-            f"{metric} {_format_value(gauge.value)}",
+            f"{metric} {_format_value(value)}",
         ]))
     for name, histogram in sorted(registry.histograms().items()):
-        metric = claim(name)
+        metric = claim(name, "summary")
         samples = [
             f'{metric}{{quantile="{label}"}} '
             f"{_format_value(histogram.quantile(q))}"

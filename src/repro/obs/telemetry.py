@@ -18,9 +18,9 @@ requests).  Errors are *always* visible: un-sampled requests that fail
 still emit a single ``serve``/``error`` instant carrying their rid.
 
 :class:`TelemetryConfig` bundles the serving-telemetry knobs — sampling
-rate, flight-recorder capacity and dump path, SLO objectives and the
-burn-rate thresholds at which :meth:`OptimizerService._choose_tier`
-starts degrading.  Each feature has its own zero (``sample_every=0``,
+rate, flight-recorder capacity and dump path, and the SLO objectives
+whose burn rate :meth:`OptimizerService._choose_tier` degrades on.  Each
+feature has its own zero (``sample_every=0``,
 ``flight_capacity=0``, ``slos=()``); there is no master switch.
 """
 
@@ -87,7 +87,7 @@ class TelemetryConfig:
 
     Separate from :class:`~repro.serve.service.ServiceConfig` because it
     configures *observation*, never *behavior* — with the single
-    documented exception of the SLO burn thresholds, which feed the tier
+    documented exception of the SLOs, whose burn rate feeds the tier
     chooser so degradation becomes a measured policy.
     """
 
@@ -100,18 +100,12 @@ class TelemetryConfig:
     flight_path: str | None = None
     #: Declarative service-level objectives, watched per response.
     slos: tuple[SLObjective, ...] = ()
-    #: SLO burn rate at or above which the tier chooser degrades to
-    #: at least ``anytime`` / ``heuristic``.
-    slo_anytime_burn: float = 1.0
-    slo_heuristic_burn: float = 2.0
 
     def __post_init__(self) -> None:
         if self.sample_every < 0:
             raise ValueError("sample_every must be >= 0")
         if self.flight_capacity < 0:
             raise ValueError("flight_capacity must be >= 0")
-        if self.slo_anytime_burn <= 0 or self.slo_heuristic_burn <= 0:
-            raise ValueError("SLO burn thresholds must be positive")
 
 # ---------------------------------------------------------------------------
 # Span-tree reassembly

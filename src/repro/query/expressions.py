@@ -74,9 +74,6 @@ class Expr:
     def evaluate(self, ctx: RowContext) -> Any:
         raise NotImplementedError
 
-    def is_column(self) -> bool:
-        return isinstance(self, ColumnRef)
-
 
 @dataclass(frozen=True, slots=True)
 class ColumnRef(Expr):

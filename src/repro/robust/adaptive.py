@@ -149,11 +149,18 @@ class AdaptiveExecutor:
         self.metrics = metrics
         if feedback is None:
             feedback = getattr(optimizer, "feedback", None) or FeedbackCache(
-                tracer=self.tracer, metrics=metrics
+                tracer=self.tracer
             )
         self.feedback = feedback
         if getattr(optimizer, "feedback", None) is not self.feedback:
             optimizer.feedback = self.feedback
+        if metrics is not None:
+            # Whoever built the cache, and whether or not it registered
+            # itself: same prefix, same entry — read once.
+            metrics.register(
+                "feedback.", self.feedback.as_dict,
+                gauges=FeedbackCache.GAUGES,
+            )
 
     # -- public API ----------------------------------------------------------
 
@@ -209,7 +216,6 @@ class AdaptiveExecutor:
             self.db.drop_temps()
         if self.metrics is not None:
             self.metrics.ingest(report.as_dict(), prefix="adaptive.")
-            self.metrics.ingest(self.feedback.as_dict(), prefix="feedback.")
         return report
 
     # -- steps ---------------------------------------------------------------

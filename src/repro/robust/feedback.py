@@ -13,7 +13,7 @@ The cache is **bounded**: a long-running server process records
 observations for every query it ever executes, and an unbounded dict is
 a slow memory leak.  ``capacity`` caps the entry count with
 least-recently-used eviction (recording and hitting both refresh
-recency); evictions are counted and exported as the
+recency); evictions are counted and read by the registry as the
 ``feedback.evictions`` metric.
 """
 
@@ -31,11 +31,15 @@ DEFAULT_CAPACITY = 4096
 class FeedbackCache:
     """Observed cardinalities keyed on (TABLES, PREDS), LRU-bounded.
 
-    ``tracer`` / ``metrics`` (both optional, None = zero overhead) record
-    every hit and miss — the loop's observability contract matches the
-    plan table's.  ``capacity`` bounds the entry count (None = unbounded,
-    for short-lived tooling only).
+    ``tracer`` (optional, None = zero overhead) records every record and
+    corrected estimate; ``metrics`` registers the cache so the registry
+    reads :meth:`as_dict` under ``feedback.`` when asked.  ``capacity``
+    bounds the entry count (None = unbounded, for short-lived tooling
+    only).
     """
+
+    #: :meth:`as_dict` fields that are point-in-time values, not counts.
+    GAUGES = ("entries", "capacity", "hit_rate")
 
     def __init__(self, tracer=None, metrics=None,
                  capacity: int | None = DEFAULT_CAPACITY):
@@ -48,7 +52,8 @@ class FeedbackCache:
         self.records = 0
         self.evictions = 0
         self.tracer = tracer
-        self.metrics = metrics
+        if metrics is not None:
+            metrics.register("feedback.", self.as_dict, gauges=self.GAUGES)
 
     def __len__(self) -> int:
         return len(self._observed)
@@ -75,12 +80,8 @@ class FeedbackCache:
             oldest = next(iter(self._observed))
             del self._observed[oldest]
             self.evictions += 1
-            if self.metrics is not None:
-                self.metrics.inc("feedback.evictions")
         self._observed[key] = float(actual)
         self.records += 1
-        if self.metrics is not None:
-            self.metrics.inc("feedback.records")
         if self.tracer is not None:
             self.tracer.instant(
                 "robust", "feedback_record",
@@ -97,13 +98,9 @@ class FeedbackCache:
         value = self._observed.get(key)
         if value is None:
             self.misses += 1
-            if self.metrics is not None:
-                self.metrics.inc("feedback.misses")
             return None
         self._touch(key, value)
         self.hits += 1
-        if self.metrics is not None:
-            self.metrics.inc("feedback.hits")
         return value
 
     def peek(

@@ -8,7 +8,7 @@ overload-tolerant service:
   and a Q-error drift circuit breaker fed by the runtime feedback cache;
 * :mod:`repro.serve.service` — :class:`OptimizerService`, the asyncio
   front end: bounded-queue admission control with explicit load
-  shedding, per-tenant optimizer budgets, deadline propagation, and the
+  shedding, per-request optimizer budgets, deadline propagation, and the
   graceful degradation ladder (cached → full → anytime → heuristic →
   stale), every response labeled with its tier;
 * :mod:`repro.serve.loadgen` — deterministic skewed load generation and
@@ -52,6 +52,7 @@ from repro.serve.loadgen import (
     default_phases,
     drive,
     generate,
+    percentile,
     run_load,
 )
 from repro.serve.pool import (
@@ -79,7 +80,6 @@ from repro.serve.service import (
     Response,
     ServiceConfig,
     ServiceReport,
-    percentile,
 )
 from repro.serve.snapshot import (
     Snapshot,

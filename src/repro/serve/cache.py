@@ -134,8 +134,11 @@ class PlanTemplateCache:
         self.breaker_threshold = breaker_threshold
         self.feedback = feedback
         self.tracer = tracer
-        self.metrics = metrics
         self.stats = TemplateCacheStats()
+        if metrics is not None:
+            metrics.register(
+                "serve.cache.", self.stats.as_dict, gauges=("hit_rate",)
+            )
         self._entries: dict[TemplateKey, TemplateEntry] = {}
         #: Raw-statistics estimator for band centers — deliberately *not*
         #: feedback-adjusted, so centers stay comparable over time.
@@ -190,13 +193,9 @@ class PlanTemplateCache:
         ratio = max(incoming / center, center / incoming)
         if ratio > self.band_factor:
             self.stats.band_misses += 1
-            if self.metrics is not None:
-                self.metrics.inc("serve.cache.band_misses")
             return self._miss("band")
         entry.hits += 1
         self.stats.hits += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.hits")
         if self.tracer is not None:
             self.tracer.instant("serve", "cache_hit", hits=entry.hits)
         return entry
@@ -215,8 +214,6 @@ class PlanTemplateCache:
             return None
         self._touch(entry)
         self.stats.stale_hits += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.stale_hits")
         if self.tracer is not None:
             self.tracer.instant(
                 "serve", "cache_stale",
@@ -242,8 +239,6 @@ class PlanTemplateCache:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
             self.stats.evictions += 1
-            if self.metrics is not None:
-                self.metrics.inc("serve.cache.evictions")
         entry = TemplateEntry(
             key=key,
             plan=plan,
@@ -255,8 +250,6 @@ class PlanTemplateCache:
         )
         self._entries[key] = entry
         self.stats.inserts += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.inserts")
         return entry
 
     def invalidate(self, query: QueryBlock) -> bool:
@@ -266,8 +259,6 @@ class PlanTemplateCache:
             return False
         del self._entries[key]
         self.stats.invalidations += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.invalidations")
         return True
 
     # -- persistence ---------------------------------------------------------
@@ -305,8 +296,6 @@ class PlanTemplateCache:
 
     def _miss(self, reason: str) -> None:
         self.stats.misses += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.misses")
         if self.tracer is not None:
             self.tracer.instant("serve", "cache_miss", reason=reason)
         return None
@@ -328,15 +317,11 @@ class PlanTemplateCache:
             return False
         entry.drift_failures += 1
         self.stats.drift_failures += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.drift_failures")
         if entry.drift_failures < self.breaker_threshold:
             return False
         entry.open = True
         self.stats.breaker_trips += 1
         self.stats.invalidations += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.cache.breaker_trips")
         if self.tracer is not None:
             self.tracer.instant(
                 "serve", "breaker_trip",

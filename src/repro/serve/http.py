@@ -14,11 +14,13 @@ The server runs on a daemon thread (``ThreadingHTTPServer``), binds port
 manager or via explicit :meth:`MetricsServer.start` /
 :meth:`MetricsServer.stop`.
 
-Thread-safety note: the registry is written by the asyncio loop and read
-by scrape threads without locks.  That is safe for these value types —
-ints/floats under the GIL, and dict iteration over the typed-accessor
-*copies* — a scrape may observe a torn multi-metric snapshot, never a
-crash or a corrupted metric.
+Thread-safety note: the registry, and the live components it reads
+(:meth:`~repro.obs.metrics.MetricsRegistry.register`), are written by
+the asyncio loop and read by scrape threads without locks.  That is safe
+for these value types — ints/floats under the GIL, plain attribute
+reads of stats objects, and dict iteration over *copies* — a scrape may
+observe a torn multi-metric snapshot, never a crash or a corrupted
+metric.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ generator reproduces that shape deterministically:
 * an optional **wild fraction** of requests whose constant jumps to the
   far end of the value domain — deliberate band-guard misses;
 * round-robin **tenants** and a deterministic sprinkle of tight
-  **deadlines**, exercising per-tenant budgets and deadline-forced
-  degradation.
+  **deadlines**, exercising deadline-forced degradation.
 
 Everything flows from ``LoadSpec.seed`` — two runs with the same spec
 produce byte-identical request streams, which is what lets E15 gate on
@@ -34,12 +33,8 @@ import asyncio
 import random
 from dataclasses import dataclass, field
 
-from repro.serve.service import (
-    OptimizerService,
-    Request,
-    Response,
-    percentile,
-)
+from repro.obs.metrics import Histogram
+from repro.serve.service import OptimizerService, Request, Response
 from repro.workloads.generator import Workload, chain_workload
 
 
@@ -166,6 +161,20 @@ class LoadReport:
                 f"| {tiers}"
             )
         return "\n".join(lines)
+
+
+def percentile(values: list[float], q: float) -> float:
+    """Quantile of ``values`` via the shared log-bucketed histogram path.
+
+    A thin wrapper over :meth:`~repro.obs.metrics.Histogram.quantile`:
+    0.0 for an empty list, exact for single samples and ``q<=0`` /
+    ``q>=1``, within one log bucket (~±10%) of the exact nearest-rank
+    value otherwise — the same accuracy the live registry offers.
+    """
+    histogram = Histogram()
+    for value in values:
+        histogram.observe(value)
+    return histogram.quantile(q)
 
 
 def build_templates(spec: LoadSpec) -> list[Template]:
@@ -318,5 +327,6 @@ __all__ = [
     "default_phases",
     "run_load",
     "drive",
+    "percentile",
     "zipf_pick",
 ]

@@ -48,6 +48,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
+from repro.errors import ReproError
 from repro.obs.metrics import stats_snapshot
 from repro.optimizer.batch import BatchSpec, _build_optimizer
 from repro.plans.plan import PlanNode
@@ -60,6 +61,10 @@ CRASH_EXIT = 13
 #: Failure labels a :class:`PoolResult` may carry.
 FAILURES = ("crash", "timeout", "error", "degraded")
 
+#: Seconds a freshly spawned worker gets to finish priming and answer
+#: the readiness handshake.
+SPAWN_TIMEOUT = 60.0
+
 
 @dataclass(frozen=True)
 class PoolConfig:
@@ -70,9 +75,6 @@ class PoolConfig:
     #: Wall-clock seconds a single optimization may take before its
     #: worker is declared hung and killed.
     request_timeout: float = 30.0
-    #: Seconds a freshly spawned worker gets to finish priming and
-    #: answer the readiness handshake.
-    spawn_timeout: float = 60.0
     #: Worker respawns allowed over the pool's lifetime; exhausted =
     #: dead workers stay dead and the pool degrades when none are left.
     respawn_budget: int = 3
@@ -80,8 +82,8 @@ class PoolConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-        if self.request_timeout <= 0 or self.spawn_timeout <= 0:
-            raise ValueError("timeouts must be positive")
+        if self.request_timeout <= 0:
+            raise ValueError("request_timeout must be positive")
         if self.respawn_budget < 0:
             raise ValueError("respawn_budget must be >= 0")
 
@@ -161,6 +163,15 @@ class PoolResult:
     respawned: bool = False
     elapsed_seconds: float = 0.0
 
+    @classmethod
+    def of(cls, answer: dict, elapsed_seconds: float = 0.0) -> "PoolResult":
+        """An :func:`optimize_under_limits` answer as a labeled result
+        (the answer's keys are this class's field names)."""
+        return cls(
+            failure=None if answer["ok"] else "error",
+            elapsed_seconds=elapsed_seconds, **answer,
+        )
+
 
 @dataclass
 class PoolStats:
@@ -204,19 +215,21 @@ class _Worker:
             pass
 
 
-def _optimize_in_worker(optimizer, query, limits) -> dict:
-    """Run one optimization; always answer with a picklable dict."""
-    from repro.errors import ReproError
-
+def optimize_under_limits(optimizer, query, limits) -> dict:
+    """One optimization under a budget of shape ``limits``
+    (``(max_expansions, max_plans, deadline_ticks)``, None = unlimited),
+    answered as a picklable dict: the full / anytime tiers' one call,
+    run by a pool worker on its own optimizer and by the service on the
+    in-loop one.  The budget is always a real object — an unlimited one
+    still counts — so ``expansions`` is the search's true size on both
+    sides, and it is detached again whatever happens.
+    """
     max_expansions, max_plans, deadline_ticks = limits
-    budget = None
-    if any(limit is not None for limit in limits):
-        budget = OptimizerBudget(
-            max_expansions=max_expansions,
-            max_plans=max_plans,
-            deadline_ticks=deadline_ticks,
-        )
-    optimizer.budget = budget
+    budget = optimizer.budget = OptimizerBudget(
+        max_expansions=max_expansions,
+        max_plans=max_plans,
+        deadline_ticks=deadline_ticks,
+    )
     try:
         result = optimizer.optimize(query)
     except ReproError as exc:
@@ -228,7 +241,7 @@ def _optimize_in_worker(optimizer, query, limits) -> dict:
         "plan": result.best_plan,
         "best_cost": result.best_cost,
         "alternatives": len(result.alternatives),
-        "expansions": budget.expansions if budget is not None else 0,
+        "expansions": budget.expansions,
         "budget_exhausted": result.budget_exhausted,
         "heuristic_fallback": result.heuristic_fallback,
     }
@@ -255,7 +268,7 @@ def _worker_main(conn, spec: BatchSpec, chaos: PoolChaos | None) -> None:
             elif action == "slow":
                 time.sleep(chaos.slow_seconds)
         try:
-            conn.send((seq, _optimize_in_worker(optimizer, query, limits)))
+            conn.send((seq, optimize_under_limits(optimizer, query, limits)))
         except (BrokenPipeError, OSError):
             return
 
@@ -282,7 +295,6 @@ class OptimizerPool:
         self.spec = spec
         self.config = config if config is not None else PoolConfig()
         self.chaos = chaos
-        self.metrics = metrics
         self.tracer = tracer
         self.stats = PoolStats()
         methods = multiprocessing.get_all_start_methods()
@@ -301,7 +313,10 @@ class OptimizerPool:
                 self._workers.append(worker)
         if not self._workers:
             raise RuntimeError("optimizer pool failed to spawn any worker")
-        self._gauge()
+        if metrics is not None:
+            metrics.register(
+                "pool.", self._live_stats, gauges=("workers", "degraded")
+            )
 
     # -- introspection -------------------------------------------------------
 
@@ -327,6 +342,14 @@ class OptimizerPool:
     def __len__(self) -> int:
         return len(self._workers)
 
+    def _live_stats(self) -> dict[str, float]:
+        """What the registry reads under ``pool.``: the counters plus the
+        two values only the pool itself can derive."""
+        stats = self.stats.as_dict()
+        stats["workers"] = self.workers_alive
+        stats["degraded"] = 0 if self.available else 1
+        return stats
+
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self) -> _Worker | None:
@@ -344,7 +367,7 @@ class OptimizerPool:
         # The readiness handshake *is* the priming confirmation: the
         # worker has rebuilt its optimizer and is accepting requests.
         try:
-            if parent.poll(self.config.spawn_timeout):
+            if parent.poll(SPAWN_TIMEOUT):
                 tag, _pid = parent.recv()
                 if tag == "ready":
                     return worker
@@ -352,8 +375,6 @@ class OptimizerPool:
             pass
         worker.kill()
         self.stats.spawn_failures += 1
-        if self.metrics is not None:
-            self.metrics.inc("pool.spawn_failures")
         return None
 
     def close(self) -> None:
@@ -377,7 +398,6 @@ class OptimizerPool:
                 except OSError:
                     pass
         self._workers = []
-        self._gauge()
 
     def __enter__(self) -> "OptimizerPool":
         return self
@@ -405,8 +425,6 @@ class OptimizerPool:
         """
         started = time.perf_counter()
         self.stats.dispatched += 1
-        if self.metrics is not None:
-            self.metrics.inc("pool.dispatched")
         worker = self._pick()
         if worker is None:
             return PoolResult(
@@ -414,57 +432,26 @@ class OptimizerPool:
                 elapsed_seconds=time.perf_counter() - started,
             )
         wait = timeout if timeout is not None else self.config.request_timeout
-        respawned = False
         try:
             worker.conn.send((seq, query, template, limits))
         except (BrokenPipeError, OSError):
-            respawned = self._bury(worker, "crash")
-            return PoolResult(
-                ok=False, failure="crash", respawned=respawned,
-                elapsed_seconds=time.perf_counter() - started,
-            )
+            return self._bury(worker, "crash", started)
         deadline = started + wait
         payload = None
         while payload is None:
             remaining = deadline - time.perf_counter()
             if remaining <= 0 or not worker.conn.poll(max(0.0, remaining)):
-                respawned = self._bury(worker, "timeout")
-                return PoolResult(
-                    ok=False, failure="timeout", respawned=respawned,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
+                return self._bury(worker, "timeout", started)
             try:
                 got_seq, answer = worker.conn.recv()
             except (EOFError, OSError):
-                respawned = self._bury(worker, "crash")
-                return PoolResult(
-                    ok=False, failure="crash", respawned=respawned,
-                    elapsed_seconds=time.perf_counter() - started,
-                )
+                return self._bury(worker, "crash", started)
             if got_seq == seq:  # discard stale answers defensively
                 payload = answer
-        elapsed = time.perf_counter() - started
         self.stats.completed += 1
-        if self.metrics is not None:
-            self.metrics.inc("pool.completed")
         if not payload["ok"]:
             self.stats.errors += 1
-            if self.metrics is not None:
-                self.metrics.inc("pool.errors")
-            return PoolResult(
-                ok=False, failure="error", error=payload["error"],
-                elapsed_seconds=elapsed,
-            )
-        return PoolResult(
-            ok=True,
-            plan=payload["plan"],
-            best_cost=payload["best_cost"],
-            alternatives=payload["alternatives"],
-            expansions=payload["expansions"],
-            budget_exhausted=payload["budget_exhausted"],
-            heuristic_fallback=payload["heuristic_fallback"],
-            elapsed_seconds=elapsed,
-        )
+        return PoolResult.of(payload, time.perf_counter() - started)
 
     # -- supervision ---------------------------------------------------------
 
@@ -483,16 +470,13 @@ class OptimizerPool:
                 return replacement
         return None
 
-    def _bury(self, worker: _Worker, kind: str) -> bool:
-        """Kill a misbehaving worker and replace it if budget allows."""
+    def _bury(self, worker: _Worker, kind: str, started: float) -> PoolResult:
+        """Kill a misbehaving worker, replace it if budget allows, and
+        label the dispatch that found it out (``crash`` / ``timeout``)."""
         if kind == "timeout":
             self.stats.timeouts += 1
-            if self.metrics is not None:
-                self.metrics.inc("pool.timeouts")
         else:
             self.stats.crashes += 1
-            if self.metrics is not None:
-                self.metrics.inc("pool.crashes")
         if self.tracer is not None:
             self.tracer.instant(
                 "pool", "worker_failed", kind=kind,
@@ -506,31 +490,23 @@ class OptimizerPool:
         replacement = self._respawn()
         if replacement is not None and index is not None:
             self._workers[index] = replacement
-        self._gauge()
-        return replacement is not None
+        return PoolResult(
+            ok=False, failure=kind, respawned=replacement is not None,
+            elapsed_seconds=time.perf_counter() - started,
+        )
 
     def _respawn(self) -> _Worker | None:
         """One respawn-with-priming, charged against the budget."""
         if self._respawns_left <= 0:
-            self._gauge()
             return None
         self.stats.respawns += 1
-        if self.metrics is not None:
-            self.metrics.inc("pool.respawns")
         worker = self._spawn()
         if worker is not None and self.tracer is not None:
             self.tracer.instant(
                 "pool", "worker_respawned",
                 budget_left=self._respawns_left,
             )
-        self._gauge()
         return worker
-
-    def _gauge(self) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.set_gauge("pool.workers", self.workers_alive)
-        self.metrics.set_gauge("pool.degraded", 0 if self.available else 1)
 
 
 __all__ = [
@@ -541,4 +517,5 @@ __all__ = [
     "PoolConfig",
     "PoolResult",
     "PoolStats",
+    "optimize_under_limits",
 ]

@@ -70,9 +70,15 @@ class TemplateQuarantine:
             raise ValueError("ttl must be at least 1")
         self.strikes = strikes
         self.ttl = ttl
-        self.metrics = metrics
         self.tracer = tracer
         self.stats = QuarantineStats()
+        if metrics is not None:
+            metrics.register("quarantine.", self.as_dict, gauges=("active",))
+            # The one count older than its prefix: dashboards know a
+            # template entering quarantine as ``serve.quarantined``.
+            metrics.register(
+                "serve.quarantined", lambda: {"": self.stats.quarantines}
+            )
         #: Strikes accumulated while *not* quarantined.
         self._strikes: dict[object, int] = {}
         #: Active quarantines: key → remaining TTL in requests.
@@ -95,8 +101,6 @@ class TemplateQuarantine:
         if not self.enabled:
             return False
         self.stats.strikes += 1
-        if self.metrics is not None:
-            self.metrics.inc("quarantine.strikes")
         if key in self._active:
             return False
         count = self._strikes.get(key, 0) + 1
@@ -109,9 +113,6 @@ class TemplateQuarantine:
         self._offenses[key] = offenses
         self._active[key] = self.ttl * (2 ** (offenses - 1))
         self.stats.quarantines += 1
-        if self.metrics is not None:
-            self.metrics.inc("serve.quarantined")
-            self.metrics.set_gauge("quarantine.active", len(self._active))
         if self.tracer is not None:
             self.tracer.instant(
                 "serve", "quarantined",
@@ -122,8 +123,6 @@ class TemplateQuarantine:
     def served(self, key: object) -> None:
         """Note one request served heuristically under quarantine."""
         self.stats.served += 1
-        if self.metrics is not None:
-            self.metrics.inc("quarantine.served")
 
     def tick(self) -> None:
         """One request observed: age every active quarantine."""
@@ -138,10 +137,6 @@ class TemplateQuarantine:
             del self._active[key]
             self._strikes.pop(key, None)  # expiry clears the strike count
             self.stats.expirations += 1
-            if self.metrics is not None:
-                self.metrics.inc("quarantine.expirations")
-        if expired and self.metrics is not None:
-            self.metrics.set_gauge("quarantine.active", len(self._active))
 
     def as_dict(self) -> dict[str, float]:
         stats = self.stats.as_dict()

@@ -32,11 +32,16 @@ Tiers 3–5 are chosen by current load (queue depth over
 ``queue_limit``), the request's remaining deadline, and — when SLOs are
 configured — the rolling error-budget **burn rate** from
 :class:`~repro.obs.slo.SLOMonitor`, so degradation is a measured policy
-rather than a queue-length heuristic.  Per-tenant
-:class:`~repro.robust.budget.OptimizerBudget` objects are created once
-and reused across requests — ``optimize`` resets their counters, and the
-budget-reuse tests pin down that exhaustion never leaks between
-requests.
+rather than a queue-length heuristic.  The full and anytime tiers
+optimize through :func:`~repro.serve.pool.optimize_under_limits`, on the
+in-loop optimizer or in a pool worker: a fresh budget of the tier's
+shape per request, so exhaustion cannot leak between requests.
+
+Every request is counted once, by tier, where it is resolved
+(:meth:`OptimizerService._resolve`); ``rejections`` and ``errors`` are
+sums over those counts, and the metrics registry *reads* them
+(``serve.*``, ``snapshot.*``) when asked.  The four tiers that deliver
+no plan share one builder (:meth:`OptimizerService._no_plan`).
 
 Every request carries a :class:`~repro.obs.telemetry.TraceContext`
 minted at admission: a deterministic request id stamped (via
@@ -76,14 +81,14 @@ from __future__ import annotations
 import asyncio
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.catalog.catalog import Catalog
 from repro.config import OptimizerConfig
 from repro.cost.model import CostWeights
 from repro.errors import ReproError
 from repro.obs.flight import FlightRecord, FlightRecorder
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SLOMonitor
 from repro.obs.telemetry import TelemetryConfig, TraceContext, TraceSampler
 from repro.obs.trace import Tracer
@@ -92,10 +97,16 @@ from repro.optimizer.optimizer import StarburstOptimizer
 from repro.query.parser import parse_query
 from repro.query.query import QueryBlock
 from repro.query.template import query_template
-from repro.robust.budget import OptimizerBudget
 from repro.robust.feedback import FeedbackCache
 from repro.serve.cache import PlanTemplateCache
-from repro.serve.pool import OptimizerPool, PoolChaos, PoolConfig
+from repro.serve.pool import (
+    OptimizerPool,
+    PoolChaos,
+    PoolConfig,
+    PoolResult,
+    PoolStats,
+    optimize_under_limits,
+)
 from repro.serve.quarantine import TemplateQuarantine
 from repro.serve.snapshot import (
     SnapshotError,
@@ -120,6 +131,26 @@ PLAN_TIERS = (TIER_CACHED, TIER_FULL, TIER_ANYTIME, TIER_HEURISTIC, TIER_STALE)
 ALL_TIERS = PLAN_TIERS + (TIER_REJECTED, TIER_ERROR, TIER_EXPIRED,
                           TIER_SHUTDOWN)
 
+#: The tiers that deliver no plan: tier → (``serve.`` metric field, trace
+#: instant, error text).  Everything :meth:`OptimizerService._no_plan`
+#: needs to know about them.
+_NO_PLAN = {
+    TIER_REJECTED: ("rejected", "rejected", None),
+    TIER_ERROR: ("errors", "error", None),
+    TIER_EXPIRED: ("expired", "expired", "deadline expired in queue"),
+    TIER_SHUTDOWN: ("shutdown", "shutdown_shed", "service stopped"),
+}
+
+#: Bound on the service's own feedback cache (it serves every tenant).
+FEEDBACK_CAPACITY = 1024
+#: Request deadlines (logical ticks) at or below these force the tier.
+ANYTIME_DEADLINE = 2000
+HEURISTIC_DEADLINE = 200
+#: SLO burn rate at or above which the tier chooser degrades new
+#: requests to at least ``anytime`` / ``heuristic``.
+SLO_ANYTIME_BURN = 1.0
+SLO_HEURISTIC_BURN = 2.0
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -137,22 +168,12 @@ class ServiceConfig:
     drift_threshold: float = 10.0
     #: Consecutive drift failures that trip an entry's circuit breaker.
     breaker_threshold: int = 3
-    #: Bound on the shared feedback cache (it serves every tenant).
-    feedback_capacity: int = 1024
-    #: Full-tier budget limits (None = unlimited).
-    full_expansions: int | None = None
-    full_plans: int | None = None
     #: Logical-tick deadline imposed on anytime-tier optimizations.
     anytime_ticks: int = 2000
     #: Load thresholds (fractions of ``queue_limit``) for degradation.
     anytime_load: float = 0.5
     heuristic_load: float = 0.75
     stale_load: float = 0.9
-    #: Request deadlines at or below these ticks force the tier.
-    anytime_deadline: int = 2000
-    heuristic_deadline: int = 200
-    #: Serve tripped/banded-out cached plans under extreme load.
-    allow_stale: bool = True
     #: Optimizer-pool subprocesses for the full/anytime tiers (0 = run
     #: optimizations in-loop, PR 6 behavior).
     pool_workers: int = 0
@@ -163,8 +184,6 @@ class ServiceConfig:
     pool_respawn_budget: int = 3
     #: Pool crashes/hangs that quarantine a template (0 disables).
     quarantine_strikes: int = 3
-    #: Base quarantine length, in requests observed by the service.
-    quarantine_ttl: int = 64
     #: Snapshot file for warm restarts (None disables snapshotting).
     snapshot_path: str | None = None
     #: Requests between periodic snapshots (0 = only on stop).
@@ -261,23 +280,7 @@ class ServiceReport:
     snapshot: dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "requests": self.requests,
-            "rejections": self.rejections,
-            "errors": self.errors,
-            "tiers": dict(self.tiers),
-            "max_queue_depth": self.max_queue_depth,
-            "latency_p50": self.latency_p50,
-            "latency_p99": self.latency_p99,
-            "latency_mean": self.latency_mean,
-            "cache": dict(self.cache),
-            "feedback": dict(self.feedback),
-            "slo": {name: dict(state) for name, state in self.slo.items()},
-            "flight_dumps": self.flight_dumps,
-            "pool": dict(self.pool),
-            "quarantine": dict(self.quarantine),
-            "snapshot": dict(self.snapshot),
-        }
+        return asdict(self)
 
     def summary(self) -> str:
         lines = [
@@ -324,26 +327,12 @@ class ServiceReport:
             )
         if self.snapshot:
             lines.append(
-                f"  snapshot: loaded={bool(self.snapshot.get('loaded'))}, "
+                f"  snapshot: loaded={bool(self.snapshot.get('loads'))}, "
                 f"{self.snapshot.get('saves', 0):.0f} save(s), "
                 f"{self.snapshot.get('templates_restored', 0):.0f} "
                 "template(s) restored"
             )
         return "\n".join(lines)
-
-
-def percentile(values: list[float], q: float) -> float:
-    """Quantile of ``values`` via the shared log-bucketed histogram path.
-
-    A thin wrapper over :meth:`~repro.obs.metrics.Histogram.quantile`:
-    0.0 for an empty list, exact for single samples and ``q<=0`` /
-    ``q>=1``, within one log bucket (~±10%) of the exact nearest-rank
-    value otherwise — the same accuracy the live registry offers.
-    """
-    histogram = Histogram()
-    for value in values:
-        histogram.observe(value)
-    return histogram.quantile(q)
 
 
 class OptimizerService:
@@ -380,7 +369,7 @@ class OptimizerService:
         if feedback is None:
             feedback = FeedbackCache(
                 tracer=self.tracer, metrics=self.metrics,
-                capacity=self.config.feedback_capacity,
+                capacity=FEEDBACK_CAPACITY,
             )
         self.feedback = feedback
         self.optimizer = StarburstOptimizer(
@@ -408,14 +397,17 @@ class OptimizerService:
         #: Text of the most recent flight-recorder dump (None until one
         #: triggers) — what tests and the forced-trip E16 gate read.
         self.last_flight_dump: str | None = None
-        self._budgets: dict[str, OptimizerBudget] = {}
         self._queue: asyncio.Queue | None = None
         self._workers: list[asyncio.Task] = []
-        self._tiers: dict[str, int] = {}
+        #: The service's one ledger: requests minted, and responses
+        #: resolved per tier (bumped by :meth:`_resolve`, nowhere else).
         self.requests = 0
-        self.rejections = 0
-        self.errors = 0
+        self._tiers: dict[str, int] = {}
         self.max_queue_depth = 0
+        self.metrics.register(
+            "serve.", self._serve_counts,
+            gauges=("queue_depth", "queue_depth_max"),
+        )
         #: True between a stop() and the next start(): submits are shed
         #: with ``shutdown`` responses instead of raising.
         self._stopped = False
@@ -428,11 +420,11 @@ class OptimizerService:
         self._pool_chaos = pool_chaos
         self.pool: OptimizerPool | None = None
         self._pool_seq = 0
-        #: Final pool stats, preserved across close() for reporting.
-        self._last_pool_stats: dict[str, float] = {}
+        #: The latest pool's stats object — it outlives close(), for
+        #: reporting.
+        self._pool_stats: PoolStats | None = None
         self.quarantine = TemplateQuarantine(
             strikes=self.config.quarantine_strikes,
-            ttl=self.config.quarantine_ttl,
             metrics=self.metrics, tracer=self.tracer,
         )
         self._since_snapshot = 0
@@ -444,7 +436,33 @@ class OptimizerService:
         self.snapshot_error: str | None = None
         self.templates_restored = 0
         self.feedback_restored = 0
+        if self.config.snapshot_path:
+            self.metrics.register(
+                "snapshot.", self._snapshot_counts,
+                gauges=("templates_restored", "feedback_restored"),
+            )
         self._load_snapshot()
+
+    @property
+    def rejections(self) -> int:
+        """Requests shed without handling: rejected + expired + shutdown."""
+        return sum(self._tiers.get(t, 0) for t in _NO_PLAN if t != TIER_ERROR)
+
+    @property
+    def errors(self) -> int:
+        return self._tiers.get(TIER_ERROR, 0)
+
+    def _serve_counts(self) -> dict[str, float]:
+        """What the registry reads under ``serve.``."""
+        counts = {
+            "requests": self.requests,
+            "queue_depth": self._queue.qsize() if self._queue else 0,
+            "queue_depth_max": self.max_queue_depth,
+        }
+        for tier, count in list(self._tiers.items()):  # a scrape thread
+            field = _NO_PLAN[tier][0] if tier in _NO_PLAN else f"tier.{tier}"
+            counts[field] = count
+        return counts
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -459,10 +477,7 @@ class OptimizerService:
         """
         if self._workers:
             return
-        if (
-            self.config.pool_workers > 0
-            and self.pool is None
-        ):
+        if self.config.pool_workers > 0 and self.pool is None:
             self.pool = OptimizerPool(
                 self._spec,
                 PoolConfig(
@@ -474,6 +489,7 @@ class OptimizerService:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
+            self._pool_stats = self.pool.stats
         self._stopped = False
         self._queue = asyncio.Queue()
         self._workers = [
@@ -494,29 +510,19 @@ class OptimizerService:
         if not self._workers:
             return
         shed: list = []
-        if not drain:
-            while True:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
-                self._queue.task_done()
-                if item is not None:
-                    shed.append(item)
+        while not drain and not self._queue.empty():
+            item = self._queue.get_nowait()
+            if item is not None:  # a concurrent stop()'s sentinel
+                shed.append(item)
         for _ in self._workers:
             self._queue.put_nowait(None)
         await asyncio.gather(*self._workers)
         self._workers = []
         self._queue = None
         self._stopped = True
-        for request, ctx, future, admitted, depth in shed:
-            response = self._shutdown_response(request, ctx)
-            response.queue_depth = depth
-            response.elapsed_seconds = time.perf_counter() - admitted
-            if not future.done():
-                future.set_result(response)
-        if self.config.snapshot_path:
-            self.save_snapshot()
+        for item in shed:
+            self._resolve(item, self._no_plan(item, TIER_SHUTDOWN))
+        self.save_snapshot()  # a no-op without a snapshot_path
 
     def close(self) -> None:
         """Release out-of-process resources (the optimizer pool).
@@ -527,7 +533,6 @@ class OptimizerService:
         the pool.
         """
         if self.pool is not None:
-            self._last_pool_stats = self.pool.stats.as_dict()
             self.pool.close()
             self.pool = None
 
@@ -555,13 +560,7 @@ class OptimizerService:
         :meth:`start`.  Submitting to a *never-started* service is still
         a programming error and raises.
         """
-        if self._queue is None:
-            if self._stopped:
-                loop = asyncio.get_running_loop()
-                future = loop.create_future()
-                response = self._shutdown_response(request, None)
-                future.set_result(response)
-                return future
+        if self._queue is None and not self._stopped:
             raise RuntimeError("service is not started (use start()/serve_all)")
         loop = asyncio.get_running_loop()
         future: asyncio.Future[Response] = loop.create_future()
@@ -572,63 +571,70 @@ class OptimizerService:
             seq=seq,
             tenant=request.tenant,
             template=request.template,
-            sampled=self._sampler.sample(seq),
+            sampled=self._queue is not None and self._sampler.sample(seq),
         )
-        self.metrics.inc("serve.requests")
+        # A request that never reaches the queue waited for nothing: its
+        # item carries no admission time and ``elapsed_seconds`` stays 0.
+        if self._queue is None:
+            item = (request, ctx, future, None, 0)
+            self._resolve(item, self._no_plan(item, TIER_SHUTDOWN))
+            return future
         depth = self._queue.qsize()
         if depth >= self.config.queue_limit:
-            self.rejections += 1
-            self._count_tier(TIER_REJECTED)
-            self.metrics.inc("serve.rejected")
-            if self.tracer is not None:
-                with self.tracer.context(**ctx.trace_args()):
-                    self.tracer.instant(
-                        "serve", "rejected", depth=depth
-                    )
-            future.set_result(Response(
-                ok=False, tier=TIER_REJECTED, tenant=request.tenant,
-                rejected=True, queue_depth=depth, template=request.template,
-                request_id=ctx.request_id, sampled=ctx.sampled,
-            ))
+            item = (request, ctx, future, None, depth)
+            self._resolve(item, self._no_plan(item, TIER_REJECTED, depth=depth))
             return future
         self._queue.put_nowait(
             (request, ctx, future, time.perf_counter(), depth)
         )
-        queued = self._queue.qsize()
-        self.max_queue_depth = max(self.max_queue_depth, queued)
-        self.metrics.set_gauge("serve.queue_depth", queued)
-        self.metrics.set_gauge("serve.queue_depth_max", self.max_queue_depth)
+        self.max_queue_depth = max(self.max_queue_depth, self._queue.qsize())
         return future
 
-    def _shutdown_response(
-        self, request: Request, ctx: TraceContext | None
+    def _no_plan(
+        self, item: tuple, tier: str, error: str | None = None, **instant_args
     ) -> Response:
-        """An explicit shed-for-shutdown response (counted as rejection).
+        """The one exit of a request that gets no plan.
 
-        ``ctx`` is None for post-stop submits (a context is minted here
-        so ids stay dense); queue-shed requests arrive with the context
-        admission minted.
+        Stamps the tier's one trace instant under the request's context
+        and builds the response; :data:`_NO_PLAN` holds what differs by
+        tier.  The ``error`` instant is the always-on-error net — an
+        unsampled failure still leaves a stamped event; a sampled one
+        already shows in its own span tree.
         """
-        if ctx is None:
-            seq = self.requests
-            self.requests += 1
-            ctx = TraceContext(
-                request_id=f"req-{seq:06d}", seq=seq, tenant=request.tenant,
-                template=request.template, sampled=False,
-            )
-            self.metrics.inc("serve.requests")
-        self.rejections += 1
-        self._count_tier(TIER_SHUTDOWN)
-        self.metrics.inc("serve.shutdown")
-        if self.tracer is not None:
+        request, ctx = item[:2]
+        _, instant, text = _NO_PLAN[tier]
+        if error is None:
+            error = text
+        traced = self.tracer is not None
+        if tier == TIER_ERROR:
+            traced = traced and not ctx.sampled
+            instant_args = {"tier": tier, "message": error}
+        if traced:
             with self.tracer.context(**ctx.trace_args()):
-                self.tracer.instant("serve", "shutdown_shed")
+                self.tracer.instant("serve", instant, **instant_args)
         return Response(
-            ok=False, tier=TIER_SHUTDOWN, tenant=request.tenant,
-            rejected=True, template=request.template,
-            request_id=ctx.request_id, sampled=ctx.sampled,
-            error="service stopped",
+            ok=False, tier=tier, tenant=request.tenant,
+            rejected=tier != TIER_ERROR, template=request.template,
+            error=error,
         )
+
+    def _resolve(self, item: tuple, response: Response) -> None:
+        """The one finisher: stamp, count the tier, resolve the future.
+
+        Every response — planned or not — ends here, which is what makes
+        ``requests == sum(tiers)`` hold whenever nothing is in flight.
+        ``item`` is the queue's ``(request, ctx, future, admitted,
+        depth)``.
+        """
+        _request, ctx, future, admitted, depth = item
+        response.queue_depth = depth
+        if admitted is not None:
+            response.elapsed_seconds = time.perf_counter() - admitted
+        response.request_id = ctx.request_id
+        response.sampled = ctx.sampled
+        self._tiers[response.tier] = self._tiers.get(response.tier, 0) + 1
+        if not future.done():
+            future.set_result(response)
 
     async def request(self, request: Request) -> Response:
         """Submit one request and await its response."""
@@ -675,7 +681,6 @@ class OptimizerService:
             snapshot = load_snapshot(path)
         except SnapshotError as exc:
             self.snapshot_error = str(exc)
-            self.metrics.inc("snapshot.load_failures")
             if self.tracer is not None:
                 self.tracer.instant(
                     "serve", "snapshot_load_failed", error=str(exc)
@@ -685,13 +690,6 @@ class OptimizerService:
             snapshot, self.cache, self.feedback
         )
         self.snapshot_loaded = True
-        self.metrics.inc("snapshot.loads")
-        self.metrics.set_gauge(
-            "snapshot.templates_restored", self.templates_restored
-        )
-        self.metrics.set_gauge(
-            "snapshot.feedback_restored", self.feedback_restored
-        )
         if self.tracer is not None:
             self.tracer.instant(
                 "serve", "snapshot_loaded",
@@ -713,7 +711,6 @@ class OptimizerService:
             save_snapshot(path, self.cache, self.feedback)
         except OSError as exc:
             self.snapshot_save_failures += 1
-            self.metrics.inc("snapshot.save_failures")
             if self.tracer is not None:
                 self.tracer.instant(
                     "serve", "snapshot_save_failed", error=str(exc)
@@ -721,7 +718,6 @@ class OptimizerService:
             return False
         self._since_snapshot = 0
         self.snapshot_saves += 1
-        self.metrics.inc("snapshot.saves")
         return True
 
     def _maybe_snapshot(self) -> None:
@@ -732,13 +728,16 @@ class OptimizerService:
         if self._since_snapshot >= self.config.snapshot_every:
             self.save_snapshot()
 
-    def _snapshot_report(self) -> dict[str, float]:
+    def _snapshot_counts(self) -> dict[str, float]:
+        """What the registry reads under ``snapshot.`` (construction
+        loads at most once, so the two load counters are 0 or 1)."""
         return {
-            "loaded": float(self.snapshot_loaded),
-            "saves": float(self.snapshot_saves),
-            "save_failures": float(self.snapshot_save_failures),
-            "templates_restored": float(self.templates_restored),
-            "feedback_restored": float(self.feedback_restored),
+            "loads": int(self.snapshot_loaded),
+            "load_failures": int(self.snapshot_error is not None),
+            "saves": self.snapshot_saves,
+            "save_failures": self.snapshot_save_failures,
+            "templates_restored": self.templates_restored,
+            "feedback_restored": self.feedback_restored,
         }
 
     # -- reporting -----------------------------------------------------------
@@ -758,13 +757,10 @@ class OptimizerService:
             feedback=self.feedback.as_dict(),
             slo=self._slo.status(),
             flight_dumps=self.flight.dumps if self.flight is not None else 0,
-            pool=(
-                self.pool.stats.as_dict()
-                if self.pool is not None else dict(self._last_pool_stats)
-            ),
+            pool=self._pool_stats.as_dict() if self._pool_stats else {},
             quarantine=self.quarantine.as_dict(),
             snapshot=(
-                self._snapshot_report()
+                self._snapshot_counts()
                 if self.config.snapshot_path else {}
             ),
         )
@@ -772,72 +768,32 @@ class OptimizerService:
     # -- the worker ----------------------------------------------------------
 
     async def _worker(self) -> None:
-        while True:
-            item = await self._queue.get()
-            if item is None:
-                self._queue.task_done()
-                return
-            request, ctx, future, admitted, depth = item
+        while (item := await self._queue.get()) is not None:
+            request, ctx, _future, admitted, _depth = item
+            deadline = request.deadline_seconds
             if (
-                request.deadline_seconds is not None
-                and time.perf_counter() - admitted
-                >= request.deadline_seconds
+                deadline is not None
+                and time.perf_counter() - admitted >= deadline
             ):
                 # Expired in queue: nobody is waiting for this answer —
                 # shed it instead of spending optimizer budget.
-                response = self._expired_response(request, ctx)
-                response.queue_depth = depth
-                response.elapsed_seconds = time.perf_counter() - admitted
-                if not future.done():
-                    future.set_result(response)
-                self._queue.task_done()
+                self._resolve(item, self._no_plan(
+                    item, TIER_EXPIRED, deadline_seconds=deadline
+                ))
                 continue
             breaker_before = self.cache.stats.breaker_trips
             quarantines_before = self.quarantine.stats.quarantines
             try:
                 response = self._handle(request, ctx)
             except Exception as exc:  # safety net: requests never die unhandled
-                self.errors += 1
-                self.metrics.inc("serve.errors")
-                response = Response(
-                    ok=False, tier=TIER_ERROR, tenant=request.tenant,
-                    template=request.template, error=str(exc),
-                )
-            response.queue_depth = depth
-            response.elapsed_seconds = time.perf_counter() - admitted
-            response.request_id = ctx.request_id
-            response.sampled = ctx.sampled
-            self._count_tier(response.tier)
-            self.metrics.observe(
-                "serve.latency_seconds", response.elapsed_seconds
-            )
+                response = self._no_plan(item, TIER_ERROR, error=str(exc))
+            self._resolve(item, response)
+            # Handled and errored requests feed the latency histogram,
+            # the SLOs and the flight recorder; shed ones never do.
             self._finish_telemetry(
                 request, ctx, response, breaker_before, quarantines_before
             )
-            if not future.done():
-                future.set_result(response)
-            self._queue.task_done()
             self._maybe_snapshot()
-
-    def _expired_response(
-        self, request: Request, ctx: TraceContext
-    ) -> Response:
-        """The expired-in-queue shed: explicit, counted, distinct."""
-        self.rejections += 1
-        self._count_tier(TIER_EXPIRED)
-        self.metrics.inc("serve.expired")
-        if self.tracer is not None:
-            with self.tracer.context(**ctx.trace_args()):
-                self.tracer.instant(
-                    "serve", "expired",
-                    deadline_seconds=request.deadline_seconds,
-                )
-        return Response(
-            ok=False, tier=TIER_EXPIRED, tenant=request.tenant,
-            rejected=True, template=request.template,
-            request_id=ctx.request_id, sampled=ctx.sampled,
-            error="deadline expired in queue",
-        )
 
     def _finish_telemetry(
         self,
@@ -845,21 +801,12 @@ class OptimizerService:
         ctx: TraceContext,
         response: Response,
         breaker_before: int,
-        quarantines_before: int = 0,
+        quarantines_before: int,
     ) -> None:
-        """Post-response telemetry: error instants, SLOs, flight recorder."""
-        if (
-            self.tracer is not None
-            and not response.ok
-            and not ctx.sampled
-        ):
-            # Always-on-error: unsampled failures still leave a stamped
-            # instant, so no error is ever invisible in the trace.
-            with self.tracer.context(**ctx.trace_args()):
-                self.tracer.instant(
-                    "serve", "error", tier=response.tier,
-                    message=response.error or "",
-                )
+        """Post-response telemetry: latency, SLOs, the flight recorder."""
+        self.metrics.observe(
+            "serve.latency_seconds", response.elapsed_seconds
+        )
         newly_violated = (
             self._slo.observe(response.elapsed_seconds, response.ok)
             if len(self._slo) else []
@@ -912,86 +859,70 @@ class OptimizerService:
     # -- request handling (synchronous; one event-loop thread) ---------------
 
     def _handle(self, request: Request, ctx: TraceContext) -> Response:
-        query = request.query
-        if isinstance(query, str):
-            query = parse_query(query, self.optimizer.catalog)
-        if ctx.sampled:
-            return self._handle_traced(request, query, ctx)
-        if self.tracer is None:
-            return self._plan(request, query, ctx)
-        # A tracer is attached but this request is not sampled: silence
-        # the component tracers so it costs (almost) nothing to trace.
-        previous = (self.optimizer.tracer, self.cache.tracer)
-        self.optimizer.tracer = None
-        self.cache.tracer = None
-        try:
-            return self._plan(request, query, ctx)
-        finally:
-            self.optimizer.tracer, self.cache.tracer = previous
-
-    def _handle_traced(
-        self, request: Request, query: QueryBlock, ctx: TraceContext
-    ) -> Response:
-        """The sampled path: one stamped span tree for the whole request.
+        """Parse and plan one request — under one stamped span tree when
+        it is sampled.
 
         Every event recorded inside the ``tracer.context`` block — the
         serve span, admission/tier instants, cache probes, the optimizer
         expansion — carries this request's ``rid``, which is what lets
-        :func:`repro.obs.telemetry.span_tree` reassemble it.  The swap of
-        the component tracers is safe because ``_handle`` runs
+        :func:`repro.obs.telemetry.span_tree` reassemble it.  The
+        component tracers follow the sampling decision for the duration
+        (silenced for an unsampled request, so an attached tracer costs
+        it almost nothing); the swap is safe because ``_handle`` runs
         synchronously on the single event-loop thread.
         """
+        query = request.query
+        if isinstance(query, str):
+            query = parse_query(query, self.optimizer.catalog)
         tracer = self.tracer
-        self.metrics.inc("serve.sampled")
-        with tracer.context(**ctx.trace_args()):
-            span = tracer.begin("serve", "request")
-            previous = (self.optimizer.tracer, self.cache.tracer)
-            self.optimizer.tracer = tracer
-            self.cache.tracer = tracer
-            tier = "?"
-            try:
-                tracer.instant(
-                    "serve", "admitted", seq=ctx.seq,
-                    depth=self._queue.qsize() if self._queue else 0,
-                )
-                response = self._plan(request, query, ctx)
-                tier = response.tier
-                return response
-            finally:
-                self.optimizer.tracer, self.cache.tracer = previous
-                tracer.end(span, tier=tier)
+        if tracer is None:
+            return self._plan(request, query, ctx)
+        previous = (self.optimizer.tracer, self.cache.tracer)
+        self.optimizer.tracer = self.cache.tracer = (
+            tracer if ctx.sampled else None
+        )
+        try:
+            if not ctx.sampled:
+                return self._plan(request, query, ctx)
+            self.metrics.inc("serve.sampled")
+            with tracer.context(**ctx.trace_args()):
+                span = tracer.begin("serve", "request")
+                try:
+                    tracer.instant(
+                        "serve", "admitted", seq=ctx.seq,
+                        depth=self._queue.qsize() if self._queue else 0,
+                    )
+                    return self._plan(request, query, ctx)
+                finally:
+                    tracer.end(span, tier=ctx.tier)
+        finally:
+            self.optimizer.tracer, self.cache.tracer = previous
 
     def _plan(
         self, request: Request, query: QueryBlock, ctx: TraceContext
     ) -> Response:
         self.quarantine.tick()
         entry = self.cache.lookup(query)
+        tier, outcome = TIER_CACHED, "hit"
+        if entry is None:
+            tier = self._choose_tier(request)
+            if tier == TIER_STALE:
+                entry, outcome = self.cache.lookup_stale(query), "stale"
+                if entry is None:
+                    tier = TIER_HEURISTIC  # nothing cached to go stale on
         if entry is not None:
-            self._note_tier(ctx, TIER_CACHED)
+            self._note_tier(ctx, tier)
             return Response(
-                ok=True, tier=TIER_CACHED, tenant=request.tenant,
+                ok=True, tier=tier, tenant=request.tenant,
                 plan_digest=entry.plan.digest, best_cost=entry.best_cost,
                 cache_hit=True, template=request.template,
-                cache_outcome="hit", drift_q=entry.last_q,
+                cache_outcome=outcome, drift_q=entry.last_q,
             )
-        outcome = "miss" if self.cache.enabled else "none"
-        tier = self._choose_tier(request)
-        if tier == TIER_STALE:
-            stale = self.cache.lookup_stale(query)
-            if stale is not None:
-                self._note_tier(ctx, TIER_STALE)
-                return Response(
-                    ok=True, tier=TIER_STALE, tenant=request.tenant,
-                    plan_digest=stale.plan.digest, best_cost=stale.best_cost,
-                    cache_hit=True, template=request.template,
-                    cache_outcome="stale", drift_q=stale.last_q,
-                )
-            tier = TIER_HEURISTIC  # nothing cached to go stale on
-        expansions = 0
-        budget_exhausted = False
-        pooled = False
-        pool_failure: str | None = None
-        quarantined = False
+        response = Response(
+            ok=True, tier=tier, tenant=request.tenant,
+            template=request.template,
+            cache_outcome="miss" if self.cache.enabled else "none",
+        )
         if (
             self.pool is not None
             and tier in (TIER_FULL, TIER_ANYTIME)
@@ -999,80 +930,70 @@ class OptimizerService:
         ):
             # A quarantined template never reaches the pool: its query
             # still gets a plan, from the in-loop heuristic path.
-            quarantined = True
+            response.quarantined = True
             self.quarantine.served(query_template(query))
             tier = TIER_HEURISTIC
-        if tier == TIER_HEURISTIC:
-            result = self.optimizer.optimize_heuristic(query)
-            plan, best_cost = result.best_plan, result.best_cost
-        elif self.pool is not None:
-            outcome_pool = self.pool.optimize(
-                query, seq=self._next_pool_seq(),
-                template=request.template,
-                limits=self._budget_limits(request, tier),
-            )
-            pooled = True
-            if outcome_pool.failure == "error":
-                # The worker's optimizer raised a ReproError — the same
-                # error the in-loop path would raise; surface it so the
-                # standard error-response safety net labels it.
-                raise ReproError(outcome_pool.error or "pool optimization failed")
-            if outcome_pool.ok:
-                plan, best_cost = outcome_pool.plan, outcome_pool.best_cost
-                expansions = outcome_pool.expansions
-                budget_exhausted = outcome_pool.budget_exhausted
-                if budget_exhausted:
+        if tier != TIER_HEURISTIC:
+            # The budget *shape* optimize_under_limits builds a budget
+            # from, in the loop or in a worker (budget objects never
+            # cross the pipe).  Only the deadline is ever bounded.
+            deadline = request.deadline_ticks
+            if tier == TIER_ANYTIME:
+                deadline = min(
+                    d for d in (deadline, self.config.anytime_ticks)
+                    if d is not None
+                )
+            limits = (None, None, deadline)
+            if self.pool is not None:
+                response.pooled = True
+                answer = self.pool.optimize(
+                    query, seq=self._pool_seq,  # the chaos RNG key
+                    template=request.template, limits=limits,
+                )
+                self._pool_seq += 1
+            else:
+                answer = PoolResult.of(
+                    optimize_under_limits(self.optimizer, query, limits)
+                )
+            if answer.failure == "error":
+                # The optimizer raised a ReproError, in the loop or in a
+                # worker: surface it so the error net of ``_worker``
+                # labels it.
+                raise ReproError(answer.error or "optimization failed")
+            if answer.ok:
+                plan, best_cost = answer.plan, answer.best_cost
+                response.budget_expansions = answer.expansions
+                response.budget_exhausted = answer.budget_exhausted
+                if answer.budget_exhausted:
+                    # The search was cut short — label the answer
+                    # honestly, whatever tier admission picked.
                     tier = TIER_ANYTIME
-                if not outcome_pool.heuristic_fallback:
+                if not answer.heuristic_fallback:
                     self.cache.insert(query, plan, best_cost, tier=tier)
             else:
                 # crash / timeout / degraded: strike the template (the
                 # first two only) and fail over to the in-loop heuristic
                 # tier — a pool failure never fails the request.
-                pool_failure = outcome_pool.failure
-                if pool_failure in ("crash", "timeout"):
+                response.pool_failure = answer.failure
+                if answer.failure in ("crash", "timeout"):
                     self.quarantine.strike(query_template(query))
                 self.metrics.inc("serve.pool_fallbacks")
                 if self.tracer is not None:
                     self.tracer.instant(
-                        "serve", "pool_fallback", failure=pool_failure
+                        "serve", "pool_fallback", failure=answer.failure
                     )
-                result = self.optimizer.optimize_heuristic(query)
-                plan, best_cost = result.best_plan, result.best_cost
                 tier = TIER_HEURISTIC
-        else:
-            budget = self._tenant_budget(request, tier)
-            self.optimizer.budget = budget
-            try:
-                result = self.optimizer.optimize(query)
-            finally:
-                self.optimizer.budget = None
-            expansions = budget.expansions
-            budget_exhausted = result.budget_exhausted
-            if budget_exhausted:
-                # The search was cut short — label the answer honestly,
-                # whatever tier admission picked.
-                tier = TIER_ANYTIME
-            if not result.heuristic_fallback:
-                self.cache.insert(
-                    query, result.best_plan, result.best_cost, tier=tier
-                )
+        if tier == TIER_HEURISTIC:
+            result = self.optimizer.optimize_heuristic(query)
             plan, best_cost = result.best_plan, result.best_cost
         self._note_tier(ctx, tier)
-        return Response(
-            ok=True, tier=tier, tenant=request.tenant,
-            plan_digest=plan.digest, best_cost=best_cost,
-            budget_exhausted=budget_exhausted,
-            template=request.template,
-            cache_outcome=outcome, budget_expansions=expansions,
-            pooled=pooled, pool_failure=pool_failure,
-            quarantined=quarantined,
-        )
+        response.tier = tier
+        response.plan_digest, response.best_cost = plan.digest, best_cost
+        return response
 
     def _note_tier(self, ctx: TraceContext, tier: str) -> None:
-        """Record the tier decision: context, metric, sampled instant."""
+        """Record the tier decision: context and sampled instant."""
         ctx.tier = tier
-        self.metrics.inc(f"serve.tier.{tier}")
         if ctx.sampled and self.tracer is not None:
             self.tracer.instant("serve", "tier", tier=tier)
 
@@ -1081,61 +1002,14 @@ class OptimizerService:
         load = self._queue.qsize() / cfg.queue_limit if self._queue else 0.0
         burn = self._slo.max_burn() if len(self._slo) else 0.0
         deadline = request.deadline_ticks
-        if deadline is not None and deadline <= cfg.heuristic_deadline:
+        if deadline is not None and deadline <= HEURISTIC_DEADLINE:
             return TIER_HEURISTIC
-        if cfg.allow_stale and load >= cfg.stale_load:
+        if load >= cfg.stale_load:
             return TIER_STALE
-        if (
-            load >= cfg.heuristic_load
-            or burn >= self.telemetry.slo_heuristic_burn
-        ):
+        if load >= cfg.heuristic_load or burn >= SLO_HEURISTIC_BURN:
             return TIER_HEURISTIC
-        if load >= cfg.anytime_load or burn >= self.telemetry.slo_anytime_burn:
+        if load >= cfg.anytime_load or burn >= SLO_ANYTIME_BURN:
             return TIER_ANYTIME
-        if deadline is not None and deadline <= cfg.anytime_deadline:
+        if deadline is not None and deadline <= ANYTIME_DEADLINE:
             return TIER_ANYTIME
         return TIER_FULL
-
-    def _budget_limits(
-        self, request: Request, tier: str
-    ) -> tuple[int | None, int | None, int | None]:
-        """``(max_expansions, max_plans, deadline_ticks)`` for this
-        request's tier — the budget *shape*, shared by the in-loop path
-        (via :meth:`_tenant_budget`) and the pool path (workers rebuild
-        a budget from the shape; budget objects never cross the pipe).
-        """
-        cfg = self.config
-        deadline = request.deadline_ticks
-        if tier == TIER_ANYTIME:
-            deadline = min(
-                d for d in (deadline, cfg.anytime_ticks) if d is not None
-            )
-        return (cfg.full_expansions, cfg.full_plans, deadline)
-
-    def _tenant_budget(self, request: Request, tier: str) -> OptimizerBudget:
-        """The tenant's reusable budget, shaped for this request's tier.
-
-        One budget object per tenant, created on first use; ``optimize``
-        resets its counters, so exhaustion can never leak between
-        sequential requests (pinned by the budget-reuse tests).
-        """
-        budget = self._budgets.get(request.tenant)
-        if budget is None:
-            budget = self._budgets[request.tenant] = OptimizerBudget()
-        limits = self._budget_limits(request, tier)
-        budget.max_expansions, budget.max_plans, budget.deadline_ticks = limits
-        return budget
-
-    def _next_pool_seq(self) -> int:
-        """Monotone pool-dispatch sequence (the chaos RNG key)."""
-        seq = self._pool_seq
-        self._pool_seq += 1
-        return seq
-
-    def tenant_budget(self, tenant: str) -> OptimizerBudget | None:
-        """The tenant's budget object (None before its first budgeted
-        request) — exposed for tests and diagnostics."""
-        return self._budgets.get(tenant)
-
-    def _count_tier(self, tier: str) -> None:
-        self._tiers[tier] = self._tiers.get(tier, 0) + 1

@@ -61,18 +61,6 @@ class BTree:
     def height(self) -> int:
         return self._height
 
-    @property
-    def node_count(self) -> int:
-        return sum(1 for _ in self._walk_nodes())
-
-    def _walk_nodes(self) -> Iterator[_Leaf | _Internal]:
-        stack: list[_Leaf | _Internal] = [self._root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, _Internal):
-                stack.extend(node.children)
-
     # -- insertion -----------------------------------------------------------
 
     def insert(self, key: Key, value: Any) -> None:

@@ -205,9 +205,6 @@ class Database:
             return self._temps[name]
         raise StorageError(f"no storage for table {name!r}")
 
-    def has_storage(self, name: str) -> bool:
-        return name in self._tables or name in self._temps
-
     def analyze(self, table_name: str) -> None:
         """Collect statistics from stored data into the catalog."""
         data = self.table(table_name)

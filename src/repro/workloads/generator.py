@@ -72,9 +72,6 @@ class Workload:
     database: Database
     query: QueryBlock
 
-    def fresh_query(self) -> QueryBlock:
-        return self.query
-
 
 def synthesize(spec: WorkloadSpec) -> Workload:
     """Build catalog + data + query for ``spec``."""

@@ -12,7 +12,12 @@ from repro.cost.model import CostWeights
 from repro.cost.propfuncs import PlanFactory
 from repro.errors import CardinalityViolation
 from repro.executor import QueryExecutor
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    render_openmetrics,
+    validate_openmetrics,
+)
 from repro.optimizer import StarburstOptimizer
 from repro.query.expressions import ColumnRef
 from repro.robust import (
@@ -251,6 +256,27 @@ class TestAdaptiveLoop:
         snapshot = metrics.snapshot()
         assert snapshot["adaptive.violations"] >= 1
         assert snapshot["checkpoint.violations"] >= 1
+
+    def test_metrics_of_a_run_render_as_valid_openmetrics(self, skewed):
+        """Regression: the feedback cache mirrored ``feedback.hits`` /
+        ``.misses`` / ``.records`` into the registry as counters and the
+        executor ingested the same names as gauges — two ``# TYPE`` lines
+        a scraper rejects.  The cache is read, once, under one kind."""
+        wl, rules, weights, _, _ = skewed
+        metrics = MetricsRegistry()
+        optimizer = StarburstOptimizer(
+            wl.catalog, rules=rules, weights=weights, metrics=metrics
+        )
+        executor = AdaptiveExecutor(
+            wl.database, optimizer, qerror_threshold=10.0, metrics=metrics
+        )
+        assert executor.run(wl.query).succeeded
+        assert not set(metrics.counters()) & set(metrics.gauges())
+        validate_openmetrics(render_openmetrics(metrics))
+        snapshot = metrics.snapshot()
+        assert snapshot["feedback.records"] == executor.feedback.records >= 1
+        assert snapshot["feedback.hits"] == executor.feedback.hits
+        assert snapshot["feedback.entries"] == len(executor.feedback)
 
     def test_as_dict_is_flat_numeric(self, skewed):
         report = _adaptive(skewed, qerror_threshold=10.0).run(skewed[0].query)

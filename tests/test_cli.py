@@ -70,13 +70,13 @@ class TestRules:
             "JOIN(MG, Glue(T1 [order = merge_cols(SP, T1)], {}), "
             "Glue(T2 [order = merge_cols(SP, T2)], IP), SP, P - (IP | SP)); }"
         )
-        assert main(["rules", "--validate", str(rule_file), "--extend-builtin"]) == 0
+        assert main(["validate", str(rule_file), "--extend-builtin"]) == 0
         assert "VALID" in capsys.readouterr().out
 
     def test_validate_bad_file(self, tmp_path, capsys):
         rule_file = tmp_path / "bad.star"
         rule_file.write_text("star X(T) { alt -> Missing(T); }")
-        assert main(["rules", "--validate", str(rule_file)]) == 1
+        assert main(["validate", str(rule_file)]) == 1
         out = capsys.readouterr().out
         assert "INVALID" in out
         assert "Missing" in out

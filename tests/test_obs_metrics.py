@@ -1,9 +1,15 @@
 """Tests for the metrics registry and the shared stats-snapshot path."""
 
+import importlib.util
+import pathlib
+
+import pytest
+
 from repro.executor.network import LinkStats
 from repro.executor.resilient import ExecutionReport
 from repro.executor.runtime import ExecutionStats
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
+from repro.obs.openmetrics import render_openmetrics, validate_openmetrics
 from repro.stars.engine import ExpansionStats
 from repro.stars.plantable import PlanTableStats
 
@@ -169,3 +175,100 @@ class TestStatsSnapshotSchema:
         assert "executor.total_io" in snap
         assert "link.bytes_sent" in snap
         assert "resilient.sap_failovers" in snap
+
+
+class TestLiveSources:
+    """``register``: a live component is read when the registry is."""
+
+    def test_source_is_read_when_asked_not_when_registered(self):
+        metrics = MetricsRegistry()
+        counts = {"hits": 0, "entries": 0}
+        metrics.register("cache.", lambda: counts, gauges=("entries",))
+        assert metrics.snapshot() == {"cache.entries": 0, "cache.hits": 0}
+        counts["hits"] += 2
+        counts["entries"] = 5
+        assert metrics.counters() == {"cache.hits": 2}
+        assert metrics.gauges() == {"cache.entries": 5}
+        assert len(metrics) == 2
+
+    def test_registering_a_prefix_again_replaces_the_source(self):
+        # One source per prefix: a cache built with ``metrics=`` and then
+        # handed to an executor that registers it again is read once —
+        # and a re-created owner restarts from its own zero.
+        metrics = MetricsRegistry()
+        metrics.register("pool.", lambda: {"dispatched": 7})
+        metrics.register("pool.", lambda: {"dispatched": 0})
+        assert metrics.snapshot() == {"pool.dispatched": 0}
+
+    def test_one_name_under_two_kinds_is_refused_by_the_renderer(self):
+        metrics = MetricsRegistry()
+        metrics.register("feedback.", lambda: {"hits": 1})
+        metrics.ingest({"hits": 1}, prefix="feedback.")
+        with pytest.raises(ValueError, match="feedback.hits"):
+            render_openmetrics(metrics)
+
+
+class TestServedRegistry:
+    """The registry of a service that served requests, against the
+    catalog in ``docs/observability.md`` — by the names it really holds,
+    which ``tools/check_metrics.py`` (a static lint) cannot see for the
+    sources that are read."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        from repro.serve import OptimizerService, Request, ServiceConfig
+        from repro.workloads import chain_workload
+
+        workload = chain_workload(3, rows=40)
+        sql = "SELECT R0.ID FROM R0, R1 WHERE R0.ID = R1.FK AND R0.VAL < 20"
+        service = OptimizerService(
+            workload.catalog,
+            service=ServiceConfig(
+                workers=1, queue_limit=2, pool_workers=1,
+                snapshot_path=str(tmp_path_factory.mktemp("snap") / "s"),
+            ),
+        )
+        try:
+            service.serve_all(
+                [Request(sql)] * 4 + [Request("SELECT nonsense")], burst=3
+            )
+        finally:
+            service.close()
+        return service.metrics
+
+    @pytest.fixture(scope="class")
+    def lint(self):
+        path = pathlib.Path(__file__).parent.parent / "tools/check_metrics.py"
+        spec = importlib.util.spec_from_file_location("check_metrics", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_no_name_is_both_a_counter_and_a_gauge(self, served):
+        assert not set(served.counters()) & set(served.gauges())
+        validate_openmetrics(render_openmetrics(served))
+
+    def test_every_name_held_is_in_the_catalog(self, served, lint):
+        catalog = lint.catalog_entries()
+        names = {*served.counters(), *served.gauges(), *served.histograms()}
+        assert {"serve.requests", "serve.rejected", "serve.errors",
+                "serve.cache.lookups", "pool.dispatched",
+                "snapshot.saves"} <= names
+        undocumented = sorted(
+            name for name in names
+            if not any(lint._matches(name, entry) for entry in catalog)
+        )
+        assert not undocumented
+
+    def test_catalog_rows_of_read_sources_name_real_fields(self, served, lint):
+        # A row under a registered prefix that names no ``as_dict`` field
+        # passes the static lint (``prefix*`` covers it); it fails here.
+        held = served.snapshot()
+        prefixes = ("serve.cache.", "pool.", "quarantine.", "feedback.",
+                    "snapshot.")
+        stale = sorted(
+            entry for entry in lint.catalog_entries()
+            if entry.startswith(prefixes) and "*" not in entry
+            and entry not in held
+        )
+        assert not stale

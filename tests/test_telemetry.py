@@ -86,8 +86,6 @@ class TestTelemetryConfig:
             TelemetryConfig(sample_every=-1)
         with pytest.raises(ValueError):
             TelemetryConfig(flight_capacity=-1)
-        with pytest.raises(ValueError):
-            TelemetryConfig(slo_anytime_burn=0.0)
 
 
 class TestRequestTree:
