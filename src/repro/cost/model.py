@@ -68,11 +68,16 @@ class CostWeights:
     w_byte: float = 0.0002
 
     def total(self, cost: Cost) -> float:
+        return self.combine(cost.io, cost.cpu, cost.msgs, cost.bytes_sent)
+
+    def combine(self, io: float, cpu: float, msgs: float, bytes_sent: float) -> float:
+        """The total of a cost given as components (a join candidate has
+        no ``Cost`` object yet)."""
         return (
-            self.w_io * cost.io
-            + self.w_cpu * cost.cpu
-            + self.w_msg * cost.msgs
-            + self.w_byte * cost.bytes_sent
+            self.w_io * io
+            + self.w_cpu * cpu
+            + self.w_msg * msgs
+            + self.w_byte * bytes_sent
         )
 
 
@@ -119,7 +124,7 @@ class CostModel:
         self._row_widths: dict[frozenset | tuple, int] = {}
 
     def total(self, cost: Cost) -> float:
-        return self.weights.total(cost)
+        return self.weights.combine(cost.io, cost.cpu, cost.msgs, cost.bytes_sent)
 
     # -- width / page arithmetic ----------------------------------------------
 

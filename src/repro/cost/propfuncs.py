@@ -51,6 +51,7 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PlanNode, make_params, plan_digest
 from repro.plans.properties import OrderSpec, PropertyVector, order_satisfies
+from repro.plans.sap import JoinCandidate
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate, sargable_column
 from repro.storage.table import TID_NAME, tid_column
@@ -156,22 +157,24 @@ class PlanFactory:
 
     # -- hash-consing ------------------------------------------------------------
 
-    def _known(self, op, flavor, params, inputs) -> PlanNode | None:
+    def _known(self, op, flavor, params, inputs) -> PlanNode | JoinCandidate | None:
         """Look a LOLEPOP application up *before pricing it*: the node an
-        earlier application to the same input nodes built, or None.  A
-        property function is pure in (parameters, inputs), so the found
-        node is the one pricing would rebuild."""
+        earlier application to the same input nodes built (or, for a JOIN,
+        the candidate it priced), or None.  A property function is pure in
+        (parameters, inputs), so what is found is what pricing would
+        rebuild."""
         if self.interner is None:
             return None
-        node = self.interner.find((op, flavor, params, inputs))
-        if node is not None and self.tracer is not None:
-            self._trace(node)
-        return node
+        found = self.interner.find((op, flavor, params, inputs))
+        if found is not None and self.tracer is not None:
+            self._trace(found)
+        return found
 
     def _node(self, op, flavor, params, inputs, props) -> PlanNode:
-        """Every LOLEPOP application ends here or in a :meth:`_known` hit:
-        build the node, hash-cons it (when an interner is attached) and
-        emit the application's one ``propfunc`` trace instant."""
+        """Every LOLEPOP application but a JOIN's ends here or in a
+        :meth:`_known` hit: build the node, hash-cons it (when an interner
+        is attached) and emit the application's one ``propfunc`` trace
+        instant."""
         node = PlanNode(op, flavor, params, inputs, props)
         if self.interner is not None:
             node = self.interner.intern(node)
@@ -179,13 +182,16 @@ class PlanFactory:
             self._trace(node)
         return node
 
-    def _trace(self, node: PlanNode) -> None:
-        name = node.op if node.flavor is None else f"{node.op}({node.flavor})"
+    def _trace(self, found: PlanNode | JoinCandidate) -> None:
+        if type(found) is JoinCandidate:
+            card, total, site = found.card, found.total, found.site
+        else:
+            props = found.props
+            card, total, site = props.card, self.model.total(props.cost), props.site
         self.tracer.instant(
-            "propfunc", name,
-            card=round(node.props.card, 3),
-            cost=round(self.model.total(node.props.cost), 3),
-            site=node.props.site,
+            "propfunc",
+            found.op if found.flavor is None else f"{found.op}({found.flavor})",
+            card=round(card, 3), cost=round(total, 3), site=site,
         )
 
     # -- shared estimation helpers --------------------------------------------
@@ -690,13 +696,34 @@ class PlanFactory:
         join_preds: Iterable[Predicate],
         residual_preds: Iterable[Predicate] = (),
     ) -> PlanNode:
-        """JOIN with the given flavor (NL / MG / HA).
+        """JOIN with the given flavor (NL / MG / HA / SJ), built: the node
+        :meth:`join_candidate` prices."""
+        found = self.join_candidate(flavor, outer, inner, join_preds, residual_preds)
+        return found.node() if type(found) is JoinCandidate else found
+
+    def join_candidate(
+        self,
+        flavor: str,
+        outer: PlanNode,
+        inner: PlanNode,
+        join_preds: Iterable[Predicate],
+        residual_preds: Iterable[Predicate] = (),
+    ) -> PlanNode | JoinCandidate:
+        """JOIN with the given flavor (NL / MG / HA), priced and not built.
 
         ``join_preds`` are applied by the join method itself;
         ``residual_preds`` are applied to the result (paper 4.4: "any
         residual predicates to apply after the join").  Predicates already
         applied by the inner (pushed down) are not double-counted in the
         cardinality estimate.
+
+        Returns the node an earlier application built, or a
+        :class:`~repro.plans.sap.JoinCandidate` holding the estimates and
+        the dominance record the plan table judges: the property vector,
+        ``Cost`` s, ``PlanNode`` and interner entry are made by
+        :meth:`build_join` only when something reads the candidate as a
+        plan — for a class insert, only if it survives pruning.  (A
+        semijoin is built at once.)
         """
         join_preds = frozenset(join_preds)
         residual_preds = frozenset(residual_preds)
@@ -711,7 +738,8 @@ class PlanFactory:
         if flavor == "SJ":
             return self._semijoin(outer, inner, join_preds)
         rel = self._join_relational(po, pi, join_preds, residual_preds)
-        known = self._known(JOIN, flavor, rel.params, (outer, inner))
+        inputs = (outer, inner)
+        known = self._known(JOIN, flavor, rel.params, inputs)
         if known is not None:
             return known
         o_card, i_card = po.card, pi.card
@@ -722,9 +750,9 @@ class PlanFactory:
         # the rescan vector, component by component on local floats in the
         # association order of the ``Cost.__add__`` / ``scaled`` chain this
         # replaces (bit-identical results, tests/test_join_pricing.py): a
-        # candidate allocates the two ``Cost`` objects it keeps and no
-        # other.  The method charges the same on top of its inputs whether
-        # they are produced for the first time or rescanned.
+        # candidate allocates no ``Cost`` object at all.  The method
+        # charges the same on top of its inputs whether they are produced
+        # for the first time or rescanned.
         oc, ic, orc, irc = po.cost, pi.cost, po.rescan_cost, pi.rescan_cost
         io, cpu = oc.io + ic.io, oc.cpu + ic.cpu
         msgs, sent = oc.msgs + ic.msgs, oc.bytes_sent + ic.bytes_sent
@@ -749,21 +777,44 @@ class PlanFactory:
             m_cpu = 1.5 * i_card + o_card + card
         else:
             raise ReproError(f"unknown join flavor {flavor!r}")
+        # The method's msgs and bytes are 0.0, and still added.
+        io, cpu, msgs, sent = io + m_io, cpu + m_cpu, msgs + 0.0, sent + 0.0
+        cand = JoinCandidate(
+            (JOIN, flavor, rel.params, inputs),
+            rel.tables, rel.cols, rel.preds,
+            () if flavor == "HA" else po.order,
+            po.site,
+            card,
+            (io, cpu, msgs, sent),
+            (r_io + m_io, r_cpu + m_cpu, r_msgs + 0.0, r_sent + 0.0),
+            self.model.weights.combine(io, cpu, msgs, sent),
+            self,
+        )
+        if self.interner is not None:
+            self.interner.hold(cand)
+        if self.tracer is not None:
+            self._trace(cand)
+        return cand
+
+    def build_join(self, cand: JoinCandidate) -> PlanNode:
+        """The node a join candidate stands for: its property vector,
+        ``Cost`` s and ``PlanNode``, interned (the ``propfunc`` instant was
+        emitted when it was priced)."""
         props = PropertyVector(
-            tables=rel.tables,
-            cols=rel.cols,
-            preds=rel.preds,
-            order=() if flavor == "HA" else po.order,
-            site=po.site,
+            tables=cand.tables,
+            cols=cand.cols,
+            preds=cand.preds,
+            order=cand.order,
+            site=cand.site,
             temp=False,
             paths=frozenset(),
             stored_as=None,
-            card=card,
-            # The method's msgs and bytes are 0.0, and still added.
-            cost=Cost(io + m_io, cpu + m_cpu, msgs + 0.0, sent + 0.0),
-            rescan_cost=Cost(r_io + m_io, r_cpu + m_cpu, r_msgs + 0.0, r_sent + 0.0),
+            card=cand.card,
+            cost=Cost(cand.io, cand.cpu, cand.msgs, cand.sent),
+            rescan_cost=Cost(cand.r_io, cand.r_cpu, cand.r_msgs, cand.r_sent),
         )
-        return self._node(JOIN, flavor, rel.params, (outer, inner), props)
+        node = PlanNode(JOIN, cand.flavor, cand.params, cand.inputs, props)
+        return node if self.interner is None else self.interner.intern(node)
 
     def _join_relational(
         self,

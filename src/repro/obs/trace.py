@@ -14,7 +14,8 @@ category     emitted by
              one instant per veneer LOLEPOP inserted
 ``plantable``  :class:`~repro.stars.plantable.PlanTable` probe/insert
 ``propfunc``   :class:`~repro.cost.propfuncs.PlanFactory` — one instant
-             per property-function evaluation (LOLEPOP constructed)
+             per LOLEPOP application, when it is priced or found (a
+             join candidate emits it unbuilt)
 ``executor``   run-time operator spans: ``ts`` = first pull, ``dur`` =
              time inside the operator's own pulls (inputs included; see
              :class:`TimedPulls`); args ``rows``, ``opens`` and, on a

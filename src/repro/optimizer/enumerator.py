@@ -72,7 +72,9 @@ class JoinEnumerator:
                     sap = self._engine.expand(
                         self._join_root, (Stream(left), Stream(right), eligible)
                     )
-                    plans.extend(sap)
+                    # Join candidates go to the class unbuilt: the insert
+                    # builds the survivors.
+                    plans.extend(sap.members)
                 if not plans:
                     if config.cartesian_products or _connected(subset, edges):
                         # Connected but no partition produced plans: every

@@ -18,7 +18,11 @@ any interner still meet, through the digest fallback of
 :class:`~repro.cost.propfuncs.PlanFactory` asks :meth:`PlanInterner.find`
 *before pricing*: a hit returns the existing node and the property
 function never runs; a miss is priced, built and registered through
-:meth:`PlanInterner.intern`.  Nothing here computes a digest —
+:meth:`PlanInterner.intern`.  A JOIN miss is priced into a
+:class:`~repro.plans.sap.JoinCandidate` that :meth:`PlanInterner.hold`
+keeps under the same key, unbuilt, so a repeated application finds it;
+it reaches :meth:`PlanInterner.intern` only if it is built.  Nothing here
+computes a digest —
 :attr:`PlanNode.digest` stays lazy and is paid only for nodes somebody
 names.  One interner lives for one optimization (it is part of the
 engine's per-query state), so interned plans never leak property vectors
@@ -28,9 +32,13 @@ across catalogs or feedback epochs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.obs.metrics import stats_snapshot
 from repro.plans.plan import PlanNode
+
+if TYPE_CHECKING:
+    from repro.plans.sap import JoinCandidate
 
 
 @dataclass
@@ -52,22 +60,35 @@ class InternStats:
 class PlanInterner:
     """Hash-consing table for plan nodes, keyed by their structure."""
 
-    __slots__ = ("_nodes", "stats")
+    __slots__ = ("_nodes", "_held", "stats")
 
     def __init__(self) -> None:
         self._nodes: dict[tuple, PlanNode] = {}
+        #: Join candidates priced and not (yet) built.  A candidate hashes
+        #: and compares like its key, so it is its own dictionary key.
+        self._held: dict[JoinCandidate, JoinCandidate] = {}
         self.stats = InternStats()
 
-    def find(self, key: tuple) -> PlanNode | None:
+    def find(self, key: tuple) -> PlanNode | JoinCandidate | None:
         """The node already built for the application ``key = (op, flavor,
-        params, inputs)``, if any.  A hit is one request and one hit, as
-        interning the rebuilt twin would have counted; a miss counts
-        nothing until the node is interned."""
-        node = self._nodes.get(key)
-        if node is not None:
-            self.stats.requests += 1
-            self.stats.hits += 1
-        return node
+        params, inputs)`` — or, for a JOIN, the candidate already priced —
+        if any.  A hit is one request and one hit, as interning the rebuilt
+        twin would have counted; a miss counts nothing until the node is
+        interned."""
+        found = self._nodes.get(key)
+        if found is None:
+            found = self._held.get(key)
+            if found is None:
+                return None
+        self.stats.requests += 1
+        self.stats.hits += 1
+        return found
+
+    def hold(self, candidate: JoinCandidate) -> None:
+        """Remember a priced join so a repeated application finds it.
+        Counts nothing: a candidate pruning discards never reaches
+        :meth:`intern`."""
+        self._held[candidate] = candidate
 
     def intern(self, node: PlanNode) -> PlanNode:
         """The canonical node for ``node``'s structure.

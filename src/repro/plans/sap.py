@@ -9,16 +9,24 @@ element of those SAPs to produce an output SAP."
 plus the requirements accumulated so far (section 3.2: "the requirements
 are accumulated until Glue is referenced").  ``T2[temp]`` in rule text
 produces ``stream.require(temp=True)``.
+
+A SAP produced by a JOIN reference holds :class:`JoinCandidate` s: joins
+priced but not built.  The plan table judges them on their dominance
+record; anything else that reads a SAP gets plans, built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.cost.model import CostModel
+from repro.plans.operators import JOIN
 from repro.plans.plan import PlanNode, plan_links, plan_sites
 from repro.plans.properties import Requirements
+
+if TYPE_CHECKING:
+    from repro.cost.propfuncs import PlanFactory
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,31 +55,145 @@ class Stream:
         return base + (req if req != "[]" else "")
 
 
+class JoinCandidate:
+    """A JOIN application that has been priced and not built.
+
+    Section 3.2 lets Glue return "the cheapest" plan: nothing needs a plan
+    object for an alternative that pruning discards, and ≈ 96 % of the joins
+    a search prices are discarded.  A candidate carries the fields of the
+    dominance record the plan table judges (:class:`_DominanceJudge`) and
+    the estimates building needs; :meth:`node` builds — property vector,
+    two ``Cost`` s, ``PlanNode``, interner entry — once, through the factory
+    that priced it, exactly the node eager pricing would have built.  It
+    hashes and compares like that node and like its application key
+    ``(op, flavor, params, inputs)``, so a SAP holds one or the other,
+    never both, and the interner finds it by the key.
+
+    Everything sits in slots of the one object: most candidates are held
+    (by the STAR memo's SAPs) until the optimization ends, and each
+    container they kept would be one more object for the cyclic collector
+    to walk.
+    """
+
+    __slots__ = (
+        "flavor", "params", "outer", "inner", "tables", "cols", "preds",
+        "order", "site", "card", "io", "cpu", "msgs", "sent", "r_io",
+        "r_cpu", "r_msgs", "r_sent", "total", "_hash", "_factory", "_node",
+    )
+
+    op = JOIN
+    #: What a JOIN's output never is (read by the dominance record).
+    temp = False
+    stored_as = None
+    paths: frozenset = frozenset()
+
+    def __init__(
+        self,
+        key: tuple,
+        tables: frozenset,
+        cols: frozenset,
+        preds: frozenset,
+        order: tuple,
+        site: str,
+        card: float,
+        cost: tuple[float, float, float, float],
+        rescan: tuple[float, float, float, float],
+        total: float,
+        factory: "PlanFactory",
+    ) -> None:
+        _, self.flavor, self.params, (self.outer, self.inner) = key
+        self.tables = tables
+        self.cols = cols
+        self.preds = preds
+        self.order = order
+        self.site = site
+        self.card = card
+        #: ``Cost`` and rescan ``Cost`` components, in field order.
+        self.io, self.cpu, self.msgs, self.sent = cost
+        self.r_io, self.r_cpu, self.r_msgs, self.r_sent = rescan
+        #: ``model.total`` of the cost, to the bit.
+        self.total = total
+        self._hash = hash(key)
+        self._factory = factory
+        self._node: PlanNode | None = None
+
+    @property
+    def inputs(self) -> tuple[PlanNode, PlanNode]:
+        return (self.outer, self.inner)
+
+    @property
+    def key(self) -> tuple:
+        """The application key ``(op, flavor, params, inputs)``."""
+        return (JOIN, self.flavor, self.params, (self.outer, self.inner))
+
+    def node(self) -> PlanNode:
+        """The plan node, built on first request."""
+        node = self._node
+        if node is None:
+            node = self._node = self._factory.build_join(self)
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not tuple:
+            if type(other) is not JoinCandidate and not isinstance(other, PlanNode):
+                return NotImplemented
+            other = (other.op, other.flavor, other.params, other.inputs)
+        return other == self.key
+
+    def __repr__(self) -> str:
+        return f"JoinCandidate(JOIN({self.flavor}), total={self.total!r})"
+
+
 class SAP:
-    """An immutable set of alternative plans with cost-based helpers."""
+    """An immutable set of alternative plans with cost-based helpers.
 
-    __slots__ = ("plans",)
+    ``members`` holds the alternatives as they arrived — plans, or join
+    candidates not built yet; ``plans`` (and iterating the SAP) builds
+    the candidates on first read.  Only the plan table's pruning reads
+    ``members``.
+    """
 
-    def __init__(self, plans: Iterable[PlanNode] = ()):
+    __slots__ = ("members", "_plans")
+
+    def __init__(self, plans: Iterable[PlanNode | JoinCandidate] = ()):
         # Interned nodes are equal only if identical; twins built apart
-        # collide on the structural hash and are told apart by digest.
-        self.plans: tuple[PlanNode, ...] = tuple(dict.fromkeys(plans))
+        # collide on the structural hash and are told apart by digest.  A
+        # join candidate equals the node it builds.
+        self.members: tuple = tuple(dict.fromkeys(plans))
+        self._plans: tuple[PlanNode, ...] | None = None
+
+    @property
+    def plans(self) -> tuple[PlanNode, ...]:
+        plans = self._plans
+        if plans is None:
+            plans = self.members
+            if JoinCandidate in set(map(type, plans)):
+                plans = tuple([
+                    m.node() if type(m) is JoinCandidate else m for m in plans
+                ])
+            self._plans = plans
+        return plans
 
     def __iter__(self) -> Iterator[PlanNode]:
         return iter(self.plans)
 
     def __len__(self) -> int:
-        return len(self.plans)
+        return len(self.members)
 
     def __bool__(self) -> bool:
-        return bool(self.plans)
+        return bool(self.members)
 
     def union(self, other: "SAP") -> "SAP":
-        if not other.plans:  # nothing to dedupe against
+        if not other.members:  # nothing to dedupe against
             return self
-        if not self.plans:
+        if not self.members:
             return other
-        return SAP((*self.plans, *other.plans))
+        return SAP((*self.members, *other.members))
 
     def map(self, fn: Callable[[PlanNode], PlanNode | None]) -> "SAP":
         """Apply ``fn`` to each alternative (the LISP-map of section 2.2),
@@ -116,16 +238,16 @@ class SAP:
         dominated plan's — a plan that touches a site or link the cheaper
         plan does not is insurance against an outage of the cheaper
         plan's resources, and survives pruning.
+
+        Join candidates are judged on their record and stay unbuilt: a
+        footprint needs plans, so only ``site_diversity`` builds them.
         """
-        judge = _DominanceJudge(self.plans, model, interesting, site_diversity)
-        keep: list[PlanNode] = []
-        for cand in judge.by_cost(self.plans):
-            if not judge.dominated_by_any(keep, cand):
-                keep.append(cand)
-        return SAP(keep)
+        pool = self.plans if site_diversity else self.members
+        judge = _DominanceJudge(pool, model, interesting, site_diversity)
+        return SAP(judge.frontier(pool))
 
     def __str__(self) -> str:
-        return f"SAP[{len(self.plans)} plan(s)]"
+        return f"SAP[{len(self)} plan(s)]"
 
 
 def merge_pruned(
@@ -144,17 +266,21 @@ def merge_pruned(
     from scratch on every insert.  Produces the same survivors as
     ``existing.union(incoming).pruned(...)``: on mutual domination
     (equivalent plans) the established plan wins, exactly as the cheaper/
-    earlier candidate wins in the full sort-based pass.
+    earlier candidate wins in the full sort-based pass.  Join candidates
+    stay unbuilt unless ``site_diversity`` needs their footprints.
     """
-    seen = set(existing.plans)
-    new = [p for p in incoming.plans if p not in seen]
+    established = list(existing.plans if site_diversity else existing.members)
+    seen = set(established)
+    new = [
+        p for p in (incoming.plans if site_diversity else incoming.members)
+        if p not in seen
+    ]
     if not new:
         return existing
     judge = _DominanceJudge(
-        (*existing.plans, *new), model, interesting, site_diversity
+        (*established, *new), model, interesting, site_diversity
     )
-    kept_new: list[PlanNode] = []
-    established = list(existing.plans)
+    kept_new: list = []
     for cand in judge.by_cost(new):
         if judge.dominated_by_any(established, cand):
             continue
@@ -185,31 +311,44 @@ class _DominanceJudge:
     identity (the pass holds every plan it judges).  The effective order
     is the interesting prefix; the footprint is ``None`` unless site
     diversity is on; the TID-free view of COLS is computed once per
-    distinct column set (a class has a handful).
+    distinct column set (a class has a handful).  A :class:`JoinCandidate`
+    carries the same fields and its total, so it is judged without being
+    built (never with site diversity on: a footprint walks the plan).
     """
 
     __slots__ = ("records",)
 
     def __init__(
         self,
-        plans: Iterable[PlanNode],
+        plans: Iterable[PlanNode | JoinCandidate],
         model: CostModel,
         interesting: frozenset | None,
         site_diversity: bool,
     ) -> None:
         total = model.total
         real_cols: dict[frozenset, frozenset] = {}
+        # Keyed by identity: the pass holds every plan, hence every ORDER
+        # tuple, and a join shares its outer's.
+        orders: dict[int, tuple] = {}
         records: dict[int, tuple] = {}
         self.records = records
         for plan in plans:
-            props = plan.props
+            if type(plan) is JoinCandidate:
+                props, cost = plan, plan.total
+            else:
+                props = plan.props
+                cost = total(props.cost)
             cols = real_cols.get(props.cols)
             if cols is None:
                 cols = real_cols[props.cols] = _real_cols(props.cols)
+            order = orders.get(id(props.order))
+            if order is None:
+                order = orders[id(props.order)] = _effective_order(
+                    props.order, interesting
+                )
             records[id(plan)] = (
-                props.site, props.temp, props.stored_as is not None,
-                _effective_order(props.order, interesting), props.paths,
-                props.tables, props.preds, cols, total(props.cost),
+                props.site, props.temp, props.stored_as is not None, order,
+                props.paths, props.tables, props.preds, cols, cost,
                 (plan_sites(plan), plan_links(plan)) if site_diversity else None,
             )
 
@@ -222,18 +361,38 @@ class _DominanceJudge:
     ) -> bool:
         """Does some keeper dominate ``cand`` (see :meth:`SAP.pruned`)?"""
         records = self.records
+        return self.dominated(
+            map(records.__getitem__, map(id, keepers)), records[id(cand)]
+        )
+
+    def frontier(self, plans: Iterable[PlanNode]) -> list[PlanNode]:
+        """The :meth:`SAP.pruned` pass: in order of cost, keep each plan
+        that no plan kept before it dominates."""
+        records = self.records
+        keep: list = []
+        kept: list[tuple] = []
+        for plan in self.by_cost(plans):
+            record = records[id(plan)]
+            if not self.dominated(kept, record):
+                keep.append(plan)
+                kept.append(record)
+        return keep
+
+    @staticmethod
+    def dominated(keepers: Iterable[tuple], record: tuple) -> bool:
+        """Does some keeper's record dominate ``record``?"""
         (site, temp, stored, order, paths, tables, preds, cols, total,
-         footprint) = records[id(cand)]
+         footprint) = record
         prefix = len(order)
-        for kept in keepers:
-            (k_site, k_temp, k_stored, k_order, k_paths, k_tables, k_preds,
-             k_cols, k_total, k_footprint) = records[id(kept)]
+        for (k_site, k_temp, k_stored, k_order, k_paths, k_tables, k_preds,
+             k_cols, k_total, k_footprint) in keepers:
             if (
-                k_site == site
+                # Most pairs of one class differ on ORDER: test it first.
+                (k_order is order or k_order[:prefix] == order)
+                and k_site == site
                 and not k_total > total
                 and (k_temp or not temp)
                 and (k_stored or not stored)
-                and k_order[:prefix] == order
                 and paths <= k_paths
                 and k_tables == tables
                 and k_preds == preds

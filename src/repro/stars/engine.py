@@ -459,14 +459,18 @@ class StarEngine:
             return result
 
         if name == JOIN:
+            # Priced, not built: the SAP holds join candidates until the
+            # plan table judges them or something reads them as plans.
             outer, inner = _as_sap(values[0]), _as_sap(values[1])
             join_preds = frozenset(values[2]) if len(values) > 2 and values[2] else frozenset()
             residual = frozenset(values[3]) if len(values) > 3 and values[3] else frozenset()
+            flavor = flavor or "NL"
+            price = factory.join_candidate
             plans = []
             for o in outer:
                 for i in inner:
                     try:
-                        plans.append(factory.join(flavor or "NL", o, i, join_preds, residual))
+                        plans.append(price(flavor, o, i, join_preds, residual))
                     except ReproError:
                         ctx.stats.combos_skipped += 1
             result = SAP(plans)

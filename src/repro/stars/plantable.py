@@ -21,7 +21,7 @@ from typing import Iterable
 from repro.cost.model import CostModel
 from repro.obs.metrics import stats_snapshot
 from repro.plans.plan import PlanNode
-from repro.plans.sap import SAP, merge_pruned
+from repro.plans.sap import SAP, JoinCandidate, merge_pruned
 from repro.query.predicates import Predicate
 from repro.query.template import PlanKey, canonical_key
 
@@ -97,10 +97,14 @@ class PlanTable:
         self,
         tables: Iterable[str],
         preds: Iterable[Predicate],
-        plans: Iterable[PlanNode],
+        plans: Iterable[PlanNode | JoinCandidate],
     ) -> SAP:
         """Merge plans into an equivalence class, pruning dominated ones.
-        Returns the surviving SAP for the class."""
+        Returns the surviving SAP for the class.
+
+        ``plans`` may hold join candidates (a SAP's ``members``): they are
+        judged on their dominance record, and only the survivors are built
+        — a class holds plans."""
         key = plan_key(tables, preds)
         existing = self._entries.get(key)
         incoming = SAP(plans)
@@ -118,8 +122,10 @@ class PlanTable:
             # The stored SAP is non-dominated by construction, so the
             # merge only has to judge the new plans against the class —
             # O(new × total) instead of re-pruning the union from scratch.
-            known = set(existing)
-            before = len(existing) + sum(1 for p in incoming if p not in known)
+            known = set(existing.members)
+            before = len(existing) + sum(
+                1 for p in incoming.members if p not in known
+            )
             merged = merge_pruned(
                 existing, incoming, self._model, self._interesting,
                 site_diversity=self._site_diversity,
@@ -127,6 +133,7 @@ class PlanTable:
         else:
             merged = existing.union(incoming)
             before = len(merged)
+        merged = SAP(merged.plans)
         self.stats.inserts += 1
         self.stats.plans_inserted += before
         self.stats.plans_pruned += before - len(merged)

@@ -14,6 +14,10 @@ engine looks its collaborators up, the way
 ``src/`` imports it.  (Layer 3, dominance pruning, stays
 ``OptimizerConfig(prune=False)``: ablation A1 and the backend tests ask
 for the unpruned space.)
+
+The same fixture turns off ``"candidates"`` — a JOIN priced and judged
+before it is built: :class:`EagerFactory` builds every join the moment it
+is priced, which is how every join was made before.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.cost.propfuncs import PlanFactory
 from repro.plans.intern import PlanInterner
 from repro.plans.plan import PlanNode
+from repro.plans.sap import SAP
 from repro.stars.memo import StarMemo
 
 
@@ -51,10 +57,21 @@ class SeparateInterner(PlanInterner):
         return node
 
 
+class EagerFactory(PlanFactory):
+    """Every join is built where it is priced — property vector, two
+    ``Cost`` s, ``PlanNode`` and interner entry — whether pruning keeps it
+    or not."""
+
+    def join_candidate(self, *args, **kwargs):
+        # Reading a SAP builds the candidates it holds.
+        return SAP([super().join_candidate(*args, **kwargs)]).plans[0]
+
+
 #: Layer name → (where ``StarEngine`` looks the collaborator up, stand-in).
 REFERENCES = {
     "memo": ("repro.stars.engine.StarMemo", ForgetfulMemo),
     "intern": ("repro.stars.engine.PlanInterner", SeparateInterner),
+    "candidates": ("repro.stars.engine.PlanFactory", EagerFactory),
 }
 
 

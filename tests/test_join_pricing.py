@@ -1,11 +1,12 @@
-"""``PlanFactory.join`` priced on floats against the ``Cost`` chain it replaced.
+"""``PlanFactory.join_candidate`` priced on floats against the ``Cost`` chain it replaced.
 
 The property function used to add its vectors as objects —
 ``(outer + inner [+ rescans]) + method`` through ``Cost.__add__`` and
 ``Cost.scaled``, five to eight allocations a candidate — and now does the
 same arithmetic on local floats, in the same association order.  The chain
-is kept here as the reference: over random input vectors the node's
-``card``, ``cost``, ``rescan_cost`` and ``model.total`` must have the same
+is kept here as the reference: over random input vectors the built node's
+``card``, ``cost``, ``rescan_cost`` and ``model.total`` — and the unbuilt
+candidate's ``total``, which the plan table judges — must have the same
 ``repr`` (bit-identical floats), for NL / MG / HA including the hash-spill
 branch, ``card`` floored at ``MIN_CARD``, zero and huge rescan costs, and an
 attached ``FeedbackCache``.  ``ci`` in ``tests/conftest.py`` raises the
@@ -114,7 +115,8 @@ def test_floats_and_cost_objects_price_a_join_alike(
     factory = make_factory(observed, interned)
     outer, inner = leaf(sides[0], *outer), leaf(sides[1], *inner)
     residual = frozenset([RESIDUAL] if residual else [])
-    node = factory.join(flavor, outer, inner, [JOIN_PRED], residual)
+    candidate = factory.join_candidate(flavor, outer, inner, [JOIN_PRED], residual)
+    node = candidate.node()
     card, cost, rescan_cost = reference_estimates(
         factory, flavor, outer, inner, residual
     )
@@ -123,9 +125,14 @@ def test_floats_and_cost_objects_price_a_join_alike(
         repr(node.props.card), repr(node.props.cost),
         repr(node.props.rescan_cost), repr(total(node.props.cost)),
     ) == (repr(card), repr(cost), repr(rescan_cost), repr(total(cost)))
+    # The candidate is judged on its total before any ``Cost`` exists.
+    assert repr(candidate.total) == repr(total(cost))
     if interned:
         # Asked again, the same application is looked up, not re-priced.
         assert factory.join(flavor, outer, inner, [JOIN_PRED], residual) is node
+        assert factory.join_candidate(
+            flavor, outer, inner, [JOIN_PRED], residual
+        ) is node
 
 
 def test_the_generator_reaches_every_branch():

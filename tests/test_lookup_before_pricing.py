@@ -10,7 +10,9 @@ make that sound, and both are held here over whole optimizations:
 * **purity.**  A property function depends on its parameters and input
   nodes only, so the node a hit returns is the node pricing would rebuild:
   with the factory wrapped to price every application anyway, each hit's
-  fresh property vector equals the found node's, the estimates to the bit.
+  fresh property vector equals the found node's, the estimates to the bit
+  — and a JOIN's fresh candidate equals the node or the not yet built
+  candidate the lookup found.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ from collections import Counter
 import pytest
 
 from repro import StarburstOptimizer
+from repro.cost.model import Cost
 from repro.cost.propfuncs import PlanFactory
 from repro.plans.intern import PlanInterner
 from repro.plans.plan import make_params
+from repro.plans.sap import JoinCandidate
 from repro.query.parser import parse_query
 from repro.robust.feedback import FeedbackCache
 from repro.stars import engine
@@ -89,28 +93,54 @@ def _estimates(props) -> tuple[str, str, str]:
     return repr(props.card), repr(props.cost), repr(props.rescan_cost)
 
 
+def _priced(found) -> tuple:
+    """What pricing found, a node or a join candidate not built yet."""
+    if isinstance(found, JoinCandidate):
+        return (
+            found.tables, found.cols, found.preds, found.order, found.site,
+            repr(found.card),
+            repr(Cost(found.io, found.cpu, found.msgs, found.sent)),
+            repr(Cost(found.r_io, found.r_cpu, found.r_msgs, found.r_sent)),
+        )
+    props = found.props
+    return (
+        props.tables, props.cols, props.preds, props.order, props.site,
+        *_estimates(props),
+    )
+
+
 class PricingAnyway(PlanFactory):
     """Prices every application, found or not, and holds each found node
-    to the property vector pricing comes back with."""
+    (or join candidate) to what pricing comes back with."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._found = None
+        self._found: dict = {}
         self.checked: Counter = Counter()
 
     def _known(self, op, flavor, params, inputs):
-        self._found = super()._known(op, flavor, params, inputs)
+        found = super()._known(op, flavor, params, inputs)
+        if found is not None:
+            self._found[op, flavor, params, inputs] = found
         return None
 
     def _node(self, op, flavor, params, inputs, props):
-        found, self._found = self._found, None
+        found = self._found.pop((op, flavor, params, inputs), None)
         if found is None:
             return super()._node(op, flavor, params, inputs, props)
-        assert (found.op, found.flavor, found.params) == (op, flavor, params)
         assert all(a is b for a, b in zip(found.inputs, inputs, strict=True))
         assert found.props == props, (op, flavor)
         assert _estimates(found.props) == _estimates(props), (op, flavor)
         self.checked[op, flavor] += 1
+        return found
+
+    def join_candidate(self, flavor, outer, inner, join_preds, residual_preds=()):
+        fresh = super().join_candidate(flavor, outer, inner, join_preds, residual_preds)
+        found = self._found.pop(getattr(fresh, "key", None), None)
+        if found is None:
+            return fresh
+        assert _priced(found) == _priced(fresh), flavor
+        self.checked["JOIN", flavor] += 1
         return found
 
 
