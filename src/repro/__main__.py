@@ -107,28 +107,31 @@ from repro.workloads import (
 )
 
 
+def _workload_spec(spec: str) -> str:
+    """argparse type: a workload spec — 'paper', 'paper-distributed', or
+    SHAPE:N with SHAPE one of chain, star, clique."""
+    shape, sep, count = spec.partition(":")
+    if spec in ("paper", "paper-distributed") or (
+        sep and shape in ("chain", "star", "clique") and count.isdigit()
+    ):
+        return spec
+    raise argparse.ArgumentTypeError(
+        f"unknown workload {spec!r}: use paper, paper-distributed, "
+        "chain:N, star:N, or clique:N (N a whole number)"
+    )
+
+
 def _load_workload_full(spec: str):
-    """Workload spec: 'paper', 'paper-distributed', or 'chain:4' etc.
-    Returns ``(catalog, database, default query)``."""
+    """The workload a :func:`_workload_spec` names, as ``(catalog,
+    database, default query)``."""
     if spec in ("paper", "paper-distributed"):
         catalog = paper_catalog(distributed=spec.endswith("distributed"))
         database = paper_database(catalog)
         return catalog, database, figure1_query(catalog)
-    if ":" in spec:
-        shape, _, count = spec.partition(":")
-        makers = {"chain": chain_workload, "star": star_workload, "clique": clique_workload}
-        if shape in makers:
-            if not count.isdigit():
-                raise ReproError(
-                    f"workload {spec!r}: size must be a whole number, "
-                    f"got {count!r}"
-                )
-            wl = makers[shape](int(count))
-            return wl.catalog, wl.database, wl.query
-    raise SystemExit(
-        f"unknown workload {spec!r}: use paper, paper-distributed, "
-        "chain:N, star:N, or clique:N"
-    )
+    shape, _, count = spec.partition(":")
+    makers = {"chain": chain_workload, "star": star_workload, "clique": clique_workload}
+    wl = makers[shape](int(count))
+    return wl.catalog, wl.database, wl.query
 
 
 def _load_workload(spec: str):
@@ -156,13 +159,12 @@ def _maybe_profile(enabled: bool, fn):
 
 
 def _rule_set(name: str):
+    """The builtin rule set a ``--rules`` choice names."""
     if name == "base":
         return default_rules()
-    if name == "extended":
-        return extended_rules()
     if name == "all":
         return extended_rules(tid_sort=True, or_index=True, and_index=True, semijoin=True)
-    raise SystemExit(f"unknown rule set {name!r}: use base, extended, or all")
+    return extended_rules()
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -297,9 +299,10 @@ def cmd_bench_opt(args: argparse.Namespace) -> int:
         sample = ok_results[0]
         print(f"best plan: {sample.plan_digest} cost {sample.best_cost:.2f} "
               f"({sample.alternatives} alternative(s))")
-        memo = sample.memo_stats
-        print(f"memo: {memo['hits']:.0f}/{memo['lookups']:.0f} "
-              f"hits (rate {memo['hit_rate']:.2f})")
+        hits = sample.expansion_stats["memo_hits"]
+        lookups = hits + sample.expansion_stats["memo_misses"]
+        print(f"memo: {hits:.0f}/{lookups:.0f} hits "
+              f"(rate {hits / lookups if lookups else 0.0:.2f})")
     for failure in failed:
         print(f"error: query #{failure.index}: {failure.error}", file=sys.stderr)
     if args.json:
@@ -875,6 +878,19 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def _workload_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--workload", metavar="SPEC", type=_workload_spec,
+                       default="paper",
+                       help="paper | paper-distributed | chain:N | star:N "
+                            "| clique:N (default: %(default)s)")
+
+    def _rules_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--rules", metavar="SET", default="extended",
+                       choices=("base", "extended", "all"),
+                       help="builtin rule set: base | extended | all (adds "
+                            "TID-sort, index OR/AND-ing and semijoins) "
+                            "(default: %(default)s)")
+
     demo = sub.add_parser("demo", help="run the paper's Figure-1 query end to end")
     demo.add_argument("--distributed", action="store_true",
                       help="use the Figure-3 two-site placement")
@@ -882,16 +898,14 @@ def main(argv: list[str] | None = None) -> int:
 
     optimize = sub.add_parser("optimize", help="plan (and run) a SQL query")
     optimize.add_argument("sql", help="a SELECT statement")
-    optimize.add_argument("--workload", default="paper",
-                          help="paper | paper-distributed | chain:N | star:N | clique:N")
-    optimize.add_argument("--rules", default="extended",
-                          help="base | extended | all (adds TID-sort and index OR-ing)")
     optimize.add_argument("--execute", action="store_true", help="run the chosen plan")
     optimize.add_argument("--trace", action="store_true", help="print the expansion trace")
     optimize.add_argument("--limit", type=int, default=10, help="rows to print")
     optimize.add_argument("--profile", action="store_true",
                           help="run under cProfile and print the top-20 "
                                "functions by cumulative time")
+    _workload_flag(optimize)
+    _rules_flag(optimize)
     optimize.set_defaults(fn=cmd_optimize)
 
     compile_plan = sub.add_parser(
@@ -900,14 +914,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     compile_plan.add_argument("sql", nargs="?", default=None,
                               help="a SELECT statement (default: the workload's query)")
-    compile_plan.add_argument("--workload", default="paper",
-                              help="paper | paper-distributed | chain:N | star:N | clique:N")
-    compile_plan.add_argument("--rules", default="extended",
-                              help="base | extended | all")
     compile_plan.add_argument("--backend", default="sql", choices=backend_names(),
                               help="target backend (default: sql)")
     compile_plan.add_argument("--out", metavar="FILE",
                               help="write the artifact to FILE instead of stdout")
+    _workload_flag(compile_plan)
+    _rules_flag(compile_plan)
     compile_plan.set_defaults(fn=cmd_compile_plan)
 
     diff = sub.add_parser(
@@ -916,9 +928,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     diff.add_argument("sql", nargs="?", default=None,
                       help="a SELECT statement (default: the workload's query)")
-    diff.add_argument("--workload", default="paper",
-                      help="paper | paper-distributed | chain:N | star:N | clique:N")
-    diff.add_argument("--rules", default="extended", help="base | extended | all")
     diff.add_argument("--backend", action="append", choices=backend_names(),
                       metavar="NAME",
                       help="backend to compare against vectorized (repeatable; "
@@ -926,6 +935,8 @@ def main(argv: list[str] | None = None) -> int:
     diff.add_argument("--alternatives", type=int, default=1, metavar="N",
                       help="check up to N distinct plans from the SAP (default 1: "
                            "the chosen plan only)")
+    _workload_flag(diff)
+    _rules_flag(diff)
     diff.set_defaults(fn=cmd_diff)
 
     bench_opt = sub.add_parser(
@@ -935,11 +946,6 @@ def main(argv: list[str] | None = None) -> int:
     bench_opt.add_argument("sql", nargs="?", default=None,
                            help="a SELECT statement (default: the workload's "
                                 "own query)")
-    bench_opt.add_argument("--workload", default="chain:5",
-                           help="paper | paper-distributed | chain:N | star:N "
-                                "| clique:N (default: chain:5)")
-    bench_opt.add_argument("--rules", default="extended",
-                           help="base | extended | all")
     bench_opt.add_argument("--queries", type=int, default=8,
                            help="batch size: copies of the query to optimize "
                                 "(default: 8)")
@@ -956,12 +962,14 @@ def main(argv: list[str] | None = None) -> int:
     bench_opt.add_argument("--profile", action="store_true",
                            help="run under cProfile and print the top-20 "
                                 "functions by cumulative time")
-    bench_opt.set_defaults(fn=cmd_bench_opt)
+    _workload_flag(bench_opt)
+    _rules_flag(bench_opt)
+    bench_opt.set_defaults(fn=cmd_bench_opt, workload="chain:5")
 
     rules = sub.add_parser("rules", help="print the builtin rule sets")
-    rules.add_argument("--rules", default="extended", help="base | extended | all")
     rules.add_argument("--show-dsl", action="store_true",
                        help="print the base repertoire's DSL source text")
+    _rules_flag(rules)
     rules.set_defaults(fn=cmd_rules)
 
     chaos = sub.add_parser(
@@ -991,9 +999,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     trace.add_argument("sql", nargs="?", default=None,
                        help="a SELECT statement (default: Figure-1 query)")
-    trace.add_argument("--workload", default="paper",
-                       help="paper | paper-distributed | chain:N | star:N | clique:N")
-    trace.add_argument("--rules", default="extended", help="base | extended | all")
     trace.add_argument("--out", default="trace.json", metavar="FILE",
                        help="Chrome trace_event output file (default: trace.json)")
     trace.add_argument("--jsonl", metavar="FILE",
@@ -1001,6 +1006,8 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--self-check", action="store_true",
                        help="trace the built-in demo and validate the event "
                             "stream against the schema (CI lint)")
+    _workload_flag(trace)
+    _rules_flag(trace)
     trace.set_defaults(fn=cmd_trace)
 
     analyze = sub.add_parser(
@@ -1009,13 +1016,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     analyze.add_argument("sql", nargs="?", default=None,
                          help="a SELECT statement (default: Figure-1 query)")
-    analyze.add_argument("--workload", default="paper",
-                         help="paper | paper-distributed | chain:N | star:N | clique:N")
-    analyze.add_argument("--rules", default="extended", help="base | extended | all")
     analyze.add_argument("--json", action="store_true",
                          help="also print the plan-level summary as JSON")
     analyze.add_argument("--metrics", action="store_true",
                          help="also print the full metrics snapshot")
+    _workload_flag(analyze)
+    _rules_flag(analyze)
     analyze.set_defaults(fn=cmd_analyze)
 
     adaptive = sub.add_parser(
@@ -1048,14 +1054,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     validate.add_argument("file", nargs="?", default=None,
                           help="a DBC rule file (default: builtin rules)")
-    validate.add_argument("--rules", default="extended",
-                          help="builtin set when no file: base | extended | all")
     validate.add_argument("--extend-builtin", action="store_true",
                           help="validate FILE as an extension of the builtin "
                                "rules")
     validate.add_argument("--strict", action="store_true",
                           help="also fail on warnings (e.g. an exclusive "
                                "STAR with no unconditional final alternative)")
+    _rules_flag(validate)
     validate.set_defaults(fn=cmd_validate)
 
     def _service_flags(p: argparse.ArgumentParser) -> None:
@@ -1144,8 +1149,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="tenants, assigned round-robin (default: 3)")
         p.add_argument("--seed", type=int, default=7,
                        help="request-stream RNG seed (default: 7)")
-        p.add_argument("--rules", default="extended",
-                       help="base | extended | all")
 
     serve = sub.add_parser(
         "serve",
@@ -1155,11 +1158,6 @@ def main(argv: list[str] | None = None) -> int:
     serve.add_argument("sql", nargs="*",
                        help="SELECT statements (default: the workload's "
                             "own query)")
-    serve.add_argument("--workload", default="chain:4",
-                       help="paper | paper-distributed | chain:N | star:N "
-                            "| clique:N (default: chain:4)")
-    serve.add_argument("--rules", default="extended",
-                       help="base | extended | all")
     serve.add_argument("--repeat", type=int, default=3,
                        help="times each query is submitted — repeats "
                             "demonstrate warm cache hits (default: 3)")
@@ -1173,7 +1171,9 @@ def main(argv: list[str] | None = None) -> int:
     _telemetry_flags(serve)
     serve.add_argument("--json", metavar="FILE",
                        help="write the service report as JSON")
-    serve.set_defaults(fn=cmd_serve)
+    _workload_flag(serve)
+    _rules_flag(serve)
+    serve.set_defaults(fn=cmd_serve, workload="chain:4")
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -1185,6 +1185,7 @@ def main(argv: list[str] | None = None) -> int:
     _telemetry_flags(loadgen)
     loadgen.add_argument("--json", metavar="FILE",
                          help="write load + service reports as JSON")
+    _rules_flag(loadgen)
     loadgen.set_defaults(fn=cmd_loadgen)
 
     metrics = sub.add_parser(
@@ -1195,16 +1196,13 @@ def main(argv: list[str] | None = None) -> int:
     metrics.add_argument("sql", nargs="?",
                          help="SELECT statement (default: the workload's "
                               "own query)")
-    metrics.add_argument("--workload", default="paper",
-                         help="paper | paper-distributed | chain:N | star:N "
-                              "| clique:N (default: paper)")
-    metrics.add_argument("--rules", default="extended",
-                         help="base | extended | all")
     metrics.add_argument("--serve", type=int, default=0, metavar="N",
                          help="route N copies through the optimizer service "
                               "and scrape its registry instead")
     metrics.add_argument("--out", metavar="FILE",
                          help="write the OpenMetrics text to FILE")
+    _workload_flag(metrics)
+    _rules_flag(metrics)
     metrics.set_defaults(fn=cmd_metrics)
 
     dash = sub.add_parser(
@@ -1220,6 +1218,7 @@ def main(argv: list[str] | None = None) -> int:
     dash.add_argument("--no-repaint", action="store_true",
                       help="append frames instead of repainting in place "
                            "(log-friendly)")
+    _rules_flag(dash)
     dash.set_defaults(fn=cmd_dash)
 
     snapshot = sub.add_parser(

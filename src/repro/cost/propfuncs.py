@@ -6,11 +6,17 @@ any arguments that are plans. ... These changes, including the
 appropriate cost and cardinality estimates, are defined in Starburst by a
 property function for each LOLEPOP."
 
-:class:`PlanFactory` is the single gateway for building plan nodes: every
-constructor computes the output property vector from the operator's
-arguments and its inputs' vectors.  This enforces the paper's invariant
-that plan properties "may be altered only by LOLEPOPs" (section 7) — STAR
-code never touches a property vector directly.
+:class:`PlanFactory` is the single gateway for building plan nodes, and
+every LOLEPOP application takes one path, :meth:`PlanFactory._apply`: the
+public method validates its arguments and builds the application key
+``(op, flavor, params, inputs)``; only if the factory's interner misses it
+does the property function run, and its vector becomes an interned node
+(a JOIN is priced into a held candidate instead).  A property function
+with one plan input states only the properties its LOLEPOP changes
+(:func:`_derived` carries the rest over from the input).  This enforces
+the paper's invariant that plan properties "may be altered only by
+LOLEPOPs" (section 7) — STAR code never touches a property vector
+directly.
 
 Each property function also computes ``rescan_cost``: the cost of
 producing the stream a *second* time.  Materializing operators (STORE,
@@ -23,6 +29,7 @@ right regimes.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import Iterable, NamedTuple
 
 from repro.catalog.catalog import Catalog
@@ -35,6 +42,7 @@ from repro.cost.model import (
 )
 from repro.cost.selectivity import Selectivity
 from repro.errors import ReproError
+from repro.plans.intern import PlanInterner
 from repro.plans.operators import (
     ACCESS,
     BUILDIX,
@@ -99,6 +107,40 @@ def index_matching_predicates(
     return frozenset(matched), eq_prefix
 
 
+def _derived(
+    p: PropertyVector,
+    card: float,
+    cost: Cost,
+    rescan_cost: Cost,
+    *,
+    tables: frozenset[str] | None = None,
+    cols: frozenset[ColumnRef] | None = None,
+    preds: frozenset[Predicate] | None = None,
+    order: OrderSpec | None = None,
+    site: str | None = None,
+    temp: bool | None = None,
+    paths: frozenset[AccessPath] | None = None,
+    stored_as: str | None = None,
+) -> PropertyVector:
+    """The output vector of a LOLEPOP with one plan input ``p``: its
+    estimates, the properties it names, and the input's for every other
+    one — but STORED_AS, which only a LOLEPOP whose output *is* the stored
+    object names (anything else outputs a stream)."""
+    return PropertyVector(
+        p.tables if tables is None else tables,
+        p.cols if cols is None else cols,
+        p.preds if preds is None else preds,
+        p.order if order is None else order,
+        p.site if site is None else site,
+        p.temp if temp is None else temp,
+        p.paths if paths is None else paths,
+        stored_as,
+        card,
+        cost,
+        rescan_cost,
+    )
+
+
 class _JoinRelational(NamedTuple):
     """Everything about a JOIN's output that depends only on the
     *relational* properties of its inputs (Figure 2) and on the predicates
@@ -118,9 +160,9 @@ class PlanFactory:
     """Builds plan nodes, computing property vectors as it goes.
 
     A factory (and its cost model) serves *one* optimization: it remembers
-    estimates derived from catalog statistics, so whoever optimizes again
-    builds a new one — ``StarEngine`` and the transformational baseline
-    both do."""
+    estimates derived from catalog statistics and hash-conses the nodes it
+    builds, so whoever optimizes again builds a new one — ``StarEngine``
+    and the transformational baseline both do."""
 
     def __init__(
         self,
@@ -128,7 +170,6 @@ class PlanFactory:
         model: CostModel | None = None,
         avoid_sites: frozenset[str] = frozenset(),
         feedback=None,
-        interner=None,
     ):
         self.catalog = catalog
         self.model = model if model is not None else CostModel(catalog)
@@ -138,9 +179,9 @@ class PlanFactory:
         self.avoid_sites = frozenset(avoid_sites)
         #: Structured-event tracer (installed by StarEngine; None = off).
         self.tracer = None
-        #: Optional :class:`~repro.plans.intern.PlanInterner` hash-consing
-        #: every node this factory emits (None = off).
-        self.interner = interner
+        #: Hash-conses every node this factory emits and holds the join
+        #: candidates it priced, keyed by application.
+        self.interner = PlanInterner()
         #: The relational half of every JOIN built so far.  It lives and
         #: dies with the factory, i.e. with one optimization.
         self._join_records: dict[tuple, _JoinRelational] = {}
@@ -155,32 +196,32 @@ class PlanFactory:
         if not self.site_usable(site):
             raise ReproError(f"cannot {doing}: site {site} is down or avoided")
 
-    # -- hash-consing ------------------------------------------------------------
+    # -- the one application path ------------------------------------------------
 
-    def _known(self, op, flavor, params, inputs) -> PlanNode | JoinCandidate | None:
-        """Look a LOLEPOP application up *before pricing it*: the node an
-        earlier application to the same input nodes built (or, for a JOIN,
-        the candidate it priced), or None.  A property function is pure in
-        (parameters, inputs), so what is found is what pricing would
-        rebuild."""
-        if self.interner is None:
-            return None
-        found = self.interner.find((op, flavor, params, inputs))
-        if found is not None and self.tracer is not None:
+    def _apply(self, key: tuple, propfunc, *args) -> PlanNode | JoinCandidate:
+        """Apply a LOLEPOP whose arguments were validated: the node (for a
+        JOIN, possibly the candidate) an earlier application with the same
+        ``key = (op, flavor, params, inputs)`` made, else what
+        ``propfunc(args)`` prices — run on a miss only — built and
+        interned (a join candidate is held unbuilt).  A property function
+        is pure in (parameters, inputs), so what is found is what pricing
+        would rebuild.  Emits the application's one ``propfunc`` trace
+        instant.
+
+        A property function takes its arguments as the one tuple ``args``:
+        CPython 3.11 runs a starred call outside its inlined call path, and
+        this call is made once per priced application."""
+        interner = self.interner
+        found = interner.find(key)
+        if found is None:
+            found = propfunc(args)
+            if type(found) is JoinCandidate:
+                interner.hold(found)
+            else:
+                found = interner.intern(PlanNode(*key, found))
+        if self.tracer is not None:
             self._trace(found)
         return found
-
-    def _node(self, op, flavor, params, inputs, props) -> PlanNode:
-        """Every LOLEPOP application but a JOIN's ends here or in a
-        :meth:`_known` hit: build the node, hash-cons it (when an interner
-        is attached) and emit the application's one ``propfunc`` trace
-        instant."""
-        node = PlanNode(op, flavor, params, inputs, props)
-        if self.interner is not None:
-            node = self.interner.intern(node)
-        if self.tracer is not None:
-            self._trace(node)
-        return node
 
     def _trace(self, found: PlanNode | JoinCandidate) -> None:
         if type(found) is JoinCandidate:
@@ -252,34 +293,26 @@ class PlanFactory:
         self._require_site(site, f"access {table} at {site}")
         columns = frozenset(columns)
         preds = frozenset(preds)
+        params = make_params(
+            table=table, path=None, columns=columns, preds=preds, site=site
+        )
+        return self._apply(
+            (ACCESS, tdef.storage, params, ()),
+            self._access_base, table, tdef, columns, preds, site,
+        )
+
+    def _access_base(self, args: tuple) -> PropertyVector:
+        table, tdef, columns, preds, site = args
         own = frozenset([table])
         base_card = self.model.table_card(table)
         card = self._feedback_card(own, preds, self._card(base_card, preds, own))
         order: OrderSpec = ()
         if tdef.storage == "btree":
             order = tuple(ColumnRef(table, c) for c in tdef.key)
-        scan_cost = Cost(io=self.model.table_pages(table), cpu=base_card)
-        props = PropertyVector(
-            tables=own,
-            cols=columns,
-            preds=preds,
-            order=order,
-            site=site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=card,
-            cost=scan_cost,
-            rescan_cost=scan_cost,
-        )
-        return self._node(
-            op=ACCESS,
-            flavor=tdef.storage,
-            params=make_params(
-                table=table, path=None, columns=columns, preds=preds, site=site
-            ),
-            inputs=(),
-            props=props,
+        scan = Cost(io=self.model.table_pages(table), cpu=base_card)
+        return PropertyVector(
+            tables=own, cols=columns, preds=preds, order=order, site=site,
+            card=card, cost=scan, rescan_cost=scan,
         )
 
     def access_index(
@@ -302,7 +335,6 @@ class PlanFactory:
             raise ReproError(f"table {table} has no copy at site {site}")
         self._require_site(site, f"access index {path.name} at {site}")
         preds = frozenset(preds)
-        own = frozenset([table])
         key_cols = frozenset(ColumnRef(table, c) for c in path.columns)
         available = key_cols | {tid_column(table)}
         if path.clustered:
@@ -320,7 +352,17 @@ class PlanFactory:
         )
         if applicable != preds:
             raise ReproError(f"index {path.name} cannot apply all of {preds}")
+        params = make_params(
+            table=table, path=path, columns=columns, preds=preds, site=site
+        )
+        return self._apply(
+            (ACCESS, "index", params, ()),
+            self._access_index, table, path, key_cols, columns, preds, site,
+        )
 
+    def _access_index(self, args: tuple) -> PropertyVector:
+        table, path, key_cols, columns, preds, site = args
+        own = frozenset([table])
         base_card = self.model.table_card(table)
         matched, _ = index_matching_predicates(
             path.columns, table, preds, bound_tables=frozenset()
@@ -330,11 +372,9 @@ class PlanFactory:
         sideways = frozenset(
             p
             for p in preds - matched
-            if sargable_column(p, table, bound_tables=p.tables() - own) is not None
-            and any(
-                sargable_column(p, table, bound_tables=p.tables() - own)[0].column == c
-                for c in path.columns
-            )
+            if (sarg := sargable_column(p, table, bound_tables=p.tables() - own))
+            is not None
+            and sarg[0].column in path.columns
         )
         matched = matched | sideways
         sel_matched = self._sel(matched, own)
@@ -351,27 +391,10 @@ class PlanFactory:
         rescan = Cost(
             io=sel_matched * leaf_pages, cpu=max(1.0, base_card * sel_matched)
         )
-        props = PropertyVector(
-            tables=own,
-            cols=columns,
-            preds=preds,
-            order=tuple(ColumnRef(table, c) for c in path.columns),
-            site=site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=card,
-            cost=scan_cost,
-            rescan_cost=rescan,
-        )
-        return self._node(
-            op=ACCESS,
-            flavor="index",
-            params=make_params(
-                table=table, path=path, columns=columns, preds=preds, site=site
-            ),
-            inputs=(),
-            props=props,
+        return PropertyVector(
+            tables=own, cols=columns, preds=preds,
+            order=tuple(ColumnRef(table, c) for c in path.columns), site=site,
+            card=card, cost=scan_cost, rescan_cost=rescan,
         )
 
     def access_temp(
@@ -393,27 +416,18 @@ class PlanFactory:
             ("columns", columns), ("path", None), ("preds", preds),
             ("table", in_props.stored_as),
         )
-        known = self._known(ACCESS, "temp", params, (stored,))
-        if known is not None:
-            return known
-        own = in_props.tables
-        card = self._card(in_props.card, preds, own)
-        pages = self._pages(in_props.card, in_props.cols)
-        scan = Cost(io=pages, cpu=max(1.0, in_props.card))
-        props = PropertyVector(
-            tables=own,
-            cols=columns,
-            preds=in_props.preds | preds,
-            order=in_props.order,
-            site=in_props.site,
-            temp=True,
-            paths=in_props.paths,
-            stored_as=in_props.stored_as,
-            card=card,
-            cost=in_props.cost + scan,
-            rescan_cost=scan,
+        return self._apply(
+            (ACCESS, "temp", params, (stored,)),
+            self._access_temp, in_props, columns, preds,
         )
-        return self._node(ACCESS, "temp", params, (stored,), props)
+
+    def _access_temp(self, args: tuple) -> PropertyVector:
+        p, columns, preds = args
+        scan = Cost(io=self._pages(p.card, p.cols), cpu=max(1.0, p.card))
+        return _derived(
+            p, self._card(p.card, preds, p.tables), p.cost + scan, scan,
+            cols=columns, preds=p.preds | preds, temp=True, stored_as=p.stored_as,
+        )
 
     def access_temp_index(
         self,
@@ -429,57 +443,46 @@ class PlanFactory:
             raise ReproError(f"stored input has no path {path.name}")
         columns = frozenset(columns) if columns is not None else in_props.cols
         preds = frozenset(preds)
-        own = in_props.tables
-        card = self._card(in_props.card, preds, own)
-        key_cols = frozenset(
-            c for c in in_props.cols if c.column in path.columns
+        params = make_params(
+            table=in_props.stored_as, path=path, columns=columns, preds=preds
         )
+        return self._apply(
+            (ACCESS, "index", params, (stored,)),
+            self._access_temp_index, in_props, path, columns, preds,
+        )
+
+    def _access_temp_index(self, args: tuple) -> PropertyVector:
+        p, path, columns, preds = args
+        own = p.tables
+        key_cols = frozenset(c for c in p.cols if c.column in path.columns)
         # Every sargable predicate on a key column narrows the leaf scan.
         matched = frozenset(
-            p
-            for p in preds
+            pred
+            for pred in preds
             for t in own
-            if (sarg := sargable_column(p, t, bound_tables=p.tables() - own)) is not None
+            if (sarg := sargable_column(pred, t, bound_tables=pred.tables() - own))
+            is not None
             and sarg[0].column in path.columns
         )
         sel_matched = self._sel(matched, own)
         # Clustered temp indexes carry full rows in their leaves.
-        leaf_width = in_props.cols if path.clustered else (key_cols or in_props.cols)
+        leaf_width = p.cols if path.clustered else (key_cols or p.cols)
         leaf_pages = max(
-            1.0,
-            in_props.card * self.model.row_width(leaf_width) / self.catalog.page_size,
+            1.0, p.card * self.model.row_width(leaf_width) / self.catalog.page_size
         )
         probe = Cost(
-            io=self.model.btree_height(in_props.card) + sel_matched * leaf_pages,
-            cpu=max(1.0, in_props.card * sel_matched),
+            io=self.model.btree_height(p.card) + sel_matched * leaf_pages,
+            cpu=max(1.0, p.card * sel_matched),
         )
         # Probes after the first find internal nodes buffered [MACK 86].
         reprobe = Cost(
-            io=sel_matched * leaf_pages, cpu=max(1.0, in_props.card * sel_matched)
+            io=sel_matched * leaf_pages, cpu=max(1.0, p.card * sel_matched)
         )
-        props = PropertyVector(
-            tables=own,
-            cols=columns,
-            preds=in_props.preds | preds,
-            order=tuple(
-                c for name in path.columns for c in in_props.cols if c.column == name
-            ),
-            site=in_props.site,
-            temp=True,
-            paths=in_props.paths,
-            stored_as=in_props.stored_as,
-            card=card,
-            cost=in_props.cost + probe,
-            rescan_cost=reprobe,
-        )
-        return self._node(
-            op=ACCESS,
-            flavor="index",
-            params=make_params(
-                table=in_props.stored_as, path=path, columns=columns, preds=preds
-            ),
-            inputs=(stored,),
-            props=props,
+        return _derived(
+            p, self._card(p.card, preds, own), p.cost + probe, reprobe,
+            cols=columns, preds=p.preds | preds,
+            order=tuple(c for name in path.columns for c in p.cols if c.column == name),
+            temp=True, stored_as=p.stored_as,
         )
 
     # -- GET ---------------------------------------------------------------------
@@ -498,55 +501,43 @@ class PlanFactory:
             raise ReproError(f"GET needs {TID_NAME} of {table} in its input stream")
         columns = frozenset(columns)
         preds = frozenset(preds)
-        own = in_props.tables | {table}
-        card = self._feedback_card(
-            own, in_props.preds | preds, self._card(in_props.card, preds, own)
+        params = make_params(table=table, columns=columns, preds=preds)
+        return self._apply(
+            (GET, None, params, (input_plan,)),
+            self._get, in_props, table, columns, preds,
         )
-        tdef = self.catalog.table(table)
+
+    def _get(self, args: tuple) -> PropertyVector:
+        p, table, columns, preds = args
+        own = p.tables | {table}
+        all_preds = p.preds | preds
+        card = self._feedback_card(own, all_preds, self._card(p.card, preds, own))
         table_pages = self.model.table_pages(table)
         table_card = max(1.0, self.model.table_card(table))
         # Clustered fetches touch each data page once; unclustered fetches
         # pay roughly one page per tuple (capped at one scan's worth of
         # pages per tuple batch — the classic min() bound).
-        clustered_paths = [p for p in self.catalog.paths_for(table) if p.clustered]
         aligned = any(
-            order_satisfies(
-                in_props.order, tuple(ColumnRef(table, c) for c in p.columns[:1])
-            )
-            for p in clustered_paths
+            order_satisfies(p.order, tuple(ColumnRef(table, c) for c in path.columns[:1]))
+            for path in self.catalog.paths_for(table)
+            if path.clustered
         )
         # A TID-ordered input visits each data page at most once (the
         # paper's omitted TID-sort strategy: "sorting TIDs taken from an
         # unordered index in order to order I/O accesses to data pages").
-        tid_ordered = bool(in_props.order) and in_props.order[0] == tid_column(table)
+        tid_ordered = bool(p.order) and p.order[0] == tid_column(table)
         if aligned:
-            fetch_io = max(1.0, table_pages * min(1.0, in_props.card / table_card))
+            fetch_io = max(1.0, table_pages * min(1.0, p.card / table_card))
         elif tid_ordered:
-            fetch_io = max(1.0, min(in_props.card, table_pages))
+            fetch_io = max(1.0, min(p.card, table_pages))
         else:
             # Unclustered random fetches: one page I/O per tuple (the
             # System R assumption, and exactly what the executor charges).
-            fetch_io = max(1.0, in_props.card)
-        fetch = Cost(io=fetch_io, cpu=max(1.0, in_props.card))
-        props = PropertyVector(
-            tables=own,
-            cols=in_props.cols | columns,
-            preds=in_props.preds | preds,
-            order=in_props.order,
-            site=in_props.site,
-            temp=in_props.temp,
-            paths=frozenset(),
-            stored_as=None,
-            card=card,
-            cost=in_props.cost + fetch,
-            rescan_cost=in_props.rescan_cost + fetch,
-        )
-        return self._node(
-            op=GET,
-            flavor=None,
-            params=make_params(table=table, columns=columns, preds=preds),
-            inputs=(input_plan,),
-            props=props,
+            fetch_io = max(1.0, p.card)
+        fetch = Cost(io=fetch_io, cpu=max(1.0, p.card))
+        return _derived(
+            p, card, p.cost + fetch, p.rescan_cost + fetch,
+            tables=own, cols=p.cols | columns, preds=all_preds, paths=frozenset(),
         )
 
     # -- SORT / SHIP / STORE / BUILDIX --------------------------------------------
@@ -562,31 +553,20 @@ class PlanFactory:
             raise ReproError(
                 f"SORT on columns not in the stream: {sorted(str(c) for c in missing)}"
             )
-        params = (("order", order),)
-        known = self._known(SORT, None, params, (input_plan,))
-        if known is not None:
-            return known
-        pages = self._pages(in_props.card, in_props.cols)
+        return self._apply(
+            (SORT, None, (("order", order),), (input_plan,)),
+            self._sort, in_props, order,
+        )
+
+    def _sort(self, args: tuple) -> PropertyVector:
+        p, order = args
+        pages = self._pages(p.card, p.cols)
         spill = pages > SORT_MEMORY_PAGES
         sort_cost = Cost(
-            io=2.0 * pages if spill else 0.0,
-            cpu=self.model.sort_cpu(in_props.card),
+            io=2.0 * pages if spill else 0.0, cpu=self.model.sort_cpu(p.card)
         )
-        rescan = Cost(io=pages if spill else 0.0, cpu=max(1.0, in_props.card))
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=in_props.cols,
-            preds=in_props.preds,
-            order=order,
-            site=in_props.site,
-            temp=in_props.temp,
-            paths=in_props.paths,
-            stored_as=None,
-            card=in_props.card,
-            cost=in_props.cost + sort_cost,
-            rescan_cost=rescan,
-        )
-        return self._node(SORT, None, params, (input_plan,), props)
+        rescan = Cost(io=pages if spill else 0.0, cpu=max(1.0, p.card))
+        return _derived(p, p.card, p.cost + sort_cost, rescan, order=order)
 
     def ship(self, input_plan: PlanNode, to_site: str) -> PlanNode:
         """SHIP the stream to ``to_site`` (changes the SITE property)."""
@@ -595,58 +575,36 @@ class PlanFactory:
         in_props = input_plan.props
         if in_props.site == to_site:
             raise ReproError(f"stream is already at site {to_site}")
-        params = (("to_site", to_site),)
-        known = self._known(SHIP, None, params, (input_plan,))
-        if known is not None:
-            return known
-        cost = self.model.ship_cost(in_props.card, in_props.cols)
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=in_props.cols,
-            preds=in_props.preds,
-            order=in_props.order,
-            site=to_site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=in_props.card,
-            cost=in_props.cost + cost,
-            rescan_cost=in_props.rescan_cost + cost,
+        return self._apply(
+            (SHIP, None, (("to_site", to_site),), (input_plan,)),
+            self._ship, in_props, to_site,
         )
-        return self._node(SHIP, None, params, (input_plan,), props)
+
+    def _ship(self, args: tuple) -> PropertyVector:
+        p, to_site = args
+        cost = self.model.ship_cost(p.card, p.cols)
+        return _derived(
+            p, p.card, p.cost + cost, p.rescan_cost + cost,
+            site=to_site, temp=False, paths=frozenset(),
+        )
 
     def store(self, input_plan: PlanNode) -> PlanNode:
         """STORE the stream as a temporary stored table (TEMP := true)."""
-        known = self._known(STORE, None, (), (input_plan,))
-        if known is not None:
-            return known
-        in_props = input_plan.props
-        pages = self._pages(in_props.card, in_props.cols)
-        write = Cost(io=pages, cpu=max(1.0, in_props.card))
-        name = f"#temp({plan_digest(input_plan)})"
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=in_props.cols,
-            preds=in_props.preds,
-            order=in_props.order,
-            site=in_props.site,
-            temp=True,
-            paths=frozenset(),
-            stored_as=name,
-            card=in_props.card,
-            cost=in_props.cost + write,
-            rescan_cost=Cost(io=pages, cpu=max(1.0, in_props.card)),
+        return self._apply((STORE, None, (), (input_plan,)), self._store, input_plan)
+
+    def _store(self, args: tuple) -> PropertyVector:
+        (input_plan,) = args
+        p = input_plan.props
+        write = Cost(io=self._pages(p.card, p.cols), cpu=max(1.0, p.card))
+        return _derived(
+            p, p.card, p.cost + write, write, temp=True, paths=frozenset(),
+            stored_as=f"#temp({plan_digest(input_plan)})",
         )
-        return self._node(STORE, None, (), (input_plan,), props)
 
     def buildix(self, stored: PlanNode, key: Iterable[ColumnRef]) -> PlanNode:
         """BUILDIX: create an index on a stored temp (the dynamically
         created index of section 4.5.3).  Adds to the PATHS property."""
         key = tuple(key)
-        params = (("key", key),)
-        known = self._known(BUILDIX, None, params, (stored,))
-        if known is not None:
-            return known
         in_props = stored.props
         if in_props.stored_as is None:
             raise ReproError("BUILDIX input must be a stored object")
@@ -655,36 +613,31 @@ class PlanFactory:
             raise ReproError(
                 f"BUILDIX key not in stored columns: {sorted(str(c) for c in missing)}"
             )
+        return self._apply(
+            (BUILDIX, None, (("key", key),), (stored,)), self._buildix, in_props, key
+        )
+
+    def _buildix(self, args: tuple) -> PropertyVector:
+        p, key = args
         # Dynamic indexes on temps are clustered: the temp is private to
         # this plan, so the index leaves carry the full row and the probe
         # needs no extra GET back to the temp's pages.
         path = AccessPath(
-            name=f"ix({','.join(str(c) for c in key)})@{in_props.stored_as}",
-            table=in_props.stored_as,
+            name=f"ix({','.join(str(c) for c in key)})@{p.stored_as}",
+            table=p.stored_as,
             columns=tuple(c.column for c in key),
             kind="btree",
             clustered=True,
         )
-        pages = self._pages(in_props.card, in_props.cols)
+        pages = self._pages(p.card, p.cols)
         key_pages = max(
-            1.0,
-            in_props.card * self.model.row_width(frozenset(key)) / self.catalog.page_size,
+            1.0, p.card * self.model.row_width(frozenset(key)) / self.catalog.page_size
         )
-        build = Cost(io=pages + key_pages, cpu=self.model.sort_cpu(in_props.card))
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=in_props.cols,
-            preds=in_props.preds,
-            order=in_props.order,
-            site=in_props.site,
-            temp=True,
-            paths=in_props.paths | {path},
-            stored_as=in_props.stored_as,
-            card=in_props.card,
-            cost=in_props.cost + build,
-            rescan_cost=in_props.rescan_cost,
+        build = Cost(io=pages + key_pages, cpu=self.model.sort_cpu(p.card))
+        return _derived(
+            p, p.card, p.cost + build, p.rescan_cost,
+            temp=True, paths=p.paths | {path}, stored_as=p.stored_as,
         )
-        return self._node(BUILDIX, None, params, (stored,), props)
 
     # -- JOIN / FILTER / UNION ------------------------------------------------------
 
@@ -733,15 +686,20 @@ class PlanFactory:
                 f"JOIN inputs at different sites: {po.site} vs {pi.site} "
                 "(dyadic LOLEPOPs require a common SITE)"
             )
-        if po.tables & pi.tables:
+        if not po.tables.isdisjoint(pi.tables):
             raise ReproError("JOIN inputs overlap in tables")
         if flavor == "SJ":
-            return self._semijoin(outer, inner, join_preds)
+            params = make_params(join_preds=join_preds, residual_preds=frozenset())
+            return self._apply(
+                (JOIN, "SJ", params, (outer, inner)), self._semijoin, po, pi, join_preds
+            )
         rel = self._join_relational(po, pi, join_preds, residual_preds)
-        inputs = (outer, inner)
-        known = self._known(JOIN, flavor, rel.params, inputs)
-        if known is not None:
-            return known
+        key = (JOIN, flavor, rel.params, (outer, inner))
+        return self._apply(key, self._join, key, rel, po, pi)
+
+    def _join(self, args: tuple) -> JoinCandidate:
+        key, rel, po, pi = args
+        flavor = key[1]
         o_card, i_card = po.card, pi.card
         card = self._feedback_card(
             rel.tables, rel.preds, max(MIN_CARD, o_card * i_card * rel.sel)
@@ -779,8 +737,8 @@ class PlanFactory:
             raise ReproError(f"unknown join flavor {flavor!r}")
         # The method's msgs and bytes are 0.0, and still added.
         io, cpu, msgs, sent = io + m_io, cpu + m_cpu, msgs + 0.0, sent + 0.0
-        cand = JoinCandidate(
-            (JOIN, flavor, rel.params, inputs),
+        return JoinCandidate(
+            key,
             rel.tables, rel.cols, rel.preds,
             () if flavor == "HA" else po.order,
             po.site,
@@ -790,31 +748,19 @@ class PlanFactory:
             self.model.weights.combine(io, cpu, msgs, sent),
             self,
         )
-        if self.interner is not None:
-            self.interner.hold(cand)
-        if self.tracer is not None:
-            self._trace(cand)
-        return cand
 
     def build_join(self, cand: JoinCandidate) -> PlanNode:
         """The node a join candidate stands for: its property vector,
         ``Cost`` s and ``PlanNode``, interned (the ``propfunc`` instant was
         emitted when it was priced)."""
         props = PropertyVector(
-            tables=cand.tables,
-            cols=cand.cols,
-            preds=cand.preds,
-            order=cand.order,
-            site=cand.site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=cand.card,
+            tables=cand.tables, cols=cand.cols, preds=cand.preds,
+            order=cand.order, site=cand.site, card=cand.card,
             cost=Cost(cand.io, cand.cpu, cand.msgs, cand.sent),
             rescan_cost=Cost(cand.r_io, cand.r_cpu, cand.r_msgs, cand.r_sent),
         )
         node = PlanNode(JOIN, cand.flavor, cand.params, cand.inputs, props)
-        return node if self.interner is None else self.interner.intern(node)
+        return self.interner.intern(node)
 
     def _join_relational(
         self,
@@ -842,40 +788,20 @@ class PlanFactory:
             )
         return rel
 
-    def _semijoin(
-        self,
-        outer: PlanNode,
-        inner: PlanNode,
-        join_preds: frozenset[Predicate],
-    ) -> PlanNode:
+    def _semijoin(self, args: tuple) -> PropertyVector:
         """Hash semijoin (flavor SJ): emit each outer row at most once if
         it has a match in the inner — the filtration strategy behind
         semi-joins (paper's omitted list).  Relational content stays the
         outer's; only the cardinality shrinks."""
-        po, pi = outer.props, inner.props
+        po, pi, join_preds = args
         sel = self._sel(join_preds, po.tables | pi.tables)
         match_probability = min(1.0, pi.card * sel)
-        card = max(MIN_CARD, po.card * match_probability)
         build_probe = Cost(cpu=1.5 * pi.card + po.card)
-        props = PropertyVector(
-            tables=po.tables,
-            cols=po.cols,
-            preds=po.preds,
-            order=po.order,
-            site=po.site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=card,
+        return PropertyVector(
+            tables=po.tables, cols=po.cols, preds=po.preds, order=po.order,
+            site=po.site, card=max(MIN_CARD, po.card * match_probability),
             cost=po.cost + pi.cost + build_probe,
             rescan_cost=po.rescan_cost + pi.rescan_cost + build_probe,
-        )
-        return self._node(
-            op=JOIN,
-            flavor="SJ",
-            params=make_params(join_preds=join_preds, residual_preds=frozenset()),
-            inputs=(outer, inner),
-            props=props,
         )
 
     def project(self, input_plan: PlanNode, columns: Iterable[ColumnRef]) -> PlanNode:
@@ -890,31 +816,18 @@ class PlanFactory:
                 f"PROJECT columns not in the stream: "
                 f"{sorted(str(c) for c in columns - in_props.cols)}"
             )
-        order = []
-        for column in in_props.order:
-            if column not in columns:
-                break
-            order.append(column)
-        cpu = Cost(cpu=max(1.0, in_props.card))
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=columns,
-            preds=in_props.preds,
-            order=tuple(order),
-            site=in_props.site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=in_props.card,
-            cost=in_props.cost + cpu,
-            rescan_cost=in_props.rescan_cost + cpu,
+        return self._apply(
+            (PROJECT, None, make_params(columns=columns), (input_plan,)),
+            self._project, in_props, columns,
         )
-        return self._node(
-            op=PROJECT,
-            flavor=None,
-            params=make_params(columns=columns),
-            inputs=(input_plan,),
-            props=props,
+
+    def _project(self, args: tuple) -> PropertyVector:
+        p, columns = args
+        cpu = Cost(cpu=max(1.0, p.card))
+        return _derived(
+            p, p.card, p.cost + cpu, p.rescan_cost + cpu,
+            cols=columns, order=tuple(takewhile(columns.__contains__, p.order)),
+            temp=False, paths=frozenset(),
         )
 
     def filter(self, input_plan: PlanNode, preds: Iterable[Predicate]) -> PlanNode:
@@ -922,32 +835,20 @@ class PlanFactory:
         preds = frozenset(preds)
         if not preds:
             raise ReproError("FILTER needs at least one predicate")
-        in_props = input_plan.props
+        return self._apply(
+            (FILTER, None, make_params(preds=preds), (input_plan,)),
+            self._filter, input_plan.props, preds,
+        )
+
+    def _filter(self, args: tuple) -> PropertyVector:
+        p, preds = args
+        all_preds = p.preds | preds
         card = self._feedback_card(
-            in_props.tables,
-            in_props.preds | preds,
-            self._card(in_props.card, preds, in_props.tables),
+            p.tables, all_preds, self._card(p.card, preds, p.tables)
         )
-        cpu = Cost(cpu=max(1.0, in_props.card))
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=in_props.cols,
-            preds=in_props.preds | preds,
-            order=in_props.order,
-            site=in_props.site,
-            temp=in_props.temp,
-            paths=in_props.paths,
-            stored_as=None,
-            card=card,
-            cost=in_props.cost + cpu,
-            rescan_cost=in_props.rescan_cost + cpu,
-        )
-        return self._node(
-            op=FILTER,
-            flavor=None,
-            params=make_params(preds=preds),
-            inputs=(input_plan,),
-            props=props,
+        cpu = Cost(cpu=max(1.0, p.card))
+        return _derived(
+            p, card, p.cost + cpu, p.rescan_cost + cpu, preds=all_preds
         )
 
     def dedup(self, input_plan: PlanNode, key: Iterable[ColumnRef]) -> PlanNode:
@@ -966,28 +867,15 @@ class PlanFactory:
             raise ReproError(
                 f"DEDUP key not in the stream: {sorted(str(c) for c in missing)}"
             )
-        cpu = Cost(cpu=max(1.0, in_props.card))
-        props = PropertyVector(
-            tables=in_props.tables,
-            cols=in_props.cols,
-            preds=in_props.preds,
-            order=in_props.order,
-            site=in_props.site,
-            temp=in_props.temp,
-            paths=in_props.paths,
-            stored_as=None,
-            # Conservative: assume little overlap between branches.
-            card=in_props.card,
-            cost=in_props.cost + cpu,
-            rescan_cost=in_props.rescan_cost + cpu,
+        return self._apply(
+            (DEDUP, None, make_params(key=key), (input_plan,)), self._dedup, in_props
         )
-        return self._node(
-            op=DEDUP,
-            flavor=None,
-            params=make_params(key=key),
-            inputs=(input_plan,),
-            props=props,
-        )
+
+    def _dedup(self, args: tuple) -> PropertyVector:
+        (p,) = args
+        cpu = Cost(cpu=max(1.0, p.card))
+        # Conservative: assume little overlap between branches.
+        return _derived(p, p.card, p.cost + cpu, p.rescan_cost + cpu)
 
     def intersect(
         self, left: PlanNode, right: PlanNode, key: Iterable[ColumnRef]
@@ -1007,28 +895,20 @@ class PlanFactory:
                 f"INTERSECT key not in both streams: "
                 f"{sorted(str(c) for c in missing)}"
             )
+        return self._apply(
+            (INTERSECT, None, make_params(key=key), (left, right)),
+            self._intersect, pl, pr,
+        )
+
+    def _intersect(self, args: tuple) -> PropertyVector:
+        pl, pr = args
         own = pl.tables | pr.tables
-        card = self._card(pl.card, pr.preds - pl.preds, own)
         cpu = Cost(cpu=max(1.0, pl.card + pr.card))
-        props = PropertyVector(
-            tables=own,
-            cols=pl.cols,
-            preds=pl.preds | pr.preds,
-            order=pl.order,
-            site=pl.site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=card,
+        return PropertyVector(
+            tables=own, cols=pl.cols, preds=pl.preds | pr.preds, order=pl.order,
+            site=pl.site, card=self._card(pl.card, pr.preds - pl.preds, own),
             cost=pl.cost + pr.cost + cpu,
             rescan_cost=pl.rescan_cost + pr.rescan_cost + cpu,
-        )
-        return self._node(
-            op=INTERSECT,
-            flavor=None,
-            params=make_params(key=key),
-            inputs=(left, right),
-            props=props,
         )
 
     def union(self, left: PlanNode, right: PlanNode) -> PlanNode:
@@ -1038,18 +918,14 @@ class PlanFactory:
             raise ReproError("UNION inputs must have identical columns")
         if pl.site != pr.site:
             raise ReproError("UNION inputs must be at the same site")
+        return self._apply((UNION, None, (), (left, right)), self._union, pl, pr)
+
+    def _union(self, args: tuple) -> PropertyVector:
+        pl, pr = args
         card = pl.card + pr.card
-        props = PropertyVector(
-            tables=pl.tables | pr.tables,
-            cols=pl.cols,
-            preds=pl.preds & pr.preds,
-            order=(),
-            site=pl.site,
-            temp=False,
-            paths=frozenset(),
-            stored_as=None,
-            card=card,
-            cost=pl.cost + pr.cost + Cost(cpu=card),
-            rescan_cost=pl.rescan_cost + pr.rescan_cost + Cost(cpu=card),
+        cpu = Cost(cpu=card)
+        return PropertyVector(
+            tables=pl.tables | pr.tables, cols=pl.cols, preds=pl.preds & pr.preds,
+            site=pl.site, card=card, cost=pl.cost + pr.cost + cpu,
+            rescan_cost=pl.rescan_cost + pr.rescan_cost + cpu,
         )
-        return self._node(op=UNION, flavor=None, params=(), inputs=(left, right), props=props)

@@ -61,7 +61,6 @@ class BatchResult:
     elapsed_seconds: float = 0.0
     expansion_stats: dict[str, float] = field(default_factory=dict)
     plan_table_stats: dict[str, float] = field(default_factory=dict)
-    memo_stats: dict[str, float] = field(default_factory=dict)
     budget_exhausted: bool = False
     heuristic_fallback: bool = False
     #: True when this result was copied from an identical query earlier
@@ -136,7 +135,6 @@ def _run_query(optimizer, index: int, query: QueryBlock | str) -> BatchResult:
         elapsed_seconds=time.perf_counter() - started,
         expansion_stats=result.stats.as_dict(),
         plan_table_stats=result.plan_table_stats.as_dict(),
-        memo_stats=result.engine.memo.stats.as_dict(),
         budget_exhausted=result.budget_exhausted,
         heuristic_fallback=result.heuristic_fallback,
     )

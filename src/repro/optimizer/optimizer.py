@@ -129,115 +129,7 @@ class StarburstOptimizer:
 
     def optimize(self, query: QueryBlock | str) -> OptimizationResult:
         """Optimize a query block (or SQL text) into its best plan."""
-        if isinstance(query, str):
-            query = parse_query(query, self.catalog)
-        started = time.perf_counter()
-        result_site = query.result_site or self.catalog.query_site
-        avoided = frozenset(self.config.avoid_sites) | self.catalog.down_sites()
-        if result_site in avoided:
-            raise OptimizationError(
-                f"result site {result_site} is down or avoided; "
-                f"no plan can deliver the result"
-            )
-        model = CostModel(self.catalog, self.weights)
-        if self.budget is not None:
-            self.budget.reset()
-        engine = StarEngine(
-            rules=self.rules,
-            catalog=self.catalog,
-            query=query,
-            registry=self.registry,
-            config=self.config,
-            model=model,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            budget=self.budget,
-            feedback=self.feedback,
-        )
-        tracer = engine.tracer
-        span = None
-        if tracer is not None:
-            span = tracer.begin("optimizer", "optimize", query=str(query))
-        requirements = Requirements(
-            order=query.required_order() or None,
-            site=result_site,
-        )
-        budget_exhausted = False
-        heuristic_fallback = False
-        enumerator = JoinEnumerator(engine)
-        try:
-            enumerator.run()
-            final_stream = Stream(query.table_set, requirements)
-            alternatives = engine.ctx.glue.resolve(final_stream)
-        except BudgetExhausted as exc:
-            budget_exhausted = True
-            try:
-                alternatives, heuristic_fallback = self._anytime(
-                    engine, query, requirements, exc
-                )
-            except OptimizationError:
-                if tracer is not None:
-                    tracer.end(span, failed=True)
-                raise
-        except OptimizationError:
-            if tracer is not None:
-                tracer.end(span, failed=True)
-            raise
-        except (GlueError, ReproError) as exc:
-            if tracer is not None:
-                tracer.end(span, failed=True)
-            # Surface how much search had happened when optimization died
-            # — the diagnostics a DBC needs to see whether rules fired at
-            # all or pruning starved the plan table.  Both stat blocks go
-            # through the shared metrics-snapshot schema.
-            raise OptimizationError(
-                f"optimization failed for query {query}: {exc}",
-                expansion_stats=engine.stats.as_dict(),
-                plan_table_stats=engine.plan_table.stats.as_dict(),
-            ) from exc
-        best = alternatives.cheapest(engine.ctx.model)
-        if best is None:
-            if tracer is not None:
-                tracer.end(span, failed=True)
-            raise OptimizationError(
-                f"no plan produced for query {query}",
-                expansion_stats=engine.stats.as_dict(),
-                plan_table_stats=engine.plan_table.stats.as_dict(),
-            )
-        elapsed = time.perf_counter() - started
-        if tracer is not None:
-            tracer.end(
-                span,
-                plans=len(alternatives),
-                cost=round(engine.ctx.model.total(best.props.cost), 3),
-                budget_exhausted=budget_exhausted,
-            )
-        if self.metrics is not None:
-            self.metrics.ingest(engine.stats.as_dict(), prefix="optimizer.")
-            self.metrics.ingest(
-                engine.plan_table.stats.as_dict(), prefix="plantable."
-            )
-            self.metrics.ingest(engine.memo.stats.as_dict(), prefix="memo.")
-            self.metrics.ingest(
-                engine.ctx.factory.interner.stats.as_dict(), prefix="intern."
-            )
-            self.metrics.observe(
-                "optimizer.elapsed_seconds", elapsed
-            )
-            if self.budget is not None:
-                self.metrics.ingest(self.budget.as_dict(), prefix="budget.")
-        return OptimizationResult(
-            query=query,
-            best_plan=best,
-            alternatives=alternatives,
-            stats=engine.stats,
-            plan_table_stats=engine.plan_table.stats,
-            pairs_considered=enumerator.pairs_considered,
-            elapsed_seconds=elapsed,
-            engine=engine,
-            budget_exhausted=budget_exhausted,
-            heuristic_fallback=heuristic_fallback,
-        )
+        return self._optimize(query, "optimize", self.budget, self._search)
 
     def optimize_heuristic(self, query: QueryBlock | str) -> OptimizationResult:
         """The search-free greedy plan, packaged like an optimization.
@@ -249,6 +141,15 @@ class StarburstOptimizer:
         deepest *computed* degradation tier: O(tables² · predicates)
         regardless of load, never charged against any budget.
         """
+        return self._optimize(query, "optimize_heuristic", None, _greedy)
+
+    def _optimize(self, query, name: str, budget, search) -> OptimizationResult:
+        """What every optimization shares: parse, the result-site check, a
+        fresh cost model and engine, the query's required properties, the
+        ``optimizer`` span ``name`` around ``search`` and the result.
+        ``search(engine, query, requirements)`` returns the alternatives,
+        the pairs considered, whether the budget ran out and whether the
+        plan is the greedy fallback."""
         if isinstance(query, str):
             query = parse_query(query, self.catalog)
         started = time.perf_counter()
@@ -259,18 +160,21 @@ class StarburstOptimizer:
                 f"result site {result_site} is down or avoided; "
                 f"no plan can deliver the result"
             )
-        model = CostModel(self.catalog, self.weights)
+        if budget is not None:
+            budget.reset()
         engine = StarEngine(
             rules=self.rules,
             catalog=self.catalog,
             query=query,
             registry=self.registry,
             config=self.config,
-            model=model,
+            model=CostModel(self.catalog, self.weights),
             tracer=self.tracer,
             metrics=self.metrics,
+            budget=budget,
             feedback=self.feedback,
         )
+        model = engine.ctx.model
         requirements = Requirements(
             order=query.required_order() or None,
             site=result_site,
@@ -278,36 +182,88 @@ class StarburstOptimizer:
         tracer = engine.tracer
         span = None
         if tracer is not None:
-            span = tracer.begin(
-                "optimizer", "optimize_heuristic", query=str(query)
-            )
+            span = tracer.begin("optimizer", name, query=str(query))
         try:
-            plan = heuristic_plan(engine.ctx, query, requirements)
-        except OptimizationError:
+            alternatives, pairs, exhausted, fallback = search(
+                engine, query, requirements
+            )
+            best = alternatives.cheapest(model)
+            if best is None:
+                raise OptimizationError(
+                    f"no plan produced for query {query}",
+                    expansion_stats=engine.stats.as_dict(),
+                    plan_table_stats=engine.plan_table.stats.as_dict(),
+                )
+        except Exception:
             if tracer is not None:
                 tracer.end(span, failed=True)
             raise
-        alternatives = SAP([plan])
         elapsed = time.perf_counter() - started
+        # Only the greedy tier's plan comes from no search at all.
+        searched = exhausted or not fallback
         if tracer is not None:
-            tracer.end(
-                span, cost=round(model.total(plan.props.cost), 3)
-            )
+            cost = round(model.total(best.props.cost), 3)
+            if searched:
+                tracer.end(
+                    span, plans=len(alternatives), cost=cost,
+                    budget_exhausted=exhausted,
+                )
+            else:
+                tracer.end(span, cost=cost)
         if self.metrics is not None:
-            self.metrics.inc("optimizer.heuristic_plans")
+            if searched:
+                self.metrics.ingest(engine.stats.as_dict(), prefix="optimizer.")
+                self.metrics.ingest(
+                    engine.plan_table.stats.as_dict(), prefix="plantable."
+                )
+                self.metrics.ingest(
+                    engine.ctx.factory.interner.stats.as_dict(), prefix="intern."
+                )
+                if budget is not None:
+                    self.metrics.ingest(budget.as_dict(), prefix="budget.")
+            else:
+                self.metrics.inc("optimizer.heuristic_plans")
             self.metrics.observe("optimizer.elapsed_seconds", elapsed)
         return OptimizationResult(
             query=query,
-            best_plan=plan,
+            best_plan=best,
             alternatives=alternatives,
             stats=engine.stats,
             plan_table_stats=engine.plan_table.stats,
-            pairs_considered=0,
+            pairs_considered=pairs,
             elapsed_seconds=elapsed,
             engine=engine,
-            budget_exhausted=False,
-            heuristic_fallback=True,
+            budget_exhausted=exhausted,
+            heuristic_fallback=fallback,
         )
+
+    def _search(
+        self, engine: StarEngine, query: QueryBlock, requirements: Requirements
+    ) -> tuple[SAP, int, bool, bool]:
+        """The STAR search: enumerate joins bottom-up, then one final Glue
+        reference — or, when the budget dies, the best anytime answer."""
+        enumerator = JoinEnumerator(engine)
+        try:
+            enumerator.run()
+            alternatives = engine.ctx.glue.resolve(
+                Stream(query.table_set, requirements)
+            )
+            return alternatives, enumerator.pairs_considered, False, False
+        except BudgetExhausted as exc:
+            alternatives, heuristic = self._anytime(engine, query, requirements, exc)
+            return alternatives, enumerator.pairs_considered, True, heuristic
+        except OptimizationError:
+            raise
+        except (GlueError, ReproError) as exc:
+            # Surface how much search had happened when optimization died
+            # — the diagnostics a DBC needs to see whether rules fired at
+            # all or pruning starved the plan table.  Both stat blocks go
+            # through the shared metrics-snapshot schema.
+            raise OptimizationError(
+                f"optimization failed for query {query}: {exc}",
+                expansion_stats=engine.stats.as_dict(),
+                plan_table_stats=engine.plan_table.stats.as_dict(),
+            ) from exc
 
     def _anytime(
         self,
@@ -349,3 +305,10 @@ class StarburstOptimizer:
             if heuristic:
                 self.metrics.inc("budget.heuristic_fallbacks")
         return alternatives, heuristic
+
+
+def _greedy(
+    engine: StarEngine, query: QueryBlock, requirements: Requirements
+) -> tuple[SAP, int, bool, bool]:
+    """The heuristic tier's "search": the greedy plan, nothing considered."""
+    return SAP([heuristic_plan(engine.ctx, query, requirements)]), 0, False, True

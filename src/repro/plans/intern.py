@@ -12,20 +12,23 @@ through to digest comparison.
 ``(op, flavor, params, inputs)`` — the node minus what pricing finds.  The
 inputs left the same interner, so each structure has one object and
 identity *is* structure: the key's input nodes hash by their cached
-structural hash and compare by identity (two equal twins built outside
-any interner still meet, through the digest fallback of
-``PlanNode.__eq__``).  Because the key needs no node,
-:class:`~repro.cost.propfuncs.PlanFactory` asks :meth:`PlanInterner.find`
-*before pricing*: a hit returns the existing node and the property
-function never runs; a miss is priced, built and registered through
+structural hash and compare by identity (two equal twins from two
+interners still meet, through the digest fallback of ``PlanNode.__eq__``).
+Every :class:`~repro.cost.propfuncs.PlanFactory` owns one, and every
+LOLEPOP application it makes takes one path, ``PlanFactory._apply``:
+because the key needs no node, :meth:`PlanInterner.find` is asked *before
+pricing*; a hit returns the existing node and the property function never
+runs; a miss is priced, built and registered through
 :meth:`PlanInterner.intern`.  A JOIN miss is priced into a
 :class:`~repro.plans.sap.JoinCandidate` that :meth:`PlanInterner.hold`
 keeps under the same key, unbuilt, so a repeated application finds it;
-it reaches :meth:`PlanInterner.intern` only if it is built.  Nothing here
-computes a digest —
+it reaches :meth:`PlanInterner.intern` only if it is built, and the node
+then takes its place.  One table holds both, so a lookup hashes its key
+once.  Every hit is a :meth:`find` hit, and :meth:`intern` registers a
+node nobody built before.  Nothing here computes a digest —
 :attr:`PlanNode.digest` stays lazy and is paid only for nodes somebody
 names.  One interner lives for one optimization (it is part of the
-engine's per-query state), so interned plans never leak property vectors
+factory's per-query state), so interned plans never leak property vectors
 across catalogs or feedback epochs.
 """
 
@@ -60,13 +63,13 @@ class InternStats:
 class PlanInterner:
     """Hash-consing table for plan nodes, keyed by their structure."""
 
-    __slots__ = ("_nodes", "_held", "stats")
+    __slots__ = ("_entries", "stats")
 
     def __init__(self) -> None:
-        self._nodes: dict[tuple, PlanNode] = {}
-        #: Join candidates priced and not (yet) built.  A candidate hashes
-        #: and compares like its key, so it is its own dictionary key.
-        self._held: dict[JoinCandidate, JoinCandidate] = {}
+        #: Application key → its node, or its join candidate while that is
+        #: priced and not built.  A candidate hashes and compares like its
+        #: key, so it is its own dictionary key.
+        self._entries: dict[tuple, PlanNode | JoinCandidate] = {}
         self.stats = InternStats()
 
     def find(self, key: tuple) -> PlanNode | JoinCandidate | None:
@@ -75,39 +78,42 @@ class PlanInterner:
         if any.  A hit is one request and one hit, as interning the rebuilt
         twin would have counted; a miss counts nothing until the node is
         interned."""
-        found = self._nodes.get(key)
-        if found is None:
-            found = self._held.get(key)
-            if found is None:
-                return None
-        self.stats.requests += 1
-        self.stats.hits += 1
+        found = self._entries.get(key)
+        if found is not None:
+            self.stats.requests += 1
+            self.stats.hits += 1
         return found
 
     def hold(self, candidate: JoinCandidate) -> None:
         """Remember a priced join so a repeated application finds it.
         Counts nothing: a candidate pruning discards never reaches
         :meth:`intern`."""
-        self._held[candidate] = candidate
+        self._entries[candidate] = candidate
 
     def intern(self, node: PlanNode) -> PlanNode:
         """The canonical node for ``node``'s structure.
 
         Returns the previously interned object when one exists (a *hit*:
         the new construction is discarded), otherwise registers ``node``
-        as the canonical representative.
+        as the canonical representative — in place of the held candidate
+        it was built from, if any.
         """
         self.stats.requests += 1
-        nodes = self._nodes
-        known = len(nodes)
-        existing = nodes.setdefault(
-            (node.op, node.flavor, node.params, node.inputs), node
-        )
-        if len(nodes) == known:
-            self.stats.hits += 1
-        else:
+        key = (node.op, node.flavor, node.params, node.inputs)
+        existing = self._entries.setdefault(key, node)
+        if existing is node:
             self.stats.unique += 1
+        elif type(existing) is not PlanNode:
+            self._entries[key] = node
+            self.stats.unique += 1
+            existing = node
+        else:
+            self.stats.hits += 1
         return existing
 
+    def nodes(self) -> list[PlanNode]:
+        """Every node interned so far (held candidates are not nodes)."""
+        return [n for n in self._entries.values() if type(n) is PlanNode]
+
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self.nodes())

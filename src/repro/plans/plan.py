@@ -257,6 +257,17 @@ def plan_digest(node: PlanNode) -> str:
     return node.digest
 
 
+def stored_object(node: PlanNode) -> PlanNode | None:
+    """The stored object under ``node``, which a re-ACCESS reads instead
+    of materializing again (4.5.2): the STORE / BUILDIX a temp ACCESS
+    reads, or ``node`` itself when its output is one; None for a stream."""
+    if node.op == ACCESS and node.flavor == "temp" and node.inputs:
+        return node.inputs[0]
+    if node.props.stored_as is not None and node.inputs:
+        return node
+    return None
+
+
 def plan_sites(node: PlanNode) -> frozenset[str]:
     """The plan's *site footprint*: every site some node executes at.
 

@@ -139,6 +139,10 @@ class AdaptiveExecutor:
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
+        if max_reoptimizations < 0:
+            raise ValueError(
+                f"max_reoptimizations must be >= 0, got {max_reoptimizations}"
+            )
         self.db = database
         self.optimizer = optimizer
         self.qerror_threshold = qerror_threshold

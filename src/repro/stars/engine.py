@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.catalog.catalog import Catalog
+from repro.catalog.schema import AccessPath
 from repro.config import OptimizerConfig
 from repro.cost.model import CostModel
 from repro.cost.propfuncs import PlanFactory
@@ -41,7 +42,7 @@ from repro.plans.operators import (
     STORE,
     UNION,
 )
-from repro.plans.plan import PlanNode, plan_digest
+from repro.plans.plan import PlanNode, plan_digest, stored_object
 from repro.plans.properties import Requirements
 from repro.plans.sap import SAP, Stream
 from repro.query.query import QueryBlock
@@ -66,7 +67,6 @@ from repro.stars.ast import (
 )
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
 from repro.obs.trace import Tracer
-from repro.plans.intern import PlanInterner
 from repro.stars.glue import Glue
 from repro.stars.memo import StarMemo
 from repro.stars.plantable import PlanTable
@@ -177,11 +177,7 @@ class StarEngine:
     ):
         config = config if config is not None else OptimizerConfig()
         factory = PlanFactory(
-            catalog,
-            model,
-            avoid_sites=config.avoid_sites,
-            feedback=feedback,
-            interner=PlanInterner(),
+            catalog, model, avoid_sites=config.avoid_sites, feedback=feedback
         )
         factory.tracer = tracer
         if plan_table is None:
@@ -443,156 +439,112 @@ class StarEngine:
         return result
 
     def _call_lolepop(self, name: str, flavor: str | None, values: list[Any]) -> SAP:
-        ctx = self.ctx
-        ctx.stats.lolepop_calls += 1
-        factory = ctx.factory
-
-        def mapped(sap: SAP, build) -> SAP:
-            plans = []
-            for plan in sap:
-                try:
-                    plans.append(build(plan))
-                except ReproError:
-                    ctx.stats.combos_skipped += 1
-            result = SAP(plans)
-            ctx.stats.plans_emitted += len(result)
-            return result
+        self.ctx.stats.lolepop_calls += 1
+        factory = self.ctx.factory
 
         if name == JOIN:
             # Priced, not built: the SAP holds join candidates until the
             # plan table judges them or something reads them as plans.
             outer, inner = _as_sap(values[0]), _as_sap(values[1])
-            join_preds = frozenset(values[2]) if len(values) > 2 and values[2] else frozenset()
-            residual = frozenset(values[3]) if len(values) > 3 and values[3] else frozenset()
+            join_preds, residual = _opt_set(values, 2), _opt_set(values, 3)
             flavor = flavor or "NL"
             price = factory.join_candidate
-            plans = []
-            for o in outer:
-                for i in inner:
-                    try:
-                        plans.append(price(flavor, o, i, join_preds, residual))
-                    except ReproError:
-                        ctx.stats.combos_skipped += 1
-            result = SAP(plans)
-            ctx.stats.plans_emitted += len(result)
-            return result
-
+            return self._map(
+                lambda o, i: price(flavor, o, i, join_preds, residual), outer, inner
+            )
         if name == SORT:
             sap, order = _as_sap(values[0]), tuple(values[1])
-            return mapped(sap, lambda p: factory.sort(p, order))
-
+            return self._map(lambda p: factory.sort(p, order), sap)
         if name == SHIP:
             sap, site = _as_sap(values[0]), values[1]
-            return mapped(
-                sap, lambda p: p if p.props.site == site else factory.ship(p, site)
+            return self._map(
+                lambda p: p if p.props.site == site else factory.ship(p, site), sap
             )
-
         if name == ACCESS:
             return self._access(values)
-
         if name == GET:
-            sap = _as_sap(values[0])
-            table = values[1]
-            columns = _as_colset(values[2])
-            preds = frozenset(values[3]) if len(values) > 3 and values[3] else frozenset()
-            return mapped(sap, lambda p: factory.get(p, table, columns, preds))
-
+            sap, table = _as_sap(values[0]), values[1]
+            columns, preds = _as_colset(values[2]), _opt_set(values, 3)
+            return self._map(lambda p: factory.get(p, table, columns, preds), sap)
         if name == STORE:
-            return mapped(_as_sap(values[0]), factory.store)
-
+            return self._map(factory.store, _as_sap(values[0]))
         if name == BUILDIX:
             sap, key = _as_sap(values[0]), tuple(values[1])
-            return mapped(sap, lambda p: factory.buildix(p, key))
-
+            return self._map(lambda p: factory.buildix(p, key), sap)
         if name == FILTER:
-            sap = _as_sap(values[0])
-            preds = frozenset(values[1])
-            return mapped(sap, lambda p: factory.filter(p, preds))
-
+            sap, preds = _as_sap(values[0]), frozenset(values[1])
+            return self._map(lambda p: factory.filter(p, preds), sap)
         if name == DEDUP:
             sap, key = _as_sap(values[0]), tuple(values[1])
-            return mapped(sap, lambda p: factory.dedup(p, key))
-
+            return self._map(lambda p: factory.dedup(p, key), sap)
         if name == PROJECT:
             sap, columns = _as_sap(values[0]), frozenset(values[1])
-            return mapped(sap, lambda p: factory.project(p, columns))
-
+            return self._map(lambda p: factory.project(p, columns), sap)
         if name == INTERSECT:
             left, right = _as_sap(values[0]), _as_sap(values[1])
             key = tuple(values[2])
-            plans = []
-            for a in left:
-                for b in right:
-                    try:
-                        plans.append(factory.intersect(a, b, key))
-                    except ReproError:
-                        ctx.stats.combos_skipped += 1
-            result = SAP(plans)
-            ctx.stats.plans_emitted += len(result)
-            return result
-
+            return self._map(lambda a, b: factory.intersect(a, b, key), left, right)
         if name == UNION:
-            left, right = _as_sap(values[0]), _as_sap(values[1])
-            plans = []
-            for a in left:
-                for b in right:
-                    try:
-                        plans.append(factory.union(a, b))
-                    except ReproError:
-                        ctx.stats.combos_skipped += 1
-            result = SAP(plans)
-            ctx.stats.plans_emitted += len(result)
-            return result
-
+            return self._map(factory.union, _as_sap(values[0]), _as_sap(values[1]))
         raise RuleError(f"no dispatcher for LOLEPOP {name}")
+
+    def _map(self, build, *saps: SAP) -> SAP:
+        """Section 2.2's map of a LOLEPOP "onto each element of those
+        SAPs": ``build(plan)`` for every plan of one SAP, or
+        ``build(outer, inner)`` for every pair drawn from two.  An element
+        the LOLEPOP cannot apply to is skipped (and counted)."""
+        stats = self.ctx.stats
+        plans = []
+        if len(saps) == 1:
+            for plan in saps[0]:
+                try:
+                    plans.append(build(plan))
+                except ReproError:
+                    stats.combos_skipped += 1
+        else:
+            outer, inner = saps
+            for o in outer:
+                for i in inner:
+                    try:
+                        plans.append(build(o, i))
+                    except ReproError:
+                        stats.combos_skipped += 1
+        return self._emitted(plans)
+
+    def _emitted(self, plans) -> SAP:
+        result = SAP(plans)
+        self.ctx.stats.plans_emitted += len(result)
+        return result
 
     def _access(self, values: list[Any]) -> SAP:
         """ACCESS dispatch: the flavor follows from the target's type —
         a table name (heap/btree per catalog), an AccessPath (index), or a
         SAP of stored plans (temp re-access, section 4.5.2)."""
-        ctx = self.ctx
-        factory = ctx.factory
+        factory = self.ctx.factory
         target = values[0]
         columns = _as_colset(values[1]) if len(values) > 1 else None
-        preds = frozenset(values[2]) if len(values) > 2 and values[2] else frozenset()
+        preds = _opt_set(values, 2)
 
         if isinstance(target, Stream) and len(target.tables) == 1:
             target = next(iter(target.tables))
-
         if isinstance(target, str):
-            result = SAP(
+            return self._emitted(
                 factory.access_base(target, columns or frozenset(), preds, site=site)
                 for site in self._usable_copies(target)
             )
-            ctx.stats.plans_emitted += len(result)
-            return result
-
-        from repro.catalog.schema import AccessPath
-
         if isinstance(target, AccessPath):
-            result = SAP(
+            return self._emitted(
                 factory.access_index(target.table, target, columns, preds, site=site)
                 for site in self._usable_copies(target.table)
             )
-            ctx.stats.plans_emitted += len(result)
-            return result
-
         if isinstance(target, SAP):
-            plans = []
-            for p in target:
-                try:
-                    if p.op == ACCESS and p.flavor == "temp" and p.inputs:
-                        plans.append(factory.access_temp(p.inputs[0], columns, preds))
-                    elif p.props.stored_as is not None and p.inputs:
-                        plans.append(factory.access_temp(p, columns, preds))
-                    else:
-                        ctx.stats.combos_skipped += 1
-                except ReproError:
-                    ctx.stats.combos_skipped += 1
-            result = SAP(plans)
-            ctx.stats.plans_emitted += len(result)
-            return result
+            def rescan(plan: PlanNode) -> PlanNode:
+                stored = stored_object(plan)
+                if stored is None:
+                    raise ReproError("ACCESS of a plan that is not stored")
+                return factory.access_temp(stored, columns, preds)
 
+            return self._map(rescan, target)
         raise RuleError(f"ACCESS target must be table/path/plans, got {type(target).__name__}")
 
     def _usable_copies(self, table: str) -> tuple[str, ...]:
@@ -682,6 +634,11 @@ def _as_set(value: Any) -> frozenset:
     if isinstance(value, (set, tuple, list)):
         return frozenset(value)
     raise RuleError(f"expected a set, got {type(value).__name__}")
+
+
+def _opt_set(values: list[Any], index: int) -> frozenset:
+    """An optional set argument: empty when absent or empty."""
+    return frozenset(values[index]) if len(values) > index and values[index] else frozenset()
 
 
 def _as_colset(value: Any) -> Any:

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import GlueError, ReproError
-from repro.plans.operators import ACCESS
-from repro.plans.plan import PlanNode
+from repro.plans.plan import PlanNode, stored_object
 from repro.plans.properties import Requirements, order_satisfies
 from repro.plans.sap import SAP, Stream
 from repro.query.predicates import Predicate
@@ -200,36 +199,38 @@ class Glue:
         """SORT / SHIP veneers for a stream requirement.  When both are
         needed, both orderings are generated (Figure 3 shows SHIP∘SORT and
         SORT∘SHIP variants) and cost pruning picks the winner."""
-        ctx = self._ctx
-        factory = ctx.factory
+        factory = self._ctx.factory
         props = plan.props
         needs_ship = req.site is not None and props.site != req.site
         needs_sort = req.order is not None and not order_satisfies(props.order, req.order)
         if needs_sort and not frozenset(req.order) <= props.cols:
             return []  # cannot sort on columns the stream does not carry
 
-        variants: list[PlanNode] = []
         if not needs_ship and not needs_sort:
             return [plan]
         if needs_ship and needs_sort:
-            first = self._try(lambda: factory.ship(factory.sort(plan, req.order), req.site))
-            second = self._try(lambda: factory.sort(factory.ship(plan, req.site), req.order))
-            variants.extend(v for v in (first, second) if v is not None)
-        elif needs_ship:
-            shipped = self._try(lambda: factory.ship(plan, req.site))
-            if shipped is not None:
-                variants.append(shipped)
-        else:
-            sorted_plan = self._try(lambda: factory.sort(plan, req.order))
-            if sorted_plan is not None:
-                variants.append(sorted_plan)
-        for variant in variants:
-            ctx.stats.veneers_added += 1
-            if ctx.tracer is not None:
-                ctx.tracer.instant(
-                    "glue", "veneer", op=variant.op, flavor=variant.flavor
-                )
-        return variants
+            return self._veneers(
+                self._try(lambda: factory.ship(factory.sort(plan, req.order), req.site)),
+                self._try(lambda: factory.sort(factory.ship(plan, req.site), req.order)),
+            )
+        if needs_ship:
+            return self._veneers(self._try(lambda: factory.ship(plan, req.site)))
+        return self._veneers(self._try(lambda: factory.sort(plan, req.order)))
+
+    def _veneers(self, *built: PlanNode | None) -> list[PlanNode]:
+        """The veneers that could be built (``None`` marks one that could
+        not), each counted and traced."""
+        ctx = self._ctx
+        veneers = []
+        for veneer in built:
+            if veneer is not None:
+                veneers.append(veneer)
+                ctx.stats.veneers_added += 1
+                if ctx.tracer is not None:
+                    ctx.tracer.instant(
+                        "glue", "veneer", op=veneer.op, flavor=veneer.flavor
+                    )
+        return veneers
 
     def _materialize_veneer(
         self,
@@ -243,8 +244,7 @@ class Glue:
         sideways predicates applied only by the final ACCESS so the temp
         is built once and probed many times.
         """
-        ctx = self._ctx
-        factory = ctx.factory
+        factory = self._ctx.factory
 
         current = plan
         if req.site is not None and current.props.site != req.site:
@@ -260,45 +260,31 @@ class Glue:
                 return []
             current = sorted_plan
 
-        # Reuse an existing materialization when the plan is already a
-        # stored temp access; otherwise STORE it.
-        if current.op == ACCESS and current.flavor == "temp" and current.inputs:
-            stored = current.inputs[0]
-        elif current.props.stored_as is not None and current.inputs:
-            stored = current
-        else:
+        # Reuse an existing materialization when the plan already reads or
+        # is a stored object; otherwise STORE it.
+        stored = stored_object(current)
+        if stored is None:
             stored = self._try(lambda c=current: factory.store(c))
             if stored is None:
                 return []
 
-        results: list[PlanNode] = []
-        if req.paths is not None:
-            key = tuple(req.paths)
-            if not frozenset(key) <= stored.props.cols:
-                return []
-            if stored.props.has_path_on(key):
-                indexed = stored
-            else:
-                indexed = self._try(lambda s=stored: factory.buildix(s, key))
-                if indexed is None:
-                    return []
-            wanted = tuple(c.column for c in key)
-            path = next(
-                p for p in indexed.props.paths if p.provides_order_prefix(wanted[:1])
+        if req.paths is None:
+            return self._veneers(
+                self._try(lambda: factory.access_temp(stored, preds=sideways))
             )
-            probe = self._try(
-                lambda ix=indexed: factory.access_temp_index(ix, path, preds=sideways)
-            )
-            if probe is not None:
-                ctx.stats.veneers_added += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.instant("glue", "veneer", op="ACCESS", flavor="index")
-                results.append(probe)
+        key = tuple(req.paths)
+        if not frozenset(key) <= stored.props.cols:
+            return []
+        if stored.props.has_path_on(key):
+            indexed = stored
         else:
-            scan = self._try(lambda s=stored: factory.access_temp(s, preds=sideways))
-            if scan is not None:
-                ctx.stats.veneers_added += 1
-                if ctx.tracer is not None:
-                    ctx.tracer.instant("glue", "veneer", op="ACCESS", flavor="temp")
-                results.append(scan)
-        return results
+            indexed = self._try(lambda: factory.buildix(stored, key))
+            if indexed is None:
+                return []
+        wanted = tuple(c.column for c in key)
+        path = next(
+            p for p in indexed.props.paths if p.provides_order_prefix(wanted[:1])
+        )
+        return self._veneers(
+            self._try(lambda: factory.access_temp_index(indexed, path, preds=sideways))
+        )

@@ -28,53 +28,28 @@ miss, so a tight budget meters *work*, not references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable
-
-from repro.obs.metrics import stats_snapshot
 
 if TYPE_CHECKING:
     from repro.plans.sap import SAP
 
 
-@dataclass
-class MemoStats:
-    """Instrumentation of one memo's lifetime (one optimization)."""
-
-    lookups: int = 0
-    hits: int = 0
-    misses: int = 0
-    entries: int = 0
-
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Serialize through the shared metrics-snapshot path."""
-        return stats_snapshot(self, extras={"hit_rate": self.hit_rate()})
-
-
 class StarMemo:
-    """Expansion results keyed by (STAR name, canonicalized arguments)."""
+    """Expansion results keyed by (STAR name, canonicalized arguments).
 
-    __slots__ = ("_entries", "stats")
+    It counts nothing: the engine counts each lookup once, as
+    ``ExpansionStats.memo_hits`` / ``memo_misses``."""
+
+    __slots__ = ("_entries",)
 
     def __init__(self) -> None:
         self._entries: dict[Hashable, "SAP"] = {}
-        self.stats = MemoStats()
 
     def get(self, key: Hashable) -> "SAP | None":
-        self.stats.lookups += 1
-        cached = self._entries.get(key)
-        if cached is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return cached
+        return self._entries.get(key)
 
     def put(self, key: Hashable, sap: "SAP") -> None:
         self._entries[key] = sap
-        self.stats.entries = len(self._entries)
 
     def __len__(self) -> int:
         return len(self._entries)

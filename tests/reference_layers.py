@@ -1,14 +1,15 @@
 """The optimizer without hot-path layers 1 and 2, for the tests to compare against.
 
 ``StarEngine`` always builds a :class:`~repro.stars.memo.StarMemo` and
-always hands its ``PlanFactory`` a :class:`~repro.plans.intern.PlanInterner`;
-nothing in ``src/`` can ask for an optimization without them.  What the
+every ``PlanFactory`` always builds its own
+:class:`~repro.plans.intern.PlanInterner`; nothing in ``src/`` can ask for
+an optimization without them.  What the
 old ``memo_stars=False`` / ``intern_plans=False`` switches gave — every
 STAR reference expanded again, every LOLEPOP application priced and built
 again — lives here as a memo that never remembers and an interner that
 never shares, with the attribute surface (``stats`` included) of the
 classes they stand in for.  The ``layers_off`` fixture puts them where the
-engine looks its collaborators up, the way
+engine and the factory look their collaborators up, the way
 ``test_hash_join_label_says_what_it_built[iterator]`` substitutes
 ``repro.executor.runtime.QueryExecutor``.  It is test code: nothing under
 ``src/`` imports it.  (Layer 3, dominance pruning, stays
@@ -67,10 +68,10 @@ class EagerFactory(PlanFactory):
         return SAP([super().join_candidate(*args, **kwargs)]).plans[0]
 
 
-#: Layer name → (where ``StarEngine`` looks the collaborator up, stand-in).
+#: Layer name → (where the collaborator is looked up, stand-in).
 REFERENCES = {
     "memo": ("repro.stars.engine.StarMemo", ForgetfulMemo),
-    "intern": ("repro.stars.engine.PlanInterner", SeparateInterner),
+    "intern": ("repro.cost.propfuncs.PlanInterner", SeparateInterner),
     "candidates": ("repro.stars.engine.PlanFactory", EagerFactory),
 }
 

@@ -32,6 +32,9 @@ def test_parse_error_reported(capsys):
     ["serve", "--burst", "0"],
     ["bench-opt", "--repeat", "0"],
     ["bench-opt", "--workload", "chain:99x"],
+    ["optimize", "SELECT MGR FROM DEPT", "--workload", "bogus"],
+    ["optimize", "SELECT MGR FROM DEPT", "--rules", "bogus"],
+    ["adaptive", "--max-reoptimizations", "-1"],
 ], ids=" ".join)
 def test_bad_flag_value_is_one_error_line_and_exit_2(argv, capsys):
     """Out-of-range and malformed flag values: the message of whichever

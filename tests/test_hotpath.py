@@ -209,10 +209,9 @@ class TestLayerEquivalence:
     def test_memo_hits_on_shared_subplan_workload(self):
         wl = chain_workload(4, rows=30, seed=31)
         result = _best(wl.catalog, wl.query)
-        stats = result.engine.memo.stats
-        assert stats.hits > 0
-        assert stats.lookups == stats.hits + stats.misses
-        assert result.stats.memo_hits == stats.hits
+        # Every miss is expanded once and remembered under its key.
+        assert result.stats.memo_hits > 0
+        assert result.stats.memo_misses == len(result.engine.memo) > 0
 
 
 class TestMemoIsolation:
@@ -263,14 +262,14 @@ class TestBatchDriver:
         assert results[1].plan_digest
 
     def test_per_query_stats_are_isolated(self):
-        """Identical queries report identical memo stats — a memo shared
+        """Identical queries report identical memo counts — a memo shared
         across the batch would make later queries all-hits."""
         wl = chain_workload(3, rows=30, seed=31)
         results = optimize_many(wl.catalog, [wl.query] * 3)
-        first = results[0].memo_stats
-        assert first["lookups"] > 0
+        first = results[0].expansion_stats
+        assert first["memo_misses"] > 0
         for other in results[1:]:
-            assert other.memo_stats == first
+            assert other.expansion_stats == first
 
 
 class TestCli:

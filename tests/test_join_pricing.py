@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.cost.model import Cost, HASH_MEMORY_PAGES
 from repro.cost.propfuncs import MIN_CARD, PlanFactory
-from repro.plans.intern import PlanInterner
 from repro.plans.plan import PlanNode
 from repro.plans.properties import PropertyVector
 from repro.query.expressions import ColumnRef
@@ -88,15 +87,13 @@ def reference_estimates(factory: PlanFactory, flavor: str, outer, inner, residua
     return card, cost + method, rescan_cost + method
 
 
-def make_factory(observed: float | None, interned: bool) -> PlanFactory:
+def make_factory(observed: float | None) -> PlanFactory:
     feedback = None
     if observed is not None:
         # An observation for the join's own (TABLES, PREDS) class.
         feedback = FeedbackCache()
         feedback.record(["DEPT", "EMP"], [JOIN_PRED], actual=observed)
-    return PlanFactory(
-        CATALOG, feedback=feedback, interner=PlanInterner() if interned else None
-    )
+    return PlanFactory(CATALOG, feedback=feedback)
 
 
 @budget
@@ -107,12 +104,11 @@ def make_factory(observed: float | None, interned: bool) -> PlanFactory:
     inner=st.tuples(cards, costs, costs),
     residual=st.booleans(),
     observed=st.one_of(st.none(), st.sampled_from([0.0, 7.0, 1e6])),
-    interned=st.booleans(),
 )
 def test_floats_and_cost_objects_price_a_join_alike(
-    flavor, sides, outer, inner, residual, observed, interned
+    flavor, sides, outer, inner, residual, observed
 ):
-    factory = make_factory(observed, interned)
+    factory = make_factory(observed)
     outer, inner = leaf(sides[0], *outer), leaf(sides[1], *inner)
     residual = frozenset([RESIDUAL] if residual else [])
     candidate = factory.join_candidate(flavor, outer, inner, [JOIN_PRED], residual)
@@ -127,12 +123,9 @@ def test_floats_and_cost_objects_price_a_join_alike(
     ) == (repr(card), repr(cost), repr(rescan_cost), repr(total(cost)))
     # The candidate is judged on its total before any ``Cost`` exists.
     assert repr(candidate.total) == repr(total(cost))
-    if interned:
-        # Asked again, the same application is looked up, not re-priced.
-        assert factory.join(flavor, outer, inner, [JOIN_PRED], residual) is node
-        assert factory.join_candidate(
-            flavor, outer, inner, [JOIN_PRED], residual
-        ) is node
+    # Asked again, the same application is looked up, not re-priced.
+    assert factory.join(flavor, outer, inner, [JOIN_PRED], residual) is node
+    assert factory.join_candidate(flavor, outer, inner, [JOIN_PRED], residual) is node
 
 
 def test_the_generator_reaches_every_branch():
@@ -143,7 +136,7 @@ def test_the_generator_reaches_every_branch():
     @settings(max_examples=200, database=None, derandomize=True)
     @given(cards, cards, costs)
     def tally(outer_card, inner_card, rescan_cost):
-        factory = make_factory(None, False)
+        factory = make_factory(None)
         pages = factory._pages(inner_card, COLS["EMP"])
         seen["spill" if pages > HASH_MEMORY_PAGES else "in-memory"] += 1
         outer = leaf("DEPT", outer_card, Cost(), Cost())
