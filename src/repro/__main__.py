@@ -5,14 +5,12 @@ Subcommands:
 * ``demo`` — optimize and run the paper's Figure-1 query end to end.
 * ``optimize SQL`` — plan (and optionally execute) a query against a
   built-in workload; ``--trace`` prints the STAR expansion trace.
-* ``compile-plan`` — optimize a query and lower the chosen QEP through a
-  registered backend to a standalone artifact: deterministic SQL
-  (``--backend sql``), or the rendered plan tree for the in-process
-  engine.
+* ``compile-plan`` — optimize a query and lower the chosen QEP to
+  deterministic standalone SQL.
 * ``diff`` — run the chosen plan (and, with ``--alternatives N``, more
-  plans from the SAP) through the differential oracle: every requested
-  backend executes the same plan and the normalized row sets must
-  match; the exit code reflects disagreement.
+  plans from the SAP) through the differential oracle: the query
+  evaluator and SQLite execute the same plan and the normalized row sets
+  must match; the exit code reflects disagreement.
 * ``rules`` — print the builtin rule repertoire (``validate`` lints a
   Database Customizer's rule file).
 * ``chaos`` — run the Figure-3 distributed query under deterministic
@@ -77,12 +75,7 @@ from repro import (
     render_tree,
     validate_rules,
 )
-from repro.backends import (
-    DEFAULT_BACKENDS,
-    DifferentialOracle,
-    backend_names,
-    get_backend,
-)
+from repro.backends import DifferentialOracle, compile_sql
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -208,30 +201,25 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_compile_plan(args: argparse.Namespace) -> int:
-    """Optimize a query and lower the chosen QEP through one backend,
-    printing the standalone artifact (SQL text or the plan tree)."""
+    """Optimize a query and print the chosen QEP lowered to standalone
+    SQL."""
     catalog, _database, default_query = _load_workload_full(args.workload)
-    backend = get_backend(args.backend)
     optimizer = StarburstOptimizer(catalog, rules=_rule_set(args.rules))
     result = optimizer.optimize(args.sql if args.sql else default_query)
-    compiled = backend.compile_plan(result.query, result.best_plan, catalog)
-    text = compiled.text if compiled.text.endswith("\n") else compiled.text + "\n"
+    text = compile_sql(result.query, result.best_plan)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"wrote {len(text)} bytes of {compiled.language} to {args.out}")
+        print(f"wrote {len(text)} bytes of sql to {args.out}")
     else:
         print(text, end="")
     return 0
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    """Run the chosen plan (and optionally SAP alternatives) through the
-    differential oracle and report per-backend row-set agreement."""
+    """Run the chosen plan (and optionally SAP alternatives) on the query
+    evaluator and on SQLite and report row-set agreement."""
     catalog, database, default_query = _load_workload_full(args.workload)
-    lineup = ["vectorized"] + [b for b in args.backend or () if b != "vectorized"]
-    if len(lineup) == 1:  # no --backend, or only the engine itself
-        lineup = list(DEFAULT_BACKENDS)
     optimizer = StarburstOptimizer(catalog, rules=_rule_set(args.rules))
     result = optimizer.optimize(args.sql if args.sql else default_query)
     plans = [result.best_plan]
@@ -243,10 +231,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
         if plan.digest not in seen:
             seen.add(plan.digest)
             plans.append(plan)
-    oracle = DifferentialOracle(tuple(lineup))
+    oracle = DifferentialOracle(database)
     disagreements = 0
     for plan in plans:
-        report = oracle.check(result.query, plan, database)
+        report = oracle.check(result.query, plan)
         counts = ", ".join(
             f"{o.backend}={'ERR' if o.error is not None else o.row_count}"
             for o in report.outcomes
@@ -257,7 +245,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         if not report.agreed:
             disagreements += 1
             print(report.mismatch_summary())
-    print(f"checked {len(plans)} plan(s) on {', '.join(lineup)}; "
+    print(f"checked {len(plans)} plan(s) on vectorized, sqlite; "
           f"{disagreements} disagreement(s)")
     return 1 if disagreements else 0
 
@@ -910,28 +898,22 @@ def main(argv: list[str] | None = None) -> int:
 
     compile_plan = sub.add_parser(
         "compile-plan",
-        help="lower the chosen plan to a standalone artifact (SQL, plan tree)",
+        help="lower the chosen plan to standalone SQL",
     )
     compile_plan.add_argument("sql", nargs="?", default=None,
                               help="a SELECT statement (default: the workload's query)")
-    compile_plan.add_argument("--backend", default="sql", choices=backend_names(),
-                              help="target backend (default: sql)")
     compile_plan.add_argument("--out", metavar="FILE",
-                              help="write the artifact to FILE instead of stdout")
+                              help="write the SQL to FILE instead of stdout")
     _workload_flag(compile_plan)
     _rules_flag(compile_plan)
     compile_plan.set_defaults(fn=cmd_compile_plan)
 
     diff = sub.add_parser(
         "diff",
-        help="run one plan on several backends and compare normalized row sets",
+        help="run one plan on the query evaluator and on SQLite, compare row sets",
     )
     diff.add_argument("sql", nargs="?", default=None,
                       help="a SELECT statement (default: the workload's query)")
-    diff.add_argument("--backend", action="append", choices=backend_names(),
-                      metavar="NAME",
-                      help="backend to compare against vectorized (repeatable; "
-                           "default lineup: vectorized, sqlite)")
     diff.add_argument("--alternatives", type=int, default=1, metavar="N",
                       help="check up to N distinct plans from the SAP (default 1: "
                            "the chosen plan only)")

@@ -1,38 +1,69 @@
-"""The differential oracle: one plan, every backend, one verdict.
+"""The differential oracle: one plan, two engines, one verdict.
 
-Executes the same ``(query, plan, database)`` on each requested backend
-and compares the :func:`~repro.backends.base.normalize_rows` forms.
-An *external* engine (SQLite, via emitted SQL) agreeing with the
-in-process evaluator is an independent correctness check of both the
-plan and the lowering — the external-oracle discipline experiment E19
-gates on.
+Executes the same ``(query, plan)`` on the query evaluator
+(:class:`~repro.executor.runtime.QueryExecutor`) and, as the plan's
+emitted SQL (:func:`~repro.backends.sql.compile_sql`), on an in-memory
+SQLite mirror of the same database, and compares the
+:func:`normalize_rows` forms.  SQLite agreeing with the query evaluator
+is an independent correctness check of both the plan and the lowering —
+the external-oracle discipline experiment E19 gates on.
 
-A backend can end a check two ways: a normalized row set (compared) or
-an error (recorded, excluded from comparison).
-:meth:`OracleReport.assert_agreement` turns any disagreement — or a
-check where fewer than two backends produced rows — into a
-:class:`~repro.errors.BackendError` whose message shows the first
-differing rows per backend.
+Each leg ends a check one of two ways: a normalized row set (compared)
+or an error (recorded, excluded from comparison).
+
+Because the two legs run on *different value systems* (Python objects
+in-process, SQLite storage classes over the wire), rows are compared
+through :func:`normalize_rows`, which collapses the representational
+differences that do not change the answer (``2`` vs ``2.0``, row order)
+while preserving multiset cardinality.
 """
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass, field
+from typing import Any
 
-from repro.backends.base import get_backend, normalize_rows
-from repro.errors import BackendError, ReproError
+from repro.backends.sql import compile_sql
+from repro.backends.sqlite import load_database, run_sql
+from repro.errors import ReproError
+from repro.executor.runtime import QueryExecutor
 from repro.plans.plan import PlanNode
 from repro.query.query import QueryBlock
 from repro.storage.table import Database
 
-#: The standard oracle lineup: the query evaluator and the external
-#: SQLite check.
-DEFAULT_BACKENDS = ("vectorized", "sqlite")
+
+def normalize_value(value: Any) -> tuple:
+    """A canonical, totally-ordered key for one result value.
+
+    Collapses the cross-engine representational differences that do not
+    change the answer: SQLite has no bool (``True`` comes back as ``1``)
+    and ``/`` is emitted as real division (``4 / 2`` is ``2.0`` both
+    sides, but integer-typed columns round-trip as ``int``).  Numbers
+    therefore compare as floats; NULL/None sorts first; strings compare
+    as themselves.  The leading tag keeps mixed-type columns sortable.
+    """
+    if value is None:
+        return ("0:null",)
+    if isinstance(value, bool):
+        return ("1:num", float(value))
+    if isinstance(value, (int, float)):
+        return ("1:num", float(value))
+    if isinstance(value, str):
+        return ("2:str", value)
+    return ("3:other", repr(value))
+
+
+def normalize_rows(rows: list[tuple] | tuple[tuple, ...]) -> tuple[tuple, ...]:
+    """The canonical multiset form of a result: every value normalized,
+    rows sorted.  Two engines agree exactly when their normalized forms
+    compare equal — duplicates count, order does not."""
+    return tuple(sorted(tuple(normalize_value(v) for v in row) for row in rows))
 
 
 @dataclass
 class BackendOutcome:
-    """What one backend did with one plan."""
+    """What one leg did with one plan."""
 
     backend: str
     rows: tuple | None = None  #: normalized row set (None on error)
@@ -46,15 +77,16 @@ class BackendOutcome:
 
 @dataclass
 class OracleReport:
-    """The oracle's verdict for one plan across all backends."""
+    """The oracle's verdict for one plan: the ``vectorized`` outcome,
+    then the ``sqlite`` one."""
 
     plan_digest: str
     outcomes: list[BackendOutcome] = field(default_factory=list)
 
     @property
     def agreed(self) -> bool:
-        """True when at least two backends produced rows and every
-        producing backend produced the same normalized row set."""
+        """True when both legs produced rows and the same normalized
+        row set."""
         rowsets = [o.rows for o in self.outcomes if o.comparable]
         return len(rowsets) >= 2 and all(r == rowsets[0] for r in rowsets)
 
@@ -65,8 +97,8 @@ class OracleReport:
         )
 
     def mismatch_summary(self, sample: int = 3) -> str:
-        """A debuggable one-plan report: per-backend row counts plus the
-        first rows unique to each disagreeing backend."""
+        """A debuggable one-plan report: per-leg row counts plus the
+        first rows unique to each disagreeing leg."""
         lines = [f"plan {self.plan_digest}:"]
         reference = next((o for o in self.outcomes if o.comparable), None)
         for o in self.outcomes:
@@ -83,28 +115,22 @@ class OracleReport:
                     lines.append(f"    missing vs {reference.backend}: {missing}")
         return "\n".join(lines)
 
-    def assert_agreement(self) -> None:
-        if not self.agreed:
-            raise BackendError(
-                "backends disagree on the row set\n" + self.mismatch_summary()
-            )
-
 
 class DifferentialOracle:
-    """Runs a plan through several backends and compares row sets."""
+    """Checks plans over one database: the query evaluator's rows
+    against SQLite's rows for the plan's emitted SQL.  The SQLite mirror
+    of ``database`` is loaded on the first check and reused after."""
 
-    def __init__(self, backends: tuple[str, ...] = DEFAULT_BACKENDS) -> None:
-        self.backends = tuple(backends)
+    def __init__(self, database: Database) -> None:
+        self.database = database
+        self._mirror: sqlite3.Connection | None = None
 
-    def check(
-        self, query: QueryBlock, plan: PlanNode, database: Database
-    ) -> OracleReport:
+    def check(self, query: QueryBlock, plan: PlanNode) -> OracleReport:
         report = OracleReport(plan_digest=plan.digest)
-        for name in self.backends:
-            backend = get_backend(name)
+        for name, run in (("vectorized", self._vectorized), ("sqlite", self._sqlite)):
             outcome = BackendOutcome(backend=name)
             try:
-                rows = backend.execute(query, plan, database)
+                rows = run(query, plan)
             except ReproError as exc:
                 outcome.error = str(exc)
             else:
@@ -112,3 +138,12 @@ class DifferentialOracle:
                 outcome.row_count = len(rows)
             report.outcomes.append(outcome)
         return report
+
+    def _vectorized(self, query: QueryBlock, plan: PlanNode) -> list[tuple]:
+        return QueryExecutor(self.database).run(query, plan).rows
+
+    def _sqlite(self, query: QueryBlock, plan: PlanNode) -> list[tuple]:
+        sql = compile_sql(query, plan)
+        if self._mirror is None:
+            self._mirror = load_database(self.database)
+        return run_sql(self._mirror, sql)

@@ -33,9 +33,9 @@ backend only needs to be internally consistent.
 
 Physical choices that do not change the row set — join order/method,
 SHIP sites, SORT placement, which index served a probe — are collapsed
-and recorded as ``--`` comments in the artifact (and in
-:attr:`CompiledPlan.notes`), keeping the statement runnable on a stock
-single-node SQLite while still documenting the plan it came from.
+and recorded as ``-- note:`` comments in the artifact, keeping the
+statement runnable on a stock single-node SQLite while still documenting
+the plan it came from.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.backends.base import CompiledPlan
 from repro.errors import UnsupportedPlanError
 from repro.executor.keys import _hash_sides
 from repro.plans.operators import (
@@ -617,71 +616,50 @@ class SqlEmitter:
         return _Rel(sql, left.cols, left.free)
 
 
-class SqlBackend:
-    """The ``sql`` backend: lowers a QEP to a standalone SQLite-dialect
-    statement.  ``execute`` delegates to the ``sqlite`` backend (the
-    statement's reference runner)."""
-
-    name = "sql"
-    language = "sql"
-
-    def compile_plan(
-        self, query: QueryBlock, plan: PlanNode, catalog: Any = None
-    ) -> CompiledPlan:
-        emitter = SqlEmitter()
-        rel = emitter.lower(plan)
-        if rel.free:
-            raise UnsupportedPlanError(
-                "unresolved sideways predicates at plan root: "
-                + "; ".join(str(p) for p in _sorted_preds(rel.free))
-            )
-        root = "q"
-        resolve = emitter._scope(root, rel.cols)
-        items = []
-        for item in query.select:
-            items.append(f"{_render_expr(item.expr, resolve)} AS {_q(item.alias)}")
-        order = []
-        for order_item in query.order_by:
-            # The engine sorts None first under DESC, last under ASC
-            # (``_sort_key``); SQLite defaults to the opposite, so the
-            # placement is always explicit.
-            direction = (
-                "DESC NULLS FIRST" if order_item.descending else "ASC NULLS LAST"
-            )
-            order.append(f"{resolve(order_item.column)} {direction}")
-
-        lines = [
-            "-- repro sql backend",
-            f"-- plan digest: {plan.digest}",
-            f"-- query: {query}",
-        ]
-        lines += [f"-- note: {note}" for note in emitter._notes]
-        body = ""
-        if emitter._ctes:
-            ctes = ", ".join(
-                f"{name} AS ({sql})"
-                for name, sql in sorted(emitter._ctes.values())
-            )
-            body = f"WITH {ctes} "
-        body += f"SELECT {', '.join(items)} FROM ({rel.sql}) AS {root}"
-        if order:
-            body += " ORDER BY " + ", ".join(order)
-        lines.append(body + ";")
-        return CompiledPlan(
-            backend=self.name,
-            language=self.language,
-            text="\n".join(lines) + "\n",
-            notes=tuple(emitter._notes),
+def compile_sql(query: QueryBlock, plan: PlanNode) -> str:
+    """Lower ``plan`` to one standalone SQLite-dialect statement that
+    returns ``query``'s projection: a header naming the plan digest and
+    query, one ``-- note:`` line per lowering decision, then the
+    statement (``WITH`` the materialized temps).  Raises
+    :class:`~repro.errors.UnsupportedPlanError` for a plan outside the
+    lowerable subset."""
+    emitter = SqlEmitter()
+    rel = emitter.lower(plan)
+    if rel.free:
+        raise UnsupportedPlanError(
+            "unresolved sideways predicates at plan root: "
+            + "; ".join(str(p) for p in _sorted_preds(rel.free))
         )
+    root = "q"
+    resolve = emitter._scope(root, rel.cols)
+    items = []
+    for item in query.select:
+        items.append(f"{_render_expr(item.expr, resolve)} AS {_q(item.alias)}")
+    order = []
+    for order_item in query.order_by:
+        # The engine sorts None first under DESC, last under ASC
+        # (``_sort_key``); SQLite defaults to the opposite, so the
+        # placement is always explicit.
+        direction = (
+            "DESC NULLS FIRST" if order_item.descending else "ASC NULLS LAST"
+        )
+        order.append(f"{resolve(order_item.column)} {direction}")
 
-    def execute(self, query: QueryBlock, plan: PlanNode, database) -> list[tuple]:
-        from repro.backends.sqlite import SqliteBackend
-
-        return SqliteBackend().execute(query, plan, database)
-
-    def supports(self, query: QueryBlock, plan: PlanNode) -> bool:
-        try:
-            self.compile_plan(query, plan)
-        except UnsupportedPlanError:
-            return False
-        return True
+    lines = [
+        "-- repro sql backend",
+        f"-- plan digest: {plan.digest}",
+        f"-- query: {query}",
+    ]
+    lines += [f"-- note: {note}" for note in emitter._notes]
+    body = ""
+    if emitter._ctes:
+        ctes = ", ".join(
+            f"{name} AS ({sql})"
+            for name, sql in sorted(emitter._ctes.values())
+        )
+        body = f"WITH {ctes} "
+    body += f"SELECT {', '.join(items)} FROM ({rel.sql}) AS {root}"
+    if order:
+        body += " ORDER BY " + ", ".join(order)
+    lines.append(body + ";")
+    return "\n".join(lines) + "\n"

@@ -4,8 +4,8 @@ This is the independent half of the differential oracle: the workload's
 base tables are loaded into stock SQLite (stdlib ``sqlite3``, no
 extensions), the :mod:`repro.backends.sql` artifact is executed there,
 and the resulting rows are compared — after
-:func:`~repro.backends.base.normalize_rows` — against the in-process
-engines.  Agreement then rests on an engine we did not write.
+:func:`~repro.backends.oracle.normalize_rows` — against the query
+evaluator's.  Agreement then rests on an engine we did not write.
 
 Loading rules:
 
@@ -17,32 +17,18 @@ Loading rules:
   be internally consistent.
 * Column types come from the catalog (``int`` → INTEGER, ``float`` →
   REAL, ``str`` → TEXT); Python ``bool`` values load as 0/1, which
-  :func:`~repro.backends.base.normalize_value` folds back together.
-* Connections are cached per :class:`~repro.storage.table.Database`
-  object (weakly, so dropping the database drops the mirror), because a
-  differential sweep runs hundreds of plans against the same data.
+  :func:`~repro.backends.oracle.normalize_value` folds back together.
 """
 
 from __future__ import annotations
 
 import sqlite3
-import weakref
-from typing import Any
 
-from repro.backends.base import CompiledPlan
-from repro.backends.sql import TID_SQL_COLUMN, SqlBackend, _q
+from repro.backends.sql import TID_SQL_COLUMN, _q
 from repro.errors import BackendError
-from repro.plans.plan import PlanNode
-from repro.query.query import QueryBlock
 from repro.storage.table import Database
 
 _TYPE_MAP = {"int": "INTEGER", "float": "REAL", "str": "TEXT"}
-
-#: Per-Database connection cache (weak keys: dropping the Database
-#: drops its SQLite mirror).
-_CONNECTIONS: "weakref.WeakKeyDictionary[Database, sqlite3.Connection]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def load_database(database: Database) -> sqlite3.Connection:
@@ -70,15 +56,6 @@ def load_database(database: Database) -> sqlite3.Connection:
     return conn
 
 
-def connection_for(database: Database) -> sqlite3.Connection:
-    """The cached SQLite mirror of ``database`` (loaded on first use)."""
-    conn = _CONNECTIONS.get(database)
-    if conn is None:
-        conn = load_database(database)
-        _CONNECTIONS[database] = conn
-    return conn
-
-
 def run_sql(conn: sqlite3.Connection, sql: str) -> list[tuple]:
     """Execute one emitted statement, translating SQLite complaints into
     :class:`~repro.errors.BackendError` (an emitted artifact a stock
@@ -88,32 +65,3 @@ def run_sql(conn: sqlite3.Connection, sql: str) -> list[tuple]:
         return [tuple(row) for row in cursor.fetchall()]
     except sqlite3.Error as exc:
         raise BackendError(f"SQLite rejected emitted SQL: {exc}") from exc
-
-
-class SqliteBackend:
-    """The ``sqlite`` backend: compile via :class:`SqlBackend`, execute
-    on the in-memory SQLite mirror of the workload database."""
-
-    name = "sqlite"
-    language = "sql"
-
-    def __init__(self) -> None:
-        self._sql = SqlBackend()
-
-    def compile_plan(
-        self, query: QueryBlock, plan: PlanNode, catalog: Any = None
-    ) -> CompiledPlan:
-        compiled = self._sql.compile_plan(query, plan, catalog)
-        return CompiledPlan(
-            backend=self.name,
-            language=compiled.language,
-            text=compiled.text,
-            notes=compiled.notes,
-        )
-
-    def execute(self, query: QueryBlock, plan: PlanNode, database: Database) -> list[tuple]:
-        compiled = self._sql.compile_plan(query, plan, database.catalog)
-        return run_sql(connection_for(database), compiled.text)
-
-    def supports(self, query: QueryBlock, plan: PlanNode) -> bool:
-        return self._sql.supports(query, plan)

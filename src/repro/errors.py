@@ -84,18 +84,18 @@ class ExecutionError(ReproError):
 
 
 class BackendError(ReproError):
-    """A plan-compilation backend failed (malformed plan, missing TID
-    stream, emitted artifact rejected by the target engine, ...)."""
+    """The SQL lowering or the SQLite oracle failed (malformed plan,
+    missing TID stream, emitted SQL rejected by SQLite, ...)."""
 
 
 class UnsupportedPlanError(BackendError):
-    """A backend cannot lower this plan shape.
+    """The SQL lowering cannot express this plan shape.
 
-    This is the *expected* escape hatch, not a bug: backends declare a
-    supported subset (see ``docs/backends.md``) and callers fall back to
-    the in-process engines for everything else.  Carries the offending
-    operator/reason so coverage reports can aggregate why plans fell
-    back."""
+    The lowering refuses rather than guesses where SQL would change the
+    row set (a sideways predicate trapped under UNION, a DEDUP key that
+    does not determine the row, ...; see ``docs/backends.md``).  The
+    oracle records the refusal as that plan's ``sqlite`` error.  Carries
+    the offending operator and the reason."""
 
     def __init__(self, reason: str, op: str | None = None):
         self.reason = reason

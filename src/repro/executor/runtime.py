@@ -29,7 +29,6 @@ from repro.executor.chaos import ChaosEngine, RetryPolicy, SimClock
 from repro.executor.network import NetworkSim
 from repro.executor.vectorized import DEFAULT_BATCH_SIZE, _BatchRun
 from repro.obs.metrics import stats_snapshot
-from repro.obs.telemetry import TraceContext
 from repro.obs.trace import Tracer
 from repro.plans.plan import PlanNode
 from repro.query.expressions import ColumnRef, RowContext
@@ -210,28 +209,12 @@ class QueryExecutor:
         query: QueryBlock,
         plan: PlanNode,
         node_counts: dict[int, list[int]] | None = None,
-        context: "TraceContext | None" = None,
     ) -> ExecutionResult:
         """Execute a plan and apply the query's projection and ORDER BY.
 
-        ``context`` (a :class:`~repro.obs.telemetry.TraceContext`) stamps
-        the request id into every executor trace event, joining the
-        operator spans onto the serving layer's per-request span tree.
+        Batch-native: the result tuples are zipped straight out of the
+        output columns, so no per-row dict is ever built end to end.
         """
-        if context is not None and self.tracer is not None:
-            with self.tracer.context(**context.trace_args()):
-                return self._run(query, plan, node_counts)
-        return self._run(query, plan, node_counts)
-
-    def _run(
-        self,
-        query: QueryBlock,
-        plan: PlanNode,
-        node_counts: dict[int, list[int]] | None = None,
-    ) -> ExecutionResult:
-        """Batch-native projection and ORDER BY: the result tuples are
-        zipped straight out of the output columns, so no per-row dict is
-        ever built end to end."""
         batches, stats = self._run_batches(plan, node_counts)
         combined = concat_batches(batches)
         n = combined.length

@@ -5,9 +5,8 @@ this module makes every *request* traceable.  The serving layer mints a
 :class:`TraceContext` per admitted request — a deterministic request id
 plus tenant/template identity — and wraps the whole handling path in
 ``tracer.context(**ctx.trace_args())``, so the admission instant, the
-tier decision, the plan-template cache probe, the optimizer span tree,
-and (when the plan is executed) the executor spans all come out stamped
-with one ``rid``.  :func:`span_tree` reassembles that flat stream into
+tier decision, the plan-template cache probe and the optimizer span tree
+all come out stamped with one ``rid``.  :func:`span_tree` reassembles that flat stream into
 the request's single contiguous tree, and :func:`validate_request_tree`
 is the gate experiment E16 runs over it.
 

@@ -33,6 +33,8 @@ category     emitted by
 ``serve``    :class:`~repro.serve.service.OptimizerService` — one span
              per handled request plus admission/tier/cache instants,
              stamped with the request id (see :mod:`repro.obs.telemetry`)
+``pool``     :class:`~repro.serve.pool.OptimizerPool` — one instant per
+             worker lost (crash or timeout) and per worker respawned
 ``telemetry``  the telemetry layer itself — flight-recorder dumps and
              SLO state transitions
 ===========  ==============================================================
@@ -85,6 +87,7 @@ CATEGORIES = frozenset(
         "resilient",
         "robust",
         "serve",
+        "pool",
         "telemetry",
     }
 )

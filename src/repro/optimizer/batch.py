@@ -9,8 +9,8 @@ driver fans a batch of queries out over a process pool:
   queries travel as :class:`~repro.query.query.QueryBlock`s or SQL text.
 * **Per-query isolation.**  Each ``optimize`` call spins up a fresh
   :class:`~repro.stars.engine.StarEngine`, so the STAR memo, plan
-  interner, plan table and budget counters are never shared between
-  queries — a property the memoization-correctness tests pin down.
+  interner and plan table are never shared between queries — a
+  property the memoization-correctness tests pin down.
 * **Deterministic results.**  Output order matches input order whatever
   the scheduling; a failed query yields a :class:`BatchResult` carrying
   the error instead of poisoning the batch.
@@ -32,7 +32,6 @@ from repro.errors import ReproError
 from repro.plans.plan import PlanNode
 from repro.query.query import QueryBlock
 from repro.query.template import PlanKey, query_key
-from repro.robust.budget import OptimizerBudget
 from repro.stars.ast import RuleSet
 
 
@@ -44,7 +43,6 @@ class BatchSpec:
     rules: RuleSet | None = None
     config: OptimizerConfig | None = None
     weights: CostWeights | None = None
-    budget: OptimizerBudget | None = None
 
 
 @dataclass
@@ -98,7 +96,6 @@ def _build_optimizer(spec: BatchSpec):
         rules=spec.rules,
         config=spec.config,
         weights=spec.weights,
-        budget=spec.budget,
     )
 
 
@@ -175,7 +172,6 @@ def optimize_many(
     rules: RuleSet | None = None,
     config: OptimizerConfig | None = None,
     weights: CostWeights | None = None,
-    budget: OptimizerBudget | None = None,
     workers: int = 1,
     dedup: bool = False,
 ) -> list[BatchResult]:
@@ -184,17 +180,14 @@ def optimize_many(
     ``workers`` > 1 distributes the batch over a process pool (each
     worker primes one optimizer and serves queries off the shared queue);
     otherwise the batch runs inline.  Either way query *i*'s result is at
-    position *i* and each optimization is fully isolated — memo, interner,
-    plan table and budget state live and die with its engine.
+    position *i* and each optimization is fully isolated — memo, interner
+    and plan table live and die with its engine.
 
     ``dedup`` optimizes each exact (TABLES, PREDS) equivalence class once
     and fans the result out to its duplicates (marked ``deduped``) — the
     batch-side counterpart of the serving layer's plan-template cache.
     """
-    spec = BatchSpec(
-        catalog=catalog, rules=rules, config=config, weights=weights,
-        budget=budget,
-    )
+    spec = BatchSpec(catalog=catalog, rules=rules, config=config, weights=weights)
     if dedup:
         payloads, clones = _dedup_plan(catalog, queries)
     else:

@@ -64,7 +64,7 @@ class ReferenceExecutor(QueryExecutor):
         stats.output_rows = len(rows)
         return rows, stats
 
-    def _run(
+    def run(
         self,
         query: QueryBlock,
         plan: PlanNode,

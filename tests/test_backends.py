@@ -1,14 +1,14 @@
-"""Backend tests: golden SQL emission, differential oracle agreement,
-edge-case semantics, and the unsupported-plan contract.
+"""SQLite-oracle tests: golden SQL emission, differential agreement,
+edge-case semantics, and the CLI faces.
 
-The oracle lineup (iterator ≡ vectorized ≡ sqlite) is the strongest
-check in this file: SQLite is an engine we did not write, so agreement
-validates both the plan and the lowering, and ``iterator`` is the
-tuple-at-a-time reference of ``tests/reference_executor.py``, registered
-for this module through the public ``register_backend``.  Golden files
-under ``tests/fixtures/sql/`` pin the emitted SQL byte-for-byte (the
-emitter is deterministic by construction); regenerate with
-``REGEN_SQL_GOLDEN=1 pytest tests/test_backends.py``.
+Every plan checked here runs three ways — the query evaluator, its
+emitted SQL on SQLite (the :class:`DifferentialOracle`), and the
+tuple-at-a-time reference of ``tests/reference_executor.py`` — and all
+three must return the same normalized row set.  SQLite is an engine we
+did not write, so agreement validates both the plan and the lowering.
+Golden files under ``tests/fixtures/sql/`` pin the emitted SQL
+byte-for-byte (the emitter is deterministic by construction); regenerate
+with ``REGEN_SQL_GOLDEN=1 pytest tests/test_backends.py``.
 """
 
 from __future__ import annotations
@@ -19,23 +19,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.backends.oracle as oracle_module
 from repro.__main__ import main
-from repro.backends import (
-    Backend,
-    DifferentialOracle,
-    InProcessBackend,
-    SqlBackend,
-    backend_names,
-    get_backend,
-    normalize_rows,
-    register_backend,
-)
-from repro.backends import base as backends_base
+from repro.backends import DifferentialOracle, compile_sql, normalize_rows
+from repro.backends.sqlite import run_sql
 from repro.catalog import AccessPath, Catalog, TableDef
 from repro.catalog.schema import ColumnDef
 from repro.config import OptimizerConfig
 from repro.cost.propfuncs import PlanFactory
-from repro.errors import BackendError
+from repro.errors import ReproError
 from repro.optimizer import StarburstOptimizer
 from repro.plans.operators import LOLEPOPS, STORE
 from repro.query.expressions import ColumnRef
@@ -52,26 +44,18 @@ from repro.workloads.paper import figure1_query, paper_catalog, paper_database
 from tests.reference_executor import ReferenceExecutor
 
 FIXTURES = Path(__file__).parent / "fixtures" / "sql"
-ORACLE = DifferentialOracle(("iterator", "vectorized", "sqlite"))
+
+#: ``ci`` is the one profile with its example budget (tests/conftest.py).
+CI = settings().max_examples == settings.get_profile("ci").max_examples
+
+#: One oracle per fixture database, so each SQLite mirror loads once.
+_ORACLES: dict[Database, DifferentialOracle] = {}
 
 
-class ReferenceBackend(InProcessBackend):
-    """The reference iterator behind the backend protocol."""
-
-    name = "iterator"
-
-    def execute(self, query, plan, database):
-        return ReferenceExecutor(database).run(query, plan).rows
-
-
-@pytest.fixture(scope="module", autouse=True)
-def iterator_backend():
-    register_backend("iterator", ReferenceBackend)
-    yield
-    # The registry has no public unregister: a test-only name must not
-    # outlive the module that registered it.
-    backends_base._REGISTRY.pop("iterator")
-    backends_base._INSTANCES.pop("iterator", None)
+def oracle_for(database) -> DifferentialOracle:
+    if database not in _ORACLES:
+        _ORACLES[database] = DifferentialOracle(database)
+    return _ORACLES[database]
 
 
 @pytest.fixture(scope="module")
@@ -102,12 +86,16 @@ def distinct_plans(result, limit=None):
 CHECKED: set[tuple[str, str | None]] = set()
 
 
-def assert_agreement(query, plan, database):
-    """All three backends return rows (so the SQL lowering compiled the
-    plan) and the same normalized row set."""
-    report = ORACLE.check(query, plan, database)
+def assert_agreement(query, plan, oracle):
+    """Both oracle legs return rows (so the SQL lowering compiled the
+    plan) and the same normalized row set, which is also the reference
+    iterator's."""
+    report = oracle.check(query, plan)
     assert not report.errors, report.mismatch_summary()
     assert report.agreed, report.mismatch_summary()
+    vectorized = next(o for o in report.outcomes if o.backend == "vectorized")
+    reference = ReferenceExecutor(oracle.database).run(query, plan).rows
+    assert normalize_rows(reference) == vectorized.rows, "reference iterator disagrees"
     CHECKED.update((node.op, node.flavor) for node in plan.nodes())
 
 
@@ -117,7 +105,7 @@ def assert_plans_agree(catalog, database, query, rules=None, config=None, limit=
     plans = distinct_plans(result, limit)
     assert plans
     for plan in plans:
-        assert_agreement(result.query, plan, database)
+        assert_agreement(result.query, plan, oracle_for(database))
     return result
 
 
@@ -153,12 +141,12 @@ class TestGoldenSql:
         cat, _db = paper_db if workload == "paper" else paper_db_distributed
         query = figure1_query(cat) if sql is None else parse_query(sql, cat)
         result = StarburstOptimizer(cat).optimize(query)
-        compiled = SqlBackend().compile_plan(result.query, result.best_plan, cat)
+        text = compile_sql(result.query, result.best_plan)
         path = FIXTURES / fixture
         if os.environ.get("REGEN_SQL_GOLDEN"):
-            path.write_text(compiled.text)
+            path.write_text(text)
         assert path.exists(), f"golden file {path} missing; run with REGEN_SQL_GOLDEN=1"
-        assert compiled.text == path.read_text(), (
+        assert text == path.read_text(), (
             f"emitted SQL drifted from {path.name}; if the change is "
             "intentional, regenerate with REGEN_SQL_GOLDEN=1"
         )
@@ -167,18 +155,19 @@ class TestGoldenSql:
         cat, _db = paper_db
         query = figure1_query(cat)
         result = StarburstOptimizer(cat).optimize(query)
-        first = SqlBackend().compile_plan(result.query, result.best_plan, cat)
-        second = SqlBackend().compile_plan(result.query, result.best_plan, cat)
-        assert first.text == second.text
+        first = compile_sql(result.query, result.best_plan)
+        second = compile_sql(result.query, result.best_plan)
+        assert first == second
 
     def test_header_carries_digest_and_notes(self, paper_db):
         cat, _db = paper_db
         query = figure1_query(cat)
         result = StarburstOptimizer(cat).optimize(query)
-        compiled = SqlBackend().compile_plan(result.query, result.best_plan, cat)
-        assert f"-- plan digest: {result.best_plan.digest}" in compiled.text
-        for note in compiled.notes:
-            assert f"-- note: {note}" in compiled.text
+        *header, statement = compile_sql(result.query, result.best_plan).splitlines()
+        assert f"-- plan digest: {result.best_plan.digest}" in header
+        assert all(line.startswith("-- ") for line in header)
+        assert any(line.startswith("-- note: ") for line in header)
+        assert not statement.startswith("--")
 
 
 # ---------------------------------------------------------------------------
@@ -313,16 +302,17 @@ class TestEdgeSemantics:
         cat, db = null_db
         query = parse_query("SELECT K FROM T WHERE A / 2 < 1", cat)
         result = StarburstOptimizer(cat).optimize(query)
-        report = ORACLE.check(result.query, result.best_plan, db)
+        report = oracle_for(db).check(result.query, result.best_plan)
         by_name = {o.backend: o for o in report.outcomes}
-        for name in ("iterator", "vectorized"):
-            assert by_name[name].error is not None
+        assert by_name["vectorized"].error is not None
+        with pytest.raises(ReproError):
+            ReferenceExecutor(db).run(result.query, result.best_plan)
 
     def test_duplicates_preserved(self, null_db):
         cat, db = null_db
         query = parse_query("SELECT A, S FROM T WHERE A = 1", cat)
         result = assert_plans_agree(cat, db, query)
-        report = ORACLE.check(result.query, result.best_plan, db)
+        report = oracle_for(db).check(result.query, result.best_plan)
         counts = {o.backend: o.row_count for o in report.outcomes}
         assert counts["sqlite"] == 2  # both duplicate rows survive
 
@@ -336,7 +326,7 @@ class TestEdgeSemantics:
         cat, db = null_db
         query = parse_query("SELECT X FROM E WHERE X = 1", cat)
         result = assert_plans_agree(cat, db, query)
-        report = ORACLE.check(result.query, result.best_plan, db)
+        report = oracle_for(db).check(result.query, result.best_plan)
         assert all(o.row_count == 0 for o in report.outcomes if o.comparable)
 
     def test_join_with_empty_side(self, null_db):
@@ -361,7 +351,7 @@ class TestEdgeSemantics:
         pred = parse_predicate("NOT (T.B < 4)", cat, ("T",))
         cols = frozenset(ColumnRef("T", c) for c in ("A", "B"))
         plan = factory.filter(factory.access_base("T", cols, ()), {pred})
-        assert_agreement(query, plan, db)
+        assert_agreement(query, plan, oracle_for(db))
 
 
 # ---------------------------------------------------------------------------
@@ -378,31 +368,24 @@ class TestUnsupported:
         pytest.skip("no STORE plan in the SAP")
 
     def test_sql_supports_store_plans(self, paper_db_distributed):
-        """STORE is inside the SQL subset (it becomes a CTE)."""
+        """STORE is inside the SQL subset: it compiles to a ``temp_``
+        CTE named after the stored subplan."""
         cat, db = paper_db_distributed
         query, plan = self._store_plan(cat, db)
-        assert get_backend("sql").supports(query, plan)
+        store = next(n for n in plan.nodes() if n.op == STORE)
+        statement = compile_sql(query, plan).splitlines()[-1]
+        assert statement.startswith("WITH temp_")
+        assert f"temp_{store.digest} AS (" in statement
 
 
 # ---------------------------------------------------------------------------
-# Protocol, registry, normalization
+# Row-set normalization
 # ---------------------------------------------------------------------------
 
 
 class TestProtocol:
-    def test_registry_names(self):
-        assert backend_names() == ("iterator", "sql", "sqlite", "vectorized")
-
-    def test_instances_cached_and_conform(self):
-        for name in backend_names():
-            backend = get_backend(name)
-            assert backend is get_backend(name)
-            assert isinstance(backend, Backend)
-            assert backend.name == name
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(BackendError, match="registered"):
-            get_backend("cobol")
+    """The comparison protocol: two legs agree when their normalized
+    row sets are equal."""
 
     def test_normalize_folds_numeric_types(self):
         assert normalize_rows([(1, True)]) == normalize_rows([(1.0, 1)])
@@ -419,8 +402,7 @@ class TestCli:
     def test_compile_plan_sql(self, capsys):
         assert main(["compile-plan"]) == 0
         out = capsys.readouterr().out
-        assert "-- repro sql backend" in out
-        assert "SELECT" in out
+        assert out == (FIXTURES / "figure1_local.sql").read_text()
 
     def test_diff_default_lineup(self, capsys):
         assert main(["diff"]) == 0
@@ -428,10 +410,23 @@ class TestCli:
         assert "AGREE" in out
         assert "0 disagreement(s)" in out
 
-    def test_diff_single_backend(self, capsys):
-        assert main(["diff", "--backend", "sqlite"]) == 0
+    def test_diff_reports_a_disagreement(self, capsys, monkeypatch):
+        """SQLite losing one row makes ``diff`` fail and name the row."""
+        dropped = []
+
+        def lossy_run_sql(conn, sql):
+            rows = run_sql(conn, sql)
+            dropped.append(next(r for r in rows if rows.count(r) == 1))
+            rows.remove(dropped[-1])
+            return rows
+
+        monkeypatch.setattr(oracle_module, "run_sql", lossy_run_sql)
+        assert main(["diff"]) == 1
         out = capsys.readouterr().out
-        assert "vectorized" in out and "sqlite" in out
+        assert "DISAGREE plan " in out
+        missing = normalize_rows([dropped[0]])[0]
+        assert f"missing vs vectorized: [{missing!r}]" in out
+        assert "1 disagreement(s)" in out
 
     def test_diff_alternatives(self, capsys):
         assert main(["diff", "--alternatives", "3",
@@ -448,7 +443,7 @@ _SAL = st.integers(min_value=20_000, max_value=160_000)
 
 
 @settings(
-    max_examples=15,
+    max_examples=settings().max_examples if CI else 15,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
@@ -464,11 +459,11 @@ def test_random_predicates_all_backends(paper_db, mgr, dno, low, high):
     )
     result = StarburstOptimizer(cat).optimize(query)
     for plan in distinct_plans(result, limit=4):
-        assert_agreement(result.query, plan, db)
+        assert_agreement(result.query, plan, oracle_for(db))
 
 
 @settings(
-    max_examples=6,
+    max_examples=settings().max_examples if CI else 6,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
@@ -481,8 +476,9 @@ def test_random_predicates_all_backends(paper_db, mgr, dno, low, high):
 def test_random_workloads_all_backends(maker, n, seed, sites):
     wl = maker(n, rows=60, seed=seed, n_sites=sites)
     result = StarburstOptimizer(wl.catalog).optimize(wl.query)
+    oracle = DifferentialOracle(wl.database)
     for plan in distinct_plans(result, limit=3):
-        assert_agreement(result.query, plan, wl.database)
+        assert_agreement(result.query, plan, oracle)
 
 
 def test_checked_plans_cover_the_repertoire():

@@ -187,7 +187,7 @@ class TestValidation:
     def test_known_categories_cover_schema_table(self):
         assert {"star", "glue", "plantable", "propfunc", "executor",
                 "ship", "chaos", "optimizer", "resilient", "robust",
-                "serve", "telemetry"} == CATEGORIES
+                "serve", "pool", "telemetry"} == CATEGORIES
 
 
 class TestSignature:

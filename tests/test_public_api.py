@@ -20,7 +20,7 @@ class TestExports:
         for pkg_name in (
             "repro.catalog", "repro.storage", "repro.query", "repro.plans",
             "repro.cost", "repro.stars", "repro.optimizer", "repro.executor",
-            "repro.baseline", "repro.workloads", "repro.bench",
+            "repro.backends", "repro.baseline", "repro.workloads", "repro.bench",
         ):
             module = importlib.import_module(pkg_name)
             for name in getattr(module, "__all__", ()):
@@ -30,9 +30,8 @@ class TestExports:
 class TestOneEvaluator:
     def test_nothing_selects_an_engine(self):
         """``QueryExecutor`` is the batch engine: no layer takes an
-        ``executor`` name, and the backend registry holds the engine and
-        the SQL pair only (tests that register more clean up after
-        themselves)."""
+        ``executor`` name, and ``repro.backends`` is one SQLite oracle
+        with no backend registry to select from."""
         import repro.backends
         from repro import (
             AdaptiveExecutor,
@@ -40,12 +39,13 @@ class TestOneEvaluator:
             ResilientExecutor,
             explain_analyze,
         )
+        from repro.backends import DifferentialOracle
 
         for api in (QueryExecutor, ResilientExecutor, AdaptiveExecutor, explain_analyze):
             assert "executor" not in inspect.signature(api).parameters, api
-        assert repro.backends.backend_names() == ("sql", "sqlite", "vectorized")
-        assert not hasattr(repro.backends, "pyloop")
-        assert not hasattr(repro.backends, "PyLoopBackend")
+        assert list(inspect.signature(DifferentialOracle).parameters) == ["database"]
+        for name in ("backend_names", "get_backend", "register_backend", "Backend"):
+            assert not hasattr(repro.backends, name), name
 
     def test_nothing_selects_a_layer(self):
         """The STAR memo, the plan interner, serving telemetry and an

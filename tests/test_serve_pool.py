@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Tracer, validate_jsonl
 from repro.optimizer.batch import BatchSpec
 from repro.serve.pool import OptimizerPool, PoolChaos, PoolConfig
 from repro.workloads import chain_workload
@@ -131,6 +131,24 @@ class TestCrashRecovery:
             assert degraded.failure == "degraded"
             # Degraded dispatches are cheap: nothing was sent anywhere.
             assert pool.stats.completed == 0
+
+    def test_traced_crash_validates(self, spec):
+        """A pool that lost a worker leaves a trace the schema accepts."""
+        tracer = Tracer()
+        chaos = PoolChaos(
+            seed=1, poison_templates=frozenset({"bad"}),
+            poison_action="crash",
+        )
+        pool = OptimizerPool(
+            spec, PoolConfig(workers=1, respawn_budget=2), chaos=chaos,
+            tracer=tracer,
+        )
+        try:
+            assert pool.optimize(SQL, seq=0, template="bad").failure == "crash"
+        finally:
+            pool.close()
+        assert {e.name for e in tracer.events()} >= {"worker_failed", "worker_respawned"}
+        assert validate_jsonl(tracer.to_jsonl()) == []
 
     def test_metrics_emitted(self, spec):
         metrics = MetricsRegistry()

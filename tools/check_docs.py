@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint (run in CI as a required step).
 
-Five checks, all cheap and purely static:
+Six checks, all cheap and purely static:
 
 1. **Module docstrings** — every public module under ``src/repro/``
    (anything not starting with ``_``, plus ``__init__.py`` and
@@ -21,9 +21,7 @@ Five checks, all cheap and purely static:
    declared in ``src/repro/plans/operators.py`` (the ``NAME =
    "NAME"`` module constants), and every row's operator must really
    exist — both directions, so the lowering reference can neither rot
-   nor invent operators.  Likewise the backend table (``| name |
-   artifact | executes via |``) must list exactly the names passed to
-   ``register_backend(...)`` in ``src/repro/backends/__init__.py``.
+   nor invent operators.
 4. **Hot-path layer numbers** — every ``hot-path layer N`` in an
    ``OptimizerConfig`` field comment (``src/repro/config.py``) must
    carry the number the README "Performance" list gives that flag.
@@ -31,6 +29,13 @@ Five checks, all cheap and purely static:
    ``tools/*.py`` and root ``BENCH_*.json`` path named in ``README.md``,
    ``DESIGN.md``, ``docs/*.md`` or ``.claude/skills/*/SKILL.md`` must be
    a file in the tree, so deleting a script cannot leave a pointer to it.
+6. **Trace categories** — every string literal passed as the first
+   argument of a ``.begin(``, ``.instant(`` or ``.span(`` call under
+   ``src/repro/`` must be a member of ``CATEGORIES`` in
+   ``src/repro/obs/trace.py`` (the set ``validate_jsonl`` enforces), and
+   ``CATEGORIES`` must match the category table of that module's
+   docstring row for row, so an emitted event can never fail the schema
+   it is exported under.
 
 Exit status 0 when clean, 1 with one ``error:`` line per problem.
 """
@@ -48,7 +53,7 @@ CLI_DOC = REPO / "docs" / "cli.md"
 BACKENDS_DOC = REPO / "docs" / "backends.md"
 MAIN = SRC / "__main__.py"
 OPERATORS = SRC / "plans" / "operators.py"
-BACKENDS_INIT = SRC / "backends" / "__init__.py"
+TRACE = SRC / "obs" / "trace.py"
 CONFIG = SRC / "config.py"
 README = REPO / "README.md"
 
@@ -216,49 +221,12 @@ def documented_lolepops() -> list[str]:
     return re.findall(r"^\| `([A-Z]+)` \|", text, flags=re.MULTILINE)
 
 
-def registered_backends() -> set[str]:
-    """Names passed as the first argument of a ``register_backend(...)``
-    call in ``backends/__init__.py``."""
-    tree = ast.parse(BACKENDS_INIT.read_text(), filename=str(BACKENDS_INIT))
-    return {
-        node.args[0].value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "register_backend"
-        and node.args
-        and isinstance(node.args[0], ast.Constant)
-    }
-
-
-def documented_backends() -> set[str]:
-    """First-cell names of docs/backends.md's backend table: the rows
-    under the ``| name | artifact | executes via |`` header."""
-    table = re.search(
-        r"^\| name \| artifact \| executes via \|\n\|[-|]+\|\n((?:\|.*\n)*)",
-        BACKENDS_DOC.read_text(), flags=re.MULTILINE,
-    )
-    rows = table.group(1) if table else ""
-    return set(re.findall(r"^\| `([\w-]+)` \|", rows, flags=re.MULTILINE))
-
-
 def check_backends_doc() -> list[str]:
     if not BACKENDS_DOC.exists():
         return [f"{BACKENDS_DOC.relative_to(REPO)}: missing"]
     declared = declared_lolepops()
     documented = documented_lolepops()
     errors = []
-    registered, listed = registered_backends(), documented_backends()
-    for name in sorted(listed - registered):
-        errors.append(
-            f"docs/backends.md: backend table lists {name!r}, which "
-            "src/repro/backends/__init__.py does not register"
-        )
-    for name in sorted(registered - listed):
-        errors.append(
-            f"docs/backends.md: backend {name!r} is registered in "
-            "src/repro/backends/__init__.py but has no backend-table row"
-        )
     for name in sorted(set(documented) - declared):
         errors.append(
             f"docs/backends.md: lowering table names operator {name!r} "
@@ -341,20 +309,92 @@ def check_named_files() -> list[str]:
     return errors
 
 
+def declared_categories() -> set[str]:
+    """The string members of ``CATEGORIES = frozenset({...})`` in
+    ``obs/trace.py``."""
+    tree = ast.parse(TRACE.read_text(), filename=str(TRACE))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "CATEGORIES" for t in node.targets
+        ):
+            return {
+                c.value
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return set()
+
+
+def tabled_categories() -> set[str]:
+    """First-column names of the category table in ``obs/trace.py``'s
+    docstring: the ````name```` rows between its second and third
+    ``====`` rulers."""
+    doc = ast.get_docstring(ast.parse(TRACE.read_text())) or ""
+    lines = doc.splitlines()
+    rulers = [i for i, line in enumerate(lines) if line.startswith("====")]
+    if len(rulers) < 3:
+        return set()
+    body = lines[rulers[1] + 1 : rulers[2]]
+    return {m.group(1) for m in map(re.compile(r"``(\w+)``\s").match, body) if m}
+
+
+def emitted_categories() -> list[tuple[str, int, str]]:
+    """``(file, line, category)`` for every string literal passed as the
+    first argument of a ``.begin(``, ``.instant(`` or ``.span(`` call
+    under ``src/repro/``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("begin", "instant", "span")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                found.append((str(path.relative_to(REPO)), node.lineno, node.args[0].value))
+    return found
+
+
+def check_trace_categories() -> list[str]:
+    declared, tabled = declared_categories(), tabled_categories()
+    errors = [
+        f"{where}:{line}: trace category {cat!r} is not in CATEGORIES "
+        "of src/repro/obs/trace.py"
+        for where, line, cat in emitted_categories()
+        if cat not in declared
+    ]
+    for cat in sorted(declared - tabled):
+        errors.append(
+            f"src/repro/obs/trace.py: category {cat!r} is in CATEGORIES "
+            "but has no row in the module docstring's category table"
+        )
+    for cat in sorted(tabled - declared):
+        errors.append(
+            f"src/repro/obs/trace.py: the category table has a row for "
+            f"{cat!r}, which CATEGORIES does not declare"
+        )
+    return errors
+
+
 def main() -> int:
     errors = (
         check_docstrings() + check_cli_doc() + check_backends_doc()
-        + check_layer_numbers() + check_named_files()
+        + check_layer_numbers() + check_named_files() + check_trace_categories()
     )
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
     modules = len(public_modules())
     subcommands = len(registered_flags())
     lolepops = len(declared_lolepops())
+    categories = len(declared_categories())
     verdict = "PASS" if not errors else f"FAIL ({len(errors)} problem(s))"
     print(
         f"docs lint: {verdict} — {modules} module(s), "
-        f"{subcommands} subcommand(s), {lolepops} LOLEPOP(s) checked"
+        f"{subcommands} subcommand(s), {lolepops} LOLEPOP(s), "
+        f"{categories} trace categories checked"
     )
     return 1 if errors else 0
 
