@@ -10,10 +10,11 @@ the cheapest satisfying plan.
 from repro.bench import Table, banner
 from repro.plans.plan import render_functional
 from repro.plans.properties import requirements
-from repro.plans.sap import Stream
+from repro.plans.sap import SAP
 from repro.query.expressions import ColumnRef
 from repro.stars.builtin_rules import default_rules
 from repro.stars.engine import StarEngine
+from repro.stars.glue import glue
 from repro.workloads.paper import figure1_query, paper_catalog, paper_database
 
 DNO = ColumnRef("DEPT", "DNO")
@@ -39,9 +40,7 @@ def run_experiment() -> str:
     table = Table(["available plan", "meets req?", "Glue veneer", "augmented cost"])
     augmented = {}
     for label, plan in available.items():
-        stream = Stream(frozenset({"DEPT"}), req, fixed_plans=(plan,))
-        out = engine.ctx.glue.resolve(stream, mode="cheapest")
-        best = next(iter(out))
+        best = glue(engine, SAP([plan]), req).cheapest(model)
         augmented[label] = best
         veneer_ops = []
         node = best
@@ -56,10 +55,7 @@ def run_experiment() -> str:
         )
 
     # Now let Glue see all three at once and choose the cheapest.
-    stream = Stream(
-        frozenset({"DEPT"}), req, fixed_plans=tuple(available.values())
-    )
-    winner = next(iter(engine.ctx.glue.resolve(stream, mode="cheapest")))
+    winner = glue(engine, SAP(available.values()), req).cheapest(model)
     winner_cost = model.total(winner.props.cost)
     expected = min(model.total(p.props.cost) for p in augmented.values())
 

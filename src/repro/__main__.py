@@ -859,6 +859,14 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -888,7 +896,8 @@ def main(argv: list[str] | None = None) -> int:
     optimize.add_argument("sql", help="a SELECT statement")
     optimize.add_argument("--execute", action="store_true", help="run the chosen plan")
     optimize.add_argument("--trace", action="store_true", help="print the expansion trace")
-    optimize.add_argument("--limit", type=int, default=10, help="rows to print")
+    optimize.add_argument("--limit", type=_non_negative, default=10,
+                          help="rows to print")
     optimize.add_argument("--profile", action="store_true",
                           help="run under cProfile and print the top-20 "
                                "functions by cumulative time")
@@ -914,7 +923,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     diff.add_argument("sql", nargs="?", default=None,
                       help="a SELECT statement (default: the workload's query)")
-    diff.add_argument("--alternatives", type=int, default=1, metavar="N",
+    diff.add_argument("--alternatives", type=_at_least_one, default=1, metavar="N",
                       help="check up to N distinct plans from the SAP (default 1: "
                            "the chosen plan only)")
     _workload_flag(diff)
@@ -928,7 +937,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_opt.add_argument("sql", nargs="?", default=None,
                            help="a SELECT statement (default: the workload's "
                                 "own query)")
-    bench_opt.add_argument("--queries", type=int, default=8,
+    bench_opt.add_argument("--queries", type=_at_least_one, default=8,
                            help="batch size: copies of the query to optimize "
                                 "(default: 8)")
     bench_opt.add_argument("--workers", type=int, default=1,

@@ -38,7 +38,7 @@ from repro.baseline.logical import (
 )
 from repro.plans.plan import PlanNode
 from repro.plans.properties import order_satisfies
-from repro.plans.sap import SAP, Stream
+from repro.plans.sap import SAP, Stream, merge_pruned
 from repro.query.predicates import (
     Predicate,
     hashable_predicates,
@@ -155,7 +155,7 @@ class TransformationalOptimizer:
             sap = self._implement_scan(tree.table, pushed)
         else:
             sap = self._implement_join(tree, pushed)
-        sap = sap.pruned(self.model, self._interesting)
+        sap = merge_pruned(SAP(), sap, self.model, self._interesting)
         self._memo[key] = sap
         return sap
 

@@ -174,9 +174,9 @@ class PlanFactory:
         self.catalog = catalog
         self.model = model if model is not None else CostModel(catalog)
         self.selectivity = Selectivity(catalog, feedback=feedback)
-        #: Sites plans must not touch (config-avoided; catalog down-sites
-        #: are always avoided on top of these).
-        self.avoid_sites = frozenset(avoid_sites)
+        #: Sites no plan may touch: config-avoided plus any the catalog
+        #: has marked down, fixed for the optimization this factory serves.
+        self.avoided_sites = frozenset(avoid_sites) | catalog.down_sites()
         #: Structured-event tracer (installed by StarEngine; None = off).
         self.tracer = None
         #: Hash-conses every node this factory emits and holds the join
@@ -189,8 +189,10 @@ class PlanFactory:
         self._pred_sel: dict[tuple[Predicate, frozenset[str]], float] = {}
 
     def site_usable(self, site: str) -> bool:
-        """May plans execute at ``site``?  (Up and not avoided.)"""
-        return site not in self.avoid_sites and self.catalog.site_is_up(site)
+        """May plans execute at ``site``?  (Up and not avoided; an unknown
+        site raises ``CatalogError``.)"""
+        self.catalog.site(site)
+        return site not in self.avoided_sites
 
     def _require_site(self, site: str, doing: str) -> None:
         if not self.site_usable(site):
@@ -570,7 +572,6 @@ class PlanFactory:
 
     def ship(self, input_plan: PlanNode, to_site: str) -> PlanNode:
         """SHIP the stream to ``to_site`` (changes the SITE property)."""
-        self.catalog.site(to_site)
         self._require_site(to_site, f"ship to {to_site}")
         in_props = input_plan.props
         if in_props.site == to_site:

@@ -10,8 +10,9 @@ category     emitted by
 ===========  ==============================================================
 ``star``     :class:`~repro.stars.engine.StarEngine` — one span per STAR
              reference expanded (memo hits are instants)
-``glue``     :class:`~repro.stars.glue.Glue` — resolve/augment spans plus
-             one instant per veneer LOLEPOP inserted
+``glue``     :func:`~repro.stars.glue.glue` — a resolve (stream) or
+             augment (given plans) span plus one instant per veneer
+             chain added
 ``plantable``  :class:`~repro.stars.plantable.PlanTable` probe/insert
 ``propfunc``   :class:`~repro.cost.propfuncs.PlanFactory` — one instant
              per LOLEPOP application, when it is priced or found (a

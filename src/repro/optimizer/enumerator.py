@@ -23,6 +23,7 @@ from repro.errors import OptimizationError
 from repro.plans.sap import SAP, Stream
 from repro.query.query import QueryBlock
 from repro.stars.engine import StarEngine
+from repro.stars.glue import glue
 
 
 class JoinEnumerator:
@@ -46,7 +47,7 @@ class JoinEnumerator:
 
         # Level 1: plans for every single table (AccessRoot via Glue).
         for table in tables:
-            ctx.glue.resolve(Stream(frozenset([table])))
+            glue(self._engine, Stream(frozenset([table])))
 
         if len(tables) == 1:
             only = frozenset([tables[0]])

@@ -29,6 +29,7 @@ from repro.robust.fallback import heuristic_plan
 from repro.stars.ast import RuleSet
 from repro.stars.builtin_rules import extended_rules
 from repro.stars.engine import ExpansionStats, StarEngine
+from repro.stars.glue import glue
 from repro.stars.plantable import PlanTableStats
 from repro.stars.registry import FunctionRegistry, default_registry
 from repro.stars.validate import validate_rules
@@ -153,15 +154,6 @@ class StarburstOptimizer:
         if isinstance(query, str):
             query = parse_query(query, self.catalog)
         started = time.perf_counter()
-        result_site = query.result_site or self.catalog.query_site
-        avoided = frozenset(self.config.avoid_sites) | self.catalog.down_sites()
-        if result_site in avoided:
-            raise OptimizationError(
-                f"result site {result_site} is down or avoided; "
-                f"no plan can deliver the result"
-            )
-        if budget is not None:
-            budget.reset()
         engine = StarEngine(
             rules=self.rules,
             catalog=self.catalog,
@@ -174,6 +166,14 @@ class StarburstOptimizer:
             budget=budget,
             feedback=self.feedback,
         )
+        result_site = query.result_site or self.catalog.query_site
+        if result_site in engine.ctx.factory.avoided_sites:
+            raise OptimizationError(
+                f"result site {result_site} is down or avoided; "
+                f"no plan can deliver the result"
+            )
+        if budget is not None:
+            budget.reset()
         model = engine.ctx.model
         requirements = Requirements(
             order=query.required_order() or None,
@@ -245,9 +245,7 @@ class StarburstOptimizer:
         enumerator = JoinEnumerator(engine)
         try:
             enumerator.run()
-            alternatives = engine.ctx.glue.resolve(
-                Stream(query.table_set, requirements)
-            )
+            alternatives = glue(engine, Stream(query.table_set, requirements))
             return alternatives, enumerator.pairs_considered, False, False
         except BudgetExhausted as exc:
             alternatives, heuristic = self._anytime(engine, query, requirements, exc)
@@ -285,9 +283,7 @@ class StarburstOptimizer:
         with ctx.budget.suspend():
             alternatives = SAP()
             try:
-                alternatives = ctx.glue.resolve(
-                    Stream(query.table_set, requirements)
-                )
+                alternatives = glue(engine, Stream(query.table_set, requirements))
             except (GlueError, ReproError):
                 alternatives = SAP()
             heuristic = alternatives.cheapest(ctx.model) is None

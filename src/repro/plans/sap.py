@@ -32,13 +32,10 @@ if TYPE_CHECKING:
 @dataclass(frozen=True, slots=True)
 class Stream:
     """An unresolved SAP argument: tables to produce + accumulated
-    requirements.  ``fixed_plans`` pins the candidate plans explicitly
-    (used by tests and the Figure-3 benchmark); normally Glue finds
-    candidates in the plan table."""
+    requirements.  Glue finds its candidates in the plan table."""
 
     tables: frozenset[str]
     requirements: Requirements = Requirements.EMPTY
-    fixed_plans: tuple[PlanNode, ...] | None = None
 
     def require(self, extra: Requirements) -> "Stream":
         """Accumulate additional required properties on this stream."""
@@ -47,7 +44,7 @@ class Stream:
     def bare(self) -> "Stream":
         """This stream with no requirements (for condition functions that
         need the undecorated table set)."""
-        return Stream(self.tables, Requirements.EMPTY, self.fixed_plans)
+        return Stream(self.tables)
 
     def __str__(self) -> str:
         base = "{" + ", ".join(sorted(self.tables)) + "}"
@@ -208,44 +205,6 @@ class SAP:
             return None
         return min(self.plans, key=lambda p: model.total(p.props.cost))
 
-    def pruned(
-        self,
-        model: CostModel,
-        interesting: frozenset | None = None,
-        site_diversity: bool = False,
-    ) -> "SAP":
-        """Drop dominated alternatives.
-
-        Plan A dominates plan B when both produce the same relational
-        content (TABLES, COLS, PREDS) and A is no worse on every
-        interesting physical property *and* cost:
-
-        * ``total(A) <= total(B)``,
-        * same SITE,
-        * A's ORDER satisfies B's ORDER (B's order is a prefix of A's),
-        * A is materialized if B is (``temp``/``stored_as``),
-        * A's PATHS cover B's.
-
-        This is System R's "interesting order" pruning generalized to the
-        whole property vector.  When ``interesting`` (a set of columns) is
-        given, a plan's ORDER only protects it from pruning up to its
-        longest prefix of interesting columns — orders that no later
-        merge join or ORDER BY can exploit do not keep expensive plans
-        alive (the classic System R refinement).
-
-        With ``site_diversity`` on, dominance additionally requires the
-        dominating plan's site/link *footprint* to be a subset of the
-        dominated plan's — a plan that touches a site or link the cheaper
-        plan does not is insurance against an outage of the cheaper
-        plan's resources, and survives pruning.
-
-        Join candidates are judged on their record and stay unbuilt: a
-        footprint needs plans, so only ``site_diversity`` builds them.
-        """
-        pool = self.plans if site_diversity else self.members
-        judge = _DominanceJudge(pool, model, interesting, site_diversity)
-        return SAP(judge.frontier(pool))
-
     def __str__(self) -> str:
         return f"SAP[{len(self)} plan(s)]"
 
@@ -257,42 +216,67 @@ def merge_pruned(
     interesting: frozenset | None = None,
     site_diversity: bool = False,
 ) -> SAP:
-    """Merge ``incoming`` into an already-pruned ``existing`` SAP.
+    """Merge ``incoming`` into an already-pruned ``existing`` SAP,
+    dropping dominated alternatives; pruning a SAP is merging it into an
+    empty one.
 
-    ``existing`` is assumed mutually non-dominated (the invariant
-    :meth:`SAP.pruned` establishes and the plan table maintains), so only
-    the cross pairs and the incoming-incoming pairs need dominance
-    checks — ``O(new × total)`` instead of re-pruning the whole union
-    from scratch on every insert.  Produces the same survivors as
-    ``existing.union(incoming).pruned(...)``: on mutual domination
-    (equivalent plans) the established plan wins, exactly as the cheaper/
-    earlier candidate wins in the full sort-based pass.  Join candidates
-    stay unbuilt unless ``site_diversity`` needs their footprints.
+    Plan A dominates plan B when both produce the same relational
+    content (TABLES, COLS, PREDS) and A is no worse on every
+    interesting physical property *and* cost:
+
+    * ``total(A) <= total(B)``,
+    * same SITE,
+    * A's ORDER satisfies B's ORDER (B's order is a prefix of A's),
+    * A is materialized if B is (``temp``/``stored_as``),
+    * A's PATHS cover B's.
+
+    This is System R's "interesting order" pruning generalized to the
+    whole property vector.  When ``interesting`` (a set of columns) is
+    given, a plan's ORDER only protects it from pruning up to its
+    longest prefix of interesting columns — orders that no later merge
+    join or ORDER BY can exploit do not keep expensive plans alive (the
+    classic System R refinement).
+
+    With ``site_diversity`` on, dominance additionally requires the
+    dominating plan's site/link *footprint* to be a subset of the
+    dominated plan's — a plan that touches a site or link the cheaper
+    plan does not is insurance against an outage of the cheaper plan's
+    resources, and survives pruning.
+
+    ``existing`` is mutually non-dominated (the invariant this pass
+    establishes and the plan table maintains), so only the cross pairs
+    and the incoming-incoming pairs need dominance checks —
+    ``O(new × total)`` instead of re-pruning the whole union on every
+    insert.  In order of cost, an incoming plan survives if no
+    established or kept plan dominates it; on mutual domination
+    (equivalent plans) the established, else the cheaper/earlier, plan
+    wins.  Join candidates are judged on their record and stay unbuilt
+    unless ``site_diversity`` needs their footprints.
     """
-    established = list(existing.plans if site_diversity else existing.members)
-    seen = set(established)
-    new = [
-        p for p in (incoming.plans if site_diversity else incoming.members)
-        if p not in seen
-    ]
+    established = existing.plans if site_diversity else existing.members
+    new = incoming.plans if site_diversity else incoming.members
+    if established:
+        seen = set(established)
+        new = [p for p in new if p not in seen]
     if not new:
         return existing
     judge = _DominanceJudge(
         (*established, *new), model, interesting, site_diversity
     )
+    records, dominated = judge.records, judge.dominated
+    old = [records[id(plan)] for plan in established]
     kept_new: list = []
+    kept: list[tuple] = []
     for cand in judge.by_cost(new):
-        if judge.dominated_by_any(established, cand):
-            continue
-        if judge.dominated_by_any(kept_new, cand):
+        record = records[id(cand)]
+        if (old and dominated(old, record)) or dominated(kept, record):
             continue
         kept_new.append(cand)
+        kept.append(record)
     if not kept_new:
         return existing
     survivors = [
-        plan
-        for plan in established
-        if not judge.dominated_by_any(kept_new, plan)
+        plan for plan, record in zip(established, old) if not dominated(kept, record)
     ]
     return SAP((*survivors, *kept_new))
 
@@ -304,7 +288,7 @@ _TOTAL = 8
 class _DominanceJudge:
     """One dominance record per plan for one pruning pass.
 
-    Everything :meth:`dominated_by_any` compares — ``(site, temp,
+    Everything :meth:`dominated` compares — ``(site, temp,
     stored?, effective order, paths, tables, preds, TID-free cols, total
     cost, footprint)`` — is read off the property vector once per plan,
     instead of once per pairwise comparison, and kept under the plan's
@@ -356,31 +340,10 @@ class _DominanceJudge:
         records = self.records
         return sorted(plans, key=lambda p: records[id(p)][_TOTAL])
 
-    def dominated_by_any(
-        self, keepers: Iterable[PlanNode], cand: PlanNode
-    ) -> bool:
-        """Does some keeper dominate ``cand`` (see :meth:`SAP.pruned`)?"""
-        records = self.records
-        return self.dominated(
-            map(records.__getitem__, map(id, keepers)), records[id(cand)]
-        )
-
-    def frontier(self, plans: Iterable[PlanNode]) -> list[PlanNode]:
-        """The :meth:`SAP.pruned` pass: in order of cost, keep each plan
-        that no plan kept before it dominates."""
-        records = self.records
-        keep: list = []
-        kept: list[tuple] = []
-        for plan in self.by_cost(plans):
-            record = records[id(plan)]
-            if not self.dominated(kept, record):
-                keep.append(plan)
-                kept.append(record)
-        return keep
-
     @staticmethod
     def dominated(keepers: Iterable[tuple], record: tuple) -> bool:
-        """Does some keeper's record dominate ``record``?"""
+        """Does some keeper's record dominate ``record`` (see
+        :func:`merge_pruned`)?"""
         (site, temp, stored, order, paths, tables, preds, cols, total,
          footprint) = record
         prefix = len(order)

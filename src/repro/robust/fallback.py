@@ -95,7 +95,7 @@ def _leaf(ctx, query: QueryBlock, table: str) -> PlanNode:
     preds = query.single_table_predicates(table)
     last_error: ReproError | None = None
     try:
-        sites = ctx.engine._usable_copies(table)
+        sites = ctx.usable_copies(table)
     except ReproError as exc:
         raise OptimizationError(
             f"heuristic fallback cannot access table {table}: {exc}"

@@ -12,8 +12,10 @@ This package implements:
   conditions, linked to rules by name;
 * the STAR interpreter (:mod:`repro.stars.engine`) — macro-expander-like
   expansion with memoization and instrumentation [LEE 88];
-* Glue (:mod:`repro.stars.glue`) — impedance matching between available
-  and required properties by injecting veneer operators (section 3.2);
+* Glue (:func:`repro.stars.glue.glue`) — impedance matching between
+  available and required properties by injecting veneer operators
+  (section 3.2): one entry for a stream or a SAP of given plans, one
+  veneer chain, one satisfy / select tail;
 * the hashed plan table (:mod:`repro.stars.plantable`);
 * the paper's complete rule set (:mod:`repro.stars.builtin_rules`),
   written in the DSL;
@@ -39,7 +41,7 @@ from repro.stars.ast import (
 )
 from repro.stars.dsl import parse_rules
 from repro.stars.engine import ExpansionStats, RuleContext, StarEngine
-from repro.stars.glue import Glue
+from repro.stars.glue import glue
 from repro.stars.plantable import PlanTable
 from repro.stars.registry import FunctionRegistry, default_registry, rule_function
 from repro.stars.validate import validate_rules
@@ -52,7 +54,6 @@ __all__ = [
     "ExpansionStats",
     "ForAll",
     "FunctionRegistry",
-    "Glue",
     "Logical",
     "Negate",
     "Param",
@@ -65,6 +66,7 @@ __all__ = [
     "StarEngine",
     "StarRef",
     "default_registry",
+    "glue",
     "parse_rules",
     "rule_function",
     "validate_rules",

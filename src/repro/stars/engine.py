@@ -67,14 +67,10 @@ from repro.stars.ast import (
 )
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
 from repro.obs.trace import Tracer
-from repro.stars.glue import Glue
+from repro.stars.glue import glue
 from repro.stars.memo import StarMemo
 from repro.stars.plantable import PlanTable
 from repro.stars.registry import FunctionRegistry, default_registry
-
-#: Name of the top-most single-table STAR that Glue re-references when no
-#: plans exist yet for a table (section 3.2 step 1).
-ACCESS_ROOT = "AccessRoot"
 
 
 @dataclass
@@ -124,11 +120,7 @@ class RuleContext:
         self.factory = factory
         self.model = factory.model
         self.plan_table = plan_table
-        #: Sites no plan may touch: explicitly avoided by config plus any
-        #: the catalog has marked down.
-        self.avoided_sites = frozenset(config.avoid_sites) | catalog.down_sites()
         self.stats = ExpansionStats()
-        self.access_root = ACCESS_ROOT
         self.interesting = query.interesting_order_columns()
         #: Structured observability (None = disabled = zero overhead).
         self.tracer = tracer
@@ -139,9 +131,21 @@ class RuleContext:
         #: assembles the best anytime answer).
         self.budget = budget
         self._standard_preds: dict[frozenset[str], frozenset] = {}
-        # Back-references installed by StarEngine.__init__.
-        self.engine: "StarEngine" = None  # type: ignore[assignment]
-        self.glue: Glue = None  # type: ignore[assignment]
+
+    def usable_copies(self, table: str) -> tuple[str, ...]:
+        """Storage sites of ``table`` that plans may read: neither down
+        nor config-avoided.  Raises if the table is wholly unreachable —
+        no rule can produce any plan then."""
+        avoided = self.factory.avoided_sites
+        sites = tuple(
+            s for s in self.catalog.storage_sites(table) if s not in avoided
+        )
+        if not sites:
+            raise ReproError(
+                f"no usable copy of table {table}: every storage site is "
+                f"down or avoided"
+            )
+        return sites
 
     def standard_preds(self, tables: frozenset[str]) -> frozenset:
         """Predicates a plan over ``tables`` has applied when built by the
@@ -201,8 +205,6 @@ class StarEngine:
             metrics=metrics,
             budget=budget,
         )
-        self.ctx.engine = self
-        self.ctx.glue = Glue(self.ctx)
         #: Per-optimization expansion memo: engine-local, never shared
         #: across optimizations.
         self.memo = StarMemo()
@@ -368,7 +370,9 @@ class StarEngine:
     def _eval_star_ref(self, ref: StarRef, env: dict[str, Any]) -> SAP:
         values = [self._eval_argument(arg, env) for arg in ref.args]
         if ref.name == "Glue":
-            return self._call_glue(values)
+            if not values:
+                raise RuleError("Glue needs a stream argument")
+            return self._glue(values[0], Requirements(extra_preds=_opt_set(values, 1)))
         if ref.name in LOLEPOPS:
             return self._call_lolepop(ref.name, ref.flavor, values)
         star = self.ctx.rules.get(ref.name)
@@ -385,7 +389,7 @@ class StarEngine:
         if isinstance(value, Stream):
             return value.require(req)
         if isinstance(value, SAP):
-            return self._glue_augment(value, req)
+            return self._glue(value, req)
         raise RuleError(
             f"required properties {req} attached to a non-stream argument "
             f"({type(value).__name__})"
@@ -405,36 +409,27 @@ class StarEngine:
 
     # -- Glue and LOLEPOP dispatch ----------------------------------------------------
 
-    def _call_glue(self, values: list[Any]) -> SAP:
-        if not values:
-            raise RuleError("Glue needs a stream argument")
-        target = values[0]
-        extra = frozenset(values[1]) if len(values) > 1 and values[1] else frozenset()
-        if isinstance(target, Stream):
-            # Glue resolution is deterministic within one optimization:
-            # the plan-table class a stream reads is built exactly once
-            # and never replaced, so (stream, pushed preds) keys the
-            # result.  Both permutations of a merge-join pair request
-            # the same sorted sides — this is where the memo pays.
-            key = ("Glue", _canonical(target), _canonical(extra))
-            result = self._recall(key, "glue", "resolve")
-            if result is None:
-                result = self.ctx.glue.resolve(target, extra_preds=extra)
-                self.memo.put(key, result)
-            return result
-        if isinstance(target, SAP):
-            return self._glue_augment(
-                target, Requirements(extra_preds=frozenset(extra))
-            )
-        raise RuleError(f"Glue target must be a stream, got {type(target).__name__}")
+    def _glue(self, target: Any, req: Requirements) -> SAP:
+        """Memoized Glue reference: a stream to resolve, or the plans of a
+        SAP-valued argument to decorate (``T[temp]``, ``[order = ...]``).
 
-    def _glue_augment(self, sap: SAP, req: Requirements) -> SAP:
-        """Memoized veneer application for SAP-valued arguments — the
-        ``T[temp]`` / ``[order = ...]`` decorations rules attach."""
-        key = ("Glue.augment", _canonical(sap), req)
-        result = self._recall(key, "glue", "augment")
+        Glue is deterministic within one optimization: the plan-table
+        class a stream reads is built exactly once and never replaced, so
+        (target, requirements) keys the result.  Both permutations of a
+        merge-join pair request the same sorted sides — this is where the
+        memo pays."""
+        if isinstance(target, Stream):
+            name = "resolve"
+        elif isinstance(target, SAP):
+            name = "augment"
+        else:
+            raise RuleError(
+                f"Glue target must be a stream, got {type(target).__name__}"
+            )
+        key = ("Glue", _canonical(target), req)
+        result = self._recall(key, "glue", name)
         if result is None:
-            result = self.ctx.glue.augment(sap, req)
+            result = glue(self, target, req)
             self.memo.put(key, result)
         return result
 
@@ -530,12 +525,12 @@ class StarEngine:
         if isinstance(target, str):
             return self._emitted(
                 factory.access_base(target, columns or frozenset(), preds, site=site)
-                for site in self._usable_copies(target)
+                for site in self.ctx.usable_copies(target)
             )
         if isinstance(target, AccessPath):
             return self._emitted(
                 factory.access_index(target.table, target, columns, preds, site=site)
-                for site in self._usable_copies(target.table)
+                for site in self.ctx.usable_copies(target.table)
             )
         if isinstance(target, SAP):
             def rescan(plan: PlanNode) -> PlanNode:
@@ -546,23 +541,6 @@ class StarEngine:
 
             return self._map(rescan, target)
         raise RuleError(f"ACCESS target must be table/path/plans, got {type(target).__name__}")
-
-    def _usable_copies(self, table: str) -> tuple[str, ...]:
-        """Storage sites of ``table`` that plans may read: up, reachable,
-        and not config-avoided.  Raises if the table is wholly unreachable
-        — no rule can produce any plan then."""
-        ctx = self.ctx
-        sites = tuple(
-            s
-            for s in ctx.catalog.reachable_storage_sites(table)
-            if s not in ctx.avoided_sites
-        )
-        if not sites:
-            raise ReproError(
-                f"no usable copy of table {table}: every storage site is "
-                f"down or avoided"
-            )
-        return sites
 
     # -- expressions ------------------------------------------------------------------
 
@@ -679,12 +657,7 @@ def _compare(op: str, left: Any, right: Any) -> bool:
 def _canonical(value: Any) -> Any:
     """A hashable, content-based memoization key component."""
     if isinstance(value, Stream):
-        fixed = (
-            tuple(plan_digest(p) for p in value.fixed_plans)
-            if value.fixed_plans is not None
-            else None
-        )
-        return ("stream", value.tables, value.requirements, fixed)
+        return ("stream", value.tables, value.requirements)
     if isinstance(value, SAP):
         return ("sap", tuple(sorted(plan_digest(p) for p in value)))
     if isinstance(value, PlanNode):

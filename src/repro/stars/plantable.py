@@ -106,33 +106,20 @@ class PlanTable:
         judged on their dominance record, and only the survivors are built
         — a class holds plans."""
         key = plan_key(tables, preds)
-        existing = self._entries.get(key)
+        existing = self._entries.get(key, SAP())
         incoming = SAP(plans)
         if self.budget is not None:
             self.budget.charge_plans(len(incoming))
-        if existing is None:
-            before = len(incoming)
-            merged = incoming
-            if self._prune:
-                merged = incoming.pruned(
-                    self._model, self._interesting,
-                    site_diversity=self._site_diversity,
-                )
-        elif self._prune:
+        merged = existing.union(incoming)
+        before = len(merged)
+        if self._prune:
             # The stored SAP is non-dominated by construction, so the
             # merge only has to judge the new plans against the class —
             # O(new × total) instead of re-pruning the union from scratch.
-            known = set(existing.members)
-            before = len(existing) + sum(
-                1 for p in incoming.members if p not in known
-            )
             merged = merge_pruned(
                 existing, incoming, self._model, self._interesting,
                 site_diversity=self._site_diversity,
             )
-        else:
-            merged = existing.union(incoming)
-            before = len(merged)
         merged = SAP(merged.plans)
         self.stats.inserts += 1
         self.stats.plans_inserted += before

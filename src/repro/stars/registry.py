@@ -126,10 +126,8 @@ def fn_candidate_sites(ctx: "RuleContext") -> tuple[str, ...]:
     for t in ctx.query.tables:
         sites.update(ctx.catalog.storage_sites(t))
     sites.add(ctx.catalog.query_site)
-    avoided = getattr(ctx, "avoided_sites", frozenset())
-    return tuple(
-        s for s in sorted(sites) if s not in avoided and ctx.catalog.site_is_up(s)
-    )
+    avoided = ctx.factory.avoided_sites
+    return tuple(s for s in sorted(sites) if s not in avoided)
 
 
 @rule_function("query_site")

@@ -42,7 +42,7 @@ from repro.stars.ast import (
     StarRef,
     Term,
 )
-from repro.stars.engine import ACCESS_ROOT
+from repro.stars.glue import ACCESS_ROOT
 from repro.stars.registry import FunctionRegistry
 
 

@@ -93,7 +93,7 @@ def _unique(plans: Iterable[PlanNode]) -> list[PlanNode]:
 
 
 def pruned(plans, model, interesting=None, site_diversity=False) -> list[PlanNode]:
-    """``SAP(plans).pruned(...)`` as the old pass computed it."""
+    """``merge_pruned(SAP(), SAP(plans), ...)`` as the old pass computed it."""
     plans = _unique(plans)
     judge = ReferenceJudge(plans, model, interesting, site_diversity)
     keep: list[PlanNode] = []

@@ -31,6 +31,9 @@ def test_parse_error_reported(capsys):
     ["serve", "--slo-latency", "0.1", "--slo-target", "2"],
     ["serve", "--burst", "0"],
     ["bench-opt", "--repeat", "0"],
+    ["bench-opt", "--queries", "-3"],
+    ["diff", "--alternatives", "-2"],
+    ["optimize", "SELECT MGR FROM DEPT", "--execute", "--limit", "-1"],
     ["bench-opt", "--workload", "chain:99x"],
     ["optimize", "SELECT MGR FROM DEPT", "--workload", "bogus"],
     ["optimize", "SELECT MGR FROM DEPT", "--rules", "bogus"],

@@ -5,8 +5,9 @@ the two passes built on it.  On random plan sets — interesting and
 uninteresting orders, column sets that differ in TID pseudo-columns only,
 every ``temp`` / ``stored_as`` / ``paths`` combination, ties in total cost,
 two sites with and without ``site_diversity`` — the new judge must answer
-every pair the same way, and ``SAP.pruned`` / ``merge_pruned`` must return
-the *same plan objects in the same order* as the reference passes.
+every pair the same way, and ``merge_pruned`` — into an empty class and
+into an established one — must return the *same plan objects in the same
+order* as the reference passes.
 ``ci`` in ``tests/conftest.py`` raises the example budget.
 """
 
@@ -97,12 +98,14 @@ def test_every_pair_is_judged_alike(candidates, interesting, site_diversity):
     new = _DominanceJudge(candidates, MODEL, interesting, site_diversity)
     old = reference.ReferenceJudge(candidates, MODEL, interesting, site_diversity)
     assert ids(new.by_cost(candidates)) == ids(old.by_cost(candidates))
+    record = {id(plan): new.records[id(plan)] for plan in candidates}
     for cand in candidates:
         for kept in candidates:
-            assert new.dominated_by_any([kept], cand) == reference.dominates(
-                kept, cand, old
+            assert new.dominated([record[id(kept)]], record[id(cand)]) == (
+                reference.dominates(kept, cand, old)
             ), (kept.props, cand.props)
-        assert new.dominated_by_any(candidates, cand)  # by itself, if no other
+        # By itself, if by no other.
+        assert new.dominated(record.values(), record[id(cand)])
 
 
 @budget
@@ -110,7 +113,7 @@ def test_every_pair_is_judged_alike(candidates, interesting, site_diversity):
 def test_pruned_keeps_the_same_plans_in_the_same_order(
     candidates, interesting, site_diversity
 ):
-    got = SAP(candidates).pruned(MODEL, interesting, site_diversity)
+    got = merge_pruned(SAP(), SAP(candidates), MODEL, interesting, site_diversity)
     want = reference.pruned(candidates, MODEL, interesting, site_diversity)
     assert ids(got) == ids(want)
 

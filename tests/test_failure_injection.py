@@ -27,6 +27,7 @@ from repro.query.parser import parse_query
 from repro.stars.builtin_rules import default_rules
 from repro.stars.dsl import parse_rules
 from repro.stars.engine import StarEngine
+from repro.stars.glue import glue
 from repro.storage import Database
 
 DNO = ColumnRef("DEPT", "DNO")
@@ -79,14 +80,16 @@ class TestGlueFailures:
     def test_unknown_site_requirement(self, catalog):
         engine = self.make_engine(catalog)
         with pytest.raises(Exception):  # CatalogError via SHIP veneer
-            engine.ctx.glue.resolve(
+            glue(
+                engine,
                 Stream(frozenset({"DEPT"}), requirements(site="Atlantis"))
             )
 
     def test_order_on_missing_column(self, catalog):
         engine = self.make_engine(catalog)
         with pytest.raises(GlueError):
-            engine.ctx.glue.resolve(
+            glue(
+                engine,
                 Stream(
                     frozenset({"EMP"}),
                     requirements(order=[ColumnRef("EMP", "SALARY")]),
@@ -96,7 +99,8 @@ class TestGlueFailures:
     def test_paths_on_missing_column(self, catalog):
         engine = self.make_engine(catalog)
         with pytest.raises(GlueError):
-            engine.ctx.glue.resolve(
+            glue(
+                engine,
                 Stream(
                     frozenset({"EMP"}),
                     requirements(paths=[ColumnRef("EMP", "ADDRESS")]),
@@ -119,7 +123,7 @@ class TestEngineFailures:
             rules, catalog, query, config=OptimizerConfig(max_depth=16)
         )
         with pytest.raises((ExpansionError, RecursionError)):
-            engine.ctx.glue.resolve(Stream(frozenset({"DEPT"})))
+            glue(engine, Stream(frozenset({"DEPT"})))
 
     def test_combination_errors_counted_not_fatal(self, catalog):
         """JOIN over streams at different sites: the bad combination is

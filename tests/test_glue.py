@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cost.propfuncs import PlanFactory
+from repro.config import OptimizerConfig
 from repro.errors import GlueError
 from repro.plans.operators import ACCESS, BUILDIX, SHIP, SORT, STORE
 from repro.plans.properties import requirements
@@ -11,39 +11,47 @@ from repro.query.expressions import ColumnRef
 from repro.query.parser import parse_query
 from repro.stars.builtin_rules import default_rules
 from repro.stars.engine import StarEngine
+from repro.stars.glue import glue
 
 DNO = ColumnRef("DEPT", "DNO")
 MGR = ColumnRef("DEPT", "MGR")
 E_DNO = ColumnRef("EMP", "DNO")
 
 
-def glue_for(catalog, sql="SELECT NAME, MGR FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO"):
-    engine = StarEngine(default_rules(), catalog, parse_query(sql, catalog))
-    return engine.ctx.glue, engine
+def engine_for(
+    catalog,
+    sql="SELECT NAME, MGR FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO",
+    config=None,
+):
+    return StarEngine(
+        default_rules(), catalog, parse_query(sql, catalog), config=config
+    )
 
 
 class TestCandidateGeneration:
     def test_single_table_built_via_access_root(self, catalog):
-        glue, engine = glue_for(catalog)
-        sap = glue.resolve(Stream(frozenset({"DEPT"})))
+        engine = engine_for(catalog)
+        sap = glue(engine, Stream(frozenset({"DEPT"})))
         assert len(sap) >= 1
         assert engine.plan_table.stats.inserts >= 1
 
     def test_plan_table_reused_on_second_call(self, catalog):
-        glue, engine = glue_for(catalog)
-        glue.resolve(Stream(frozenset({"DEPT"})))
+        engine = engine_for(catalog)
+        glue(engine, Stream(frozenset({"DEPT"})))
         misses = engine.plan_table.stats.misses
-        glue.resolve(Stream(frozenset({"DEPT"})))
+        glue(engine, Stream(frozenset({"DEPT"})))
         assert engine.plan_table.stats.misses == misses  # pure hit
 
     def test_composite_without_plans_raises(self, catalog):
-        glue, _ = glue_for(catalog)
         with pytest.raises(GlueError, match="composite"):
-            glue.resolve(Stream(frozenset({"DEPT", "EMP"})))
+            glue(engine_for(catalog), Stream(frozenset({"DEPT", "EMP"})))
 
     def test_pushed_preds_reexpand_single_table(self, catalog, join_pred):
-        glue, _ = glue_for(catalog)
-        sap = glue.resolve(Stream(frozenset({"EMP"})), extra_preds={join_pred})
+        sap = glue(
+            engine_for(catalog),
+            Stream(frozenset({"EMP"})),
+            requirements(extra_preds=[join_pred]),
+        )
         # One of the plans must exploit the EMP_DNO index with the
         # converted join predicate (not a retrofitted FILTER).
         assert any(
@@ -58,57 +66,62 @@ class TestCandidateGeneration:
 
 class TestStreamVeneers:
     def test_sort_veneer_added(self, catalog):
-        glue, engine = glue_for(catalog)
-        sap = glue.resolve(Stream(frozenset({"DEPT"}), requirements(order=[DNO])))
+        sap = glue(
+            engine_for(catalog), Stream(frozenset({"DEPT"}), requirements(order=[DNO]))
+        )
         assert all(plan.props.satisfies(requirements(order=[DNO])) for plan in sap)
         assert any(any(n.op == SORT for n in p.nodes()) for p in sap)
 
     def test_ship_veneer_added(self, distributed_catalog):
-        glue, _ = glue_for(distributed_catalog)
-        sap = glue.resolve(Stream(frozenset({"DEPT"}), requirements(site="L.A.")))
+        sap = glue(
+            engine_for(distributed_catalog),
+            Stream(frozenset({"DEPT"}), requirements(site="L.A.")),
+        )
         for plan in sap:
             assert plan.props.site == "L.A."
             assert any(n.op == SHIP for n in plan.nodes())
 
     def test_no_veneer_when_already_satisfied(self, catalog):
-        glue, _ = glue_for(catalog)
-        sap = glue.resolve(Stream(frozenset({"DEPT"}), requirements(site="local")))
+        sap = glue(
+            engine_for(catalog), Stream(frozenset({"DEPT"}), requirements(site="local"))
+        )
         assert all(not any(n.op == SHIP for n in p.nodes()) for p in sap)
 
     def test_both_ship_and_sort_orderings_generated(self, distributed_catalog):
         """Figure 3 shows both SORT-then-SHIP and SHIP-then-SORT."""
-        glue, _ = glue_for(distributed_catalog)
         stream = Stream(
             frozenset({"DEPT"}), requirements(order=[DNO], site="L.A.")
         )
-        plans = glue.resolve(stream)
+        plans = glue(engine_for(distributed_catalog), stream)
         for plan in plans:
             assert plan.props.site == "L.A."
             assert plan.props.satisfies(requirements(order=[DNO]))
 
     def test_unsortable_stream_skipped(self, catalog):
-        glue, _ = glue_for(catalog, "SELECT MGR FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO")
+        engine = engine_for(catalog, "SELECT MGR FROM DEPT, EMP WHERE DEPT.DNO = EMP.DNO")
         # Require an order on a column of EMP that EMP plans do carry —
         # then one on a column they do not: ENO is not referenced by the
         # query so it is not in the stream.
         with pytest.raises(GlueError):
-            glue.resolve(
+            glue(
+                engine,
                 Stream(
                     frozenset({"EMP"}),
                     requirements(order=[ColumnRef("EMP", "ENO")]),
-                )
+                ),
             )
 
     def test_cheapest_mode_returns_single_plan(self, catalog):
-        glue, _ = glue_for(catalog)
-        sap = glue.resolve(Stream(frozenset({"DEPT"})), mode="cheapest")
+        engine = engine_for(catalog, config=OptimizerConfig(glue_mode="cheapest"))
+        sap = glue(engine, Stream(frozenset({"DEPT"})))
         assert len(sap) == 1
 
 
 class TestMaterializeVeneers:
     def test_temp_requirement_stores_and_reaccesses(self, catalog):
-        glue, _ = glue_for(catalog)
-        sap = glue.resolve(Stream(frozenset({"DEPT"}), requirements(temp=True)))
+        sap = glue(
+            engine_for(catalog), Stream(frozenset({"DEPT"}), requirements(temp=True))
+        )
         for plan in sap:
             assert plan.props.temp
             ops = [n.op for n in plan.nodes()]
@@ -116,10 +129,10 @@ class TestMaterializeVeneers:
             assert STORE in ops
 
     def test_sideways_preds_not_baked_into_temp(self, catalog, join_pred):
-        glue, _ = glue_for(catalog)
-        sap = glue.resolve(
+        sap = glue(
+            engine_for(catalog),
             Stream(frozenset({"EMP"}), requirements(temp=True)),
-            extra_preds={join_pred},
+            requirements(extra_preds=[join_pred]),
         )
         for plan in sap:
             store = next(n for n in plan.nodes() if n.op == STORE)
@@ -129,10 +142,10 @@ class TestMaterializeVeneers:
             assert join_pred in plan.props.preds
 
     def test_paths_requirement_builds_index(self, catalog, join_pred):
-        glue, _ = glue_for(catalog)
-        sap = glue.resolve(
+        sap = glue(
+            engine_for(catalog),
             Stream(frozenset({"DEPT"}), requirements(paths=[DNO])),
-            extra_preds={join_pred},
+            requirements(extra_preds=[join_pred]),
         )
         for plan in sap:
             ops = [n.op for n in plan.nodes()]
@@ -141,13 +154,13 @@ class TestMaterializeVeneers:
             assert plan.props.has_path_on((DNO,))
 
     def test_paths_with_site_ships_first(self, distributed_catalog, join_pred):
-        glue, _ = glue_for(distributed_catalog)
-        sap = glue.resolve(
+        sap = glue(
+            engine_for(distributed_catalog),
             Stream(
                 frozenset({"DEPT"}),
                 requirements(paths=[DNO], site="L.A."),
             ),
-            extra_preds={join_pred},
+            requirements(extra_preds=[join_pred]),
         )
         for plan in sap:
             assert plan.props.site == "L.A."
@@ -157,42 +170,33 @@ class TestMaterializeVeneers:
 
 
 class TestAugment:
+    """A SAP target: the plans a rule handed over are the candidates."""
+
     def test_augment_applies_veneer_to_given_plans(self, catalog):
-        _, engine = glue_for(catalog)
-        factory: PlanFactory = engine.ctx.factory
-        scan = factory.access_base("DEPT", {DNO, MGR}, set())
-        out = engine.ctx.glue.augment(SAP([scan]), requirements(order=[DNO]))
+        engine = engine_for(catalog)
+        scan = engine.ctx.factory.access_base("DEPT", {DNO, MGR}, set())
+        out = glue(engine, SAP([scan]), requirements(order=[DNO]))
         assert all(p.props.order[:1] == (DNO,) for p in out)
 
     def test_augment_filters_missing_preds(self, catalog, mgr_pred):
-        _, engine = glue_for(catalog)
-        factory = engine.ctx.factory
-        scan = factory.access_base("DEPT", {DNO, MGR}, set())
-        out = engine.ctx.glue.augment(
-            SAP([scan]), requirements(extra_preds=[mgr_pred])
-        )
+        engine = engine_for(catalog)
+        scan = engine.ctx.factory.access_base("DEPT", {DNO, MGR}, set())
+        out = glue(engine, SAP([scan]), requirements(extra_preds=[mgr_pred]))
         assert all(mgr_pred in p.props.preds for p in out)
 
     def test_augment_unsatisfiable_raises(self, catalog):
-        _, engine = glue_for(catalog)
-        factory = engine.ctx.factory
-        scan = factory.access_base("DEPT", {MGR}, set())
+        engine = engine_for(catalog)
+        scan = engine.ctx.factory.access_base("DEPT", {MGR}, set())
         with pytest.raises(GlueError):
-            engine.ctx.glue.augment(SAP([scan]), requirements(order=[DNO]))
+            glue(engine, SAP([scan]), requirements(order=[DNO]))
 
-
-class TestFixedPlans:
-    def test_fixed_plans_used_as_candidates(self, catalog):
-        _, engine = glue_for(catalog)
-        factory = engine.ctx.factory
-        scan = factory.access_base("DEPT", {DNO, MGR}, set())
-        stream = Stream(
-            frozenset({"DEPT"}),
-            requirements(order=[DNO]),
-            fixed_plans=(scan,),
-        )
-        sap = engine.ctx.glue.resolve(stream)
+    def test_given_plans_are_the_only_candidates(self, catalog):
+        engine = engine_for(catalog)
+        scan = engine.ctx.factory.access_base("DEPT", {DNO, MGR}, set())
+        sap = glue(engine, SAP([scan]), requirements(order=[DNO]))
         # The only candidate was our scan; a SORT veneer was added to it.
         assert len(sap) == 1
         plan = next(iter(sap))
         assert plan.op == SORT and plan.inputs[0] == scan
+        # Given plans are not a stream reference.
+        assert engine.stats.glue_references == 0

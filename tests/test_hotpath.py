@@ -170,10 +170,10 @@ class TestMergePruned:
             if len(sap) < 2:
                 continue
             plans = list(sap)
-            existing = SAP(plans[::2]).pruned(model)
+            existing = merge_pruned(SAP(), SAP(plans[::2]), model)
             incoming = SAP(plans[1::2])
             merged = merge_pruned(existing, incoming, model)
-            full = existing.union(incoming).pruned(model)
+            full = merge_pruned(SAP(), existing.union(incoming), model)
             assert {p.digest for p in merged} == {p.digest for p in full}
             checked += 1
         assert checked > 0

@@ -6,7 +6,13 @@ decision and every estimate must stay byte-identical.  The fixture
 ``tests/fixtures/hotpath_parity.json`` was generated on the commit
 *before* the split (PR 11) and pins, per workload: the best plan's digest
 and cost, the full alternative set, a hash over every plan left in the
-plan table, and the expansion / plan-table / interner counters.
+plan table, the expansion / plan-table / interner counters and a hash of
+the trace (``Tracer.signature()``).  Besides the default configuration it
+pins the ones that read Glue and pruning differently: ``glue_mode=
+"cheapest"``, ``prune=False``, ``retain_site_diversity``, ``max_plans_per_
+reference=1``, the ``all`` rule set, and a DSL ``extend JMeth`` that puts
+``[temp]`` and a SORT on a SAP-valued argument (Glue's veneers on given
+plans).
 
 After an *intentional* change to the search space or the cost model,
 regenerate with ``REGEN_HOTPATH_GOLDEN=1 pytest tests/test_hotpath_parity.py``.
@@ -30,9 +36,12 @@ import weakref
 
 import pytest
 
-from repro import StarburstOptimizer, TransformationalOptimizer
+from repro import OptimizerConfig, StarburstOptimizer, TransformationalOptimizer
 from repro.catalog.statistics import ColumnStats, TableStats
+from repro.obs.trace import Tracer
 from repro.query.parser import parse_query
+from repro.stars.builtin_rules import extended_rules
+from repro.stars.dsl import parse_rules
 from repro.workloads import (
     chain_workload,
     clique_workload,
@@ -43,6 +52,7 @@ from repro.workloads import (
     star_workload,
 )
 from repro.workloads.paper import with_proj
+from tests.test_join_candidates import NESTED_JOINS
 
 GOLDEN = pathlib.Path(__file__).parent / "fixtures" / "hotpath_parity.json"
 
@@ -86,6 +96,48 @@ def _synthetic_cases():
 _SYNTHETIC = dict(_synthetic_cases())
 _PAPER = ("paper", "paper-distributed", "paper-three-table")
 
+def _all_rules():
+    return extended_rules(tid_sort=True, or_index=True, and_index=True, semijoin=True)
+
+
+def _nested_rules():
+    """A join read by a LOLEPOP and by Glue's veneers (``[temp]`` on a
+    SAP-valued argument) before any plan table sees it."""
+    return parse_rules(NESTED_JOINS, base=extended_rules())
+
+
+#: ``variant -> (config, rule set or None for the default, cases)``: the
+#: configurations that read Glue and pruning other than the default does.
+_VARIANTS = {
+    "glue-cheapest": (
+        OptimizerConfig(glue_mode="cheapest"), None,
+        ("chain4/lt10", "star4/none", "clique4/lt50", "paper", "paper-distributed"),
+    ),
+    # Unpruned, a 3-table synthetic case keeps 2 000+ alternatives.
+    "no-prune": (OptimizerConfig(prune=False), None, _PAPER),
+    "site-diversity": (
+        OptimizerConfig(retain_site_diversity=True), None,
+        ("chain5@2/none", "chain5@2/lt10", "chain5@2/lt50"),
+    ),
+    "one-plan-per-reference": (
+        OptimizerConfig(max_plans_per_reference=1), None,
+        ("chain5/lt10", "star5/none", "clique4/lt50", "paper", "paper-distributed"),
+    ),
+    "rules-all": (OptimizerConfig(), _all_rules, _PAPER),
+    "nested-joins": (
+        OptimizerConfig(), _nested_rules,
+        ("chain4/lt10", "star4/none", "clique3/none", "paper", "paper-distributed"),
+    ),
+}
+
+#: Every pinned row: a case under the default configuration, or
+#: ``case#variant``.
+_ROWS = (
+    *_SYNTHETIC,
+    *_PAPER,
+    *(f"{case}#{variant}" for variant, (_, _, cases) in _VARIANTS.items() for case in cases),
+)
+
 
 def _case(name: str, catalogs: dict):
     """One catalog per (shape, size, sites): the three selections of a
@@ -110,7 +162,15 @@ def _line(plan) -> list[str]:
     return [plan.digest, repr(plan.props.cost), repr(plan.props.card)]
 
 
-def _snapshot(result) -> dict:
+def _trace_sha(tracer: Tracer) -> str:
+    assert not tracer.dropped, "the tracer's ring buffer overflowed"
+    digest = hashlib.sha256()
+    for event in tracer.signature():
+        digest.update(repr(event).encode())
+    return digest.hexdigest()[:16]
+
+
+def _snapshot(result, tracer: Tracer) -> dict:
     table = sorted(
         (*_line(p), repr(p.props.rescan_cost))
         for p in result.engine.plan_table.all_plans()
@@ -126,6 +186,7 @@ def _snapshot(result) -> dict:
         "expansion": dataclasses.asdict(result.stats),
         "plan_table": dataclasses.asdict(result.plan_table_stats),
         "intern": dataclasses.asdict(result.engine.ctx.factory.interner.stats),
+        "trace_sha": _trace_sha(tracer),
     }
 
 
@@ -134,9 +195,18 @@ def dump() -> None:
     of its own, see :func:`snapshots`)."""
     catalogs: dict = {}
     out = {}
-    for name in (*_SYNTHETIC, *_PAPER):
-        catalog, query = _case(name, catalogs)
-        out[name] = _snapshot(StarburstOptimizer(catalog).optimize(query))
+    for name in _ROWS:
+        case, _, variant = name.partition("#")
+        config, rules = OptimizerConfig(), None
+        if variant:
+            config, make_rules, _ = _VARIANTS[variant]
+            rules = make_rules() if make_rules is not None else None
+        catalog, query = _case(case, catalogs)
+        tracer = Tracer(capacity=1 << 20)
+        result = StarburstOptimizer(
+            catalog, rules=rules, config=config, tracer=tracer
+        ).optimize(query)
+        out[name] = _snapshot(result, tracer)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 
@@ -160,7 +230,7 @@ def golden() -> dict:
 
 
 class TestGoldenParity:
-    @pytest.mark.parametrize("name", [*_SYNTHETIC, *_PAPER])
+    @pytest.mark.parametrize("name", _ROWS)
     def test_plans_costs_and_counters_are_byte_identical(
         self, name, snapshots, golden
     ):

@@ -19,7 +19,7 @@ remembers and the interner that never shares of
   the same plan objects in the same order — and every plan offered is a
   plan of the exhaustive search's final class.
 
-**Known deviations.**  The shipped dominance test (``SAP.pruned``) is not
+**Known deviations.**  The shipped dominance test (``merge_pruned``) is not
 sound for this cost model, in two ways; each is pinned by a test below,
 and together they cost the optimum on ≈ 5 % of generated instances:
 
@@ -159,36 +159,30 @@ class SoundJudge(sap._DominanceJudge):
     plan reads that the shipped record leaves out: a keeper dominates only
     with the same COLS, TID columns included, and a cost, rescan cost and
     CARD no higher in any component.  Every property function is monotone
-    in those, so a pruned plan can never have built anything cheaper."""
+    in those, so a pruned plan can never have built anything cheaper.
+    Each record carries them after the shipped fields."""
 
-    __slots__ = ("vectors",)
+    __slots__ = ()
 
     def __init__(self, plans, model, interesting, site_diversity):
         plans = tuple(plans)
         super().__init__(plans, model, interesting, site_diversity)
-        self.vectors = {id(plan): _vectors(plan) for plan in plans}
+        for plan in plans:
+            self.records[id(plan)] += (_vectors(plan),)
 
-    def dominated_by_any(self, keepers, cand) -> bool:
-        cols, card, cost, rescan = self.vectors[id(cand)]
+    def dominated(self, keepers, record) -> bool:
+        *shipped, (cols, card, cost, rescan) = record
         for kept in keepers:
-            k_cols, k_card, k_cost, k_rescan = self.vectors[id(kept)]
+            *k_shipped, (k_cols, k_card, k_cost, k_rescan) = kept
             if (
                 k_cols == cols
                 and k_card <= card
                 and all(map(operator.le, k_cost, cost))
                 and all(map(operator.le, k_rescan, rescan))
-                and super().dominated_by_any((kept,), cand)
+                and super().dominated((k_shipped,), shipped)
             ):
                 return True
         return False
-
-    def frontier(self, plans) -> list:
-        """``SAP.pruned``'s pass, on this judge's test."""
-        keep: list = []
-        for plan in self.by_cost(plans):
-            if not self.dominated_by_any(keep, plan):
-                keep.append(plan)
-        return keep
 
 
 @pytest.fixture

@@ -14,14 +14,17 @@ from repro.config import OptimizerConfig
 from repro.plans.operators import ACCESS, GET, JOIN, SHIP, SORT
 from repro.plans.plan import render_functional
 from repro.plans.properties import requirements
-from repro.plans.sap import Stream
+from repro.plans.sap import SAP, Stream
 from repro.query.expressions import ColumnRef
 from repro.stars.builtin_rules import default_rules
 from repro.stars.engine import StarEngine
+from repro.stars.glue import glue
 from repro.workloads.paper import figure1_query, paper_catalog
 
 DNO = ColumnRef("DEPT", "DNO")
 MGR = ColumnRef("DEPT", "MGR")
+#: Figure 3's requirement on DEPT.
+FIG3_REQ = requirements(order=[DNO], site="L.A.")
 
 
 @pytest.fixture()
@@ -151,12 +154,7 @@ class TestFigure3:
 
     def test_veneers_injected_per_plan(self, fig3):
         engine, plans = fig3
-        stream = Stream(
-            frozenset({"DEPT"}),
-            requirements(order=[DNO], site="L.A."),
-            fixed_plans=plans,
-        )
-        out = engine.ctx.glue.resolve(stream, mode="all")
+        out = glue(engine, SAP(plans), FIG3_REQ)
         for plan in out:
             assert plan.props.site == "L.A."
             assert plan.props.order[:1] == (DNO,)
@@ -169,29 +167,19 @@ class TestFigure3:
         """The third plan of Figure 3 (already shipped to L.A.) needs
         only a SORT veneer."""
         engine, plans = fig3
-        stream = Stream(
-            frozenset({"DEPT"}),
-            requirements(order=[DNO], site="L.A."),
-            fixed_plans=(plans[2],),
-        )
-        out = engine.ctx.glue.resolve(stream, mode="all")
+        out = glue(engine, SAP([plans[2]]), FIG3_REQ)
         shapes = {tuple(n.op for n in p.nodes()) for p in out}
         assert shapes == {(SORT, SHIP, ACCESS)}
 
     def test_cheapest_chosen(self, fig3):
         engine, plans = fig3
-        stream = Stream(
-            frozenset({"DEPT"}),
-            requirements(order=[DNO], site="L.A."),
-            fixed_plans=plans,
-        )
-        all_plans = engine.ctx.glue.resolve(stream, mode="all")
-        cheapest = engine.ctx.glue.resolve(stream, mode="cheapest")
-        assert len(cheapest) == 1
         model = engine.ctx.model
-        best = next(iter(cheapest))
+        best = glue(engine, SAP(plans), FIG3_REQ).cheapest(model)
+        augmented = [
+            glue(engine, SAP([plan]), FIG3_REQ).cheapest(model) for plan in plans
+        ]
         assert model.total(best.props.cost) == min(
-            model.total(p.props.cost) for p in all_plans
+            model.total(p.props.cost) for p in augmented
         )
 
     def test_requirements_shown_as_ears(self, fig3):
@@ -199,12 +187,7 @@ class TestFigure3:
         engine, plans = fig3
         from repro.plans.plan import render_tree
 
-        stream = Stream(
-            frozenset({"DEPT"}),
-            requirements(order=[DNO], site="L.A."),
-            fixed_plans=plans,
-        )
-        out = engine.ctx.glue.resolve(stream, mode="cheapest")
-        text = render_tree(next(iter(out)), show_properties=True)
+        best = glue(engine, SAP(plans), FIG3_REQ).cheapest(engine.ctx.model)
+        text = render_tree(best, show_properties=True)
         assert "order: DNO" in text
         assert "site: L.A." in text

@@ -20,7 +20,7 @@ from repro.executor import QueryExecutor
 from repro.executor.chaos import ChaosConfig, ChaosEngine, RetryPolicy, SimClock
 from repro.executor.network import NetworkSim
 from repro.optimizer import StarburstOptimizer
-from repro.plans.sap import SAP
+from repro.plans.sap import SAP, merge_pruned
 from repro.query.expressions import ColumnRef
 from repro.workloads import chain_workload
 
@@ -73,8 +73,8 @@ class TestSiteDiversitySingleSite:
         scan = factory.access_base("DEPT", {DNO, MGR}, frozenset())
         stored = factory.access_temp(factory.store(scan))
         sap = SAP([scan, stored])
-        plain = sap.pruned(model)
-        diverse = sap.pruned(model, site_diversity=True)
+        plain = merge_pruned(SAP(), sap, model)
+        diverse = merge_pruned(SAP(), sap, model, site_diversity=True)
         assert {p.digest for p in diverse} == {p.digest for p in plain}
 
     def test_single_site_workload_optimizes_identically(self):

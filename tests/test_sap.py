@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.cost.model import CostModel
-from repro.plans.sap import SAP, Stream, _effective_order
+from repro.plans.sap import SAP, Stream, _effective_order, merge_pruned
 from repro.plans.properties import Requirements, requirements
 from repro.query.expressions import ColumnRef
 
@@ -66,25 +66,25 @@ class TestDominance:
     def test_cheaper_same_properties_dominates(self, factory, model):
         once = factory.sort(dept_scan(factory), (DNO,))
         twice = factory.sort(once, (DNO,))  # same order, strictly pricier
-        pruned = SAP([once, twice]).pruned(model)
+        pruned = merge_pruned(SAP(), SAP([once, twice]), model)
         assert list(pruned) == [once]
 
     def test_order_protects_plan(self, factory, model):
         unsorted = dept_scan(factory)
         sorted_plan = factory.sort(unsorted, (DNO,))
-        pruned = SAP([unsorted, sorted_plan]).pruned(model)
+        pruned = merge_pruned(SAP(), SAP([unsorted, sorted_plan]), model)
         assert len(pruned) == 2  # sorted is pricier but provides an order
 
     def test_uninteresting_order_does_not_protect(self, factory, model):
         unsorted = dept_scan(factory)
         sorted_plan = factory.sort(unsorted, (MGR,))
-        pruned = SAP([unsorted, sorted_plan]).pruned(model, interesting=frozenset([DNO]))
+        pruned = merge_pruned(SAP(), SAP([unsorted, sorted_plan]), model, interesting=frozenset([DNO]))
         assert list(pruned) == [unsorted]
 
     def test_interesting_order_protects(self, factory, model):
         unsorted = dept_scan(factory)
         sorted_plan = factory.sort(unsorted, (DNO,))
-        pruned = SAP([unsorted, sorted_plan]).pruned(model, interesting=frozenset([DNO]))
+        pruned = merge_pruned(SAP(), SAP([unsorted, sorted_plan]), model, interesting=frozenset([DNO]))
         assert len(pruned) == 2
 
     def test_different_sites_both_kept(self, distributed_catalog, model):
@@ -93,13 +93,13 @@ class TestDominance:
         f = PlanFactory(distributed_catalog)
         ny = f.access_base("DEPT", {DNO, MGR}, set())
         la = f.ship(ny, "L.A.")
-        pruned = SAP([ny, la]).pruned(f.model)
+        pruned = merge_pruned(SAP(), SAP([ny, la]), f.model)
         assert len(pruned) == 2
 
     def test_temp_plan_survives_when_pricier(self, factory, model):
         scan = dept_scan(factory)
         temp = factory.access_temp(factory.store(scan))
-        pruned = SAP([scan, temp]).pruned(model)
+        pruned = merge_pruned(SAP(), SAP([scan, temp]), model)
         assert len(pruned) == 2  # temp satisfies [temp], the scan does not
 
     def test_tid_noise_does_not_protect(self, catalog, factory, model):
@@ -111,7 +111,7 @@ class TestDominance:
             factory.access_index("EMP", path), "EMP", cols
         )
         heap = factory.access_base("EMP", cols, set())
-        pruned = SAP([heap, via_index]).pruned(model, interesting=frozenset())
+        pruned = merge_pruned(SAP(), SAP([heap, via_index]), model, interesting=frozenset())
         assert list(pruned) == [heap]
 
 
@@ -179,14 +179,14 @@ def test_pruning_invariants(catalog_factory_model, data):
     factory, model = catalog_factory_model
     picks = data.draw(plan_sets((factory, model)))
     sap = SAP(picks)
-    pruned = sap.pruned(model)
+    pruned = merge_pruned(SAP(), sap, model)
     # 1. Pruning never grows the set and never empties a non-empty set.
     assert 0 < len(pruned) <= len(sap)
     # 2. The overall cheapest plan always survives.
     cheapest = sap.cheapest(model)
     assert any(p.digest == cheapest.digest for p in pruned)
     # 3. Idempotence.
-    assert {p.digest for p in pruned.pruned(model)} == {p.digest for p in pruned}
+    assert {p.digest for p in merge_pruned(SAP(), pruned, model)} == {p.digest for p in pruned}
     # 4. Every pruned-away plan is dominated on cost by some survivor
     #    with the same site.
     for plan in sap:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation lint (run in CI as a required step).
 
-Six checks, all cheap and purely static:
+Seven checks, all cheap; the first six are purely static:
 
 1. **Module docstrings** — every public module under ``src/repro/``
    (anything not starting with ``_``, plus ``__init__.py`` and
@@ -36,6 +36,12 @@ Six checks, all cheap and purely static:
    ``CATEGORIES`` must match the category table of that module's
    docstring row for row, so an emitted event can never fail the schema
    it is exported under.
+7. **Dotted names resolve** — every dotted ``repro.…`` name in
+   ``README.md``, ``DESIGN.md`` and ``docs/*.md``, and every
+   ``:class:`` / ``:func:`` / ``:meth:`` / ``:mod:`` cross-reference to
+   ``repro.…`` under ``src/repro/``, must resolve by import (the longest
+   importable module prefix, then attributes), so deleting or renaming
+   a class cannot leave prose pointing at it.
 
 Exit status 0 when clean, 1 with one ``error:`` line per problem.
 """
@@ -43,6 +49,7 @@ Exit status 0 when clean, 1 with one ``error:`` line per problem.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -379,10 +386,59 @@ def check_trace_categories() -> list[str]:
     return errors
 
 
+#: A dotted ``repro.…`` name in prose (not part of a path or a longer name).
+_DOTTED_NAME = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
+#: A Sphinx-style cross-reference to a ``repro.…`` name.
+_CROSS_REF = re.compile(r":(?:class|func|meth|mod):`~?(repro(?:\.\w+)+)`")
+
+
+def resolves(name: str) -> bool:
+    """Does ``name`` import: its longest importable module prefix, then
+    one attribute per remaining part?"""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            found = importlib.import_module(module)
+        except ModuleNotFoundError as exc:
+            if exc.name is not None and module.startswith(exc.name):
+                continue
+            raise
+        for attr in parts[cut:]:
+            if not hasattr(found, attr):
+                return False
+            found = getattr(found, attr)
+        return True
+    return False
+
+
+def named_objects() -> list[tuple[str, str]]:
+    """``(where, name)``: each distinct dotted name per doc, then each
+    cross-reference in ``src/repro/``."""
+    found = []
+    for doc in [README, REPO / "DESIGN.md", *sorted((REPO / "docs").glob("*.md"))]:
+        for name in sorted(set(_DOTTED_NAME.findall(doc.read_text()))):
+            found.append((str(doc.relative_to(REPO)), name))
+    for path in sorted(SRC.rglob("*.py")):
+        for name in _CROSS_REF.findall(path.read_text()):
+            found.append((str(path.relative_to(REPO)), name))
+    return found
+
+
+def check_named_objects() -> list[str]:
+    sys.path.insert(0, str(SRC.parent))
+    return [
+        f"{where}: names {name}, which does not resolve by import"
+        for where, name in named_objects()
+        if not resolves(name)
+    ]
+
+
 def main() -> int:
     errors = (
         check_docstrings() + check_cli_doc() + check_backends_doc()
         + check_layer_numbers() + check_named_files() + check_trace_categories()
+        + check_named_objects()
     )
     for error in errors:
         print(f"error: {error}", file=sys.stderr)
@@ -390,11 +446,12 @@ def main() -> int:
     subcommands = len(registered_flags())
     lolepops = len(declared_lolepops())
     categories = len(declared_categories())
+    names = len(named_objects())
     verdict = "PASS" if not errors else f"FAIL ({len(errors)} problem(s))"
     print(
         f"docs lint: {verdict} — {modules} module(s), "
         f"{subcommands} subcommand(s), {lolepops} LOLEPOP(s), "
-        f"{categories} trace categories checked"
+        f"{categories} trace categories, {names} dotted name(s) checked"
     )
     return 1 if errors else 0
 
