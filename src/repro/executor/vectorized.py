@@ -29,10 +29,15 @@ an *index-probe chain* — ``ACCESS(index)`` under any run of ``GET`` and
 ``FILTER``, on a base table or a temp, its leading key columns bound by
 ``col = expr`` predicates (:func:`~repro.executor.keys.probe_key_exprs`)
 — the join works per outer *batch*: the probe keys are evaluated
-column-wise, the B-tree is looked up once per outer row
-(:meth:`~repro.storage.btree.BTree.lookup`), the matches are gathered
-beside their outer rows into one batch, and the ACCESS, GET, FILTER and
-join predicates each run once over that batch.  Rows come out
+column-wise, each run of outer rows with a whole key is one batch probe
+of the B-tree (:meth:`~repro.storage.btree.BTree.lookup_many`: a dict
+lookup per key in the tree's directory, charged exactly what one
+:meth:`~repro.storage.btree.BTree.lookup` per key charges), the matches
+are gathered beside their outer rows into one batch, and the ACCESS,
+GET, FILTER and join predicates each run once over that batch — less
+the ``key column = outer column`` equalities the lookup itself matched
+(:func:`_covered_by_probe`), which neither the ACCESS nor the join
+checks again.  Rows come out
 outer-major and in index-key order within a probe, ``tuples_flowed``,
 ``page_reads`` and ``index_reads`` are what per-row re-execution
 charges, each fused inner node is booked one open per outer row
@@ -41,7 +46,7 @@ carrying ``rows=`` and ``opens=``; only ``stats.batches`` differs.
 Every other inner, and any outer row whose probe key fails to evaluate
 or holds a NULL (it degenerates to a wider scan whose reads count), is
 bound into a :class:`~repro.query.expressions.RowContext` and
-re-executes the inner subplan for that row.
+re-executes the inner subplan for that row, checking every predicate.
 
 The hash-join table.  ``JOIN(HA)`` buffers its inner side column-wise and
 maps each build key to global row numbers.  Which table it builds follows
@@ -69,9 +74,9 @@ beside the operator in EXPLAIN ANALYZE.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_not
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.errors import CardinalityViolation, ExecutionError
 from repro.executor.batch_ops import (
@@ -116,7 +121,7 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PlanNode
 from repro.query.expressions import ColumnRef, RowContext
-from repro.query.predicates import Predicate
+from repro.query.predicates import Comparison, Predicate
 from repro.storage.heap import RID
 from repro.storage.table import Database, IndexData, TableData, tid_column
 
@@ -403,10 +408,14 @@ class _BatchRun:
     ) -> Iterator[ColumnBatch]:
         index = data.index(node.param("path").name)
         prefix = probe_bounds(self._probe_exprs(node, index), bindings)
+        preds: frozenset[Predicate] = node.param("preds") or frozenset()
         for chunk in batches_of(
             index.tree.scan_range(lo=prefix, hi=prefix), self.batch_size
         ):
-            yield self._index_batch(node, data, index, chunk, {}, bindings)
+            keys, values = zip(*chunk)
+            yield self._index_batch(
+                node, data, index, keys, values, {}, preds, bindings
+            )
 
     def _probe_exprs(self, node: PlanNode, index: IndexData) -> tuple:
         try:
@@ -422,23 +431,25 @@ class _BatchRun:
         node: PlanNode,
         data: TableData,
         index: IndexData,
-        chunk: list,
+        keys: Sequence[tuple],
+        values: Sequence[tuple],
         carried: dict[ColumnRef, list],
+        preds: frozenset[Predicate],
         bindings: RowContext | None,
     ) -> ColumnBatch:
-        """Index entries ``(key, (rid, stored row))`` to one output batch
-        of the ACCESS.  ``carried`` (empty but in the probe kernel) holds,
-        entry for entry, the columns of the outer row each entry was
-        looked up for; they ride along in front of the ACCESS's own."""
+        """Index entries (``keys[i]`` and its ``(rid, stored row)`` value
+        ``values[i]``) to one output batch of the ACCESS, filtered by
+        ``preds``.  ``carried`` (empty but
+        in the probe kernel) holds, entry for entry, the columns of the
+        outer row each entry was looked up for; they ride along in front
+        of the ACCESS's own."""
         columns = node.param("columns") or node.props.cols
-        preds: frozenset[Predicate] = node.param("preds") or frozenset()
         tid = tid_column(index.key_columns[0].table)
         # Evaluation columns cover everything the entry carries (key
         # columns, the stored row of a clustered index, and the TID):
         # predicates may reference key columns the plan does not project.
         eval_cols: dict[ColumnRef, list] = {
-            c: [key[i] for key, _ in chunk]
-            for i, c in enumerate(index.key_columns)
+            c: column_of(keys, i) for i, c in enumerate(index.key_columns)
         }
         if index.clustered:
             for column in data.schema:
@@ -447,14 +458,14 @@ class _BatchRun:
                 pos = data.position(column)
                 eval_cols[column] = [
                     None if stored is None else stored[pos]
-                    for _, (_, stored) in chunk
+                    for _, stored in values
                 ]
-        eval_cols[tid] = [rid for _, (rid, _) in chunk]
+        eval_cols[tid] = column_of(values, 0)
         eval_cols = {**carried, **eval_cols}
         role = "probe" if carried else "scan"
         filt = self._filter_for(node, role, preds, frozenset(eval_cols))
         batch = apply_filter(
-            ColumnBatch(eval_cols, len(chunk)), filt, bindings
+            ColumnBatch(eval_cols, len(keys)), filt, bindings
         ).compact()
         cols = {c: batch.columns[c] for c in carried}
         cols[tid] = batch.columns[tid]
@@ -580,8 +591,9 @@ class _BatchRun:
         preds: frozenset[Predicate],
         chunk: ColumnBatch,
         bindings: RowContext | None,
+        role: str = "check",
     ) -> ColumnBatch:
-        filt = self._filter_for(node, "check", preds, frozenset(chunk.columns))
+        filt = self._filter_for(node, role, preds, frozenset(chunk.columns))
         return apply_filter(chunk, filt, bindings)
 
     def _join_nl(
@@ -589,15 +601,15 @@ class _BatchRun:
     ) -> Iterator[ColumnBatch]:
         outer, inner = node.inputs
         preds = self._join_predicates(node)
-        chain = _probe_chain(inner)
+        stages = _probe_chain(inner)
         builder = BatchBuilder(self.batch_size)
         for obatch in self.execute(outer, bindings):
             obatch = obatch.compact()
-            if chain is None:
+            if stages is None:
                 rows = range(obatch.length)
                 yield from self._nl_rows(node, preds, obatch, rows, bindings, builder)
             else:
-                yield from self._nl_probe(node, preds, chain, obatch, bindings, builder)
+                yield from self._nl_probe(node, preds, stages, obatch, bindings, builder)
         yield from builder.flush()
 
     def _nl_rows(
@@ -630,7 +642,7 @@ class _BatchRun:
         self,
         node: PlanNode,
         preds: frozenset[Predicate],
-        chain: tuple[PlanNode, ...],
+        stages: tuple[PlanNode, ...],
         obatch: ColumnBatch,
         bindings: RowContext | None,
         builder: BatchBuilder,
@@ -638,8 +650,11 @@ class _BatchRun:
         """The probe kernel: one outer batch against an index-probe chain
         (module docstring).  Maximal runs of outer rows with a whole key
         go through the chain as one batch; a row between two runs takes
-        the per-row route in its place, so output stays outer-major."""
-        access = chain[-1]
+        the per-row route in its place, so output stays outer-major.
+        On the kernel route the equalities the lookup guarantees
+        (:func:`_covered_by_probe`) are not checked again, neither by the
+        ACCESS nor by the join; the per-row route checks every predicate."""
+        access = stages[-1]
         data = self._index_data(access)
         index = data.index(access.param("path").name)
         exprs = self._probe_exprs(access, index)
@@ -649,19 +664,24 @@ class _BatchRun:
             per_row = [i for i, k in enumerate(keys) if k is None or None in k]
         else:  # no key column bound: every probe is a full index scan
             keys, per_row = [], range(n)
+        access_preds: frozenset[Predicate] = access.param("preds") or frozenset()
+        covered = _covered_by_probe(index.key_columns, exprs, access_preds | preds)
+        access_preds -= covered
+        check = preds - covered
         start = 0
         for stop in (*per_row, n):
             if stop > start:
                 opens = stop - start
                 found = self._probe_access(
-                    access, data, index, obatch, keys[start:stop], start, bindings
+                    access, data, index, obatch, keys[start:stop], start,
+                    access_preds, bindings,
                 )
                 stream = self._stream(access, found, opens)
-                for stage in reversed(chain[:-1]):
+                for stage in reversed(stages[:-1]):
                     run = self._get if stage.op == GET else self._filter
                     stream = self._stream(stage, run(stage, bindings, stream), opens)
                 for chunk in stream:
-                    chunk = self._check_filter(node, preds, chunk, bindings)
+                    chunk = self._check_filter(node, check, chunk, bindings, "probe")
                     yield from builder.append_batch(chunk)
             if stop < n:
                 row = (stop,)
@@ -676,21 +696,20 @@ class _BatchRun:
         obatch: ColumnBatch,
         keys: list[tuple],
         start: int,
+        preds: frozenset[Predicate],
         bindings: RowContext | None,
     ) -> Iterator[ColumnBatch]:
-        """Look up one key per outer row (``keys[i]`` belongs to outer
-        row ``start + i``) and gather the matches beside their rows."""
-        lookup = index.tree.lookup
-        orep: list[int] = []
-        entries: list = []
-        for oi, key in enumerate(keys, start):
-            found = lookup(key)
-            if found:
-                orep.extend([oi] * len(found))
-                entries.extend(found)
-        if entries:
+        """Look up every key in one batch probe (``keys[i]`` belongs to
+        outer row ``start + i``), gather the matches beside their rows
+        and filter them by ``preds``."""
+        counts, entry_keys, values = index.tree.lookup_many(keys)
+        if entry_keys:
+            rows = range(start, start + len(keys))
+            orep = list(chain.from_iterable(map(repeat, rows, counts)))
             carried = {c: gather(col, orep) for c, col in obatch.columns.items()}
-            yield self._index_batch(node, data, index, entries, carried, bindings)
+            yield self._index_batch(
+                node, data, index, entry_keys, values, carried, preds, bindings
+            )
 
     def _join_ha(
         self, node: PlanNode, bindings: RowContext | None
@@ -1018,14 +1037,40 @@ class _BatchRun:
 def _probe_chain(inner: PlanNode) -> tuple[PlanNode, ...] | None:
     """The nodes of an index-probe chain, top-down — any run of GET and
     FILTER over an ``ACCESS(index)`` — or ``None`` for any other shape."""
-    chain = []
+    nodes = []
     node = inner
     while node.op in (GET, FILTER):
-        chain.append(node)
+        nodes.append(node)
         node = node.inputs[0]
     if node.op == ACCESS and node.flavor == "index":
-        return (*chain, node)
+        return (*nodes, node)
     return None
+
+
+def _covered_by_probe(
+    key_columns: tuple[ColumnRef, ...],
+    exprs: tuple[tuple, ...],
+    preds: frozenset[Predicate],
+) -> frozenset[Predicate]:
+    """The predicates of ``preds`` a probe's lookup already guarantees:
+    ``key column = outer column`` for each probed key column whose first
+    :func:`~repro.executor.keys.probe_key_exprs` candidate (the one the
+    kernel probes with) is a bare column.  The lookup matched exactly that
+    value and neither side is NULL on the kernel route, so the equality
+    holds for every entry found; a second candidate, an expression key, an
+    unprobed key column or any other predicate stays checked (the rule
+    ``_join_ha`` applies to bare-column hash sides)."""
+    pairs = {
+        frozenset((column, candidates[0]))
+        for column, candidates in zip(key_columns, exprs)
+        if isinstance(candidates[0], ColumnRef)
+    }
+    return frozenset(
+        p for p in preds
+        if isinstance(p, Comparison)
+        and p.op == "="
+        and frozenset((p.left, p.right)) in pairs
+    )
 
 
 def _group_keys(batch: ColumnBatch, key: tuple[ColumnRef, ...]) -> list[tuple]:

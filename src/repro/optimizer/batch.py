@@ -31,7 +31,7 @@ from repro.cost.model import CostWeights
 from repro.errors import ReproError
 from repro.plans.plan import PlanNode
 from repro.query.query import QueryBlock
-from repro.query.template import PlanKey, query_key
+from repro.query.template import QueryKey, query_key
 from repro.stars.ast import RuleSet
 
 
@@ -142,8 +142,9 @@ def _dedup_plan(
 ) -> tuple[list[tuple[int, QueryBlock | str]], dict[int, int]]:
     """Split a batch into unique payloads and a clone → original map.
 
-    Queries sharing the exact canonical (TABLES, PREDS) key (the shared
-    :func:`repro.query.template.query_key` — table/predicate order never
+    Queries sharing the exact query key (the shared
+    :func:`repro.query.template.query_key`: tables, predicates,
+    projection, ORDER BY and result site; table/predicate order never
     matters) are provably the same optimization problem; only the first
     of each class is optimized, the rest copy its result.  SQL text is
     parsed once here so string and block spellings of one query dedup
@@ -153,7 +154,7 @@ def _dedup_plan(
 
     unique: list[tuple[int, QueryBlock | str]] = []
     clones: dict[int, int] = {}
-    first_for_key: dict[PlanKey, int] = {}
+    first_for_key: dict[QueryKey, int] = {}
     for index, query in enumerate(queries):
         block = parse_query(query, catalog) if isinstance(query, str) else query
         key = query_key(block)
@@ -183,7 +184,8 @@ def optimize_many(
     position *i* and each optimization is fully isolated — memo, interner
     and plan table live and die with its engine.
 
-    ``dedup`` optimizes each exact (TABLES, PREDS) equivalence class once
+    ``dedup`` optimizes each exact query
+    (:func:`repro.query.template.query_key`) once
     and fans the result out to its duplicates (marked ``deduped``) — the
     batch-side counterpart of the serving layer's plan-template cache.
     """

@@ -2,9 +2,11 @@
 
 Millions of users mostly issue the *same* query shapes with different
 constants.  The cache keys on the canonicalized template
-(:func:`repro.query.template.template_key` — tables sorted, predicate
-shapes with literals abstracted), so ``R0.VAL < 5`` and ``R0.VAL < 9``
-share an entry, and guards every reuse twice:
+(:func:`repro.query.template.query_template` — tables sorted, predicate
+and projection shapes with literals abstracted, ORDER BY items, result
+site), so ``R0.VAL < 5`` and ``R0.VAL < 9`` share an entry while two
+SELECT lists, ORDER BY clauses or result sites over one FROM / WHERE do
+not, and guards every reuse twice:
 
 * **selectivity band** — each entry remembers a cheap catalog-statistics
   estimate of the cached query's result cardinality (its *band center*);
@@ -43,7 +45,7 @@ from repro.query.query import QueryBlock
 from repro.query.template import (
     PlanKey,
     TemplateKey,
-    query_key,
+    canonical_key,
     query_template,
 )
 
@@ -87,8 +89,8 @@ class TemplateEntry:
     #: Cheap catalog-statistics estimate for the same query — the center
     #: of the selectivity band incoming queries must fall into.
     band_center: float
-    #: The exact equivalence-class key of the optimized query; the drift
-    #: check looks this up in the feedback cache.
+    #: The exact (TABLES, PREDS) equivalence-class key of the optimized
+    #: query; the drift check looks this up in the feedback cache.
     exact_key: PlanKey
     #: Degradation tier that produced the plan (``full`` / ``anytime``).
     tier: str = "full"
@@ -245,7 +247,7 @@ class PlanTemplateCache:
             best_cost=best_cost,
             estimated_card=max(_MIN_CARD, plan.props.card),
             band_center=self.estimate_card(query),
-            exact_key=query_key(query),
+            exact_key=canonical_key(query.table_set, query.predicates),
             tier=tier,
         )
         self._entries[key] = entry

@@ -8,9 +8,11 @@ for everyone.  :class:`TemplateQuarantine` is the circuit breaker at the
 template level:
 
 * every pool **crash or timeout** charges one *strike* against the
-  request's template key (the canonical structure key of
-  :func:`repro.query.template.query_template` — parameter-insensitive,
-  so one poison parameterization quarantines its whole shape);
+  request's (TABLES, PREDS) template key
+  (:func:`repro.query.template.template_key` — parameter-insensitive
+  and blind to the SELECT list, ORDER BY and result site, so one poison
+  parameterization quarantines its whole FROM / WHERE shape, however it
+  is projected);
 * at ``strikes`` strikes the template is **quarantined**: subsequent
   requests for it are served by the in-loop heuristic tier without ever
   touching the pool — the query still gets a plan, the workers stay

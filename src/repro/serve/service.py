@@ -96,7 +96,7 @@ from repro.optimizer.batch import BatchSpec
 from repro.optimizer.optimizer import StarburstOptimizer
 from repro.query.parser import parse_query
 from repro.query.query import QueryBlock
-from repro.query.template import query_template
+from repro.query.template import template_key
 from repro.robust.feedback import FeedbackCache
 from repro.serve.cache import PlanTemplateCache
 from repro.serve.pool import (
@@ -926,12 +926,16 @@ class OptimizerService:
         if (
             self.pool is not None
             and tier in (TIER_FULL, TIER_ANYTIME)
-            and self.quarantine.is_quarantined(query_template(query))
+            and self.quarantine.is_quarantined(
+                template_key(query.table_set, query.predicates)
+            )
         ):
             # A quarantined template never reaches the pool: its query
             # still gets a plan, from the in-loop heuristic path.
             response.quarantined = True
-            self.quarantine.served(query_template(query))
+            self.quarantine.served(
+                template_key(query.table_set, query.predicates)
+            )
             tier = TIER_HEURISTIC
         if tier != TIER_HEURISTIC:
             # The budget *shape* optimize_under_limits builds a budget
@@ -976,7 +980,9 @@ class OptimizerService:
                 # tier — a pool failure never fails the request.
                 response.pool_failure = answer.failure
                 if answer.failure in ("crash", "timeout"):
-                    self.quarantine.strike(query_template(query))
+                    self.quarantine.strike(
+                        template_key(query.table_set, query.predicates)
+                    )
                 self.metrics.inc("serve.pool_fallbacks")
                 if self.tracer is not None:
                     self.tracer.instant(

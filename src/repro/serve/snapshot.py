@@ -50,8 +50,10 @@ from repro.query.template import PlanKey, TemplateKey
 from repro.robust.feedback import FeedbackCache
 from repro.serve.cache import PlanTemplateCache, TemplateEntry
 
-#: Bump on any incompatible change to the header or entry schema.
-SNAPSHOT_VERSION = 1
+#: Bump on any incompatible change to the header or entry schema.  2: a
+#: template key gained the projection and ORDER BY shapes and the result
+#: site, so a version-1 key could never be hit again.
+SNAPSHOT_VERSION = 2
 
 #: The header's ``type`` tag (guards against loading arbitrary JSONL).
 SNAPSHOT_TYPE = "repro_snapshot"

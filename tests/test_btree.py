@@ -239,6 +239,14 @@ def charged(tree, scan):
     return entries, tree._io.index_reads - before
 
 
+def batch_probe(tree, *prefixes):
+    """``lookup_many``'s answer in ``lookup``'s shape: the ``(key,
+    value)`` entries of every prefix, in prefix order."""
+    counts, keys, values = tree.lookup_many(list(prefixes))
+    assert len(counts) == len(prefixes) and sum(counts) == len(keys) == len(values)
+    return list(zip(keys, values))
+
+
 def leaf_edges(tree):
     """First and last key of every leaf: where a match ends exactly at a
     leaf boundary, and where it starts on one."""
@@ -271,6 +279,7 @@ class TestBisectMatchesLinearWalk:
             want = charged(tree, lambda: linear_scan(tree, (key,), (key,)))
             assert charged(tree, lambda: tree.scan_prefix((key,))) == want
             assert charged(tree, lambda: tree.lookup((key,))) == want
+            assert charged(tree, lambda: batch_probe(tree, (key,))) == want
             values, reads = charged(tree, lambda: tree.search((key,)))
             assert (values, reads) == ([v for _, v in want[0]], want[1])
 
@@ -278,11 +287,12 @@ class TestBisectMatchesLinearWalk:
         edges = leaf_edges(tree)
         last_of_a_leaf = edges[1:-1:2]
         assert last_of_a_leaf, "tree too small to have an inner leaf boundary"
-        for key in last_of_a_leaf:
-            entries, reads = charged(tree, lambda: tree.lookup(key))
-            assert entries and reads == tree.height + 1
-        entries, reads = charged(tree, lambda: tree.lookup(edges[-1]))
-        assert entries and reads == tree.height  # no leaf after the last
+        for probe in (tree.lookup, lambda key: batch_probe(tree, key)):
+            for key in last_of_a_leaf:
+                entries, reads = charged(tree, lambda: probe(key))
+                assert entries and reads == tree.height + 1
+            entries, reads = charged(tree, lambda: probe(edges[-1]))
+            assert entries and reads == tree.height  # no leaf after the last
 
     @pytest.mark.parametrize("lo_inclusive", [True, False])
     @pytest.mark.parametrize("hi_inclusive", [True, False])
@@ -321,20 +331,91 @@ def test_composite_prefixes_match_linear_walk(order):
         want = charged(tree, lambda: linear_scan(tree, (a,), (a,)))
         assert [k for k, _ in want[0]] == sorted(p for p in pairs if p[0] == a)
         assert charged(tree, lambda: tree.lookup((a,))) == want
+        assert charged(tree, lambda: batch_probe(tree, (a,))) == want
         assert charged(tree, lambda: tree.scan_prefix((a,))) == want
         # A prefix finds nothing "stored under exactly" it.
         assert charged(tree, lambda: tree.search((a,))) == ([], want[1])
         for b in range(-1, 6):
             want = charged(tree, lambda: linear_scan(tree, (a, b), (a, b)))
             assert charged(tree, lambda: tree.lookup((a, b))) == want
+            assert charged(tree, lambda: batch_probe(tree, (a, b))) == want
         for inclusive in (True, False):
             args = ((a,), (a + 4, 1), inclusive, inclusive)
             want = charged(tree, lambda: linear_scan(tree, *args))
             assert charged(tree, lambda: tree.scan_range(*args)) == want
     assert charged(tree, lambda: tree.lookup(())) == charged(tree, tree.scan_all)
+    assert charged(tree, lambda: batch_probe(tree, ())) == charged(tree, tree.scan_all)
 
 
 def test_lookup_on_an_empty_tree_reads_the_root():
     tree = make_tree()
     assert charged(tree, lambda: tree.lookup((1,))) == ([], 1)
+    assert charged(tree, lambda: batch_probe(tree, (1,))) == ([], 1)
     assert charged(tree, lambda: tree.scan_prefix((1,))) == ([], 1)
+
+
+# ---------------------------------------------------------------------------
+# The batch probe against the per-prefix lookup it stands for
+# ---------------------------------------------------------------------------
+
+
+def separators(tree):
+    """Every separator of every internal node."""
+    found, nodes = [], [tree._root]
+    while nodes:
+        node = nodes.pop()
+        if not hasattr(node, "values"):
+            found += node.keys
+            nodes += node.children
+    return found
+
+
+def per_prefix(tree, prefixes):
+    """The reference: one ``lookup`` per prefix, charged."""
+    found = [charged(tree, lambda: tree.lookup(p)) for p in prefixes]
+    return [len(entries) for entries, _ in found], found
+
+
+def assert_batch_matches_lookups(tree, prefixes):
+    counts, found = per_prefix(tree, prefixes)
+    before = tree._io.index_reads
+    got_counts, keys, values = tree.lookup_many(prefixes)
+    assert tree._io.index_reads - before == sum(reads for _, reads in found)
+    assert got_counts == counts
+    assert list(zip(keys, values)) == [e for entries, _ in found for e in entries]
+
+
+@settings(deadline=None)
+@given(
+    order=st.integers(3, 64),
+    width=st.integers(1, 3),
+    unique=st.booleans(),
+    data=st.data(),
+)
+def test_lookup_many_matches_per_prefix_lookups(order, width, unique, data):
+    """Entries, per-prefix counts and ``index_reads`` equal one
+    ``lookup`` per prefix: duplicate and composite keys, prefixes of
+    every width, misses below, between and above every key, prefixes of
+    leaf edges and separators, the empty tree, and an insert after a
+    batch probe (the directory is rebuilt)."""
+    even = st.integers(0, 12).map(lambda v: 2 * v)  # odd values fall between
+    keys = data.draw(st.lists(st.tuples(*[even] * width), max_size=240))
+    if unique:
+        keys = list(dict.fromkeys(keys))
+    tree = BTree(IOAccounting(), order=order, unique=unique)
+    for value, key in enumerate(keys):
+        tree.insert(key, value)
+    edges = (leaf_edges(tree) if keys else []) + separators(tree)
+    probe = st.tuples(*[st.integers(-1, 26)] * width)
+    drawn = data.draw(st.lists(probe, max_size=40))
+    prefixes = [
+        key[:cut]
+        for key in [*drawn, *keys[:20], *edges]
+        for cut in range(width + 1)
+    ]
+    prefixes = data.draw(st.permutations(prefixes))
+    assert_batch_matches_lookups(tree, prefixes)
+    extra = data.draw(probe)
+    if not (unique and extra in keys):
+        tree.insert(extra, -1)
+        assert_batch_matches_lookups(tree, prefixes + [extra, extra[:1]])

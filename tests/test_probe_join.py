@@ -7,7 +7,9 @@ case here must agree exactly with the reference iterator
 (``tests/reference_executor.py``) on rows (values and order),
 ``tuples_flowed``, ``page_reads``, ``index_reads`` and per-node
 ``[rows, opens]`` — exact, not up to read-ahead, because an NL join
-drains every inner stream.
+drains every inner stream.  That includes the cases where the kernel
+skips the equalities its lookup already matched (``_covered_by_probe``)
+and the per-row route beside it, which checks every predicate.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from repro.catalog import AccessPath, Catalog, TableDef
 from repro.catalog.catalog import make_columns
 from repro.cost.propfuncs import PlanFactory
 from repro.errors import ExecutionError
+from repro.executor.keys import probe_key_exprs
+from repro.executor.vectorized import _covered_by_probe
 from repro.plans.plan import PlanNode
 from repro.query.expressions import Arith, ColumnRef, Literal
 from repro.query.predicates import Comparison
@@ -43,9 +47,12 @@ def cmp(op: str, left, right) -> Comparison:
 def build() -> tuple[Catalog, Database]:
     """O is the outer (20 % NULL keys, keys 150.. match nothing); I has
     every key 0..149 three times, so its indexes are two levels deep and
-    probe groups straddle leaves; C is B-tree organized; E is empty."""
+    probe groups straddle leaves; C is B-tree organized; E is empty.  P
+    is a second outer: NULLs in K and in M, and L equal to K on two rows
+    of three."""
     catalog = Catalog()
     catalog.add_table(TableDef("O", make_columns("K", "V", "X")))
+    catalog.add_table(TableDef("P", make_columns("K", "L", "M")))
     catalog.add_table(TableDef("N", make_columns("K")))
     catalog.add_table(TableDef("G", make_columns("K")))
     catalog.add_table(TableDef("I", make_columns("K", "W", "Z")))
@@ -58,11 +65,19 @@ def build() -> tuple[Catalog, Database]:
     catalog.add_index(AccessPath("T_K", "T", ("K",)))
     catalog.add_index(AccessPath("E_K", "E", ("K",)))
     database = Database(catalog)
-    for table in ("O", "N", "G", "I", "C", "T", "E"):
+    for table in ("O", "P", "N", "G", "I", "C", "T", "E"):
         database.create_storage(table)
     database.load(
         "O", [(None if k % 5 == 0 else (k * 7) % 165, k, k % 4) for k in range(40)]
     )
+    # The first rows are whole keys, so the kernel compiles its filters
+    # before any row takes the per-row route.
+    p_keys = [None if k % 7 == 3 else (k * 5) % 160 for k in range(48)]
+    database.load("P", [
+        (key, (k * 3) % 150 if key is None or k % 3 == 0 else key,
+         None if k % 5 == 2 else k % 7)
+        for k, key in enumerate(p_keys)
+    ])
     database.load("G", [((k * 11) % 100,) for k in range(160)])
     database.load("I", [(k % 150, k % 7, k) for k in range(450)])
     database.load("C", [((k * 3) % 100, k) for k in range(200)])
@@ -121,6 +136,24 @@ def cases(catalog: Catalog) -> dict[str, PlanNode]:
     plans["nested-get"] = nl(
         outer, nl(probe_i({eq}), f.get(probe_t, "T", {col("T.U")}), {teq}), {eq}
     )
+    # Which equalities the kernel's lookup covers (test_covered_predicates).
+    p_outer = f.access_base("P", {col("P.K"), col("P.L"), col("P.M")}, set())
+    peq = cmp("=", "I.K", "P.K")
+    null_second = {peq, cmp("=", "I.W", "P.M")}  # a NULL M: per row
+    plans["null-second-key"] = nl(  # the join checks nothing: ACCESS must
+        p_outer, probe_i(null_second, "I_KW", ("I.K", "I.W")), set()
+    )
+    leading = {peq, cmp("<", "I.W", "P.M")}  # probed on K only
+    plans["leading-only"] = nl(p_outer, probe_i(leading, "I_KW", ("I.K", "I.W")), {peq})
+    expression = {
+        cmp("=", "I.K", Arith("+", col("P.L"), Literal(0))), cmp("=", "I.W", "P.M")
+    }
+    plans["expression-first"] = nl(
+        p_outer, probe_i(expression, "I_KW", ("I.K", "I.W")), expression
+    )
+    second = {peq, cmp("=", "I.K", "P.L")}  # P.K is probed, P.L checked
+    plans["second-bare-candidate"] = nl(p_outer, probe_i(second), second)
+    plans["join-only-equality"] = nl(p_outer, probe_i({peq}), second)
     plans["empty-outer"] = nl(empty_outer, probe_i({cmp("=", "N.K", "I.K")}), set())
     eeq = cmp("=", "E.K", "O.K")
     plans["empty-index"] = nl(
@@ -185,6 +218,56 @@ def test_cases_cover_the_data_shapes(env):
     # of those scans the whole index, which is most of the reads.
     assert counts[-1][1] == len(keys)
     assert stats["index_reads"] // keys.count(None) >= 5  # leaves per scan
+
+
+COVERED = {
+    "bare": ["O.K = I.K"],
+    "composite-full": ["I.W = O.X", "O.K = I.K"],
+    "two-candidates": [],  # the literal is the first candidate
+    "arithmetic": [],
+    "null-second-key": ["I.K = P.K", "I.W = P.M"],
+    "leading-only": ["I.K = P.K"],
+    "expression-first": ["I.W = P.M"],
+    "second-bare-candidate": ["I.K = P.K"],
+    "join-only-equality": ["I.K = P.K"],
+}
+
+
+@pytest.mark.parametrize("name", COVERED)
+def test_covered_predicates(env, name):
+    """Exactly the ``key column = outer column`` equalities of the first
+    candidate of each probed key column are left to the lookup."""
+    database, plans = env
+    join = plans[name]
+    access = join.inputs[1]
+    index = database.table(access.param("table")).index(access.param("path").name)
+    preds = access.param("preds") | join.param("join_preds")
+    exprs = probe_key_exprs(index.key_columns, access.param("preds"))
+    covered = _covered_by_probe(index.key_columns, exprs, preds)
+    assert sorted(map(str, covered)) == COVERED[name]
+
+
+def test_the_per_row_route_checks_every_predicate(env):
+    """Rows of P with a NULL key take the per-row route, inside batches
+    that also go through the kernel: a NULL K scans the whole index, a
+    NULL M the run of its K, and only the equality the kernel skips
+    drops what either scan finds."""
+    database, plans = env
+    outer = [row for _, row in database.table("P").scan()]
+    inner = [row for _, row in database.table("I").scan()]
+    assert 0 < sum(1 for k, _, m in outer if k is None or m is None) < len(outer)
+    rows, _, counts = check(database, plans["null-second-key"], 7)
+    assert len(rows) == sum(
+        1 for k, _, m in outer for ik, iw, _ in inner
+        if k is not None and m is not None and (ik, iw) == (k, m)
+    )
+    assert counts[-1][1] == len(outer)
+    for name in ("second-bare-candidate", "join-only-equality"):
+        rows, _, _ = check(database, plans[name], 7)
+        assert len(rows) == sum(
+            1 for k, ell, _ in outer for ik, _, _ in inner
+            if k is not None and ik == k == ell
+        )
 
 
 def test_null_arithmetic_fails_in_both_engines(env):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.executor import QueryExecutor, naive_evaluate
 from repro.obs import MetricsRegistry
+from repro.query.parser import parse_query
 from repro.serve import (
     OptimizerService,
     Request,
@@ -55,6 +57,22 @@ class TestBasicServing:
         # Cached responses carry the optimized plan's digest and cost.
         assert responses[1].plan_digest == responses[0].plan_digest
         assert responses[1].best_cost == pytest.approx(responses[0].best_cost)
+
+    def test_a_plan_is_not_reused_for_another_select_list(self):
+        """One FROM / WHERE, two SELECT lists: the second request is a
+        template of its own, and the plan it is served runs to the naive
+        evaluator's rows (it reads a column the first plan never carried)."""
+        workload = chain_workload(2, rows=50)
+        where = "FROM R0, R1 WHERE R0.ID = R1.FK"
+        first, second = f"SELECT R0.ID {where}", f"SELECT R1.TAG {where}"
+        service = _service(workload)
+        responses = service.serve_all([Request(first), Request(second)], burst=1)
+        assert [r.tier for r in responses] == [TIER_FULL, TIER_FULL]
+        query = parse_query(second, workload.catalog)
+        entry = service.cache.lookup_stale(query)
+        assert entry.plan.digest == responses[1].plan_digest
+        rows = QueryExecutor(workload.database).run(query, entry.plan).as_multiset()
+        assert rows == naive_evaluate(query, workload.database).as_multiset()
 
     def test_cache_disabled_always_optimizes(self, workload):
         service = _service(workload, cache_capacity=0)
@@ -329,6 +347,42 @@ class TestCrashSafety:
             # Quarantined requests never touched the pool.
             assert service.pool.stats.dispatched == 2
             assert service.metrics.snapshot()["serve.quarantined"] == 1
+        finally:
+            service.close()
+
+    def test_select_lists_over_one_poison_shape_share_strikes(self, workload):
+        """The quarantine keys on the FROM / WHERE shape: two SELECT lists
+        over one crashing FROM / WHERE strike one template, so varying
+        the projection cannot keep burning the respawn budget."""
+        from repro.serve import PoolChaos
+
+        chaos = PoolChaos(
+            seed=11, poison_templates=frozenset({"poison"}),
+            poison_action="crash",
+        )
+        service = OptimizerService(
+            workload.catalog,
+            service=ServiceConfig(
+                workers=1, queue_limit=8, pool_workers=1,
+                pool_respawn_budget=8, quarantine_strikes=2,
+                cache_capacity=0,
+            ),
+            pool_chaos=chaos,
+        )
+        where = "FROM R0, R1, R2 WHERE R0.ID = R1.FK AND R1.ID = R2.FK"
+        sqls = [f"SELECT R0.ID {where}", f"SELECT R2.TAG {where}"] * 2
+        try:
+            responses = service.serve_all(
+                [Request(sql, template="poison") for sql in sqls], burst=1
+            )
+            assert all(r.ok and r.tier == TIER_HEURISTIC for r in responses)
+            assert [r.pool_failure for r in responses] == [
+                "crash", "crash", None, None
+            ]
+            assert [r.quarantined for r in responses] == [
+                False, False, True, True
+            ]
+            assert service.pool.stats.dispatched == 2
         finally:
             service.close()
 

@@ -204,6 +204,27 @@ class TestCorruption:
         snapshot_file.write_text(text)
         self._expect_error(snapshot_file, "version")
 
+    def test_version_one_snapshot_starts_cold_and_is_counted(
+        self, workload, snapshot_file
+    ):
+        """Version-1 template keys lack the projection, ORDER BY and
+        result site, so they could never be hit: such a file is refused
+        as version skew."""
+        text = snapshot_file.read_text().replace(
+            f'"version":{SNAPSHOT_VERSION}', '"version":1', 1
+        )
+        snapshot_file.write_text(text)
+        service = OptimizerService(
+            workload.catalog,
+            service=ServiceConfig(
+                workers=1, queue_limit=8, snapshot_path=str(snapshot_file)
+            ),
+        )
+        assert not service.snapshot_loaded
+        assert "version 1 != supported" in service.snapshot_error
+        assert service.metrics.snapshot()["snapshot.load_failures"] == 1
+        assert len(service.cache) == 0
+
     def test_truncated_payload(self, snapshot_file):
         lines = snapshot_file.read_text().splitlines()
         snapshot_file.write_text("\n".join(lines[:-1]) + "\n")
