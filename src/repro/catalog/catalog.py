@@ -202,6 +202,15 @@ class Catalog:
         card = self._table_stats[table].card
         return ColumnStats(n_distinct=max(1.0, min(10.0, card)))
 
+    def column_is_unique(self, table: str, column: str) -> bool:
+        """Do the column's collected statistics say no two rows share a
+        value?  ``collect_column_stats`` counts distinct non-NULL values,
+        so a NULL or a repeat leaves ``n_distinct`` below the table's
+        card.  A column never analyzed is not unique: its System R
+        default says nothing about the data."""
+        stats = self._column_stats.get((table, column))
+        return stats is not None and stats.n_distinct >= self.table_stats(table).card
+
     # -- derived helpers -----------------------------------------------------
 
     def columns_of(self, tables: Iterable[str]) -> frozenset[ColumnRef]:

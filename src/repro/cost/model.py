@@ -107,6 +107,10 @@ SORT_MEMORY_PAGES = 32
 #: Pages of hash memory: inners smaller than this build without spill I/O.
 HASH_MEMORY_PAGES = 32
 
+#: CPU per build row of a hash join whose build key is unique, against
+#: 1.5 for buckets: the top of the measured 0.34-0.51 (``PlanFactory._join``).
+HASH_UNIQUE_BUILD_CPU = 0.5
+
 
 class CostModel:
     """Estimation helpers shared by all property functions.

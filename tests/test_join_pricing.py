@@ -8,8 +8,9 @@ is kept here as the reference: over random input vectors the built node's
 ``card``, ``cost``, ``rescan_cost`` and ``model.total`` — and the unbuilt
 candidate's ``total``, which the plan table judges — must have the same
 ``repr`` (bit-identical floats), for NL / MG / HA including the hash-spill
-branch, ``card`` floored at ``MIN_CARD``, zero and huge rescan costs, and an
-attached ``FeedbackCache``.  ``ci`` in ``tests/conftest.py`` raises the
+branch and both hash builds (a unique build key, once DEPT.DNO's collected
+statistics say so, and buckets), ``card`` floored at ``MIN_CARD``, zero and
+huge rescan costs, and an attached ``FeedbackCache``.  ``ci`` in ``tests/conftest.py`` raises the
 example budget.
 """
 
@@ -20,7 +21,8 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cost.model import Cost, HASH_MEMORY_PAGES
+from repro.catalog.statistics import ColumnStats, TableStats
+from repro.cost.model import Cost, HASH_MEMORY_PAGES, HASH_UNIQUE_BUILD_CPU
 from repro.cost.propfuncs import MIN_CARD, PlanFactory
 from repro.plans.plan import PlanNode
 from repro.plans.properties import PropertyVector
@@ -30,6 +32,11 @@ from repro.robust.feedback import FeedbackCache
 from repro.workloads import paper_catalog
 
 CATALOG = paper_catalog()
+#: The same schema with DEPT analyzed: DNO holds one distinct value a row,
+#: so a hash join that builds on DEPT builds a unique table.
+ANALYZED = paper_catalog()
+ANALYZED.set_table_stats("DEPT", TableStats(card=50.0))
+ANALYZED.set_column_stats("DEPT", "DNO", ColumnStats(n_distinct=50.0))
 JOIN_PRED = parse_predicate("DEPT.DNO = EMP.DNO", CATALOG, ("DEPT", "EMP"))
 RESIDUAL = parse_predicate("DEPT.DNO < EMP.ENO", CATALOG, ("DEPT", "EMP"))
 COLS = {
@@ -50,6 +57,7 @@ cards = st.one_of(
     st.sampled_from([MIN_CARD, 0.5, 1.0, 1.0000000000000002, 1e7, 1e15]),
     st.floats(min_value=MIN_CARD, max_value=1e9, allow_nan=False),
 )
+sides = st.permutations(["DEPT", "EMP"])
 
 
 def leaf(table: str, card: float, cost: Cost, rescan_cost: Cost) -> PlanNode:
@@ -61,8 +69,14 @@ def leaf(table: str, card: float, cost: Cost, rescan_cost: Cost) -> PlanNode:
     return PlanNode("ACCESS", "heap", (("table", table),), (), props)
 
 
+def unique_build(factory: PlanFactory, inner) -> bool:
+    return factory.catalog is ANALYZED and inner.props.tables == {"DEPT"}
+
+
 def reference_estimates(factory: PlanFactory, flavor: str, outer, inner, residual):
-    """(card, cost, rescan_cost) by the object chain ``join`` used to run."""
+    """(card, cost, rescan_cost) by the object chain ``join`` used to run,
+    with the build charged per row at ``HASH_UNIQUE_BUILD_CPU`` when the
+    inner is DEPT of the analyzed catalog, else at 1.5."""
     po, pi = outer.props, inner.props
     rel = factory._join_relational(po, pi, frozenset([JOIN_PRED]), residual)
     card = factory._feedback_card(
@@ -83,32 +97,34 @@ def reference_estimates(factory: PlanFactory, flavor: str, outer, inner, residua
             if inner_pages > HASH_MEMORY_PAGES
             else 0.0
         )
-        method = Cost(io=spill_io, cpu=1.5 * pi.card + po.card + card)
+        build = HASH_UNIQUE_BUILD_CPU if unique_build(factory, inner) else 1.5
+        method = Cost(io=spill_io, cpu=build * pi.card + po.card + card)
     return card, cost + method, rescan_cost + method
 
 
-def make_factory(observed: float | None) -> PlanFactory:
+def make_factory(observed: float | None, analyzed: bool = False) -> PlanFactory:
     feedback = None
     if observed is not None:
         # An observation for the join's own (TABLES, PREDS) class.
         feedback = FeedbackCache()
         feedback.record(["DEPT", "EMP"], [JOIN_PRED], actual=observed)
-    return PlanFactory(CATALOG, feedback=feedback)
+    return PlanFactory(ANALYZED if analyzed else CATALOG, feedback=feedback)
 
 
 @budget
 @given(
     flavor=st.sampled_from(["NL", "MG", "HA"]),
-    sides=st.permutations(["DEPT", "EMP"]),
+    sides=sides,
+    analyzed=st.booleans(),
     outer=st.tuples(cards, costs, costs),
     inner=st.tuples(cards, costs, costs),
     residual=st.booleans(),
     observed=st.one_of(st.none(), st.sampled_from([0.0, 7.0, 1e6])),
 )
 def test_floats_and_cost_objects_price_a_join_alike(
-    flavor, sides, outer, inner, residual, observed
+    flavor, sides, analyzed, outer, inner, residual, observed
 ):
-    factory = make_factory(observed)
+    factory = make_factory(observed, analyzed)
     outer, inner = leaf(sides[0], *outer), leaf(sides[1], *inner)
     residual = frozenset([RESIDUAL] if residual else [])
     candidate = factory.join_candidate(flavor, outer, inner, [JOIN_PRED], residual)
@@ -129,14 +145,21 @@ def test_floats_and_cost_objects_price_a_join_alike(
 
 
 def test_the_generator_reaches_every_branch():
-    """A guard on the strategies: the hash join spills and does not, the
-    cardinality floor binds and does not, rescans are free and are not."""
+    """A guard on the strategies: the hash join spills and does not,
+    builds a unique table and buckets, the cardinality floor binds and
+    does not, rescans are free and are not."""
     seen = Counter()
 
     @settings(max_examples=200, database=None, derandomize=True)
-    @given(cards, cards, costs)
-    def tally(outer_card, inner_card, rescan_cost):
-        factory = make_factory(None)
+    @given(cards, cards, costs, sides, st.booleans())
+    def tally(outer_card, inner_card, rescan_cost, sides, analyzed):
+        factory = make_factory(None, analyzed)
+        build = factory._join_relational(
+            leaf(sides[0], 1.0, Cost(), Cost()).props,
+            leaf(sides[1], 1.0, Cost(), Cost()).props,
+            frozenset([JOIN_PRED]), frozenset(),
+        ).build
+        seen["unique-build" if build == HASH_UNIQUE_BUILD_CPU else "bucket-build"] += 1
         pages = factory._pages(inner_card, COLS["EMP"])
         seen["spill" if pages > HASH_MEMORY_PAGES else "in-memory"] += 1
         outer = leaf("DEPT", outer_card, Cost(), Cost())
@@ -148,6 +171,7 @@ def test_the_generator_reaches_every_branch():
         seen["non-finite"] += rescan_cost.io * outer_card == float("inf")
 
     tally()
-    for branch in ("spill", "in-memory", "floor", "above-floor", "free-rescan",
-                   "paid-rescan", "no-rescans", "rescans", "non-finite"):
+    for branch in ("spill", "in-memory", "unique-build", "bucket-build", "floor",
+                   "above-floor", "free-rescan", "paid-rescan", "no-rescans",
+                   "rescans", "non-finite"):
         assert seen[branch] >= 3, (branch, seen)
