@@ -1,6 +1,6 @@
 """Key derivation every evaluator of a plan shares.
 
-What an index probe scans, which join predicates become hash keys or
+What an index ACCESS reads, which join predicates become hash keys or
 merge columns, and which table a TID pseudo-column names follow from the
 plan node alone, so they are derived here, once, for the batch engine
 (:mod:`repro.executor.vectorized`), the SQL lowering
@@ -10,7 +10,7 @@ plan node alone, so they are derived here, once, for the batch engine
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import ExecutionError
 from repro.query.expressions import ColumnRef, Expr, RowContext
@@ -18,54 +18,93 @@ from repro.query.predicates import Comparison, Predicate, sargable_column
 from repro.storage.table import TableData
 
 
+class IndexProbe(NamedTuple):
+    """What an index ACCESS narrows its read by (:func:`probe_key_exprs`)."""
+
+    equal: tuple[tuple[Expr, ...], ...]
+    lower: tuple[Expr, bool] | None
+    upper: tuple[Expr, bool] | None
+
+
 def probe_key_exprs(
     key_columns: tuple[ColumnRef, ...], preds: frozenset[Predicate]
-) -> tuple[tuple[Expr, ...], ...]:
-    """The static half of an index probe: per leading key column, the
-    value sides of the ``col = expr`` predicates that can bind it, up to
-    the first key column nothing binds.
+) -> IndexProbe:
+    """The static half of an index read: ``equal`` holds, per leading key
+    column, the value sides of the ``col = expr`` predicates that can bind
+    it, up to the first key column nothing binds; ``lower`` / ``upper``
+    the first constant ``(expr, inclusive)`` bound either side on that
+    column — the matching rule of
+    :func:`~repro.cost.propfuncs.index_matching_predicates`.  A range
+    bound by an outer column is no bound; the ACCESS checks every
+    predicate all the same.
 
     Depends on the plan node alone, so callers derive it once per node.
     Candidates are in ``str`` order: which one :func:`probe_bounds` tries
     first must not hang on set iteration order."""
     ordered = sorted(preds, key=str)
-    bound = []
+    equal: list[tuple[Expr, ...]] = []
+    bounds: dict[str, tuple[Expr, bool]] = {}
     for column in key_columns:
-        exprs = []
-        for pred in ordered:
-            sarg = sargable_column(
-                pred, column.table, bound_tables=pred.tables() - {column.table}
-            )
-            if sarg is not None and sarg[0] == column and sarg[1] == "=":
-                exprs.append(sarg[2])
-        if not exprs:
-            break
-        bound.append(tuple(exprs))
-    return tuple(bound)
+        sargs = [
+            sarg for pred in ordered
+            if (sarg := sargable_column(pred, column.table, pred.tables()))
+            and sarg[0] == column
+        ]
+        exprs = tuple(expr for _, op, expr in sargs if op == "=")
+        if exprs:
+            equal.append(exprs)
+            continue
+        for _, op, expr in sargs:
+            if op in ("<", "<=", ">", ">=") and not expr.tables():
+                bounds.setdefault(op[0], (expr, op.endswith("=")))
+        break
+    return IndexProbe(tuple(equal), bounds.get(">"), bounds.get("<"))
 
 
-def probe_bounds(
-    key_exprs: tuple[tuple[Expr, ...], ...], bindings: RowContext | None
-) -> tuple | None:
-    """The B-tree key prefix one probe scans (``lo == hi``), or ``None``
-    for the whole index: each key column takes its first candidate of
-    :func:`probe_key_exprs` that is evaluable now (constants or
-    outer-bound columns), and the prefix ends at the first column without
-    a non-NULL value."""
-    empty = RowContext({}, outer=bindings)
+def probe_bounds(probe: IndexProbe, bindings: RowContext | None) -> tuple | None:
+    """What one read of the index scans, as
+    :meth:`~repro.storage.btree.BTree.scan_range` arguments ``(lo, hi,
+    lo_inclusive, hi_inclusive)``, or ``None`` when a NULL bound means no
+    entry can match (no B-tree key holds a NULL).
+
+    Each key column of ``probe.equal`` takes its first candidate that
+    evaluates now (constants or outer-bound columns); the prefix ends at
+    the first column none does.  Only a whole prefix is narrowed by
+    ``probe.lower`` / ``probe.upper``, each where it evaluates."""
+    scope = RowContext({}, outer=bindings)
     prefix: list[Any] = []
-    for exprs in key_exprs:
-        value = None
-        for expr in exprs:
-            try:
-                value = expr.evaluate(empty)
-            except ExecutionError:
-                continue
+    ranges = (probe.lower, probe.upper)
+    for exprs in probe.equal:
+        value = _first_value(exprs, scope)
+        if value is _UNBOUND:
+            ranges = (None, None)
             break
         if value is None:
-            break
+            return None
         prefix.append(value)
-    return tuple(prefix) or None
+    key = tuple(prefix) or None
+    bounds: list[Any] = [key, key, True, True]
+    for side, bound in enumerate(ranges):
+        value = _UNBOUND if bound is None else _first_value(bound[:1], scope)
+        if value is None:
+            return None
+        if value is not _UNBOUND:
+            bounds[side] = (*prefix, value)
+            bounds[side + 2] = bound[1]
+    return tuple(bounds)
+
+
+_UNBOUND = object()
+
+
+def _first_value(exprs: tuple[Expr, ...], scope: RowContext) -> Any:
+    """The first of ``exprs`` that evaluates in ``scope``, or ``_UNBOUND``."""
+    for expr in exprs:
+        try:
+            return expr.evaluate(scope)
+        except ExecutionError:
+            continue
+    return _UNBOUND
 
 
 def _merge_triples(

@@ -24,29 +24,31 @@ by the differential tests:
   as delivered exactly once, after their batch's transfer succeeded —
   never once per attempt (the SHIP-vs-GET row accounting fix).
 
-Sideways information passing.  When the inner of a nested-loop join is
-an *index-probe chain* — ``ACCESS(index)`` under any run of ``GET`` and
-``FILTER``, on a base table or a temp, its leading key columns bound by
-``col = expr`` predicates (:func:`~repro.executor.keys.probe_key_exprs`)
-— the join works per outer *batch*: the probe keys are evaluated
-column-wise, each run of outer rows with a whole key is one batch probe
-of the B-tree (:meth:`~repro.storage.btree.BTree.lookup_many`: a dict
-lookup per key in the tree's directory, charged exactly what one
-:meth:`~repro.storage.btree.BTree.lookup` per key charges), the matches
-are gathered beside their outer rows into one batch, and the ACCESS,
-GET, FILTER and join predicates each run once over that batch — less
-the ``key column = outer column`` equalities the lookup itself matched
-(:func:`_covered_by_probe`), which neither the ACCESS nor the join
-checks again.  Rows come out
-outer-major and in index-key order within a probe, ``tuples_flowed``,
-``page_reads`` and ``index_reads`` are what per-row re-execution
-charges, each fused inner node is booked one open per outer row
-(``[rows, opens]``) and, when observed, one span per outer batch
-carrying ``rows=`` and ``opens=``; only ``stats.batches`` differs.
-Every other inner, and any outer row whose probe key fails to evaluate
-or holds a NULL (it degenerates to a wider scan whose reads count), is
-bound into a :class:`~repro.query.expressions.RowContext` and
-re-executes the inner subplan for that row, checking every predicate.
+Index reads.  An ``ACCESS(index)`` reads its equality prefix narrowed by
+at most one constant bound either side of the next key column
+(:func:`~repro.executor.keys.probe_bounds`, shared with the reference;
+the cost model's matching rule) and still checks every predicate; a NULL
+in a bound matches nothing and reads nothing.  When the inner of a
+nested-loop join is an *index-probe chain* — ``ACCESS(index)`` under any
+run of ``GET`` and ``FILTER``, on a base table or a temp, its leading
+key columns bound by ``col = expr`` predicates and no range after them —
+the join works per outer *batch* (sideways information passing): the
+probe keys are evaluated column-wise, each run of outer rows whose key
+evaluates is one batch probe of the B-tree
+(:meth:`~repro.storage.btree.BTree.lookup_many`: a dict lookup per key,
+charged what one ``scan_range`` of it charges, and nothing for a key
+holding a NULL), the matches are gathered beside their outer rows into
+one batch, and the ACCESS, GET, FILTER and join predicates each run once
+over that batch — less the ``key column = outer column`` equalities the
+lookup matched (:func:`_covered_by_probe`).  Rows come out outer-major
+and in index-key order within a probe, ``tuples_flowed``, ``page_reads``
+and ``index_reads`` are what per-row re-execution charges, each fused
+inner node is booked one open per outer row (``[rows, opens]``) and,
+when observed, one span per outer batch carrying ``rows=`` and
+``opens=``; only ``stats.batches`` differs.  Every other inner, and any
+outer row whose probe key raised, is bound into a
+:class:`~repro.query.expressions.RowContext` and re-executes the inner
+subplan for that row, checking every predicate.
 
 The hash-join table.  ``JOIN(HA)`` buffers its inner side column-wise and
 maps each build key to global row numbers.  Which table it builds follows
@@ -97,6 +99,7 @@ from repro.executor.batch_ops import (
 )
 from repro.executor.chaos import ChaosEngine
 from repro.executor.keys import (
+    IndexProbe,
     _hash_sides,
     _merge_triples,
     _tid_table,
@@ -175,7 +178,7 @@ class _BatchRun:
         #: wider column set (the outer row's columns ride along).
         self._filters: dict[tuple[int, str], object] = {}
         #: ``probe_key_exprs`` of each index ACCESS node, by id(node).
-        self._probe_keys: dict[int, tuple] = {}
+        self._probe_keys: dict[int, IndexProbe] = {}
         #: What an operator found out about its input at its last open
         #: (``build=`` / ``build_rows=`` of a hash join), by id(node):
         #: deterministic args of the node's executor span, and printed
@@ -396,7 +399,7 @@ class _BatchRun:
             yield from self._scan_table_data(node, data, columns, preds, bindings)
             return
         positions = [(c, data.position(c)) for c in columns if data.has_column(c)]
-        stored = (raw for _, (_, raw) in primary.tree.scan_all())
+        stored = (raw for _, (_, raw) in primary.tree.scan_range())
         for raws in batches_of(stored, self.batch_size):
             cols = {c: column_of(raws, pos) for c, pos in positions}
             batch = ColumnBatch(cols, len(raws))
@@ -407,24 +410,22 @@ class _BatchRun:
         self, node: PlanNode, data: TableData, bindings: RowContext | None
     ) -> Iterator[ColumnBatch]:
         index = data.index(node.param("path").name)
-        prefix = probe_bounds(self._probe_exprs(node, index), bindings)
+        bounds = probe_bounds(self._probe_exprs(node, index), bindings)
+        if bounds is None:  # a NULL bound: nothing is read, nothing matches
+            return
         preds: frozenset[Predicate] = node.param("preds") or frozenset()
-        for chunk in batches_of(
-            index.tree.scan_range(lo=prefix, hi=prefix), self.batch_size
-        ):
+        for chunk in batches_of(index.tree.scan_range(*bounds), self.batch_size):
             keys, values = zip(*chunk)
             yield self._index_batch(
                 node, data, index, keys, values, {}, preds, bindings
             )
 
-    def _probe_exprs(self, node: PlanNode, index: IndexData) -> tuple:
-        try:
-            return self._probe_keys[id(node)]
-        except KeyError:
-            exprs = self._probe_keys[id(node)] = probe_key_exprs(
-                index.key_columns, node.param("preds") or frozenset()
-            )
-            return exprs
+    def _probe_exprs(self, node: PlanNode, index: IndexData) -> IndexProbe:
+        probe = self._probe_keys.get(id(node))
+        if probe is None:
+            preds = node.param("preds") or frozenset()
+            probe = self._probe_keys[id(node)] = probe_key_exprs(index.key_columns, preds)
+        return probe
 
     def _index_batch(
         self,
@@ -439,10 +440,9 @@ class _BatchRun:
     ) -> ColumnBatch:
         """Index entries (``keys[i]`` and its ``(rid, stored row)`` value
         ``values[i]``) to one output batch of the ACCESS, filtered by
-        ``preds``.  ``carried`` (empty but
-        in the probe kernel) holds, entry for entry, the columns of the
-        outer row each entry was looked up for; they ride along in front
-        of the ACCESS's own."""
+        ``preds``.  ``carried`` (the probe kernel's; empty elsewhere)
+        holds, entry for entry, the columns of the outer row each entry
+        was looked up for; they ride along in front of the ACCESS's own."""
         columns = node.param("columns") or node.props.cols
         tid = tid_column(index.key_columns[0].table)
         # Evaluation columns cover everything the entry carries (key
@@ -600,7 +600,9 @@ class _BatchRun:
         self, node: PlanNode, bindings: RowContext | None
     ) -> Iterator[ColumnBatch]:
         outer, inner = node.inputs
-        preds = self._join_predicates(node)
+        preds = (node.param("join_preds") or frozenset()) | (
+            node.param("residual_preds") or frozenset()
+        )
         stages = _probe_chain(inner)
         builder = BatchBuilder(self.batch_size)
         for obatch in self.execute(outer, bindings):
@@ -648,24 +650,24 @@ class _BatchRun:
         builder: BatchBuilder,
     ) -> Iterator[ColumnBatch]:
         """The probe kernel: one outer batch against an index-probe chain
-        (module docstring).  Maximal runs of outer rows with a whole key
-        go through the chain as one batch; a row between two runs takes
-        the per-row route in its place, so output stays outer-major.
-        On the kernel route the equalities the lookup guarantees
-        (:func:`_covered_by_probe`) are not checked again, neither by the
-        ACCESS nor by the join; the per-row route checks every predicate."""
+        (module docstring).  Maximal runs of outer rows whose key evaluates
+        are one batch probe each; a row whose key raised takes the per-row
+        route in its place, so output stays outer-major, and an ACCESS
+        binding no key column or bounding a range reads per row throughout.
+        The kernel route skips the equalities the lookup guarantees
+        (:func:`_covered_by_probe`); the per-row route checks every one."""
         access = stages[-1]
         data = self._index_data(access)
         index = data.index(access.param("path").name)
-        exprs = self._probe_exprs(access, index)
+        probe = self._probe_exprs(access, index)
         n = obatch.length
-        if exprs:
-            keys = key_tuples(obatch, [c[0] for c in exprs], bindings)
-            per_row = [i for i, k in enumerate(keys) if k is None or None in k]
-        else:  # no key column bound: every probe is a full index scan
-            keys, per_row = [], range(n)
+        if not probe.equal or probe.lower or probe.upper:
+            yield from self._nl_rows(node, preds, obatch, range(n), bindings, builder)
+            return
+        keys = key_tuples(obatch, [c[0] for c in probe.equal], bindings)
+        per_row = [i for i, k in enumerate(keys) if k is None]
         access_preds: frozenset[Predicate] = access.param("preds") or frozenset()
-        covered = _covered_by_probe(index.key_columns, exprs, access_preds | preds)
+        covered = _covered_by_probe(index.key_columns, probe, access_preds | preds)
         access_preds -= covered
         check = preds - covered
         start = 0
@@ -919,11 +921,6 @@ class _BatchRun:
                 inner_item = next(inner_groups, None)
         yield from builder.flush()
 
-    def _join_predicates(self, node: PlanNode) -> frozenset[Predicate]:
-        join_preds: frozenset[Predicate] = node.param("join_preds") or frozenset()
-        residual: frozenset[Predicate] = node.param("residual_preds") or frozenset()
-        return join_preds | residual
-
     # -- UNION / DEDUP / PROJECT / INTERSECT ----------------------------------------
 
     def _union(
@@ -1049,20 +1046,20 @@ def _probe_chain(inner: PlanNode) -> tuple[PlanNode, ...] | None:
 
 def _covered_by_probe(
     key_columns: tuple[ColumnRef, ...],
-    exprs: tuple[tuple, ...],
+    probe: IndexProbe,
     preds: frozenset[Predicate],
 ) -> frozenset[Predicate]:
     """The predicates of ``preds`` a probe's lookup already guarantees:
     ``key column = outer column`` for each probed key column whose first
-    :func:`~repro.executor.keys.probe_key_exprs` candidate (the one the
-    kernel probes with) is a bare column.  The lookup matched exactly that
-    value and neither side is NULL on the kernel route, so the equality
-    holds for every entry found; a second candidate, an expression key, an
-    unprobed key column or any other predicate stays checked (the rule
-    ``_join_ha`` applies to bare-column hash sides)."""
+    ``probe.equal`` candidate (the one the kernel probes with) is a bare
+    column.  The lookup matched exactly that value, and a NULL key matches
+    nothing, so the equality holds for every entry found; a second
+    candidate, an expression key, an unprobed key column or any other
+    predicate stays checked (the rule ``_join_ha`` applies to bare-column
+    hash sides)."""
     pairs = {
         frozenset((column, candidates[0]))
-        for column, candidates in zip(key_columns, exprs)
+        for column, candidates in zip(key_columns, probe.equal)
         if isinstance(candidates[0], ColumnRef)
     }
     return frozenset(

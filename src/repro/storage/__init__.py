@@ -5,8 +5,8 @@ The paper's optimizer runs against Starburst's storage managers
 
 * :class:`~repro.storage.heap.HeapFile` — a physically-sequential,
   page-structured heap;
-* :class:`~repro.storage.btree.BTree` — a B+-tree with range and prefix
-  scans (access methods and B-tree-organized tables);
+* :class:`~repro.storage.btree.BTree` — a B+-tree with a bounded scan and
+  a batch probe (access methods and B-tree-organized tables);
 * :class:`~repro.storage.table.TableData` — a stored table (base or temp):
   schema + heap + indexes;
 * :class:`~repro.storage.table.Database` — the binding of a catalog to

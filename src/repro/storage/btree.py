@@ -1,35 +1,33 @@
-"""A B+-tree supporting equality, prefix, and range scans.
+"""A B+-tree with two reads: a bounded scan and a batch probe.
 
 This is the access-method substrate behind the ``ACCESS`` LOLEPOP's index
 flavor, B-tree-organized base tables, and the dynamically-created indexes
-of section 4.5.3.  Keys are tuples of column values (the ordered key-column
-list of the access path); values are opaque (normally RIDs).  Duplicate
-keys are supported unless the tree is created ``unique=True``.
-
-Every node visited is charged as one index-page read to the shared
+of section 4.5.3.  Keys are tuples of non-NULL column values (the ordered
+key-column list of the access path); values are opaque (normally RIDs).
+Duplicate keys are supported unless the tree is created ``unique=True``.
+:meth:`BTree.scan_range` streams the entries between two bounds, each
+compared as a prefix of the stored keys, charging every node it visits
+as one index-page read to the shared
 :class:`~repro.storage.accounting.IOAccounting`.
 
 The batch probe.  :meth:`BTree.lookup_many` answers a whole batch of
 prefix probes (one per outer row of an index nested-loop join) from a
 *directory*, not by descending once per prefix.  The directory holds the
-tree's entries flattened in key order (one reference to the key and one
-to the value per entry), the in-order separators, the entry offset at
-which each leaf starts, and, for every key width probed so far, a dict
-from each stored key prefix to its *run*: the offset and number of its
-entries and the exact ``index_reads`` one :meth:`BTree.lookup` of it
-charges (the height, plus every step to a next leaf the walk takes),
-kept in three ``array`` columns.  A hit is one dict lookup, three array
-reads and a list slice.  A prefix nothing is stored under is charged
-from bisects alone: the leaf a descent lands on is the count of in-order
-separators below the prefix, and the walk ends in the leaf that holds
-the first key at or above it.  The directory is built on the first
-batch probe (one pass over the leaves, then one pass per width) and
-dropped by :meth:`BTree.insert`, so a tree probed while it grows
-rebuilds it; like ``insert``, the batch probe is not safe to call from
-two threads at once.  Nothing else reads the directory:
-:meth:`BTree.lookup` stays the per-prefix reference.  On the
-``exec-probe`` workload of ``benchmarks/e2e`` the directories of the
-four probed indexes (22 000 entries) hold 2.3 MB.
+tree's entries flattened in key order, the in-order separators, the
+entry offset at which each leaf starts, and, for every key width probed
+so far, a dict from each stored key prefix to its *run*: the offset and
+number of its entries and the exact ``index_reads`` a ``scan_range``
+from and to that prefix charges (the height, plus every step to a next
+leaf), kept in three ``array`` columns.  A hit is one dict lookup, three
+array reads and a list slice.  A missing prefix is charged from bisects
+alone: the leaf a descent lands on is the count of in-order separators
+below the prefix, and the walk ends in the leaf that holds the first key
+at or above it.  A prefix holding a NULL is charged nothing.  The
+directory is built on the first batch probe (one pass over the leaves,
+then one pass per width) and dropped by :meth:`BTree.insert`; like
+``insert``, the batch probe is not safe to call from two threads at
+once.  On the ``exec-probe`` workload of ``benchmarks/e2e`` the
+directories of the four probed indexes (22 000 entries) hold 2.3 MB.
 """
 
 from __future__ import annotations
@@ -117,7 +115,7 @@ class _Directory:
         self.widths.add(width)
 
     def walk_reads(self, prefix: Key, stop: int) -> int:
-        """What one :meth:`BTree.lookup` of ``prefix`` charges when entry
+        """What one ``scan_range`` of ``prefix`` charges when entry
         ``stop`` is the first at or after the prefix that it does not
         start: the descent, which lands in the leaf after every separator
         below the prefix, plus one read per step to a next leaf, up to
@@ -288,38 +286,16 @@ class BTree:
             if leaf is not None:
                 self._io.read_index(1)
 
-    def lookup(self, prefix: Key) -> list[tuple[Key, Any]]:
-        """All entries whose key starts with ``prefix``, in key order, as
-        a list: what draining ``scan_prefix(prefix)`` yields, at the same
-        index-read charge (including the step to ``leaf.next`` when the
-        match ends exactly at a leaf boundary), without a generator."""
-        width = len(prefix)
-        found: list[tuple[Key, Any]] = []
-        leaf = self._descend_to_leaf(prefix)
-        idx = bisect_left(leaf.keys, prefix)
-        while True:
-            keys = leaf.keys
-            for idx in range(idx, len(keys)):
-                key = keys[idx]
-                if key[:width] != prefix:
-                    return found
-                for value in leaf.values[idx]:
-                    found.append((key, value))
-            leaf = leaf.next
-            if leaf is None:
-                return found
-            self._io.read_index(1)
-            idx = 0
-
     def lookup_many(
         self, prefixes: Sequence[Key]
     ) -> tuple[list[int], list[Key], list[Any]]:
-        """What :meth:`lookup` finds for each of ``prefixes``, from the
-        directory (module docstring): ``(counts, keys, values)``, where
-        ``counts[i]`` entries belong to ``prefixes[i]`` and ``keys`` /
-        ``values`` hold every entry found, prefix after prefix, each
-        prefix's in key order.  Charges exactly the index reads of one
-        :meth:`lookup` per prefix."""
+        """What draining ``scan_range(prefix, prefix)`` yields for each of
+        ``prefixes``, from the directory (module docstring): ``(counts,
+        keys, values)``, where ``counts[i]`` entries belong to
+        ``prefixes[i]`` and ``keys`` / ``values`` hold every entry found,
+        prefix after prefix, each prefix's in key order.  Charges exactly
+        the index reads of those scans; a prefix holding a NULL matches
+        nothing (no key holds one) and is charged none."""
         directory = self._directory
         if directory is None:
             directory = self._directory = _Directory(self._root, self._height)
@@ -334,22 +310,10 @@ class BTree:
             reads += sum(
                 directory.walk_reads(prefix, bisect_left(keys, prefix))
                 for prefix, run in zip(prefixes, found)
-                if run == 0
+                if run == 0 and None not in prefix
             )
         self._io.read_index(reads)
         runs = list(map(slice, los, map(add, los, counts)))
         keys = list(chain.from_iterable(map(directory.keys.__getitem__, runs)))
         values = list(chain.from_iterable(map(directory.values.__getitem__, runs)))
         return counts, keys, values
-
-    def scan_prefix(self, prefix: Key) -> Iterator[tuple[Key, Any]]:
-        """All entries whose key starts with ``prefix``, in key order."""
-        return self.scan_range(lo=prefix, hi=prefix)
-
-    def scan_all(self) -> Iterator[tuple[Key, Any]]:
-        """Full scan in key order."""
-        return self.scan_range()
-
-    def search(self, key: Key) -> list[Any]:
-        """All values stored under exactly ``key``."""
-        return [value for found, value in self.lookup(key) if found == key]

@@ -272,7 +272,7 @@ class _PlanRun:
             yield from self._scan_table_data(data, columns, preds, bindings)
             return
         positions = [(c, data.position(c)) for c in columns if data.has_column(c)]
-        for _, (rid, raw) in primary.tree.scan_all():
+        for _, (rid, raw) in primary.tree.scan_range():
             row: Row = {c: raw[pos] for c, pos in positions}
             if self._passes(preds, row, bindings):
                 yield row
@@ -286,10 +286,12 @@ class _PlanRun:
         bindings: RowContext | None,
     ) -> Iterator[Row]:
         index = data.index(path.name)
-        prefix = probe_bounds(probe_key_exprs(index.key_columns, preds), bindings)
+        bounds = probe_bounds(probe_key_exprs(index.key_columns, preds), bindings)
+        if bounds is None:  # a NULL bound matches nothing
+            return
         tid = tid_column(index.key_columns[0].table)
         key_positions = {c: i for i, c in enumerate(index.key_columns)}
-        for key, (rid, stored_row) in index.tree.scan_range(lo=prefix, hi=prefix):
+        for key, (rid, stored_row) in index.tree.scan_range(*bounds):
             # Predicates may reference key columns that the plan does not
             # project (e.g. TID-only streams for index OR-ing), so build
             # the evaluation row over everything the entry carries.

@@ -1,15 +1,18 @@
-"""Differential coverage of the vectorized index nested-loop kernel.
+"""Differential coverage of index reads and the index nested-loop kernel.
 
-When an NL join's inner is an index-probe chain (``ACCESS(index)`` under
-any run of GET / FILTER) the vectorized engine runs one outer *batch*
-through it at a time instead of re-executing it per outer row.  Every
-case here must agree exactly with the reference iterator
-(``tests/reference_executor.py``) on rows (values and order),
-``tuples_flowed``, ``page_reads``, ``index_reads`` and per-node
-``[rows, opens]`` — exact, not up to read-ahead, because an NL join
-drains every inner stream.  That includes the cases where the kernel
-skips the equalities its lookup already matched (``_covered_by_probe``)
-and the per-row route beside it, which checks every predicate.
+An ``ACCESS(index)`` reads its equality prefix narrowed by at most one
+constant lower and one constant upper bound on the next key column, and a
+NULL bound reads nothing.  When an NL join's inner is an index-probe
+chain (``ACCESS(index)`` under any run of GET / FILTER) the vectorized
+engine runs one outer *batch* through it at a time instead of
+re-executing it per outer row.  Every case here must agree exactly with
+the reference iterator (``tests/reference_executor.py``) on rows (values
+and order), ``tuples_flowed``, ``page_reads``, ``index_reads`` and
+per-node ``[rows, opens]`` — exact, not up to read-ahead, because an NL
+join drains every inner stream.  That includes the cases where the
+kernel skips the equalities its lookup already matched
+(``_covered_by_probe``), NULL keys, which are misses on the kernel route,
+and the per-row route beside it, which only a key that raised takes.
 """
 
 from __future__ import annotations
@@ -26,12 +29,16 @@ from repro.errors import ExecutionError
 from repro.executor.keys import probe_key_exprs
 from repro.executor.vectorized import _covered_by_probe
 from repro.plans.plan import PlanNode
-from repro.query.expressions import Arith, ColumnRef, Literal
+from repro.query.expressions import Arith, ColumnRef, Literal, RowContext
 from repro.query.predicates import Comparison
 from repro.storage import Database
+from tests.reference_btree import lookup
 from tests.reference_executor import ENGINES
 
 BATCH_SIZES = (1, 2, 7, 1024)
+#: Entries of R: enough for a three-level tree at the default order.
+DEEP = 2400
+EMPTY = ("empty-outer", "empty-index", "null-bound", "null-equal")
 AGREE = ("tuples_flowed", "page_reads", "index_reads")
 
 
@@ -47,9 +54,9 @@ def cmp(op: str, left, right) -> Comparison:
 def build() -> tuple[Catalog, Database]:
     """O is the outer (20 % NULL keys, keys 150.. match nothing); I has
     every key 0..149 three times, so its indexes are two levels deep and
-    probe groups straddle leaves; C is B-tree organized; E is empty.  P
-    is a second outer: NULLs in K and in M, and L equal to K on two rows
-    of three."""
+    probe groups straddle leaves; C is B-tree organized; E is empty; R's
+    index is three levels deep.  P is a second outer: NULLs in K and in
+    M, and L equal to K on two rows of three."""
     catalog = Catalog()
     catalog.add_table(TableDef("O", make_columns("K", "V", "X")))
     catalog.add_table(TableDef("P", make_columns("K", "L", "M")))
@@ -59,13 +66,15 @@ def build() -> tuple[Catalog, Database]:
     catalog.add_table(TableDef("C", make_columns("K", "W")))
     catalog.add_table(TableDef("T", make_columns("K", "U")))
     catalog.add_table(TableDef("E", make_columns("K", "W")))
+    catalog.add_table(TableDef("R", make_columns("K")))
     catalog.add_index(AccessPath("I_K", "I", ("K",)))
     catalog.add_index(AccessPath("I_KW", "I", ("K", "W")))
     catalog.add_index(AccessPath("C_K", "C", ("K",), clustered=True))
     catalog.add_index(AccessPath("T_K", "T", ("K",)))
     catalog.add_index(AccessPath("E_K", "E", ("K",)))
+    catalog.add_index(AccessPath("R_K", "R", ("K",)))
     database = Database(catalog)
-    for table in ("O", "P", "N", "G", "I", "C", "T", "E"):
+    for table in ("O", "P", "N", "G", "I", "C", "T", "E", "R"):
         database.create_storage(table)
     database.load(
         "O", [(None if k % 5 == 0 else (k * 7) % 165, k, k % 4) for k in range(40)]
@@ -82,6 +91,7 @@ def build() -> tuple[Catalog, Database]:
     database.load("I", [(k % 150, k % 7, k) for k in range(450)])
     database.load("C", [((k * 3) % 100, k) for k in range(200)])
     database.load("T", [(k % 4, k) for k in range(12)])
+    database.load("R", [(k,) for k in range(DEEP)])  # in order: half-full leaves
     database.analyze_all()
     return catalog, database
 
@@ -159,6 +169,32 @@ def cases(catalog: Catalog) -> dict[str, PlanNode]:
     plans["empty-index"] = nl(
         outer, f.access_index("E", catalog.path("E", "E_K"), {col("E.K")}, {eeq}), {eeq}
     )
+    # Standalone reads narrowed by constant bounds
+    # (test_ranges_read_less_than_the_full_scan).
+    plans["range-lt"] = probe_i({cmp("<", "I.K", Literal(20))})
+    plans["range-le"] = probe_i({cmp("<=", "I.K", Literal(20))})
+    plans["range-gt"] = probe_i({cmp(">", "I.K", Literal(130))})
+    plans["range-ge"] = probe_i({cmp(">=", "I.K", Literal(130))})
+    # Two lower bounds: the first in str order bounds, the other filters.
+    plans["range-both"] = probe_i({
+        cmp("<", Literal(40), "I.K"), cmp(">=", "I.K", Literal(45)),
+        cmp("<=", "I.K", Literal(60)),
+    })
+    kw = ("I.K", "I.W")
+    plans["prefix-range"] = probe_i(
+        {cmp("=", "I.K", Literal(7)), cmp(">=", "I.W", Literal(3))}, "I_KW", kw
+    )
+    bounded = {eq, cmp("<", "I.W", Literal(4))}  # an NL inner that reads per row
+    plans["nl-prefix-range"] = nl(outer, probe_i(bounded, "I_KW", kw), {eq})
+    by_outer = {cmp("<", "I.K", "O.V")}  # bound by an outer column: a filter
+    plans["outer-range"] = nl(few, probe_i(by_outer), by_outer)
+    plans["null-bound"] = probe_i({cmp("<", "I.K", Literal(None))})
+    plans["null-equal"] = probe_i({cmp("=", "I.K", Literal(None))})
+    r_k = catalog.path("R", "R_K")
+    plans["deep-scan"] = f.access_index("R", r_k, {col("R.K")}, set())
+    plans["deep-range"] = f.access_index(
+        "R", r_k, {col("R.K")}, {cmp("<", "R.K", Literal(DEEP // 10))}
+    )
     return plans
 
 
@@ -167,8 +203,11 @@ def run(database, plan, engine, batch_size, observed=True):
     rows, stats = ENGINES[engine](database, batch_size=batch_size).run_plan(
         plan, node_counts=counts
     )
-    flat = [sorted((str(c), repr(v)) for c, v in row.items()) for row in rows]
-    return flat, {name: getattr(stats, name) for name in AGREE}, counts, stats
+    return flat(rows), {name: getattr(stats, name) for name in AGREE}, counts, stats
+
+
+def flat(rows):
+    return [sorted((str(c), repr(v)) for c, v in row.items()) for row in rows]
 
 
 def plan_nodes(plan: PlanNode):
@@ -202,8 +241,10 @@ CASE_NAMES = tuple(cases(build()[0]))
 def test_engines_agree_exactly(env, name, batch_size):
     database, plans = env
     rows, stats, _ = check(database, plans[name], batch_size)
-    if name in ("empty-outer", "empty-index"):
+    if name in EMPTY:
         assert rows == []
+        if name.startswith("null"):  # a NULL bound reads nothing
+            assert stats["index_reads"] == 0
     elif name != "composite-unbound":
         assert rows and stats["index_reads"] > 0
 
@@ -214,10 +255,47 @@ def test_cases_cover_the_data_shapes(env):
     assert None in keys and max(k for k in keys if k is not None) >= 150
     rows, stats, counts = check(database, plans["bare"], 7)
     assert len(rows) == 3 * sum(1 for k in keys if k is not None and k < 150)
-    # One open of the inner per outer row, NULL-keyed rows included: each
-    # of those scans the whole index, which is most of the reads.
+    # One open of the inner per outer row, NULL-keyed rows included; a
+    # NULL key is a miss that reads nothing, so every read is a probe of
+    # a non-NULL key.
     assert counts[-1][1] == len(keys)
-    assert stats["index_reads"] // keys.count(None) >= 5  # leaves per scan
+    tree = database.table("I").index("I_K").tree
+    assert stats["index_reads"] == sum(
+        charged_lookup(tree, (key,)) for key in keys if key is not None
+    )
+    assert charged_lookup(tree, (None,)) == 0
+
+
+def charged_lookup(tree, prefix) -> int:
+    """The index reads one per-prefix lookup of ``prefix`` charges."""
+    before = tree._io.index_reads
+    lookup(tree, prefix)
+    return tree._io.index_reads - before
+
+
+@pytest.mark.parametrize(
+    "name", ["range-lt", "range-le", "range-gt", "range-ge", "range-both", "deep-range"]
+)
+def test_ranges_read_less_than_the_full_scan(env, name):
+    """A constant range bound narrows the read; the rows are the full
+    scan's rows that satisfy the predicates, in key order."""
+    database, plans = env
+    plan = plans[name]
+    table, path = plan.param("table"), plan.param("path")
+    if name == "deep-range":
+        assert database.table(table).index(path.name).tree.height >= 3
+    full = PlanFactory(database.catalog).access_index(
+        table, path, plan.param("columns"), set()
+    )
+    rows, stats, _ = check(database, plan, 7)
+    full_rows, full_stats = ENGINES["iterator"](database).run_plan(full)
+    preds = plan.param("preds")
+    assert rows == flat([
+        row for row in full_rows if all(p.evaluate(RowContext(row)) for p in preds)
+    ])
+    assert 0 < stats["index_reads"] < full_stats.index_reads
+    if name == "deep-range":  # a tenth of the entries: about a tenth of the leaves
+        assert stats["index_reads"] * 5 < full_stats.index_reads
 
 
 COVERED = {
@@ -247,21 +325,30 @@ def test_covered_predicates(env, name):
     assert sorted(map(str, covered)) == COVERED[name]
 
 
-def test_the_per_row_route_checks_every_predicate(env):
-    """Rows of P with a NULL key take the per-row route, inside batches
-    that also go through the kernel: a NULL K scans the whole index, a
-    NULL M the run of its K, and only the equality the kernel skips
-    drops what either scan finds."""
+def test_null_keys_stay_on_the_kernel_route(env):
+    """Rows of P with a NULL in their key (K or M) sit inside batches that
+    go through the kernel, and each is a miss: booked one open, charged
+    no read, and matched by nothing, though the join checks nothing that
+    could drop what a wider read found."""
     database, plans = env
     outer = [row for _, row in database.table("P").scan()]
     inner = [row for _, row in database.table("I").scan()]
     assert 0 < sum(1 for k, _, m in outer if k is None or m is None) < len(outer)
-    rows, _, counts = check(database, plans["null-second-key"], 7)
+    rows, stats, counts = check(database, plans["null-second-key"], 7)
     assert len(rows) == sum(
         1 for k, _, m in outer for ik, iw, _ in inner
         if k is not None and m is not None and (ik, iw) == (k, m)
     )
     assert counts[-1][1] == len(outer)
+    tree = database.table("I").index("I_KW").tree
+    assert stats["index_reads"] == sum(
+        charged_lookup(tree, (k, m)) for k, _, m in outer
+        if k is not None and m is not None
+    )
+    # A NULL key splits no kernel run: one batch each for the outer scan,
+    # the ACCESS and the join's output.
+    *_, engine_stats = run(database, plans["null-second-key"], "vectorized", 1024)
+    assert engine_stats.batches == 3
     for name in ("second-bare-candidate", "join-only-equality"):
         rows, _, _ = check(database, plans[name], 7)
         assert len(rows) == sum(
@@ -282,6 +369,32 @@ def test_null_arithmetic_fails_in_both_engines(env):
     for engine in ENGINES.values():
         with pytest.raises(ExecutionError, match="arithmetic failed"):
             engine(database, batch_size=7).run_plan(plan)
+
+
+@pytest.mark.xfail(strict=True, raises=ExecutionError, reason=(
+    "known deviation: NULL + 1 raises instead of evaluating to NULL, so NL "
+    "fails where HA drops the NULL key (ROADMAP)"
+))
+def test_null_arithmetic_joins_agree_under_nl_and_ha(env):
+    """SQL evaluates ``NULL + 1`` as NULL, a key that matches nothing:
+    every join method should return the same rows.  Under HA a failed
+    key evaluation is dropped from the build and probe (90 rows); under
+    NL, index or heap inner, the predicate raises."""
+    database, _ = env
+    f = PlanFactory(database.catalog)
+    pred = cmp("=", "I.K", Arith("+", col("O.K"), Literal(1)))
+    outer = f.access_base("O", {col("O.K")}, set())
+    heap = f.access_base("I", {col("I.K")}, set())
+    index = f.access_index("I", database.catalog.path("I", "I_K"), {col("I.K")}, {pred})
+    hashed = f.join("HA", outer, heap, {pred})
+    for engine in ENGINES.values():
+        want, _ = engine(database, batch_size=7).run_plan(hashed)
+        assert len(want) == 90
+        for inner in (index, heap):
+            got, _ = engine(database, batch_size=7).run_plan(
+                f.join("NL", outer, inner, {pred})
+            )
+            assert sorted(flat(got)) == sorted(flat(want))
 
 
 @pytest.mark.parametrize("shape", ["bare", "filter-get", "clustered"])

@@ -7,6 +7,7 @@ from repro.catalog.catalog import make_columns
 from repro.errors import StorageError
 from repro.query.expressions import ColumnRef
 from repro.storage import Database, IOAccounting, TableData, tid_column
+from tests.reference_btree import search
 
 
 @pytest.fixture()
@@ -41,7 +42,7 @@ class TestTableData:
     def test_indexes_maintained_on_insert(self, db):
         db.load("T", [(5, 1, "a"), (3, 2, "b"), (5, 3, "c")])
         index = db.table("T").index("T_A")
-        rids = [rid for rid, _ in index.tree.search((5,))]
+        rids = [rid for rid, _ in search(index.tree, (5,))]
         assert len(rids) == 2
 
     def test_index_added_after_load_backfills(self, db, cat):
@@ -49,7 +50,7 @@ class TestTableData:
         data = db.table("T")
         path = AccessPath("T_B", "T", ("B",))
         data.add_index(path, (ColumnRef("T", "B"),))
-        assert len(data.index("T_B").tree.search((20,))) == 1
+        assert len(search(data.index("T_B").tree, (20,))) == 1
 
     def test_duplicate_index_rejected(self, db):
         data = db.table("T")
@@ -129,8 +130,8 @@ class TestDatabase:
         data = db.create_storage("B")
         db.load("B", [(3, 30), (1, 10), (2, 20)])
         primary = next(ix for ix in data.indexes.values() if ix.clustered)
-        keys = [k for k, _ in primary.tree.scan_all()]
+        keys = [k for k, _ in primary.tree.scan_range()]
         assert keys == [(1,), (2,), (3,)]
         # Clustered leaves carry the full row.
-        _, (rid, row) = next(primary.tree.scan_all())
+        _, (rid, row) = next(primary.tree.scan_range())
         assert row == (1, 10)
