@@ -70,9 +70,7 @@ from repro.executor import (
     ChaosConfig,
     ChaosEngine,
     ColumnBatch,
-    ExecutionReport,
     QueryExecutor,
-    ResilientExecutor,
     RetryPolicy,
     SimClock,
     naive_evaluate,
@@ -91,12 +89,12 @@ from repro.plans import PlanNode, PropertyVector, Requirements, SAP, Stream
 from repro.plans.plan import render_functional, render_tree
 from repro.query import QueryBlock, parse_predicate, parse_query
 from repro.robust import (
-    AdaptiveExecutor,
-    AdaptiveReport,
     BudgetExhausted,
     CheckpointPolicy,
+    ExecutionReport,
     FeedbackCache,
     OptimizerBudget,
+    ResilientExecutor,
     heuristic_plan,
 )
 from repro.serve import (
@@ -115,8 +113,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AccessPath",
-    "AdaptiveExecutor",
-    "AdaptiveReport",
     "AnalyzeReport",
     "BudgetExhausted",
     "CardinalityViolation",

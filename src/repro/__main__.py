@@ -21,8 +21,8 @@ Subcommands:
   stream against the schema instead — the CI lint).
 * ``analyze`` — EXPLAIN ANALYZE: execute the chosen plan and print the
   per-operator estimated-vs-actual row table with Q-errors.
-* ``adaptive`` — run a deliberately-misestimated workload under the
-  adaptive executor: cardinality checkpoints abort bad plans, feed the
+* ``adaptive`` — run a deliberately-misestimated workload under
+  ``ResilientExecutor``: cardinality checkpoints abort bad plans, feed the
   observed rows back, and re-optimize (``--budget`` additionally bounds
   the optimizer with an anytime fallback).
 * ``validate`` — statically lint a rule set (builtin or a DBC's file);
@@ -87,7 +87,7 @@ from repro.stars.builtin_rules import (
     default_rules,
     extended_rules,
 )
-from repro.robust import AdaptiveExecutor, OptimizerBudget
+from repro.robust import OptimizerBudget
 from repro.stars.registry import default_registry
 from repro.workloads import (
     chain_workload,
@@ -344,7 +344,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     executor = ResilientExecutor(
         database, optimizer, chaos=chaos, retry=retry, tracer=tracer
     )
-    report = executor.run(result)
+    report = executor.run(query)
     print()
     print(report.summary())
     if tracer is not None:
@@ -474,7 +474,7 @@ def _parse_budget(spec: str) -> OptimizerBudget:
 def cmd_adaptive(args: argparse.Namespace) -> int:
     """Run the misestimated E12 workload statically, then adaptively."""
     from repro.cost.model import CostWeights
-    from repro.robust.adaptive import executed_cost
+    from repro.robust.resilient import executed_cost
     from repro.stars.builtin_rules import extended_rules as _extended
 
     wl = skewed_workload(
@@ -508,7 +508,7 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
     print(f"static executed: {len(static_result)} rows, "
           f"cost {static_cost:.1f}\n")
 
-    adaptive = AdaptiveExecutor(
+    adaptive = ResilientExecutor(
         wl.database,
         StarburstOptimizer(wl.catalog, rules=rules, weights=weights,
                            budget=budget),

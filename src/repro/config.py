@@ -14,11 +14,6 @@ from dataclasses import dataclass, field, replace
 class OptimizerConfig:
     """Knobs for the STAR engine, Glue, and the join enumerator."""
 
-    #: Restrict merge-join sortable predicates to equalities (System R /
-    #: R* behaviour; the paper's SP definition literally allows any
-    #: ``col1 op col2``).
-    equality_merge_only: bool = True
-
     #: Glue return mode (section 3.2 step 3): "either ... the cheapest
     #: plan satisfying the requirements or (optionally) all plans".
     glue_mode: str = "all"  # "all" | "cheapest"
@@ -53,8 +48,7 @@ class OptimizerConfig:
     #: Sites the optimizer must plan around, in addition to any sites the
     #: catalog has marked down (``Catalog.mark_site_down``): no base-table
     #: access at them, no SHIP to them, and they are dropped from the
-    #: candidate join sites.  Used by :class:`ResilientExecutor` when
-    #: re-optimizing after a site outage.
+    #: candidate join sites.
     avoid_sites: frozenset[str] = field(default_factory=frozenset)
 
     #: Keep plans whose *site footprint* (every site any of their nodes

@@ -107,11 +107,9 @@ class UnsupportedPlanError(BackendError):
 class CardinalityViolation(ExecutionError):
     """A runtime cardinality checkpoint tripped: the actual row count at a
     materialization point diverged from the property vector's CARD by more
-    than the configured Q-error threshold.  Carries everything the
-    adaptive loop needs to re-optimize: the violated equivalence class,
-    both cardinalities, and (attached by the executor before the exception
-    escapes) the partial :class:`~repro.executor.runtime.ExecutionStats`
-    of the aborted attempt."""
+    than the configured Q-error threshold.  Carries the violated
+    equivalence class and both cardinalities; what the aborted execution
+    cost is in ``QueryExecutor.last_stats``."""
 
     def __init__(
         self,
@@ -135,8 +133,6 @@ class CardinalityViolation(ExecutionError):
         self.actual = actual
         self.q = q
         self.threshold = threshold
-        #: Filled by the executor when the violation aborts a running plan.
-        self.partial_stats = None
 
 
 class NetworkError(ExecutionError):

@@ -21,10 +21,6 @@ that evaluator, interpreting plan DAGs against a
 * :mod:`repro.executor.chaos` — deterministic fault injection
   (:class:`~repro.executor.chaos.ChaosConfig` /
   :class:`~repro.executor.chaos.ChaosEngine`) for sites and links;
-* :class:`~repro.executor.resilient.ResilientExecutor` — SAP-driven plan
-  failover: on a permanent failure, re-execute the cheapest surviving
-  alternative plan, falling back to re-optimization against the degraded
-  catalog;
 * :mod:`repro.executor.naive` — a brute-force reference evaluator used
   for differential testing of optimizer + executor correctness.
 """
@@ -33,20 +29,17 @@ from repro.executor.batch_ops import ColumnBatch
 from repro.executor.chaos import ChaosConfig, ChaosEngine, RetryPolicy, SimClock
 from repro.executor.naive import naive_evaluate
 from repro.executor.network import LinkStats, NetworkSim
-from repro.executor.resilient import ExecutionReport, ResilientExecutor
 from repro.executor.runtime import ExecutionResult, ExecutionStats, QueryExecutor
 
 __all__ = [
     "ChaosConfig",
     "ChaosEngine",
     "ColumnBatch",
-    "ExecutionReport",
     "ExecutionResult",
     "ExecutionStats",
     "LinkStats",
     "NetworkSim",
     "QueryExecutor",
-    "ResilientExecutor",
     "RetryPolicy",
     "SimClock",
     "naive_evaluate",

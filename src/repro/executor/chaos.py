@@ -19,7 +19,7 @@ Failures surface as the typed errors of :mod:`repro.errors`:
 :class:`TransientNetworkError` (retryable), :class:`LinkError`
 (permanent / retries exhausted), and :class:`SiteUnavailableError`
 (permanent site outage — the trigger for SAP-driven plan failover in
-:class:`~repro.executor.resilient.ResilientExecutor`).
+:class:`~repro.robust.resilient.ResilientExecutor`).
 """
 
 from __future__ import annotations

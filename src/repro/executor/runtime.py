@@ -129,12 +129,12 @@ class QueryExecutor:
         #: against the property vector's CARD.
         self.checkpoints = checkpoints
         #: Optional digest-keyed temp cache shared across executions; when
-        #: given, temps survive ``run_plan`` (the adaptive loop reuses them
-        #: across re-optimization attempts and drops them itself).
+        #: given, temps survive ``run_plan`` (the recovery loop reuses them
+        #: across re-optimizations and drops them itself).
         self.temp_cache = temp_cache
-        #: The NetworkSim of the most recent ``run_plan`` call, kept even
-        #: when execution raises — failover code aggregates its stats.
-        self.last_network: NetworkSim | None = None
+        #: The stats of the most recent execution, filled also when it
+        #: raises — the recovery loop prices an aborted execution by them.
+        self.last_stats: ExecutionStats | None = None
         #: What operators of the most recent run found out about their
         #: inputs (``id(node) -> {"build": "unique", ...}`` for a hash
         #: join) — EXPLAIN ANALYZE prints it beside them.
@@ -156,19 +156,17 @@ class QueryExecutor:
         return [row for batch in batches for row in batch.rows()], stats
 
     def _fresh_network(self) -> NetworkSim:
-        network = NetworkSim(
+        return NetworkSim(
             chaos=self.chaos, retry=self.retry, clock=SimClock(),
             tracer=self.tracer,
         )
-        self.last_network = network
-        return network
 
     def _finish_stats(
         self, stats: ExecutionStats, network: NetworkSim, io_before, started: float
     ) -> None:
-        """Fill the I/O, network, and timing totals of one execution —
-        also on the error path, so failover/adaptive code always sees the
-        true cost of an aborted attempt."""
+        """Fill the I/O, network, and timing totals of one execution and
+        publish them as ``last_stats`` — also on the error path, so the
+        recovery loop always sees the true cost of an aborted execution."""
         delta = self.db.io.since(io_before)
         stats.page_reads = delta.page_reads
         stats.page_writes = delta.page_writes
@@ -181,6 +179,7 @@ class QueryExecutor:
         stats.transient_failures = network.total_failures
         stats.backoff_seconds = network.total_backoff
         stats.elapsed_seconds = time.perf_counter() - started
+        self.last_stats = stats
         if self.temp_cache is None:
             self.db.drop_temps()
 

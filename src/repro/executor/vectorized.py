@@ -80,7 +80,7 @@ from itertools import chain, compress, repeat
 from operator import is_not
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.errors import CardinalityViolation, ExecutionError
+from repro.errors import ExecutionError
 from repro.executor.batch_ops import (
     EVAL_FAILED,
     BatchBuilder,
@@ -525,7 +525,7 @@ class _BatchRun:
         # stream count the cardinality checkpoint needs (streams under
         # sideways bindings carry per-probe counts: never checked).
         if self.checkpoints is not None and bindings is None:
-            self._checkpoint(node.inputs[0], combined.length)
+            self.checkpoints.observe(node.inputs[0], combined.length)
         perm = sort_permutation(combined, order)
         for start in range(0, combined.length, self.batch_size):
             yield combined.take(perm[start:start + self.batch_size])
@@ -1016,19 +1016,8 @@ class _BatchRun:
         self.stats.temps_materialized += 1
         self._temps[digest] = data
         if self.checkpoints is not None:
-            self._checkpoint(node.inputs[0], count)
+            self.checkpoints.observe(node.inputs[0], count)
         return data
-
-    def _checkpoint(self, node: PlanNode, actual: int) -> None:
-        """Run a cardinality checkpoint.  When the policy aborts, the
-        shared stats ride along on the violation: ``QueryExecutor``'s
-        ``finally`` fills them before the exception escapes, so the
-        adaptive loop sees the true cost of the aborted attempt."""
-        try:
-            self.checkpoints.observe(node, actual)
-        except CardinalityViolation as violation:
-            violation.partial_stats = self.stats
-            raise
 
 
 def _probe_chain(inner: PlanNode) -> tuple[PlanNode, ...] | None:

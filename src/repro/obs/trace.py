@@ -26,11 +26,13 @@ category     emitted by
              attempts, retries, backoff and completions
 ``chaos``    :class:`~repro.executor.chaos.ChaosEngine` fault injections
 ``optimizer``  one span per :meth:`StarburstOptimizer.optimize`
-``resilient``  :class:`~repro.executor.resilient.ResilientExecutor`
-             executions, SAP failovers and replans
-``robust``   the adaptive loop — optimization budgets, cardinality
-             checkpoints, feedback-cache records/hits and per-attempt
-             spans of :class:`~repro.robust.adaptive.AdaptiveExecutor`
+``resilient``  :class:`~repro.robust.resilient.ResilientExecutor`'s
+             network recovery — SAP failovers and degraded-catalog
+             replans (instants)
+``robust``   the recovery loop — one ``attempt`` span per plan
+             execution of :class:`~repro.robust.resilient.ResilientExecutor`,
+             optimization budgets, cardinality checkpoints and
+             feedback-cache records/hits
 ``serve``    :class:`~repro.serve.service.OptimizerService` — one span
              per handled request plus admission/tier/cache instants,
              stamped with the request id (see :mod:`repro.obs.telemetry`)

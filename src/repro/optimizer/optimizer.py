@@ -123,7 +123,7 @@ class StarburstOptimizer:
         #: best anytime plan is returned — optimize never raises for this.
         self.budget = budget
         #: Optional FeedbackCache consulted by the selectivity estimator —
-        #: the adaptive executor installs one here so re-optimizations see
+        #: ``ResilientExecutor`` installs one here so re-optimizations see
         #: runtime-observed cardinalities.
         self.feedback = feedback
         validate_rules(self.rules, self.registry, raise_on_error=True)

@@ -25,8 +25,8 @@ functions usable from STAR rule text (see ``repro.stars.registry``).
 
 A note on ``SP``: the paper writes ``col1 op col2`` without restricting
 ``op``; our merge-join runtime implements equality merge (as System R and
-R* did), so the default classification restricts ``SP`` to equality.  Pass
-``equality_only=False`` to get the paper's literal definition.
+R* did), so ``SP`` holds equalities only — a merge join on an inequality
+would be a plan the query evaluator cannot run.
 """
 
 from __future__ import annotations
@@ -230,15 +230,14 @@ def sortable_predicates(
     preds: Iterable[Predicate],
     outer_tables: frozenset[str] | set[str],
     inner_tables: frozenset[str] | set[str],
-    equality_only: bool = True,
 ) -> frozenset[Predicate]:
-    """``SP``: join predicates of form ``col1 op col2`` across the two sides."""
+    """``SP``: join predicates of form ``col1 = col2`` across the two sides."""
     outer = frozenset(outer_tables)
     inner = frozenset(inner_tables)
     result = []
     for p in join_predicates(preds):
         assert isinstance(p, Comparison)
-        if equality_only and p.op != "=":
+        if p.op != "=":
             continue
         if not (isinstance(p.left, ColumnRef) and isinstance(p.right, ColumnRef)):
             continue
@@ -322,16 +321,13 @@ def classify_predicates(
     preds: Iterable[Predicate],
     outer_tables: frozenset[str] | set[str],
     inner_tables: frozenset[str] | set[str],
-    equality_only_sort: bool = True,
 ) -> PredicateClasses:
     """Classify ``preds`` into the paper's JP / SP / HP / XP / IP classes."""
     preds = frozenset(preds)
     return PredicateClasses(
         eligible=preds,
         join=join_predicates(preds),
-        sortable=sortable_predicates(
-            preds, outer_tables, inner_tables, equality_only=equality_only_sort
-        ),
+        sortable=sortable_predicates(preds, outer_tables, inner_tables),
         hashable=hashable_predicates(preds, outer_tables, inner_tables),
         indexable=indexable_predicates(preds, outer_tables, inner_tables),
         inner_only=inner_only_predicates(preds, inner_tables),

@@ -16,23 +16,24 @@ the estimates feeding it are wrong:
 * :mod:`repro.robust.checkpoint` — :class:`CheckpointPolicy` compares
   actual rows against the property vector's CARD at materialization
   points (SORT / STORE / TEMP).
-* :mod:`repro.robust.adaptive` — :class:`AdaptiveExecutor` composes the
-  chaos-tolerant :class:`~repro.executor.resilient.ResilientExecutor`
-  with checkpoints and re-optimization into a runtime feedback loop.
+* :mod:`repro.robust.resilient` — :class:`ResilientExecutor`, the one
+  run-time recovery loop: SAP failover when a site or link dies,
+  checkpoint-triggered re-optimization when an estimate is wrong, every
+  execution priced into one :class:`ExecutionReport`.
 """
 
-from repro.robust.adaptive import AdaptiveExecutor, AdaptiveReport
 from repro.robust.budget import BudgetExhausted, OptimizerBudget
 from repro.robust.checkpoint import CheckpointPolicy
 from repro.robust.fallback import heuristic_plan
 from repro.robust.feedback import FeedbackCache
+from repro.robust.resilient import ExecutionReport, ResilientExecutor
 
 __all__ = [
-    "AdaptiveExecutor",
-    "AdaptiveReport",
     "BudgetExhausted",
     "CheckpointPolicy",
+    "ExecutionReport",
     "FeedbackCache",
     "OptimizerBudget",
+    "ResilientExecutor",
     "heuristic_plan",
 ]

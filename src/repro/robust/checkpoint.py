@@ -8,7 +8,7 @@ per-tuple overhead on pipelined operators.  :class:`CheckpointPolicy`
 performs that comparison, always records the observation into the
 :class:`~repro.robust.feedback.FeedbackCache`, and raises
 :class:`~repro.errors.CardinalityViolation` when the Q-error exceeds the
-threshold — the signal the :class:`~repro.robust.adaptive.AdaptiveExecutor`
+threshold — the signal the :class:`~repro.robust.resilient.ResilientExecutor`
 turns into a re-optimization.
 """
 
@@ -26,8 +26,9 @@ class CheckpointPolicy:
     ``qerror_threshold`` is the abort trigger (Q-error is symmetric and
     ≥ 1, so 10.0 means "off by more than 10× either way").  ``armed``
     False turns the policy into a pure observer: it still feeds the
-    cache and metrics but never raises — the adaptive executor's final
-    attempt runs disarmed so execution always terminates.
+    cache and metrics but never raises — the recovery loop runs the
+    executions after its last re-optimization disarmed, so execution
+    always terminates.
     """
 
     def __init__(

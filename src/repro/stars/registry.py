@@ -166,10 +166,7 @@ def fn_sortable_preds(
     inner: Stream | str,
 ) -> frozenset[Predicate]:
     return sortable_predicates(
-        preds,
-        _stream_tables(outer),
-        _stream_tables(inner),
-        equality_only=ctx.config.equality_merge_only,
+        preds, _stream_tables(outer), _stream_tables(inner)
     )
 
 

@@ -17,7 +17,7 @@ import time
 from typing import Any, Iterator, Mapping
 
 from repro.catalog.schema import AccessPath
-from repro.errors import CardinalityViolation, ExecutionError
+from repro.errors import ExecutionError
 from repro.executor.batch_ops import TID_WIDTH, Row, _sort_key
 from repro.executor.chaos import ChaosEngine
 from repro.executor.keys import (
@@ -340,7 +340,7 @@ class _PlanRun:
         # cardinality of the stream below is known exactly.  Streams under
         # sideways bindings carry per-probe counts and are never checked.
         if self.checkpoints is not None and bindings is None:
-            self._checkpoint(node.inputs[0], len(rows))
+            self.checkpoints.observe(node.inputs[0], len(rows))
         rows.sort(key=lambda r: tuple(_sort_key(r.get(c)) for c in order))
         yield from rows
 
@@ -552,22 +552,8 @@ class _PlanRun:
         self.stats.temps_materialized += 1
         self._temps[digest] = data
         if self.checkpoints is not None:
-            self._checkpoint(node.inputs[0], count)
+            self.checkpoints.observe(node.inputs[0], count)
         return data
-
-    def _checkpoint(self, node: PlanNode, actual: int) -> None:
-        """Run the cardinality checkpoint for a completed materialization.
-
-        When the policy aborts, the shared :class:`ExecutionStats` object
-        rides along on the violation — ``run_plan``'s ``finally`` fills it
-        before the exception escapes, so the adaptive loop sees the true
-        cost of the aborted attempt.
-        """
-        try:
-            self.checkpoints.observe(node, actual)
-        except CardinalityViolation as violation:
-            violation.partial_stats = self.stats
-            raise
 
     # -- shared helpers ---------------------------------------------------------------------
 

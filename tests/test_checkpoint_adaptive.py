@@ -21,11 +21,11 @@ from repro.obs import (
 from repro.optimizer import StarburstOptimizer
 from repro.query.expressions import ColumnRef
 from repro.robust import (
-    AdaptiveExecutor,
     CheckpointPolicy,
     FeedbackCache,
+    ResilientExecutor,
 )
-from repro.robust.adaptive import executed_cost
+from repro.robust.resilient import executed_cost
 from repro.stars.builtin_rules import extended_rules
 from repro.storage import Database
 from repro.workloads import skewed_workload
@@ -60,7 +60,6 @@ class TestCheckpointPolicy:
         assert violation.estimated == 1000.0
         assert violation.actual == 3.0
         assert violation.q == pytest.approx(1000.0 / 3.0)
-        assert violation.partial_stats is None  # runtime attaches it
         assert policy.violations == 1
         # The observation reached the cache before the abort.
         assert policy.feedback.lookup({"T"}, frozenset()) == 3.0
@@ -114,8 +113,9 @@ class TestStoreCheckpointAndTempReuse:
         executor = QueryExecutor(db, checkpoints=policy, temp_cache=temp_cache)
         with pytest.raises(CardinalityViolation) as excinfo:
             executor.run_plan(plan)
-        # The runtime attached the partial stats of the aborted attempt.
-        assert excinfo.value.partial_stats is not None
+        # The runtime published the stats of the aborted execution,
+        # filled on the error path.
+        assert executor.last_stats.temps_materialized == 1
         # The temp was cached *before* the checkpoint raised, so a retry
         # can reuse the materialized subtree.
         assert len(temp_cache) == 1
@@ -177,7 +177,7 @@ E12_SKEWS = {
 def _adaptive(skewed_fixture, **kwargs):
     wl, rules, weights, _, _ = skewed_fixture
     optimizer = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
-    return AdaptiveExecutor(wl.database, optimizer, **kwargs)
+    return ResilientExecutor(wl.database, optimizer, **kwargs)
 
 
 class TestAdaptiveLoop:
@@ -190,8 +190,7 @@ class TestAdaptiveLoop:
             report = _adaptive(setup, qerror_threshold=10.0).run(wl.query)
             assert report.succeeded, name
             assert report.checkpoint_violations >= 1, name
-            assert report.reoptimizations >= 1, name
-            assert report.attempts == report.reoptimizations + 1, name
+            assert report.executions == report.checkpoint_violations + 1, name
             assert report.result.as_multiset() == static_result.as_multiset(), name
             # Total adaptive cost (aborted work included) beats the static
             # plan: the checkpoint fired before the expensive merge scan.
@@ -203,7 +202,7 @@ class TestAdaptiveLoop:
         )
         report = _adaptive(setup, qerror_threshold=10.0).run(setup[0].query)
         assert report.succeeded
-        assert report.attempts == 1
+        assert report.executions == 1
         assert report.checkpoint_violations == 0
         assert report.executed_cost == pytest.approx(setup[-1])
 
@@ -215,7 +214,7 @@ class TestAdaptiveLoop:
         # With zero re-optimizations allowed, the only attempt runs with
         # checkpoints disarmed: the misestimate is observed, not fatal.
         assert report.succeeded
-        assert report.attempts == 1
+        assert report.executions == 1
         assert report.checkpoint_violations == 0
         assert report.result.as_multiset() == static_result.as_multiset()
 
@@ -226,7 +225,7 @@ class TestAdaptiveLoop:
         # An absurdly tight threshold aborts every armed attempt; the
         # loop must still terminate via the disarmed final attempt.
         assert report.succeeded
-        assert report.attempts <= 3
+        assert report.executions <= 3
 
     def test_feedback_shared_across_attempts(self, skewed):
         executor = _adaptive(skewed, qerror_threshold=10.0)
@@ -244,7 +243,7 @@ class TestAdaptiveLoop:
             wl.catalog, rules=rules, weights=weights,
             tracer=tracer, metrics=metrics,
         )
-        executor = AdaptiveExecutor(
+        executor = ResilientExecutor(
             wl.database, optimizer, qerror_threshold=10.0,
             tracer=tracer, metrics=metrics,
         )
@@ -254,7 +253,7 @@ class TestAdaptiveLoop:
         names = {e.name for e in tracer.events() if e.cat == "robust"}
         assert {"attempt", "checkpoint", "feedback_record"} <= names
         snapshot = metrics.snapshot()
-        assert snapshot["adaptive.violations"] >= 1
+        assert snapshot["resilient.checkpoint_violations"] >= 1
         assert snapshot["checkpoint.violations"] >= 1
 
     def test_metrics_of_a_run_render_as_valid_openmetrics(self, skewed):
@@ -267,7 +266,7 @@ class TestAdaptiveLoop:
         optimizer = StarburstOptimizer(
             wl.catalog, rules=rules, weights=weights, metrics=metrics
         )
-        executor = AdaptiveExecutor(
+        executor = ResilientExecutor(
             wl.database, optimizer, qerror_threshold=10.0, metrics=metrics
         )
         assert executor.run(wl.query).succeeded

@@ -25,7 +25,7 @@ class TestAdaptive:
             ]
         ) == 0
         out = capsys.readouterr().out
-        assert re.search(r"attempts:\s+1\b", out)
+        assert re.search(r"executions:\s+1\b", out)
         assert re.search(r"checkpoint violations:\s+0\b", out)
 
     def test_budget_flag_produces_anytime_plan(self, capsys):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.executor.chaos import ChaosConfig, ChaosEngine, RetryPolicy
-from repro.executor.resilient import ResilientExecutor
+from repro.robust import ResilientExecutor
 from repro.obs import MetricsRegistry, Tracer, explain_analyze, q_error
 from repro.obs.analyze import plan_walk
 from repro.optimizer import StarburstOptimizer
@@ -361,7 +361,7 @@ class TestDeterministicEventStreams:
             database, optimizer, chaos=chaos, retry=RetryPolicy(),
             tracer=tracer,
         )
-        report = executor.run(result)
+        report = executor.run(result.query)
         return tracer, report
 
     def test_same_seed_same_signature(self):

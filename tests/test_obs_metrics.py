@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 from repro.executor.network import LinkStats
-from repro.executor.resilient import ExecutionReport
+from repro.robust import ExecutionReport
 from repro.executor.runtime import ExecutionStats
 from repro.obs.metrics import MetricsRegistry, stats_snapshot
 from repro.obs.openmetrics import render_openmetrics, validate_openmetrics

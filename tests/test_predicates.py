@@ -97,10 +97,6 @@ class TestClassifiers:
     def test_sortable_equality_only_default(self):
         assert sortable_predicates(self.ALL, {"A"}, {"B"}) == {EQ}
 
-    def test_sortable_with_inequalities(self):
-        got = sortable_predicates(self.ALL, {"A"}, {"B"}, equality_only=False)
-        assert got == {EQ, INEQ}
-
     def test_sortable_requires_bare_columns(self):
         # EXPR_EQ has an expression side, so it is not sortable.
         assert EXPR_EQ not in sortable_predicates(self.ALL, {"A"}, {"B"})

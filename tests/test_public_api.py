@@ -34,14 +34,13 @@ class TestOneEvaluator:
         with no backend registry to select from."""
         import repro.backends
         from repro import (
-            AdaptiveExecutor,
             QueryExecutor,
             ResilientExecutor,
             explain_analyze,
         )
         from repro.backends import DifferentialOracle
 
-        for api in (QueryExecutor, ResilientExecutor, AdaptiveExecutor, explain_analyze):
+        for api in (QueryExecutor, ResilientExecutor, explain_analyze):
             assert "executor" not in inspect.signature(api).parameters, api
         assert list(inspect.signature(DifferentialOracle).parameters) == ["database"]
         for name in ("backend_names", "get_backend", "register_backend", "Backend"):

@@ -1,6 +1,9 @@
-"""SAP-driven plan failover, replicas, and optimizer failure diagnostics."""
+"""SAP-driven plan failover, replicas, the accounting of the recovery
+loop, and optimizer failure diagnostics."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -16,6 +19,8 @@ from repro import (
 )
 from repro.errors import CatalogError, NetworkError, OptimizationError
 from repro.plans.plan import plan_links, plan_sites
+from repro.stars.builtin_rules import extended_rules
+from repro.workloads import skewed_workload
 from repro.workloads.paper import figure1_query, paper_catalog, paper_database
 
 
@@ -92,7 +97,7 @@ class TestSapFailover:
             protected_sites=frozenset({"L.A."}),
         ))
         executor = ResilientExecutor(database, optimizer, chaos=chaos)
-        report = executor.run(result)
+        report = executor.run(query)
         assert report.succeeded
         assert report.sap_failovers == 1
         assert report.replans == 0
@@ -104,7 +109,7 @@ class TestSapFailover:
         assert report.result.as_multiset() == reference.as_multiset()
 
     def test_failover_deterministic_under_seed(self, replicated_setup):
-        _, database, _, optimizer, result = replicated_setup
+        _, database, query, optimizer, _ = replicated_setup
         def run():
             chaos = ChaosEngine(ChaosConfig(
                 seed=42,
@@ -113,7 +118,7 @@ class TestSapFailover:
                 protected_sites=frozenset({"L.A."}),
             ))
             executor = ResilientExecutor(database, optimizer, chaos=chaos)
-            report = executor.run(result)
+            report = executor.run(query)
             return (
                 report.succeeded, report.executions, report.sap_failovers,
                 report.ship_attempts, report.ship_retries,
@@ -128,7 +133,7 @@ class TestSapFailover:
             link_outages=((("N.Y.", "L.A."), 1),),
         ))
         executor = ResilientExecutor(database, optimizer, chaos=chaos)
-        report = executor.run(result)
+        report = executor.run(query)
         assert report.succeeded
         assert report.sap_failovers == 1
         assert ("N.Y.", "L.A.") not in plan_links(report.final_plan)
@@ -149,7 +154,7 @@ class TestSapFailover:
             protected_sites=frozenset({"L.A."}),
         ))
         executor = ResilientExecutor(database, optimizer, chaos=chaos)
-        report = executor.run(result)
+        report = executor.run(query)
         assert report.succeeded
         assert report.replans == 1
         assert "N.Y." not in plan_sites(report.final_plan)
@@ -172,7 +177,7 @@ class TestSapFailover:
             protected_sites=frozenset({"L.A."}),
         ))
         executor = ResilientExecutor(database, optimizer, chaos=chaos)
-        report = executor.run(result)
+        report = executor.run(query)
         assert not report.succeeded
         assert report.error is not None
         assert not catalog.down_sites()  # health restored even on failure
@@ -187,10 +192,77 @@ class TestSapFailover:
         executor = ResilientExecutor(
             database, optimizer, chaos=chaos, retry=RetryPolicy()
         )
-        report = executor.run(result)
+        report = executor.run(query)
         assert report.succeeded
         # Retries, not failover, absorbed the transient failures.
         assert report.executions == 1
+
+
+class TestEveryExecutionIsPriced:
+    """The report's executed cost sums every plan execution: one that a
+    network failure aborted counts as much as one a checkpoint aborted."""
+
+    def test_network_aborted_execution_counts(self):
+        catalog = paper_catalog(distributed=True, replicate_dept=True)
+        database = paper_database(catalog)
+        query = figure1_query(catalog)
+        optimizer = StarburstOptimizer(
+            catalog, config=OptimizerConfig(retain_site_diversity=True)
+        )
+        chaos = ChaosConfig(
+            seed=11,
+            site_outages=(("N.Y.", 1),),
+            protected_sites=frozenset({"L.A."}),
+        )
+        report = ResilientExecutor(
+            database, optimizer, chaos=chaos, qerror_threshold=10.0
+        ).run(query)
+        assert report.succeeded
+        assert (report.executions, report.sap_failovers) == (2, 1)
+        assert report.checkpoint_violations == 0
+        # 27.01 for the execution N.Y.'s outage aborted, 31.438 for the
+        # replica plan that delivered the answer.
+        assert report.final_attempt_cost == pytest.approx(31.438)
+        assert report.executed_cost == pytest.approx(27.01 + 31.438)
+
+    def test_checkpoint_and_failover_in_one_run(self):
+        """E12's misestimated join with R1 stored at S1 and replicated at
+        S2: a checkpoint aborts the first plan, S1 dies under the second,
+        and the SAP's replica plan delivers."""
+        wl = skewed_workload(n0=4000, n1=300, stats_high=9, seed=3)
+        catalog = wl.catalog
+        catalog.add_site("S1")
+        # Relocate R1's primary copy (the generator puts every table at
+        # the query site S0).
+        catalog._tables["R1"] = dataclasses.replace(
+            catalog.table("R1"), site="S1"
+        )
+        wl.database.table("R1").site = "S1"
+        catalog.add_replica("R1", "S2")
+        optimizer = StarburstOptimizer(
+            catalog,
+            rules=extended_rules(hash_join=False),
+            config=OptimizerConfig(retain_site_diversity=True),
+        )
+        chaos = ChaosConfig(
+            seed=1,
+            site_outages=(("S1", 1),),
+            protected_sites=frozenset({"S0"}),
+        )
+        report = ResilientExecutor(
+            wl.database, optimizer, chaos=chaos, qerror_threshold=10.0
+        ).run(wl.query)
+        assert report.succeeded
+        assert report.executions == 3
+        assert report.checkpoint_violations == 1
+        assert report.sap_failovers == 1
+        assert report.replans == 0
+        assert "S1" not in plan_sites(report.final_plan)
+        # 1.002 aborted by the checkpoint, 1.002 aborted by S1's outage,
+        # 10.2664 delivered.
+        assert report.executed_cost == pytest.approx(1.002 + 1.002 + 10.2664)
+        reference = naive_evaluate(wl.query, wl.database)
+        assert report.result.as_multiset() == reference.as_multiset()
 
 
 class TestExecutorChaosIntegration:

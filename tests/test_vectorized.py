@@ -260,7 +260,7 @@ class TestCheckpointEquivalence:
             executor.run_plan(plan)
         assert excinfo.value.actual == 3
         assert excinfo.value.estimated == pytest.approx(1000.0)
-        assert excinfo.value.partial_stats is not None
+        assert executor.last_stats is not None
         db.drop_temps()
 
     def test_violations_identical_across_engines(self):
