@@ -491,10 +491,10 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
     rules = _extended(hash_join=False)
     weights = CostWeights()
 
-    optimizer = StarburstOptimizer(
-        wl.catalog, rules=rules, weights=weights, budget=budget
-    )
-    static = optimizer.optimize(wl.query)
+    # One optimizer: the static baseline is optimized before the run, so
+    # no observation of the run can reach it.
+    optimizer = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
+    static = optimizer.optimize(wl.query, budget=budget)
     print(f"query: {static.query}")
     if static.budget_exhausted:
         print("optimization budget exhausted — anytime plan"
@@ -510,10 +510,10 @@ def cmd_adaptive(args: argparse.Namespace) -> int:
 
     adaptive = ResilientExecutor(
         wl.database,
-        StarburstOptimizer(wl.catalog, rules=rules, weights=weights,
-                           budget=budget),
+        optimizer,
         qerror_threshold=args.qerror_threshold,
         max_reoptimizations=args.max_reoptimizations,
+        budget=budget,
     )
     report = adaptive.run(wl.query)
     print(report.summary())

@@ -32,7 +32,6 @@ class Catalog:
         self._table_stats: dict[str, TableStats] = {}
         self._column_stats: dict[tuple[str, str], ColumnStats] = {}
         self._replicas: dict[str, set[str]] = {}
-        self._down_sites: set[str] = set()
         self.query_site = query_site
         self.page_size = page_size
 
@@ -109,32 +108,6 @@ class Catalog:
         primary = self.table(table).site
         replicas = sorted(self._replicas.get(table, ()))
         return (primary, *replicas)
-
-    def reachable_storage_sites(self, table: str) -> tuple[str, ...]:
-        """Storage sites of ``table`` that are currently up."""
-        return tuple(s for s in self.storage_sites(table) if self.site_is_up(s))
-
-    # -- site health ---------------------------------------------------------
-
-    def mark_site_down(self, name: str) -> None:
-        """Record a site outage: the optimizer plans around down sites
-        (no table access at them, no SHIP to them)."""
-        self.site(name)
-        self._down_sites.add(name)
-
-    def mark_site_up(self, name: str) -> None:
-        """Clear a site's outage flag."""
-        self.site(name)
-        self._down_sites.discard(name)
-
-    def site_is_up(self, name: str) -> bool:
-        """Is the site currently healthy?  (Unknown sites raise.)"""
-        self.site(name)
-        return name not in self._down_sites
-
-    def down_sites(self) -> frozenset[str]:
-        """Names of all sites currently marked down."""
-        return frozenset(self._down_sites)
 
     def set_table_stats(self, table: str, stats: TableStats) -> None:
         """Replace a table's statistics."""

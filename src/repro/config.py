@@ -7,12 +7,17 @@ them plus the engine knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True, slots=True)
 class OptimizerConfig:
-    """Knobs for the STAR engine, Glue, and the join enumerator."""
+    """Knobs for the STAR engine, Glue, and the join enumerator.
+
+    A config holds for every optimization of the optimizer it is given
+    to; what one call steers by — a budget, the sites to plan around —
+    is an argument of
+    :meth:`~repro.optimizer.optimizer.StarburstOptimizer.optimize`."""
 
     #: Glue return mode (section 3.2 step 3): "either ... the cheapest
     #: plan satisfying the requirements or (optionally) all plans".
@@ -44,12 +49,6 @@ class OptimizerConfig:
     #: Alternatives are tried in definition order, so a DBC orders the
     #: preferred strategies first and caps the search budget here.
     max_plans_per_reference: int | None = None
-
-    #: Sites the optimizer must plan around, in addition to any sites the
-    #: catalog has marked down (``Catalog.mark_site_down``): no base-table
-    #: access at them, no SHIP to them, and they are dropped from the
-    #: candidate join sites.
-    avoid_sites: frozenset[str] = field(default_factory=frozenset)
 
     #: Keep plans whose *site footprint* (every site any of their nodes
     #: executes at) is not a superset of a cheaper plan's footprint, even

@@ -30,7 +30,7 @@ right regimes.
 from __future__ import annotations
 
 from itertools import takewhile
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import AccessPath
@@ -65,6 +65,9 @@ from repro.plans.sap import JoinCandidate
 from repro.query.expressions import ColumnRef
 from repro.query.predicates import Predicate, sargable_column
 from repro.storage.table import TID_NAME, tid_column
+
+if TYPE_CHECKING:
+    from repro.robust.feedback import FeedbackCache
 
 MIN_CARD = 0.01
 
@@ -173,14 +176,18 @@ class PlanFactory:
         catalog: Catalog,
         model: CostModel | None = None,
         avoid_sites: frozenset[str] = frozenset(),
-        feedback=None,
+        feedback: FeedbackCache | None = None,
     ):
         self.catalog = catalog
         self.model = model if model is not None else CostModel(catalog)
-        self.selectivity = Selectivity(catalog, feedback=feedback)
-        #: Sites no plan may touch: config-avoided plus any the catalog
-        #: has marked down, fixed for the optimization this factory serves.
-        self.avoided_sites = frozenset(avoid_sites) | catalog.down_sites()
+        self.selectivity = Selectivity(catalog)
+        #: Sites no plan may touch — the ``avoid_sites`` of the
+        #: optimization this factory serves (down or steered around).
+        self.avoided_sites = frozenset(avoid_sites)
+        #: The runtime observations that override estimates, held only
+        #: while the cache holds one: an optimizer that never recorded
+        #: feedback looks nothing up.
+        self.feedback = feedback if feedback is not None and len(feedback) else None
         #: Structured-event tracer (installed by StarEngine; None = off).
         self.tracer = None
         #: Hash-conses every node this factory emits and holds the join
@@ -193,7 +200,7 @@ class PlanFactory:
         self._pred_sel: dict[tuple[Predicate, frozenset[str]], float] = {}
 
     def site_usable(self, site: str) -> bool:
-        """May plans execute at ``site``?  (Up and not avoided; an unknown
+        """May plans execute at ``site``?  (Not avoided; an unknown
         site raises ``CatalogError``.)"""
         self.catalog.site(site)
         return site not in self.avoided_sites
@@ -268,10 +275,11 @@ class PlanFactory:
         card: float,
     ) -> float:
         """Override ``card`` with a runtime observation for the output's
-        exact (TABLES, PREDS) class, when the feedback cache holds one."""
-        if self.selectivity.feedback is None:
+        exact (TABLES, PREDS) class, when the feedback cache holds one —
+        the optimizer's one feedback lookup."""
+        if self.feedback is None:
             return card
-        return max(MIN_CARD, self.selectivity.adjusted_card(tables, preds, card))
+        return max(MIN_CARD, self.feedback.adjust(tables, preds, card))
 
     def _pages(self, card: float, cols: frozenset[ColumnRef]) -> float:
         return self.model.stream_pages(card, cols)

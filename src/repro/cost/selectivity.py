@@ -43,28 +43,10 @@ MIN_SELECTIVITY = 1e-6
 
 
 class Selectivity:
-    """Selectivity estimator bound to a catalog.
+    """Selectivity estimator bound to a catalog."""
 
-    ``feedback`` (a :class:`~repro.robust.feedback.FeedbackCache`, or
-    None) lets runtime observations override the System-R estimate for
-    an exact (TABLES, PREDS) equivalence class via :meth:`adjusted_card`
-    — the optimizer-side half of the adaptive feedback loop.
-    """
-
-    def __init__(self, catalog: Catalog, feedback=None):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self.feedback = feedback
-
-    def adjusted_card(
-        self,
-        tables: Iterable[str],
-        preds: Iterable[Predicate],
-        estimated: float,
-    ) -> float:
-        """``estimated`` corrected by a runtime observation, if any."""
-        if self.feedback is None:
-            return estimated
-        return self.feedback.adjust(tables, preds, estimated)
 
     def _n_distinct(self, column: ColumnRef) -> float | None:
         if not self._catalog.has_table(column.table):

@@ -26,6 +26,7 @@ from repro.query.parser import parse_query
 from repro.query.query import QueryBlock
 from repro.robust.budget import BudgetExhausted, OptimizerBudget
 from repro.robust.fallback import heuristic_plan
+from repro.robust.feedback import FeedbackCache
 from repro.stars.ast import RuleSet
 from repro.stars.builtin_rules import extended_rules
 from repro.stars.engine import ExpansionStats, StarEngine
@@ -95,6 +96,14 @@ class StarburstOptimizer:
     ``rules`` defaults to the paper's full repertoire (sections 4.1-4.5).
     The rule set is validated once at construction — an invalid set fails
     fast, not mid-optimization.
+
+    What the constructor takes holds for every call; what changes from
+    one call to the next — a budget, the sites to plan around — is an
+    argument of :meth:`optimize`.  The one input that accumulates is
+    ``feedback``: the optimizer owns a
+    :class:`~repro.robust.feedback.FeedbackCache` for its lifetime (its
+    own, made with ``tracer``, unless one is passed), and an observation
+    recorded into it steers every later optimization.
     """
 
     def __init__(
@@ -106,8 +115,7 @@ class StarburstOptimizer:
         weights: CostWeights | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        budget: OptimizerBudget | None = None,
-        feedback=None,
+        feedback: FeedbackCache | None = None,
     ):
         self.catalog = catalog
         self.rules = rules if rules is not None else extended_rules()
@@ -118,19 +126,29 @@ class StarburstOptimizer:
         #: optimizer spins up (None = disabled = zero overhead).
         self.tracer = tracer
         self.metrics = metrics
-        #: Optional OptimizerBudget, reset at the start of every
-        #: :meth:`optimize` call; on exhaustion the search stops and the
-        #: best anytime plan is returned — optimize never raises for this.
-        self.budget = budget
-        #: Optional FeedbackCache consulted by the selectivity estimator —
-        #: ``ResilientExecutor`` installs one here so re-optimizations see
-        #: runtime-observed cardinalities.
-        self.feedback = feedback
+        #: Runtime-observed cardinalities that override the estimates of
+        #: every optimization once recorded (``ResilientExecutor``'s
+        #: checkpoints record into it).
+        self.feedback = (
+            feedback if feedback is not None else FeedbackCache(tracer=tracer)
+        )
         validate_rules(self.rules, self.registry, raise_on_error=True)
 
-    def optimize(self, query: QueryBlock | str) -> OptimizationResult:
-        """Optimize a query block (or SQL text) into its best plan."""
-        return self._optimize(query, "optimize", self.budget, self._search)
+    def optimize(
+        self,
+        query: QueryBlock | str,
+        *,
+        budget: OptimizerBudget | None = None,
+        avoid_sites: frozenset[str] = frozenset(),
+    ) -> OptimizationResult:
+        """Optimize a query block (or SQL text) into its best plan.
+
+        ``budget`` is reset and then charged by this search; on exhaustion
+        the search stops and the best anytime plan is returned — this
+        never raises for it.  No plan reads a table, ships or joins at a
+        site in ``avoid_sites`` (a name the catalog does not know avoids
+        nothing)."""
+        return self._optimize(query, "optimize", self._search, budget, avoid_sites)
 
     def optimize_heuristic(self, query: QueryBlock | str) -> OptimizationResult:
         """The search-free greedy plan, packaged like an optimization.
@@ -142,9 +160,11 @@ class StarburstOptimizer:
         deepest *computed* degradation tier: O(tables² · predicates)
         regardless of load, never charged against any budget.
         """
-        return self._optimize(query, "optimize_heuristic", None, _greedy)
+        return self._optimize(query, "optimize_heuristic", _greedy)
 
-    def _optimize(self, query, name: str, budget, search) -> OptimizationResult:
+    def _optimize(
+        self, query, name: str, search, budget=None, avoid_sites=frozenset()
+    ) -> OptimizationResult:
         """What every optimization shares: parse, the result-site check, a
         fresh cost model and engine, the query's required properties, the
         ``optimizer`` span ``name`` around ``search`` and the result.
@@ -165,6 +185,7 @@ class StarburstOptimizer:
             metrics=self.metrics,
             budget=budget,
             feedback=self.feedback,
+            avoid_sites=avoid_sites,
         )
         result_site = query.result_site or self.catalog.query_site
         if result_site in engine.ctx.factory.avoided_sites:

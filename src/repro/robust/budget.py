@@ -43,14 +43,16 @@ class OptimizerBudget:
 
     ``max_expansions`` caps STAR references, ``max_plans`` caps plans
     offered to the plan table, ``deadline_ticks`` caps the logical clock
-    (one tick per charge of either kind).
+    (one tick per charge of either kind).  A budget is passed to the
+    call it bounds (``StarburstOptimizer.optimize(query, budget=...)``),
+    which resets it first; afterwards it holds that call's consumption.
     """
 
     max_expansions: int | None = None
     max_plans: int | None = None
     deadline_ticks: int | None = None
 
-    #: Consumed so far (reset per optimization by the optimizer).
+    #: Consumed so far (reset by each ``optimize`` call it is passed to).
     expansions: int = field(default=0, init=False)
     plans: int = field(default=0, init=False)
     ticks: int = field(default=0, init=False)

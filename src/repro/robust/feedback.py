@@ -5,9 +5,12 @@ frozenset of applied predicates)``, built by the shared
 :func:`repro.query.template.canonical_key` — so an observation recorded
 at a materialization point of one execution lines up with the
 equivalence class the next optimization builds for the same relational
-content.  The selectivity estimator consults the cache through
-:meth:`Selectivity.adjusted_card <repro.cost.selectivity.Selectivity>`;
-a hit overrides the System-R estimate with the observed row count.
+content.  A :class:`~repro.optimizer.optimizer.StarburstOptimizer` owns
+one cache for its lifetime, and its plan factory consults it at one
+point (``PlanFactory._feedback_card``): a hit overrides the System-R
+estimate with the observed row count.  An optimization skips the lookup
+while the cache holds no observation, so ``misses`` and ``hit_rate``
+count only lookups against a cache that could have answered.
 
 The cache is **bounded**: a long-running server process records
 observations for every query it ever executes, and an unbounded dict is

@@ -21,8 +21,10 @@ best plan, then recovers from the two ways a plan can fail at run time:
   disarmed, so execution always terminates.  Temps an aborted execution
   materialized are reused by plan digest.
 
-Every re-optimization plans against the catalog with the dead sites
-marked down.  Every execution — aborted or not — reaches the one
+Every optimization plans around the sites the chaos engine has killed
+so far, passed as ``optimize``'s ``avoid_sites``.  Observations go into
+the optimizer's own feedback cache, which outlives the run: a later
+optimization by the same optimizer sees them too.  Every execution — aborted or not — reaches the one
 :class:`ExecutionReport` through ``QueryExecutor.last_stats``, priced
 with the cost model's own weights, so experiment E12 can compare
 adaptive against static honestly.
@@ -41,6 +43,7 @@ from repro.obs.metrics import MetricsRegistry, stats_snapshot
 from repro.obs.trace import Tracer
 from repro.plans.plan import PlanNode, plan_links, plan_sites
 from repro.query.query import QueryBlock
+from repro.robust.budget import OptimizerBudget
 from repro.robust.checkpoint import CheckpointPolicy
 from repro.robust.feedback import FeedbackCache
 from repro.storage.table import Database
@@ -147,10 +150,10 @@ class ResilientExecutor:
     when the chaos engine kills resources and re-optimizing when a
     cardinality checkpoint trips.
 
-    The ``optimizer`` must consult ``feedback`` for corrections to take
-    effect on re-optimization; when the optimizer has no feedback cache
-    attached yet, this constructor installs one (or the ``feedback``
-    argument) on it.
+    Checkpoints record into ``optimizer.feedback``, the cache every
+    (re-)optimization of the run consults; every optimization is charged
+    against ``budget`` when one is given.  Neither the optimizer nor its
+    catalog is changed by a run beyond what the cache records.
     """
 
     def __init__(
@@ -162,7 +165,7 @@ class ResilientExecutor:
         max_failovers: int = 8,
         qerror_threshold: float = 10.0,
         max_reoptimizations: int = 3,
-        feedback: FeedbackCache | None = None,
+        budget: OptimizerBudget | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ):
@@ -179,22 +182,16 @@ class ResilientExecutor:
         self.max_failovers = max_failovers
         self.qerror_threshold = qerror_threshold
         self.max_reoptimizations = max_reoptimizations
+        self.budget = budget
         self.tracer = tracer
         self.metrics = metrics
         if self.tracer is not None and self.chaos.tracer is None:
             self.chaos.tracer = self.tracer
-        if feedback is None:
-            feedback = getattr(optimizer, "feedback", None) or FeedbackCache(
-                tracer=self.tracer
-            )
-        self.feedback = feedback
-        if getattr(optimizer, "feedback", None) is not self.feedback:
-            optimizer.feedback = self.feedback
         if metrics is not None:
             # Whoever built the cache, and whether or not it registered
             # itself: same prefix, same entry — read once.
             metrics.register(
-                "feedback.", self.feedback.as_dict,
+                "feedback.", optimizer.feedback.as_dict,
                 gauges=FeedbackCache.GAUGES,
             )
 
@@ -207,7 +204,7 @@ class ResilientExecutor:
         tracer = self.tracer
         policy = CheckpointPolicy(
             qerror_threshold=self.qerror_threshold,
-            feedback=self.feedback,
+            feedback=self.optimizer.feedback,
             tracer=tracer,
             metrics=self.metrics,
         )
@@ -297,27 +294,19 @@ class ResilientExecutor:
     def _optimize(
         self, query: QueryBlock, report: ExecutionReport
     ) -> "OptimizationResult | None":
-        """Optimize the query block (no re-parse) against a catalog with
-        the chaos engine's dead sites marked down; ``None`` (and the
-        error recorded) when no plan routes around them."""
-        catalog = self.optimizer.catalog
-        marked: list[str] = []
-        for site in self.chaos.downed_sites:
-            try:
-                if catalog.site_is_up(site):
-                    catalog.mark_site_down(site)
-                    marked.append(site)
-            except ReproError:
-                continue
+        """Optimize the query block (no re-parse) around the chaos
+        engine's dead sites; ``None`` (and the error recorded) when no
+        plan routes around them."""
         try:
-            opt = self.optimizer.optimize(query)
+            opt = self.optimizer.optimize(
+                query,
+                budget=self.budget,
+                avoid_sites=frozenset(self.chaos.downed_sites),
+            )
         except ReproError as exc:
             report.events.append(f"optimization failed: {exc}")
             report.error = exc
             return None
-        finally:
-            for site in marked:
-                catalog.mark_site_up(site)
         if opt.budget_exhausted:
             report.budget_exhaustions += 1
             report.events.append(

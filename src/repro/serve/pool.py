@@ -222,20 +222,18 @@ def optimize_under_limits(optimizer, query, limits) -> dict:
     run by a pool worker on its own optimizer and by the service on the
     in-loop one.  The budget is always a real object — an unlimited one
     still counts — so ``expansions`` is the search's true size on both
-    sides, and it is detached again whatever happens.
+    sides.
     """
     max_expansions, max_plans, deadline_ticks = limits
-    budget = optimizer.budget = OptimizerBudget(
+    budget = OptimizerBudget(
         max_expansions=max_expansions,
         max_plans=max_plans,
         deadline_ticks=deadline_ticks,
     )
     try:
-        result = optimizer.optimize(query)
+        result = optimizer.optimize(query, budget=budget)
     except ReproError as exc:
         return {"ok": False, "error": str(exc)}
-    finally:
-        optimizer.budget = None
     return {
         "ok": True,
         "plan": result.best_plan,

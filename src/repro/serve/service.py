@@ -354,7 +354,6 @@ class OptimizerService:
         service: ServiceConfig | None = None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        feedback: FeedbackCache | None = None,
         telemetry: TelemetryConfig | None = None,
         pool_chaos: PoolChaos | None = None,
     ):
@@ -366,15 +365,13 @@ class OptimizerService:
         # The registry is always present: it is the single path behind
         # ServiceReport percentiles and the /metrics endpoint.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if feedback is None:
-            feedback = FeedbackCache(
-                tracer=self.tracer, metrics=self.metrics,
-                capacity=FEEDBACK_CAPACITY,
-            )
-        self.feedback = feedback
+        self.feedback = FeedbackCache(
+            tracer=self.tracer, metrics=self.metrics,
+            capacity=FEEDBACK_CAPACITY,
+        )
         self.optimizer = StarburstOptimizer(
             catalog, rules=rules, config=config, weights=weights,
-            tracer=tracer, metrics=self.metrics, feedback=feedback,
+            tracer=tracer, metrics=self.metrics, feedback=self.feedback,
         )
         self.cache = PlanTemplateCache(
             catalog,
@@ -382,7 +379,7 @@ class OptimizerService:
             band_factor=self.config.band_factor,
             drift_threshold=self.config.drift_threshold,
             breaker_threshold=self.config.breaker_threshold,
-            feedback=feedback,
+            feedback=self.feedback,
             tracer=self.tracer,
             metrics=self.metrics,
         )

@@ -133,9 +133,9 @@ class RuleContext:
         self._standard_preds: dict[frozenset[str], frozenset] = {}
 
     def usable_copies(self, table: str) -> tuple[str, ...]:
-        """Storage sites of ``table`` that plans may read: neither down
-        nor config-avoided.  Raises if the table is wholly unreachable —
-        no rule can produce any plan then."""
+        """Storage sites of ``table`` that plans may read: those this
+        optimization does not avoid.  Raises if the table is wholly
+        unreachable — no rule can produce any plan then."""
         avoided = self.factory.avoided_sites
         sites = tuple(
             s for s in self.catalog.storage_sites(table) if s not in avoided
@@ -178,10 +178,11 @@ class StarEngine:
         metrics: MetricsRegistry | None = None,
         budget=None,
         feedback=None,
+        avoid_sites: frozenset[str] = frozenset(),
     ):
         config = config if config is not None else OptimizerConfig()
         factory = PlanFactory(
-            catalog, model, avoid_sites=config.avoid_sites, feedback=feedback
+            catalog, model, avoid_sites=avoid_sites, feedback=feedback
         )
         factory.tracer = tracer
         if plan_table is None:

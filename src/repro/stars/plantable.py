@@ -2,9 +2,11 @@
 
 Section 4.4: "In Starburst, a data structure hashed on the tables and
 predicates facilitates finding all such plans, if they exist."  Keys are
-``(frozenset of tables, frozenset of applied predicates)``; values are
-the surviving (non-dominated) alternative plans for that relational
-equivalence class.
+``(frozenset of tables, frozenset of applied predicates)`` — the shared
+:func:`~repro.query.template.canonical_key`, so the plan table, the
+feedback cache and the serving layer never diverge on what an
+equivalence class is; values are the surviving (non-dominated)
+alternative plans for that relational equivalence class.
 
 The table is instrumented for experiment E9 ("alternative plans may
 incorporate the same plan fragment, whose alternatives need be evaluated
@@ -24,13 +26,6 @@ from repro.plans.plan import PlanNode
 from repro.plans.sap import SAP, JoinCandidate, merge_pruned
 from repro.query.predicates import Predicate
 from repro.query.template import PlanKey, canonical_key
-
-
-def plan_key(tables: Iterable[str], preds: Iterable[Predicate]) -> PlanKey:
-    """The hashed plan table's key — the shared canonical key, so the
-    plan table, the feedback cache and the serving layer can never
-    diverge on what an equivalence class is."""
-    return canonical_key(tables, preds)
 
 
 @dataclass
@@ -77,7 +72,7 @@ class PlanTable:
     def lookup(
         self, tables: Iterable[str], preds: Iterable[Predicate]
     ) -> SAP | None:
-        key = plan_key(tables, preds)
+        key = canonical_key(tables, preds)
         self.stats.lookups += 1
         sap = self._entries.get(key)
         if self.tracer is not None:
@@ -105,7 +100,7 @@ class PlanTable:
         ``plans`` may hold join candidates (a SAP's ``members``): they are
         judged on their dominance record, and only the survivors are built
         — a class holds plans."""
-        key = plan_key(tables, preds)
+        key = canonical_key(tables, preds)
         existing = self._entries.get(key, SAP())
         incoming = SAP(plans)
         if self.budget is not None:

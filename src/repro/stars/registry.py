@@ -120,8 +120,9 @@ def fn_local_query(ctx: "RuleContext") -> bool:
 @rule_function("candidate_sites")
 def fn_candidate_sites(ctx: "RuleContext") -> tuple[str, ...]:
     """σ: the sites at which tables of the query are stored (any copy —
-    primary or replica), plus the query site (section 4.2).  Sites that
-    are down or config-avoided are excluded: no join may execute there."""
+    primary or replica), plus the query site (section 4.2).  Sites the
+    optimization avoids (``optimize``'s ``avoid_sites``) are excluded: no
+    join may execute there."""
     sites: set[str] = set()
     for t in ctx.query.tables:
         sites.update(ctx.catalog.storage_sites(t))

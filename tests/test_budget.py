@@ -105,8 +105,8 @@ class TestAnytimeOptimization:
         self, workload, reference, max_expansions
     ):
         budget = OptimizerBudget(max_expansions=max_expansions)
-        optimizer = StarburstOptimizer(workload.catalog, budget=budget)
-        result = optimizer.optimize(workload.query)  # must not raise
+        optimizer = StarburstOptimizer(workload.catalog)
+        result = optimizer.optimize(workload.query, budget=budget)  # must not raise
         assert result.budget_exhausted
         assert result.best_plan is not None
         rows = QueryExecutor(workload.database).run(
@@ -117,9 +117,9 @@ class TestAnytimeOptimization:
 
     def test_large_budget_matches_unbudgeted_search(self, workload, reference):
         budget = OptimizerBudget(max_expansions=100_000, max_plans=1_000_000)
-        result = StarburstOptimizer(
-            workload.catalog, budget=budget
-        ).optimize(workload.query)
+        result = StarburstOptimizer(workload.catalog).optimize(
+            workload.query, budget=budget
+        )
         expected, _ = reference
         assert not result.budget_exhausted
         assert not result.heuristic_fallback
@@ -127,9 +127,9 @@ class TestAnytimeOptimization:
 
     def test_starved_search_uses_heuristic_fallback(self, workload):
         budget = OptimizerBudget(max_expansions=1)
-        result = StarburstOptimizer(
-            workload.catalog, budget=budget
-        ).optimize(workload.query)
+        result = StarburstOptimizer(workload.catalog).optimize(
+            workload.query, budget=budget
+        )
         assert result.budget_exhausted
         assert result.heuristic_fallback
         assert "anytime" in result.explain()
@@ -137,16 +137,16 @@ class TestAnytimeOptimization:
     def test_anytime_cost_never_beats_full_search(self, workload, reference):
         expected, _ = reference
         budget = OptimizerBudget(max_expansions=10)
-        result = StarburstOptimizer(
-            workload.catalog, budget=budget
-        ).optimize(workload.query)
+        result = StarburstOptimizer(workload.catalog).optimize(
+            workload.query, budget=budget
+        )
         assert result.best_cost >= expected.best_cost - 1e-9
 
     def test_budget_resets_between_optimize_calls(self, workload):
         budget = OptimizerBudget(max_expansions=25)
-        optimizer = StarburstOptimizer(workload.catalog, budget=budget)
-        first = optimizer.optimize(workload.query)
-        second = optimizer.optimize(workload.query)
+        optimizer = StarburstOptimizer(workload.catalog)
+        first = optimizer.optimize(workload.query, budget=budget)
+        second = optimizer.optimize(workload.query, budget=budget)
         assert first.budget_exhausted == second.budget_exhausted
         assert first.best_cost == pytest.approx(second.best_cost)
 
@@ -155,8 +155,8 @@ class TestAnytimeOptimization:
         metrics = MetricsRegistry()
         budget = OptimizerBudget(max_expansions=5)
         StarburstOptimizer(
-            workload.catalog, budget=budget, tracer=tracer, metrics=metrics
-        ).optimize(workload.query)
+            workload.catalog, tracer=tracer, metrics=metrics
+        ).optimize(workload.query, budget=budget)
         names = [e.name for e in tracer.events() if e.cat == "robust"]
         assert "budget_exhausted" in names
         snapshot = metrics.snapshot()
@@ -192,11 +192,11 @@ class TestBudgetReuse:
         """Starve request 1, then relax the limits on the *same* budget
         object: request 2 must run a complete, unexhausted search."""
         budget = OptimizerBudget(max_expansions=5)
-        optimizer = StarburstOptimizer(workload.catalog, budget=budget)
-        starved = optimizer.optimize(workload.query)
+        optimizer = StarburstOptimizer(workload.catalog)
+        starved = optimizer.optimize(workload.query, budget=budget)
         assert starved.budget_exhausted
         budget.max_expansions = None
-        fresh = optimizer.optimize(workload.query)
+        fresh = optimizer.optimize(workload.query, budget=budget)
         assert not fresh.budget_exhausted
         assert not fresh.heuristic_fallback
         reference = StarburstOptimizer(workload.catalog).optimize(
@@ -208,15 +208,15 @@ class TestBudgetReuse:
         """The serving layer reshapes one budget per request (deadline
         propagation): each request sees only its own limits."""
         budget = OptimizerBudget()
-        optimizer = StarburstOptimizer(workload.catalog, budget=budget)
+        optimizer = StarburstOptimizer(workload.catalog)
         budget.deadline_ticks = 10
-        starved = optimizer.optimize(workload.query)
+        starved = optimizer.optimize(workload.query, budget=budget)
         assert starved.budget_exhausted
         budget.deadline_ticks = None
-        unbounded = optimizer.optimize(workload.query)
+        unbounded = optimizer.optimize(workload.query, budget=budget)
         assert not unbounded.budget_exhausted
         budget.deadline_ticks = 10
-        starved_again = optimizer.optimize(workload.query)
+        starved_again = optimizer.optimize(workload.query, budget=budget)
         assert starved_again.budget_exhausted
         assert starved_again.best_cost == pytest.approx(starved.best_cost)
 

@@ -180,6 +180,40 @@ def _adaptive(skewed_fixture, **kwargs):
     return ResilientExecutor(wl.database, optimizer, **kwargs)
 
 
+def _top_join(result) -> tuple[str, str | None]:
+    plan = result.best_plan
+    return plan.op, plan.flavor
+
+
+class TestRunSteersByArguments:
+    """A run steers its optimizations through ``optimize``'s arguments
+    only: the optimizer's config and the catalog's sites come out as they
+    went in, and what the run observes lands in the feedback cache the
+    optimizer has owned since construction — which outlives the run."""
+
+    def test_run_changes_only_the_optimizers_feedback(self, skewed):
+        wl, rules, weights, _, _ = skewed
+        optimizer = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
+        feedback, config = optimizer.feedback, optimizer.config
+        sites = wl.catalog.sites()
+        assert _top_join(optimizer.optimize(wl.query)) == ("JOIN", "MG")
+
+        report = ResilientExecutor(
+            wl.database, optimizer, qerror_threshold=10.0
+        ).run(wl.query)
+        assert report.succeeded and report.checkpoint_violations == 1
+        assert optimizer.feedback is feedback and len(feedback) >= 1
+        assert optimizer.config is config
+        assert wl.catalog.sites() == sites
+
+        # Documented behaviour: the cache lives as long as its optimizer,
+        # so the run's observation steers this optimizer's next plan ...
+        assert _top_join(optimizer.optimize(wl.query)) == ("JOIN", "NL")
+        # ... and no other optimizer's.
+        fresh = StarburstOptimizer(wl.catalog, rules=rules, weights=weights)
+        assert _top_join(fresh.optimize(wl.query)) == ("JOIN", "MG")
+
+
 class TestAdaptiveLoop:
     def test_violation_triggers_reoptimization_and_wins(self):
         # A loop, not ``parametrize``: the five workloads are one claim
@@ -231,8 +265,7 @@ class TestAdaptiveLoop:
         executor = _adaptive(skewed, qerror_threshold=10.0)
         report = executor.run(skewed[0].query)
         assert report.succeeded
-        assert len(executor.feedback) >= 1
-        assert executor.optimizer.feedback is executor.feedback
+        assert len(executor.optimizer.feedback) >= 1
 
     def test_observability_spans_balance(self, skewed):
         _, rules, weights, _, _ = skewed
@@ -273,9 +306,10 @@ class TestAdaptiveLoop:
         assert not set(metrics.counters()) & set(metrics.gauges())
         validate_openmetrics(render_openmetrics(metrics))
         snapshot = metrics.snapshot()
-        assert snapshot["feedback.records"] == executor.feedback.records >= 1
-        assert snapshot["feedback.hits"] == executor.feedback.hits
-        assert snapshot["feedback.entries"] == len(executor.feedback)
+        feedback = optimizer.feedback
+        assert snapshot["feedback.records"] == feedback.records >= 1
+        assert snapshot["feedback.hits"] == feedback.hits
+        assert snapshot["feedback.entries"] == len(feedback)
 
     def test_as_dict_is_flat_numeric(self, skewed):
         report = _adaptive(skewed, qerror_threshold=10.0).run(skewed[0].query)

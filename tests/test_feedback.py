@@ -1,10 +1,10 @@
-"""The cardinality feedback cache and its selectivity-estimator hook."""
+"""The cardinality feedback cache and the optimizer's one lookup of it."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cost.selectivity import Selectivity
+from repro.cost.propfuncs import PlanFactory
 from repro.obs import MetricsRegistry, Tracer
 from repro.optimizer import StarburstOptimizer
 from repro.query.parser import parse_predicate
@@ -71,20 +71,38 @@ class TestCache:
         assert snapshot["feedback.hits"] == 1
 
 
-class TestSelectivityHook:
+class TestFactoryLookup:
+    """``PlanFactory._feedback_card`` is the optimizer's one feedback
+    lookup; a factory whose cache holds no observation skips it."""
+
     def test_no_feedback_passes_estimate_through(self, catalog, mgr_preds):
-        sel = Selectivity(catalog)
-        assert sel.adjusted_card({"DEPT"}, mgr_preds, 17.5) == 17.5
+        factory = PlanFactory(catalog)
+        assert factory._feedback_card({"DEPT"}, mgr_preds, 17.5) == 17.5
+
+    def test_empty_cache_is_not_looked_up(self, catalog, mgr_preds):
+        cache = FeedbackCache()
+        factory = PlanFactory(catalog, feedback=cache)
+        assert factory._feedback_card({"DEPT"}, mgr_preds, 17.5) == 17.5
+        assert cache.misses == 0
 
     def test_feedback_corrects_estimate(self, catalog, mgr_preds):
         cache = FeedbackCache()
         cache.record({"DEPT"}, mgr_preds, 4.0)
-        sel = Selectivity(catalog, feedback=cache)
-        assert sel.adjusted_card({"DEPT"}, mgr_preds, 17.5) == 4.0
-        assert sel.adjusted_card({"EMP"}, frozenset(), 9.0) == 9.0
+        factory = PlanFactory(catalog, feedback=cache)
+        assert factory._feedback_card({"DEPT"}, mgr_preds, 17.5) == 4.0
+        assert factory._feedback_card({"EMP"}, frozenset(), 9.0) == 9.0
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 class TestOptimizerIntegration:
+    def test_no_observation_no_lookup(self, catalog, fig1_query):
+        """An optimizer that never recorded feedback looks nothing up:
+        it pays what an optimizer without a cache did."""
+        optimizer = StarburstOptimizer(catalog)
+        optimizer.optimize(fig1_query)
+        assert optimizer.feedback.misses == 0
+        assert len(optimizer.feedback) == 0
+
     def test_feedback_changes_estimated_cardinality(self, catalog, fig1_query):
         baseline = StarburstOptimizer(catalog).optimize(fig1_query)
 

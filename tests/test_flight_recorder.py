@@ -15,7 +15,6 @@ from repro.obs import (
     validate_flight_dump,
 )
 from repro.obs.flight import parse_dumps
-from repro.robust.feedback import FeedbackCache
 from repro.serve import OptimizerService, Request, ServiceConfig
 from repro.workloads import chain_workload
 
@@ -129,18 +128,16 @@ def workload():
 
 def _tripped_service(workload):
     """A service whose cached entry drifts until the breaker trips."""
-    feedback = FeedbackCache()
     service = OptimizerService(
         workload.catalog,
         service=ServiceConfig(workers=1, queue_limit=8,
                               drift_threshold=10.0, breaker_threshold=2),
-        feedback=feedback,
         telemetry=TelemetryConfig(sample_every=0, flight_capacity=16),
     )
     # Warm the cache; the test then injects a 100x runtime misestimate
     # for the cached template so subsequent lookups fail the drift check.
     service.serve_all([Request(SQL_B)])
-    return service, feedback
+    return service, service.feedback
 
 
 class TestServiceIncidents:
@@ -186,18 +183,16 @@ class TestServiceIncidents:
 
     def test_dump_goes_to_file_when_configured(self, workload, tmp_path):
         path = tmp_path / "incidents.jsonl"
-        feedback = FeedbackCache()
         service = OptimizerService(
             workload.catalog,
             service=ServiceConfig(workers=1, queue_limit=8,
                                   drift_threshold=10.0, breaker_threshold=2),
-            feedback=feedback,
             telemetry=TelemetryConfig(
                 sample_every=0, flight_capacity=16, flight_path=str(path)
             ),
         )
         service.serve_all([Request(SQL_B)])
-        self._drift(service, feedback, workload)
+        self._drift(service, service.feedback, workload)
         service.serve_all([Request(SQL_B)] * 3, burst=1)
         assert path.exists()
         [records] = list(parse_dumps(path.read_text()))

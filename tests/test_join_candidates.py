@@ -90,8 +90,8 @@ def optimize(catalog, query, rules, config, plans_budget) -> dict:
     budget = None if plans_budget is None else OptimizerBudget(max_plans=plans_budget)
     tracer = Tracer(capacity=1 << 20)
     result = StarburstOptimizer(
-        catalog, rules=rules, config=config, tracer=tracer, budget=budget
-    ).optimize(query)
+        catalog, rules=rules, config=config, tracer=tracer
+    ).optimize(query, budget=budget)
     return report(result, budget, tracer), result
 
 

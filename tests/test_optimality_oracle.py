@@ -57,8 +57,9 @@ from repro.catalog.catalog import make_columns
 from repro.plans import sap
 from repro.plans.operators import GET, JOIN, SORT
 from repro.query.parser import parse_query
+from repro.query.template import canonical_key
 from repro.stars.builtin_rules import extended_rules
-from repro.stars.plantable import PlanTable, plan_key
+from repro.stars.plantable import PlanTable
 from tests import reference_dominance as reference
 from tests.reference_layers import layers_off  # noqa: F401 — pytest fixture
 
@@ -209,7 +210,7 @@ def search(layers_off, monkeypatch):
 
             def spied(table, tables, preds, plans):
                 plans = tuple(plans)
-                offered.setdefault(plan_key(tables, preds), []).extend(plans)
+                offered.setdefault(canonical_key(tables, preds), []).extend(plans)
                 return insert(table, tables, preds, plans)
 
             patch.setattr(PlanTable, "insert", spied)
@@ -220,7 +221,7 @@ def search(layers_off, monkeypatch):
 
 def final_key(result):
     tables = result.query.table_set
-    return plan_key(tables, result.engine.ctx.standard_preds(tables))
+    return canonical_key(tables, result.engine.ctx.standard_preds(tables))
 
 
 def final_class(result) -> list:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.cost.model import CostModel
 from repro.query.expressions import ColumnRef
-from repro.stars.plantable import PlanTable, plan_key
+from repro.query.template import canonical_key
+from repro.stars.plantable import PlanTable
 
 DNO = ColumnRef("DEPT", "DNO")
 MGR = ColumnRef("DEPT", "MGR")
@@ -51,7 +52,9 @@ class TestLookupInsert:
         assert len(table.lookup(["DEPT"], [])) == 2
 
     def test_plan_key_order_independent(self, mgr_pred):
-        assert plan_key(["A", "B"], [mgr_pred]) == plan_key(["B", "A"], [mgr_pred])
+        assert canonical_key(["A", "B"], [mgr_pred]) == canonical_key(
+            ["B", "A"], [mgr_pred]
+        )
 
 
 class TestInstrumentation:
