@@ -87,7 +87,7 @@ from repro.stars.builtin_rules import (
     default_rules,
     extended_rules,
 )
-from repro.robust import OptimizerBudget
+from repro.robust import FeedbackCache, OptimizerBudget
 from repro.stars.registry import default_registry
 from repro.workloads import (
     chain_workload,
@@ -321,8 +321,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     catalog = paper_catalog(distributed=True, replicate_dept=True)
     database = paper_database(catalog)
     query = figure1_query(catalog)
+    # The run's checkpoints record into the optimizer's cache, so its
+    # feedback events belong in the trace file; the optimizer's own
+    # spans do not (the trace is about the run).
+    tracer = Tracer() if args.trace_out else None
     optimizer = StarburstOptimizer(
-        catalog, config=OptimizerConfig(retain_site_diversity=True)
+        catalog, config=OptimizerConfig(retain_site_diversity=True),
+        feedback=FeedbackCache(tracer=tracer),
     )
     result = optimizer.optimize(query)
     print(f"query: {result.query}")
@@ -340,7 +345,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         protected_sites=frozenset({catalog.query_site}),
     ))
     retry = RetryPolicy.no_retries() if args.no_retries else RetryPolicy()
-    tracer = Tracer() if args.trace_out else None
     executor = ResilientExecutor(
         database, optimizer, chaos=chaos, retry=retry, tracer=tracer
     )

@@ -33,8 +33,8 @@ class CheckpointPolicy:
 
     def __init__(
         self,
+        feedback: FeedbackCache,
         qerror_threshold: float = 10.0,
-        feedback: FeedbackCache | None = None,
         tracer=None,
         metrics=None,
         armed: bool = True,
@@ -42,7 +42,7 @@ class CheckpointPolicy:
         if qerror_threshold < 1.0:
             raise ValueError("qerror_threshold must be >= 1.0")
         self.qerror_threshold = qerror_threshold
-        self.feedback = feedback if feedback is not None else FeedbackCache()
+        self.feedback = feedback
         self.tracer = tracer
         self.metrics = metrics
         self.armed = armed

@@ -14,7 +14,7 @@ not, and guards every reuse twice:
   ``band_factor`` of that center was optimized for a different part of
   the parameter space and misses (``band_misses``), forcing a fresh
   optimization that becomes the entry for its own band.
-* **drift circuit breaker** — when the attached
+* **drift circuit breaker** — when the cache's
   :class:`~repro.robust.feedback.FeedbackCache` holds a runtime
   observation for the exact query an entry was optimized for, every
   lookup compares it against the entry's optimizer estimate.  Q-error
@@ -42,6 +42,7 @@ from repro.obs.analyze import q_error
 from repro.obs.metrics import stats_snapshot
 from repro.plans.plan import PlanNode
 from repro.query.query import QueryBlock
+from repro.robust.feedback import FeedbackCache
 from repro.query.template import (
     PlanKey,
     TemplateKey,
@@ -110,11 +111,11 @@ class PlanTemplateCache:
     def __init__(
         self,
         catalog: Catalog,
+        feedback: FeedbackCache,
         capacity: int = 256,
         band_factor: float = 4.0,
         drift_threshold: float = 10.0,
         breaker_threshold: int = 3,
-        feedback=None,
         tracer=None,
         metrics=None,
     ):
@@ -306,8 +307,6 @@ class PlanTemplateCache:
         """Run the drift check; True when the breaker is (now) open."""
         if entry.open:
             return True
-        if self.feedback is None:
-            return False
         observed = self.feedback.peek(*entry.exact_key)
         if observed is None:
             return False

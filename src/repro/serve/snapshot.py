@@ -132,7 +132,7 @@ def _checksum(payload_lines: list[str]) -> str:
 
 def snapshot_text(
     cache: PlanTemplateCache | None,
-    feedback: FeedbackCache | None,
+    feedback: FeedbackCache,
     created: float | None = None,
 ) -> str:
     """The full snapshot file contents (header + payload) as text."""
@@ -144,9 +144,7 @@ def snapshot_text(
     # file (and the golden fixture pinning it) is deterministic.
     feedback_lines = sorted(
         _feedback_line(key, value)
-        for key, value in (
-            feedback.entries() if feedback is not None else {}
-        ).items()
+        for key, value in feedback.entries().items()
     )
     payload = template_lines + feedback_lines
     header = _dump_line({
@@ -163,7 +161,7 @@ def snapshot_text(
 def save_snapshot(
     path: str,
     cache: PlanTemplateCache | None,
-    feedback: FeedbackCache | None,
+    feedback: FeedbackCache,
     created: float | None = None,
 ) -> str:
     """Atomically write a snapshot to ``path``; returns the path.
@@ -283,21 +281,18 @@ def load_snapshot(path: str) -> Snapshot:
 def restore_snapshot(
     snapshot: Snapshot,
     cache: PlanTemplateCache | None,
-    feedback: FeedbackCache | None,
+    feedback: FeedbackCache,
 ) -> tuple[int, int]:
     """Warm ``cache`` and ``feedback`` from a decoded snapshot.
 
-    Returns ``(templates_restored, feedback_restored)``.  Either target
-    may be None (or at zero capacity) — the corresponding entries are
+    Returns ``(templates_restored, feedback_restored)``.  Entries a
+    target has no room for — ``cache`` None or at zero capacity — are
     simply skipped.
     """
     templates = (
         cache.restore(snapshot.templates) if cache is not None else 0
     )
-    observations = (
-        feedback.restore(snapshot.feedback) if feedback is not None else 0
-    )
-    return templates, observations
+    return templates, feedback.restore(snapshot.feedback)
 
 
 def inspect_snapshot(path: str) -> dict:

@@ -43,17 +43,17 @@ def fake_node(card: float, op: str = "SORT", tables=frozenset({"T"})):
 class TestCheckpointPolicy:
     def test_threshold_below_one_rejected(self):
         with pytest.raises(ValueError):
-            CheckpointPolicy(qerror_threshold=0.5)
+            CheckpointPolicy(FeedbackCache(), qerror_threshold=0.5)
 
     def test_within_threshold_records_without_raising(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0)
+        policy = CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0)
         policy.observe(fake_node(card=50.0), actual=20)
         assert policy.checks == 1
         assert policy.violations == 0
         assert policy.feedback.lookup({"T"}, frozenset()) == 20.0
 
     def test_violation_raises_with_details(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0)
+        policy = CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0)
         with pytest.raises(CardinalityViolation) as excinfo:
             policy.observe(fake_node(card=1000.0), actual=3)
         violation = excinfo.value
@@ -65,12 +65,12 @@ class TestCheckpointPolicy:
         assert policy.feedback.lookup({"T"}, frozenset()) == 3.0
 
     def test_underestimates_violate_symmetrically(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0)
+        policy = CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0)
         with pytest.raises(CardinalityViolation):
             policy.observe(fake_node(card=2.0), actual=500)
 
     def test_disarmed_policy_never_raises(self):
-        policy = CheckpointPolicy(qerror_threshold=10.0, armed=False)
+        policy = CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0, armed=False)
         policy.observe(fake_node(card=1000.0), actual=1)
         assert policy.violations == 0
         assert policy.feedback.lookup({"T"}, frozenset()) == 1.0
@@ -79,7 +79,8 @@ class TestCheckpointPolicy:
         tracer = Tracer()
         metrics = MetricsRegistry()
         policy = CheckpointPolicy(
-            qerror_threshold=10.0, tracer=tracer, metrics=metrics
+            FeedbackCache(), qerror_threshold=10.0, tracer=tracer,
+            metrics=metrics,
         )
         policy.observe(fake_node(card=5.0), actual=5)
         (event,) = [e for e in tracer.events() if e.name == "checkpoint"]
@@ -108,7 +109,7 @@ class TestStoreCheckpointAndTempReuse:
 
     def test_store_checkpoint_fires_and_temp_survives(self):
         db, plan = self._build()
-        policy = CheckpointPolicy(qerror_threshold=10.0)
+        policy = CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0)
         temp_cache: dict = {}
         executor = QueryExecutor(db, checkpoints=policy, temp_cache=temp_cache)
         with pytest.raises(CardinalityViolation) as excinfo:

@@ -147,3 +147,19 @@ class TestChaosTraceOut:
         text = out_file.read_text()
         assert validate_jsonl(text) == []
         assert '"cat": "chaos"' in text
+
+    def test_chaos_trace_carries_checkpoint_feedback(self, tmp_path, capsys):
+        # Seed 4 at a 0.5 link-failure rate fails over to a plan with a
+        # materialization point, whose checkpoints record into the
+        # optimizer's feedback cache: those records belong in the trace.
+        out_file = tmp_path / "chaos.jsonl"
+        assert main([
+            "chaos", "--kill-site", "N.Y.", "--link-failure-prob", "0.5",
+            "--seed", "4", "--trace-out", str(out_file),
+        ]) == 0
+        capsys.readouterr()
+        text = out_file.read_text()
+        assert '"name": "checkpoint"' in text
+        assert text.count('"name": "feedback_record"') == 2
+        # The trace is about the run: no optimizer spans.
+        assert '"cat": "optimizer"' not in text

@@ -34,7 +34,7 @@ def _optimize_and_insert(cache, optimizer, query, tier="full"):
 
 class TestLookup:
     def test_cold_miss_then_hit(self, workload, optimizer):
-        cache = PlanTemplateCache(workload.catalog)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache())
         q = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 20")
         assert cache.lookup(q) is None
         _optimize_and_insert(cache, optimizer, q)
@@ -44,7 +44,7 @@ class TestLookup:
         assert cache.stats.misses == 1
 
     def test_same_template_different_constant_hits(self, workload, optimizer):
-        cache = PlanTemplateCache(workload.catalog)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache())
         q5 = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 20")
         q9 = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 24")
         _optimize_and_insert(cache, optimizer, q5)
@@ -53,7 +53,7 @@ class TestLookup:
     def test_out_of_band_constant_misses(self, workload, optimizer):
         """A constant whose selectivity leaves the entry's band forces a
         fresh optimization (counted as a band miss)."""
-        cache = PlanTemplateCache(workload.catalog, band_factor=2.0)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache(), band_factor=2.0)
         narrow = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 2")
         wide = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 95")
         _optimize_and_insert(cache, optimizer, narrow)
@@ -61,7 +61,7 @@ class TestLookup:
         assert cache.stats.band_misses == 1
 
     def test_capacity_zero_disables(self, workload, optimizer):
-        cache = PlanTemplateCache(workload.catalog, capacity=0)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache(), capacity=0)
         q = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 20")
         result = optimizer.optimize(q)
         assert cache.insert(q, result.best_plan, result.best_cost) is None
@@ -72,7 +72,7 @@ class TestLookup:
 
 class TestLRU:
     def test_eviction_drops_least_recently_used(self, workload, optimizer):
-        cache = PlanTemplateCache(workload.catalog, capacity=2)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache(), capacity=2)
         qs = [
             _query(workload, f"SELECT R0.ID FROM R0 WHERE R0.VAL {op} 20")
             for op in ("<", ">=")
@@ -89,7 +89,7 @@ class TestLRU:
         assert cache.lookup(qs[1]) is None
 
     def test_invalidate_drops_one_template(self, workload, optimizer):
-        cache = PlanTemplateCache(workload.catalog)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache())
         q = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 20")
         _optimize_and_insert(cache, optimizer, q)
         assert cache.invalidate(q)
@@ -102,7 +102,7 @@ class TestDriftBreaker:
         feedback = FeedbackCache()
         metrics = MetricsRegistry()
         cache = PlanTemplateCache(
-            workload.catalog, feedback=feedback,
+            workload.catalog, feedback,
             drift_threshold=10.0, breaker_threshold=threshold,
             metrics=metrics,
         )
@@ -130,7 +130,7 @@ class TestDriftBreaker:
     ):
         feedback = FeedbackCache()
         cache = PlanTemplateCache(
-            workload.catalog, feedback=feedback,
+            workload.catalog, feedback,
             drift_threshold=10.0, breaker_threshold=2,
         )
         q = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 20")
@@ -173,7 +173,7 @@ class TestDriftBreaker:
         assert entry.drift_failures == 0
 
     def test_no_feedback_means_no_drift(self, workload, optimizer):
-        cache = PlanTemplateCache(workload.catalog, feedback=None)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache())
         q = _query(workload, "SELECT R0.ID FROM R0 WHERE R0.VAL < 20")
         _optimize_and_insert(cache, optimizer, q)
         for _ in range(10):
@@ -184,16 +184,16 @@ class TestDriftBreaker:
 class TestValidation:
     def test_bad_parameters_rejected(self, workload):
         with pytest.raises(ValueError):
-            PlanTemplateCache(workload.catalog, capacity=-1)
+            PlanTemplateCache(workload.catalog, FeedbackCache(), capacity=-1)
         with pytest.raises(ValueError):
-            PlanTemplateCache(workload.catalog, band_factor=0.5)
+            PlanTemplateCache(workload.catalog, FeedbackCache(), band_factor=0.5)
         with pytest.raises(ValueError):
-            PlanTemplateCache(workload.catalog, drift_threshold=0.9)
+            PlanTemplateCache(workload.catalog, FeedbackCache(), drift_threshold=0.9)
         with pytest.raises(ValueError):
-            PlanTemplateCache(workload.catalog, breaker_threshold=0)
+            PlanTemplateCache(workload.catalog, FeedbackCache(), breaker_threshold=0)
 
     def test_stats_snapshot_is_flat_numeric(self, workload):
-        cache = PlanTemplateCache(workload.catalog)
+        cache = PlanTemplateCache(workload.catalog, FeedbackCache())
         snapshot = cache.stats.as_dict()
         assert snapshot["lookups"] == 0
         assert snapshot["hit_rate"] == 0.0

@@ -188,7 +188,9 @@ class TestTenantBudgets:
         assert starved.budget_exhausted
         assert starved.tier == TIER_ANYTIME
         # Same tenant, no deadline: the full search must run unimpeded.
-        service.cache = type(service.cache)(workload.catalog, capacity=0)
+        service.cache = type(service.cache)(
+            workload.catalog, service.feedback, capacity=0
+        )
         [fresh] = service.serve_all([Request(SQL)])
         assert fresh.ok
         assert fresh.tier == TIER_FULL

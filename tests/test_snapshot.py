@@ -117,10 +117,10 @@ class TestRoundTrip:
 
     def test_restore_respects_capacity(self, workload, warm_service, tmp_path):
         path = str(tmp_path / "snap.jsonl")
-        save_snapshot(path, warm_service.cache, None)
+        save_snapshot(path, warm_service.cache, FeedbackCache())
         snapshot = load_snapshot(path)
-        small = PlanTemplateCache(workload.catalog, capacity=1)
-        restored = restore_snapshot(snapshot, small, None)
+        small = PlanTemplateCache(workload.catalog, FeedbackCache(), capacity=1)
+        restored = restore_snapshot(snapshot, small, FeedbackCache())
         assert restored == (2, 0)
         assert len(small) == 1  # LRU evicted down to capacity
 

@@ -81,7 +81,7 @@ class TestCanonicalKey:
         cache = FeedbackCache()
         cache.record(*canonical_key(q.table_set, q.predicates), 17.0)
         plan = StarburstOptimizer(workload.catalog).optimize(q).best_plan
-        entry = PlanTemplateCache(workload.catalog).insert(q, plan, 1.0)
+        entry = PlanTemplateCache(workload.catalog, FeedbackCache()).insert(q, plan, 1.0)
         assert cache.peek(*entry.exact_key) == 17.0
 
     def test_select_list_order_by_and_result_site_change_the_key(self, workload):

@@ -32,7 +32,7 @@ from repro.executor.batch_ops import (
 from repro.optimizer import StarburstOptimizer
 from repro.query.expressions import ColumnRef, Literal
 from repro.query.predicates import Comparison
-from repro.robust import CheckpointPolicy
+from repro.robust import CheckpointPolicy, FeedbackCache
 from repro.storage import Database
 from repro.workloads import (
     chain_workload,
@@ -254,7 +254,7 @@ class TestCheckpointEquivalence:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_store_checkpoint_fires(self, engine):
         db, plan = self._build()
-        policy = CheckpointPolicy(qerror_threshold=10.0)
+        policy = CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0)
         executor = ENGINES[engine](db, checkpoints=policy)
         with pytest.raises(CardinalityViolation) as excinfo:
             executor.run_plan(plan)
@@ -271,7 +271,7 @@ class TestCheckpointEquivalence:
             for engine in ENGINES.values():
                 db, plan = self._build(buffer)
                 executor = engine(
-                    db, checkpoints=CheckpointPolicy(qerror_threshold=10.0)
+                    db, checkpoints=CheckpointPolicy(FeedbackCache(), qerror_threshold=10.0)
                 )
                 with pytest.raises(CardinalityViolation) as excinfo:
                     executor.run_plan(plan)
