@@ -18,6 +18,7 @@ record; anything else that reads a SAP gets plans, built on first read.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import le
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.cost.model import CostModel
@@ -215,6 +216,8 @@ def merge_pruned(
     model: CostModel,
     interesting: frozenset | None = None,
     site_diversity: bool = False,
+    *,
+    join_inner: bool = False,
 ) -> SAP:
     """Merge ``incoming`` into an already-pruned ``existing`` SAP,
     dropping dominated alternatives; pruning a SAP is merging it into an
@@ -228,7 +231,9 @@ def merge_pruned(
     * same SITE,
     * A's ORDER satisfies B's ORDER (B's order is a prefix of A's),
     * A is materialized if B is (``temp``/``stored_as``),
-    * A's PATHS cover B's.
+    * A's PATHS cover B's — an index on the plan's own temp compared by
+      its shape (columns, clustered, kind, unique), since its name
+      carries the temp's digest.
 
     This is System R's "interesting order" pruning generalized to the
     whole property vector.  When ``interesting`` (a set of columns) is
@@ -242,6 +247,14 @@ def merge_pruned(
     dominated plan's — a plan that touches a site or link the cheaper
     plan does not is insurance against an outage of the cheaper plan's
     resources, and survives pruning.
+
+    ``join_inner`` judges the inner alternatives of a JOIN on what the
+    join reads of them instead: equal SITE, TABLES, PREDS and full COLS;
+    CARD, the four cost and the four rescan-cost components no higher,
+    each.  ORDER, TEMP, PATHS and STORED_AS do not count — a join's output
+    takes none of them from its inner — so an inner dominated this way
+    only yields joins that the one built on its dominator matches or
+    beats on every estimate.
 
     ``existing`` is mutually non-dominated (the invariant this pass
     establishes and the plan table maintains), so only the cross pairs
@@ -261,7 +274,7 @@ def merge_pruned(
     if not new:
         return existing
     judge = _DominanceJudge(
-        (*established, *new), model, interesting, site_diversity
+        (*established, *new), model, interesting, site_diversity, join_inner
     )
     records, dominated = judge.records, judge.dominated
     old = [records[id(plan)] for plan in established]
@@ -290,14 +303,19 @@ class _DominanceJudge:
 
     Everything :meth:`dominated` compares — ``(site, temp,
     stored?, effective order, paths, tables, preds, TID-free cols, total
-    cost, footprint)`` — is read off the property vector once per plan,
-    instead of once per pairwise comparison, and kept under the plan's
-    identity (the pass holds every plan it judges).  The effective order
-    is the interesting prefix; the footprint is ``None`` unless site
-    diversity is on; the TID-free view of COLS is computed once per
-    distinct column set (a class has a handful).  A :class:`JoinCandidate`
-    carries the same fields and its total, so it is judged without being
-    built (never with site diversity on: a footprint walks the plan).
+    cost, footprint, estimates)`` — is read off the property vector once
+    per plan, instead of once per pairwise comparison, and kept under the
+    plan's identity (the pass holds every plan it judges).  The effective
+    order is the interesting prefix; the paths name the plan's own temp
+    index by its shape; the footprint is ``None`` unless site diversity
+    is on; the TID-free view of COLS is computed once per distinct column
+    set (a class has a handful).  ``estimates`` is ``None`` but in the
+    ``join_inner`` view (:func:`merge_pruned`), whose record is ``(site,
+    False, False, (), no paths, tables, preds, full cols, total,
+    footprint, (card, cost and rescan-cost components))``.  A
+    :class:`JoinCandidate` carries the same fields and its total, so it is
+    judged without being built (never with site diversity on: a
+    footprint walks the plan).
     """
 
     __slots__ = ("records",)
@@ -308,6 +326,7 @@ class _DominanceJudge:
         model: CostModel,
         interesting: frozenset | None,
         site_diversity: bool,
+        join_inner: bool = False,
     ) -> None:
         total = model.total
         real_cols: dict[frozenset, frozenset] = {}
@@ -322,6 +341,15 @@ class _DominanceJudge:
             else:
                 props = plan.props
                 cost = total(props.cost)
+            footprint = (
+                (plan_sites(plan), plan_links(plan)) if site_diversity else None
+            )
+            if join_inner:
+                records[id(plan)] = (
+                    props.site, False, False, (), frozenset(), props.tables,
+                    props.preds, props.cols, cost, footprint, _estimates(plan),
+                )
+                continue
             cols = real_cols.get(props.cols)
             if cols is None:
                 cols = real_cols[props.cols] = _real_cols(props.cols)
@@ -330,10 +358,12 @@ class _DominanceJudge:
                 order = orders[id(props.order)] = _effective_order(
                     props.order, interesting
                 )
+            paths = props.paths
+            if paths and props.stored_as is not None:
+                paths = _path_shapes(paths, props.stored_as)
             records[id(plan)] = (
                 props.site, props.temp, props.stored_as is not None, order,
-                props.paths, props.tables, props.preds, cols, cost,
-                (plan_sites(plan), plan_links(plan)) if site_diversity else None,
+                paths, props.tables, props.preds, cols, cost, footprint, None,
             )
 
     def by_cost(self, plans: Iterable[PlanNode]) -> list[PlanNode]:
@@ -345,10 +375,10 @@ class _DominanceJudge:
         """Does some keeper's record dominate ``record`` (see
         :func:`merge_pruned`)?"""
         (site, temp, stored, order, paths, tables, preds, cols, total,
-         footprint) = record
+         footprint, estimates) = record
         prefix = len(order)
         for (k_site, k_temp, k_stored, k_order, k_paths, k_tables, k_preds,
-             k_cols, k_total, k_footprint) in keepers:
+             k_cols, k_total, k_footprint, k_estimates) in keepers:
             if (
                 # Most pairs of one class differ on ORDER: test it first.
                 (k_order is order or k_order[:prefix] == order)
@@ -368,9 +398,35 @@ class _DominanceJudge:
                     or k_footprint[0] <= footprint[0]
                     and k_footprint[1] <= footprint[1]
                 )
+                and (estimates is None or all(map(le, k_estimates, estimates)))
             ):
                 return True
         return False
+
+
+def _estimates(plan: PlanNode | JoinCandidate) -> tuple:
+    """CARD, then the cost and the rescan-cost components, in field order."""
+    if type(plan) is JoinCandidate:
+        return (
+            plan.card, plan.io, plan.cpu, plan.msgs, plan.sent,
+            plan.r_io, plan.r_cpu, plan.r_msgs, plan.r_sent,
+        )
+    props = plan.props
+    cost, rescan = props.cost, props.rescan_cost
+    return (
+        props.card, cost.io, cost.cpu, cost.msgs, cost.bytes_sent,
+        rescan.io, rescan.cpu, rescan.msgs, rescan.bytes_sent,
+    )
+
+
+def _path_shapes(paths: frozenset, stored_as: str) -> frozenset:
+    """``paths`` with every index on the temp ``stored_as`` by its shape:
+    the name BUILDIX gives it carries the temp's digest, so two temps'
+    equal indexes would otherwise never compare equal."""
+    return frozenset(
+        (p.columns, p.clustered, p.kind, p.unique) if p.table == stored_as else p
+        for p in paths
+    )
 
 
 def _effective_order(order: tuple, interesting: frozenset | None) -> tuple:

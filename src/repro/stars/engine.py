@@ -44,7 +44,7 @@ from repro.plans.operators import (
 )
 from repro.plans.plan import PlanNode, plan_digest, stored_object
 from repro.plans.properties import Requirements
-from repro.plans.sap import SAP, Stream
+from repro.plans.sap import SAP, Stream, merge_pruned
 from repro.query.query import QueryBlock
 from repro.stars.ast import (
     Alternative,
@@ -216,6 +216,10 @@ class StarEngine:
         #: stable for this engine's lifetime because ctx.rules owns the
         #: nodes and outlives the engine.
         self._call_refs: dict[int, StarRef] = {}
+        #: A JOIN inner SAP → the alternatives of it a join can profit
+        #: from (:meth:`_judged_inner`); keyed by identity, and holding the
+        #: key, so each memoized SAP is judged once.
+        self._inners: dict[SAP, SAP] = {}
 
     # -- public API ---------------------------------------------------------------
 
@@ -326,21 +330,23 @@ class StarEngine:
     def _eval_alternatives(self, star: StarDef, env: dict[str, Any]) -> SAP:
         ctx = self.ctx
         limit = ctx.config.max_plans_per_reference
-        result = SAP()
+        # The alternatives' plans in order of first occurrence, deduped as
+        # they arrive: one SAP is built from them at the end.
+        members: dict = {}
         for alt in star.alternatives:
             # Evaluation-order control [LEE 88]: alternatives are tried
             # in definition order; an optional budget stops the search
             # once enough plans exist for this reference.
-            if limit is not None and len(result) >= limit:
+            if limit is not None and len(members) >= limit:
                 break
             ctx.stats.alternatives_considered += 1
             applicable = self._alternative_applies(alt, env)
             if not applicable:
                 continue
-            result = result.union(self._eval_term(alt.term, env))
+            members.update(dict.fromkeys(self._eval_term(alt.term, env).members))
             if star.exclusive:
                 break
-        return result
+        return SAP(members)
 
     def _alternative_applies(self, alt: Alternative, env: dict[str, Any]) -> bool:
         if alt.otherwise or alt.condition is None:
@@ -355,13 +361,13 @@ class StarEngine:
             return self._eval_star_ref(term, env)
         if isinstance(term, ForAll):
             values = self._eval_expr(term.set_expr, env)
-            result = SAP()
+            members: dict = {}
             for value in values:
                 self.ctx.stats.forall_iterations += 1
                 child = dict(env)
                 child[term.var] = value
-                result = result.union(self._eval_term(term.term, child))
-            return result
+                members.update(dict.fromkeys(self._eval_term(term.term, child).members))
+            return SAP(members)
         if isinstance(term, RuleExpr):
             # A Call whose target could not be classified at parse time
             # (STAR vs. registry function); it must produce plans here.
@@ -444,6 +450,8 @@ class StarEngine:
             outer, inner = _as_sap(values[0]), _as_sap(values[1])
             join_preds, residual = _opt_set(values, 2), _opt_set(values, 3)
             flavor = flavor or "NL"
+            if self.ctx.config.prune:
+                inner = self._judged_inner(inner)
             price = factory.join_candidate
             return self._map(
                 lambda o, i: price(flavor, o, i, join_preds, residual), outer, inner
@@ -483,6 +491,32 @@ class StarEngine:
         if name == UNION:
             return self._map(factory.union, _as_sap(values[0]), _as_sap(values[1]))
         raise RuleError(f"no dispatcher for LOLEPOP {name}")
+
+    def _judged_inner(self, inner: SAP) -> SAP:
+        """The alternatives of a JOIN's inner that some join on them can
+        win with: those no other inner dominates on what a join's property
+        function reads (``merge_pruned(join_inner=True)``), in the SAP's
+        own order, so
+        the surviving joins are priced in the order they were.  Judged
+        once per SAP."""
+        judged = self._inners.get(inner)
+        if judged is None:
+            judged = inner
+            if len(inner) > 1:
+                diversity = self.ctx.config.retain_site_diversity
+                frontier = merge_pruned(
+                    SAP(), inner, self.ctx.model,
+                    site_diversity=diversity, join_inner=True,
+                )
+                if len(frontier) < len(inner):
+                    # The judge read plans, not candidates, with diversity on.
+                    kept = set(map(id, frontier.members))
+                    judged = SAP([
+                        m for m in (inner.plans if diversity else inner.members)
+                        if id(m) in kept
+                    ])
+            self._inners[inner] = judged
+        return judged
 
     def _map(self, build, *saps: SAP) -> SAP:
         """Section 2.2's map of a LOLEPOP "onto each element of those

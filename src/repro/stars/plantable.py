@@ -105,8 +105,10 @@ class PlanTable:
         incoming = SAP(plans)
         if self.budget is not None:
             self.budget.charge_plans(len(incoming))
-        merged = existing.union(incoming)
-        before = len(merged)
+        # What the union would hold: the class plus the plans new to it.
+        before = len(existing) + len(incoming)
+        if existing and incoming:
+            before -= len(set(existing.members).intersection(incoming.members))
         if self._prune:
             # The stored SAP is non-dominated by construction, so the
             # merge only has to judge the new plans against the class —
@@ -115,6 +117,8 @@ class PlanTable:
                 existing, incoming, self._model, self._interesting,
                 site_diversity=self._site_diversity,
             )
+        else:
+            merged = existing.union(incoming)
         merged = SAP(merged.plans)
         self.stats.inserts += 1
         self.stats.plans_inserted += before

@@ -6,8 +6,11 @@ pairwise ``_dominates`` walking both property vectors through per-pass
 dicts, and the two passes built on it — as the reference
 ``tests/test_dominance_records.py`` holds the new loop to: same predicate,
 same visiting order, same tie rule (established / earlier wins), so the
-same survivors in the same order.  It is test code: nothing under ``src/``
-imports it.
+same survivors in the same order.  Two rules joined the walk since: an
+index on the plan's own temp is compared by its shape (BUILDIX names it
+after the temp's digest), and ``join_inner=True`` judges a JOIN's inner
+alternatives on what the join reads of them (:func:`inner_dominates`).
+It is test code: nothing under ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def dominates(a: PlanNode, b: PlanNode, judge: ReferenceJudge) -> bool:
         return False
     if not order_satisfies(judge.effective[a.digest], judge.effective[b.digest]):
         return False
-    if not (pb.paths <= pa.paths):
+    if not (own_temp_shapes(pb) <= own_temp_shapes(pa)):
         return False
     if pa.tables != pb.tables or pa.preds != pb.preds:
         return False
@@ -85,6 +88,40 @@ def dominates(a: PlanNode, b: PlanNode, judge: ReferenceJudge) -> bool:
     return True
 
 
+def own_temp_shapes(props) -> set:
+    """PATHS, with an index on the plan's own temp as (columns, clustered,
+    kind, unique)."""
+    shapes = set()
+    for path in props.paths:
+        if props.stored_as is not None and path.table == props.stored_as:
+            shapes.add((path.columns, path.clustered, path.kind, path.unique))
+        else:
+            shapes.add(path)
+    return shapes
+
+
+def inner_dominates(a: PlanNode, b: PlanNode, judge: ReferenceJudge) -> bool:
+    """May a JOIN drop inner ``b`` for ``a``?  Same SITE, TABLES, PREDS and
+    COLS (TIDs included), CARD and every cost and rescan-cost component no
+    higher, the total no higher, and under site diversity a footprint no
+    wider; ORDER, TEMP, PATHS and STORED_AS are not read."""
+    pa, pb = a.props, b.props
+    if judge.footprint is not None:
+        a_sites, a_links = judge.footprint[a.digest]
+        b_sites, b_links = judge.footprint[b.digest]
+        if not (a_sites <= b_sites and a_links <= b_links):
+            return False
+    if (pa.site, pa.tables, pa.preds, pa.cols) != (pb.site, pb.tables, pb.preds, pb.cols):
+        return False
+    if pa.card > pb.card or judge.totals[a.digest] > judge.totals[b.digest]:
+        return False
+    return all(
+        getattr(mine, field) <= getattr(theirs, field)
+        for mine, theirs in ((pa.cost, pb.cost), (pa.rescan_cost, pb.rescan_cost))
+        for field in ("io", "cpu", "msgs", "bytes_sent")
+    )
+
+
 def _unique(plans: Iterable[PlanNode]) -> list[PlanNode]:
     seen: dict[str, PlanNode] = {}
     for plan in plans:
@@ -92,13 +129,16 @@ def _unique(plans: Iterable[PlanNode]) -> list[PlanNode]:
     return list(seen.values())
 
 
-def pruned(plans, model, interesting=None, site_diversity=False) -> list[PlanNode]:
+def pruned(
+    plans, model, interesting=None, site_diversity=False, join_inner=False
+) -> list[PlanNode]:
     """``merge_pruned(SAP(), SAP(plans), ...)`` as the old pass computed it."""
     plans = _unique(plans)
     judge = ReferenceJudge(plans, model, interesting, site_diversity)
+    test = inner_dominates if join_inner else dominates
     keep: list[PlanNode] = []
     for cand in judge.by_cost(plans):
-        if not judge.dominated_by_any(keep, cand):
+        if not any(test(kept, cand, judge) for kept in keep):
             keep.append(cand)
     return keep
 

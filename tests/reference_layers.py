@@ -18,7 +18,9 @@ for the unpruned space.)
 
 The same fixture turns off ``"candidates"`` — a JOIN priced and judged
 before it is built: :class:`EagerFactory` builds every join the moment it
-is priced, which is how every join was made before.
+is priced, which is how every join was made before — and ``"inners"`` —
+a JOIN's inner alternatives judged before any join is priced on them:
+:class:`UnjudgedInnerEngine` crosses every outer with every inner.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.cost.propfuncs import PlanFactory
 from repro.plans.intern import PlanInterner
 from repro.plans.plan import PlanNode
 from repro.plans.sap import SAP
+from repro.stars.engine import StarEngine
 from repro.stars.memo import StarMemo
 
 
@@ -68,11 +71,20 @@ class EagerFactory(PlanFactory):
         return SAP([super().join_candidate(*args, **kwargs)]).plans[0]
 
 
+class UnjudgedInnerEngine(StarEngine):
+    """Every JOIN prices each outer plan against every inner alternative
+    it is handed, dominated on what the join reads or not."""
+
+    def _judged_inner(self, inner: SAP) -> SAP:
+        return inner
+
+
 #: Layer name → (where the collaborator is looked up, stand-in).
 REFERENCES = {
     "memo": ("repro.stars.engine.StarMemo", ForgetfulMemo),
     "intern": ("repro.cost.propfuncs.PlanInterner", SeparateInterner),
     "candidates": ("repro.stars.engine.PlanFactory", EagerFactory),
+    "inners": ("repro.optimizer.optimizer.StarEngine", UnjudgedInnerEngine),
 }
 
 

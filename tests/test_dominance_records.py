@@ -3,11 +3,13 @@
 ``tests/reference_dominance.py`` keeps the old pairwise ``_dominates`` and
 the two passes built on it.  On random plan sets — interesting and
 uninteresting orders, column sets that differ in TID pseudo-columns only,
-every ``temp`` / ``stored_as`` / ``paths`` combination, ties in total cost,
-two sites with and without ``site_diversity`` — the new judge must answer
-every pair the same way, and ``merge_pruned`` — into an empty class and
-into an established one — must return the *same plan objects in the same
-order* as the reference passes.
+every ``temp`` / ``stored_as`` / ``paths`` combination (indexes on the
+plan's own temp, named after it as BUILDIX names them, and on another
+temp), ties in total cost, cards and rescan costs that disagree with the
+total, two sites with and without ``site_diversity`` — the new judge must
+answer every pair the same way, and ``merge_pruned`` — into an empty class
+and into an established one, and in the ``join_inner`` view — must return
+the *same plan objects in the same order* as the reference passes.
 ``ci`` in ``tests/conftest.py`` raises the example budget.
 """
 
@@ -29,10 +31,7 @@ from tests import reference_dominance as reference
 
 MODEL = CostModel(Catalog(query_site="A"))
 COLUMNS = ("X", "Y", "Z")
-PATHS = (
-    AccessPath("ix_x", "#temp(t)", ("X",), clustered=True),
-    AccessPath("ix_y", "#temp(t)", ("Y",), clustered=True),
-)
+TEMPS = ("#temp(t)", "#temp(u)")
 PRED = equals_value("T", "X", 1)
 
 # No deadline: a pause of a loaded machine is not a failure of the judge.
@@ -55,6 +54,14 @@ def plans(draw) -> list[PlanNode]:
             for c in draw(st.permutations(COLUMNS))[: draw(st.integers(0, 2))]
         )
         site = draw(st.sampled_from("AB"))
+        stored_as = draw(st.sampled_from([None, None, *TEMPS]))
+        # An index on the plan's own temp, or on another one.
+        owner = draw(st.sampled_from([stored_as or TEMPS[0], TEMPS[0]]))
+        keys = draw(st.sets(st.sampled_from(COLUMNS[:2])))
+        paths = frozenset(
+            AccessPath(f"ix({key})@{owner}", owner, (key,), clustered=True)
+            for key in keys
+        )
         props = PropertyVector(
             tables=frozenset(["T", "U"] if draw(st.integers(0, 9)) == 0 else ["T"]),
             cols=frozenset(cols),
@@ -62,10 +69,12 @@ def plans(draw) -> list[PlanNode]:
             order=order,
             site=site,
             temp=draw(st.booleans()),
-            paths=frozenset(draw(st.sets(st.sampled_from(PATHS)))),
-            stored_as=draw(st.sampled_from([None, None, "#temp(t)"])),
+            paths=paths,
+            stored_as=stored_as,
+            card=float(draw(st.integers(1, 3))),
             # Few distinct totals, so ties (earlier wins) are common.
             cost=Cost(io=float(draw(st.integers(0, 4))), msgs=draw(st.sampled_from([0.0, 0.5]))),
+            rescan_cost=Cost(cpu=float(draw(st.integers(0, 2)))),
         )
         plan = PlanNode("ACCESS", "heap", (("table", f"T{number}"),), (), props)
         if draw(st.integers(0, 3)) == 0:
@@ -106,6 +115,33 @@ def test_every_pair_is_judged_alike(candidates, interesting, site_diversity):
             ), (kept.props, cand.props)
         # By itself, if by no other.
         assert new.dominated(record.values(), record[id(cand)])
+
+
+@budget
+@given(plans(), st.booleans())
+def test_every_pair_is_judged_alike_as_a_join_inner(candidates, site_diversity):
+    new = _DominanceJudge(candidates, MODEL, None, site_diversity, join_inner=True)
+    old = reference.ReferenceJudge(candidates, MODEL, None, site_diversity)
+    record = {id(plan): new.records[id(plan)] for plan in candidates}
+    for cand in candidates:
+        for kept in candidates:
+            assert new.dominated([record[id(kept)]], record[id(cand)]) == (
+                reference.inner_dominates(kept, cand, old)
+            ), (kept.props, cand.props)
+
+
+@budget
+@given(plans(), st.booleans())
+def test_join_inner_view_keeps_the_same_plans_in_the_same_order(
+    candidates, site_diversity
+):
+    got = merge_pruned(
+        SAP(), SAP(candidates), MODEL, site_diversity=site_diversity, join_inner=True
+    )
+    want = reference.pruned(
+        candidates, MODEL, site_diversity=site_diversity, join_inner=True
+    )
+    assert ids(got) == ids(want)
 
 
 @budget
@@ -154,6 +190,15 @@ def test_the_generator_reaches_both_verdicts_on_every_property():
                 seen["temp"] += pb.temp and not pa.temp
                 seen["stored"] += pb.stored_as is not None and pa.stored_as is None
                 seen["paths"] += not pb.paths <= pa.paths
+                seen["temp-shape"] += (
+                    not pb.paths <= pa.paths
+                    and reference.own_temp_shapes(pb) <= reference.own_temp_shapes(pa)
+                )
+                seen[("inner", reference.inner_dominates(a, b, judge))] += 1
+                seen["inner-rescan"] += (
+                    pa.card <= pb.card and pa.cost == pb.cost
+                    and pa.rescan_cost.cpu > pb.rescan_cost.cpu
+                )
                 seen["class"] += pa.tables != pb.tables or pa.preds != pb.preds
                 seen["tid-only"] += pa.cols != pb.cols and (
                     judge.real_cols[pa.cols] == judge.real_cols[pb.cols]
@@ -168,6 +213,7 @@ def test_the_generator_reaches_both_verdicts_on_every_property():
                     )
 
     tally()
-    for outcome in (True, False, "site", "temp", "stored", "paths", "class",
-                    "tid-only", "cols", "tie", "order", "uninteresting", "footprint"):
+    for outcome in (True, False, "site", "temp", "stored", "paths", "temp-shape",
+                    "class", "tid-only", "cols", "tie", "order", "uninteresting",
+                    "footprint", ("inner", True), ("inner", False), "inner-rescan"):
         assert seen[outcome] >= 20, (outcome, seen)

@@ -165,9 +165,9 @@ class SoundJudge(sap._DominanceJudge):
 
     __slots__ = ()
 
-    def __init__(self, plans, model, interesting, site_diversity):
+    def __init__(self, plans, model, interesting, site_diversity, join_inner=False):
         plans = tuple(plans)
-        super().__init__(plans, model, interesting, site_diversity)
+        super().__init__(plans, model, interesting, site_diversity, join_inner)
         for plan in plans:
             self.records[id(plan)] += (_vectors(plan),)
 

@@ -179,6 +179,25 @@ class TestBuildix:
         scan = factory.access_temp(stored, preds={join_pred})
         assert probe.props.rescan_cost.io < scan.props.rescan_cost.io
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known model bug: BUILDIX names a temp index's columns without "
+        "their table, so an index on EMP.DNO over a temp that also holds "
+        "DEPT.DNO orders by, is as wide as and matches predicates on both "
+        "(ROADMAP item 10)"
+    ))
+    def test_temp_index_on_a_join_reads_its_own_key_only(
+        self, factory, join_pred
+    ):
+        joined = factory.join(
+            "NL",
+            factory.access_base("DEPT", {DNO, MGR}, set()),
+            factory.access_base("EMP", {E_DNO, E_NAME}, set()),
+            {join_pred},
+        )
+        indexed = factory.buildix(factory.store(joined), (E_DNO,))
+        path = next(iter(indexed.props.paths))
+        assert factory.access_temp_index(indexed, path).props.order == (E_DNO,)
+
 
 class TestJoin:
     def test_site_mismatch_rejected(self, distributed_catalog, join_pred):
