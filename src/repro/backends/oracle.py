@@ -34,31 +34,46 @@ from repro.storage.table import Database
 
 
 def normalize_value(value: Any) -> tuple:
-    """A canonical, totally-ordered key for one result value.
+    """A canonical, totally-ordered sort key for one result value.
 
     Collapses the cross-engine representational differences that do not
     change the answer: SQLite has no bool (``True`` comes back as ``1``)
     and ``/`` is emitted as real division (``4 / 2`` is ``2.0`` both
     sides, but integer-typed columns round-trip as ``int``).  Numbers
-    therefore compare as floats; NULL/None sorts first; strings compare
-    as themselves.  The leading tag keeps mixed-type columns sortable.
+    therefore stay in the key by value (``int``, ``float`` and ``bool``
+    compare exactly, so ``1``, ``1.0`` and ``True`` tie); NULL/None sorts
+    first; strings compare as themselves.  The leading tag keeps
+    mixed-type columns sortable.
     """
     if value is None:
-        return ("0:null",)
-    if isinstance(value, bool):
-        return ("1:num", float(value))
+        return (0,)
     if isinstance(value, (int, float)):
-        return ("1:num", float(value))
+        return (1, value)
     if isinstance(value, str):
-        return ("2:str", value)
-    return ("3:other", repr(value))
+        return (2, value)
+    return (3, repr(value))
+
+
+#: Value types a column can mix and still sort by its values alone.
+_NUMBERS = frozenset((int, float, bool))
+
+
+def _sorts_natively(values: tuple) -> bool:
+    """Whether a column's values are all numbers or all strings, so the
+    values themselves order it (no NULL, no mix of kinds)."""
+    types = set(map(type, values))
+    return types <= _NUMBERS or types == {str}
 
 
 def normalize_rows(rows: list[tuple] | tuple[tuple, ...]) -> tuple[tuple, ...]:
-    """The canonical multiset form of a result: every value normalized,
-    rows sorted.  Two engines agree exactly when their normalized forms
+    """The canonical multiset form of a result: the rows themselves,
+    sorted by the :func:`normalize_value` key of every value (a row whose
+    columns all sort natively is its own key).  Keys tie only on equal
+    rows, so two engines agree exactly when their normalized forms
     compare equal — duplicates count, order does not."""
-    return tuple(sorted(tuple(normalize_value(v) for v in row) for row in rows))
+    if all(map(_sorts_natively, zip(*rows))):
+        return tuple(sorted(rows))
+    return tuple(sorted(rows, key=lambda row: tuple(map(normalize_value, row))))
 
 
 @dataclass
@@ -66,7 +81,7 @@ class BackendOutcome:
     """What one leg did with one plan."""
 
     backend: str
-    rows: tuple | None = None  #: normalized row set (None on error)
+    rows: tuple | None = None  #: normalized rows (None on error)
     row_count: int | None = None
     error: str | None = None
 

@@ -23,6 +23,8 @@ Loading rules:
 from __future__ import annotations
 
 import sqlite3
+from itertools import chain, count
+from operator import add
 
 from repro.backends.sql import TID_SQL_COLUMN, _q
 from repro.errors import BackendError
@@ -47,11 +49,8 @@ def load_database(database: Database) -> sqlite3.Connection:
         conn.execute(f"CREATE TABLE {_q(name)} ({', '.join(col_ddl)})")
         placeholders = ", ".join("?" for _ in range(len(data.schema) + 1))
         insert = f"INSERT INTO {_q(name)} VALUES ({placeholders})"
-        rows = [
-            (ordinal, *row) for ordinal, (_, row) in enumerate(data.scan())
-        ]
-        if rows:
-            conn.executemany(insert, rows)
+        rows = chain.from_iterable(page for _, _, page in data.scan_pages())
+        conn.executemany(insert, map(add, zip(count()), rows))
     conn.commit()
     return conn
 
@@ -61,7 +60,6 @@ def run_sql(conn: sqlite3.Connection, sql: str) -> list[tuple]:
     :class:`~repro.errors.BackendError` (an emitted artifact a stock
     engine rejects is a backend bug, not a user error)."""
     try:
-        cursor = conn.execute(sql)
-        return [tuple(row) for row in cursor.fetchall()]
+        return conn.execute(sql).fetchall()
     except sqlite3.Error as exc:
         raise BackendError(f"SQLite rejected emitted SQL: {exc}") from exc

@@ -9,7 +9,7 @@ or collected from stored data (``collect_column_stats``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Iterable
+from typing import Any, Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,23 +70,18 @@ class TableStats:
         return replace(self, card=card, pages=None)
 
 
-def collect_column_stats(values: Iterable[Any]) -> ColumnStats:
-    """Compute :class:`ColumnStats` from actual column values."""
-    seen: set[Any] = set()
-    low: Any = None
-    high: Any = None
-    nulls = 0
-    total = 0
-    for value in values:
-        total += 1
-        if value is None:
-            nulls += 1
-            continue
-        seen.add(value)
-        if low is None or value < low:
-            low = value
-        if high is None or value > high:
-            high = value
-    n_distinct = float(len(seen)) if seen else 1.0
-    null_fraction = (nulls / total) if total else 0.0
-    return ColumnStats(n_distinct=n_distinct, low=low, high=high, null_fraction=null_fraction)
+def collect_column_stats(values: Sequence[Any]) -> ColumnStats:
+    """Compute :class:`ColumnStats` from one column's actual values.
+    ``low`` / ``high`` are the first minimum / maximum in ``values``
+    order (``1`` and ``1.0`` tie)."""
+    nulls = values.count(None)
+    null_fraction = nulls / len(values) if values else 0.0
+    present = [v for v in values if v is not None] if nulls else values
+    if not present:
+        return ColumnStats(n_distinct=1.0, null_fraction=null_fraction)
+    return ColumnStats(
+        n_distinct=float(len(set(present))),
+        low=min(present),
+        high=max(present),
+        null_fraction=null_fraction,
+    )

@@ -1006,13 +1006,9 @@ class _BatchRun:
         # The STORE input never depends on outer bindings (Glue keeps
         # sideways predicates out of materialized temps).
         count = 0
-        insert = data.insert
         for batch in self.execute(node.inputs[0], None):
             batch = batch.compact()
-            cols = [batch.column(c) for c in schema]
-            for row in zip(*cols):
-                insert(row)
-            count += batch.length
+            count += data.append(zip(*[batch.column(c) for c in schema]))
         self.stats.temps_materialized += 1
         self._temps[digest] = data
         if self.checkpoints is not None:

@@ -24,8 +24,8 @@ alone: the leaf a descent lands on is the count of in-order separators
 below the prefix, and the walk ends in the leaf that holds the first key
 at or above it.  A prefix holding a NULL is charged nothing.  The
 directory is built on the first batch probe (one pass over the leaves,
-then one pass per width) and dropped by :meth:`BTree.insert`; like
-``insert``, the batch probe is not safe to call from two threads at
+then one pass per width) and dropped by :meth:`BTree.insert_many`;
+like an insert, the batch probe is not safe to call from two threads at
 once.  On the ``exec-probe`` workload of ``benchmarks/e2e`` the
 directories of the four probed indexes (22 000 entries) hold 2.3 MB.
 """
@@ -138,6 +138,31 @@ def _collect_separators(node: _Leaf | _Internal, out: list[Key]) -> None:
             _collect_separators(child, out)
 
 
+def _split_leaf(node: _Leaf) -> tuple[Key, _Leaf]:
+    """Move the upper half of an overfull leaf into a new right sibling;
+    returns the sibling's first key (the separator) and the sibling."""
+    mid = len(node.keys) // 2
+    right = _Leaf()
+    right.keys = node.keys[mid:]
+    right.values = node.values[mid:]
+    node.keys = node.keys[:mid]
+    node.values = node.values[:mid]
+    right.next = node.next
+    node.next = right
+    return right.keys[0], right
+
+
+def _split_internal(node: _Internal) -> tuple[Key, _Internal]:
+    """Split an overfull internal node around its middle key, which
+    moves up as the separator; returns it and the new right node."""
+    mid = len(node.keys) // 2
+    sep = node.keys[mid]
+    right = _Internal(node.keys[mid + 1 :], node.children[mid + 1 :])
+    node.keys = node.keys[:mid]
+    node.children = node.children[: mid + 1]
+    return sep, right
+
+
 class BTree:
     """A B+-tree keyed on tuples of values.
 
@@ -164,63 +189,78 @@ class BTree:
 
     # -- insertion -----------------------------------------------------------
 
-    def insert(self, key: Key, value: Any) -> None:
-        """Insert one entry.  Raises on None key components (not
-        indexable) and on duplicate keys in a unique tree."""
-        if any(part is None for part in key):
+    def check(self, keys: Sequence[Key]) -> None:
+        """Raise, changing nothing, unless every key of ``keys`` can go
+        in: no key holds a None component (not indexable), and a unique
+        tree holds no key twice, neither within ``keys`` nor with the
+        entries it already has.  Charges no I/O."""
+        if None in chain.from_iterable(keys):
+            key = next(key for key in keys if None in key)
             raise StorageError(f"cannot index NULL key component in {key}")
+        if not self._unique:
+            return
+        seen: set[Key] = set()
+        for key in keys:
+            if key in seen or self._holds(key):
+                raise StorageError(f"duplicate key {key} in unique index")
+            seen.add(key)
+
+    def _holds(self, key: Key) -> bool:
+        """Whether ``key`` is stored, found without charging I/O."""
+        node = self._root
+        while type(node) is _Internal:
+            node = node.children[bisect_right(node.keys, key)]
+        idx = bisect_left(node.keys, key)
+        return idx < len(node.keys) and node.keys[idx] == key
+
+    def insert(self, key: Key, value: Any) -> None:
+        """Insert one entry: :meth:`insert_many` of one key."""
+        self.insert_many((key,), (value,))
+
+    def insert_many(self, keys: Sequence[Key], values: Sequence[Any]) -> None:
+        """Insert ``keys[i] -> values[i]`` in order, after :meth:`check`
+        passes all of them (so a rejected batch changes nothing).  Each
+        entry descends from the root and lands exactly where inserting
+        the entries one at a time would put it, so the batch leaves the
+        same nodes, splits, height and ``index_writes``: one write per
+        entry, two per split."""
+        self.check(keys)
+        if not keys:
+            return
         self._directory = None
-        split = self._insert(self._root, key, value)
-        if split is not None:
-            sep, right = split
-            self._root = _Internal([sep], [self._root, right])
-            self._height += 1
-        self._count += 1
-        self._io.write_index(1)
-
-    def _insert(self, node: _Leaf | _Internal, key: Key, value: Any):
-        if isinstance(node, _Leaf):
-            idx = bisect_left(node.keys, key)
-            if idx < len(node.keys) and node.keys[idx] == key:
-                if self._unique:
-                    raise StorageError(f"duplicate key {key} in unique index")
+        order = self._order
+        splits = 0
+        for key, value in zip(keys, values):
+            node = self._root
+            path = []
+            while type(node) is _Internal:
+                idx = bisect_right(node.keys, key)
+                path.append((node, idx))
+                node = node.children[idx]
+            leaf_keys = node.keys
+            idx = bisect_left(leaf_keys, key)
+            if idx < len(leaf_keys) and leaf_keys[idx] == key:
                 node.values[idx].append(value)
-                return None
-            node.keys.insert(idx, key)
+                continue
+            leaf_keys.insert(idx, key)
             node.values.insert(idx, [value])
-            if len(node.keys) > self._order:
-                return self._split_leaf(node)
-            return None
-        idx = bisect_right(node.keys, key)
-        split = self._insert(node.children[idx], key, value)
-        if split is not None:
-            sep, right = split
-            node.keys.insert(idx, sep)
-            node.children.insert(idx + 1, right)
-            if len(node.keys) > self._order:
-                return self._split_internal(node)
-        return None
-
-    def _split_leaf(self, node: _Leaf):
-        mid = len(node.keys) // 2
-        right = _Leaf()
-        right.keys = node.keys[mid:]
-        right.values = node.values[mid:]
-        node.keys = node.keys[:mid]
-        node.values = node.values[:mid]
-        right.next = node.next
-        node.next = right
-        self._io.write_index(2)
-        return right.keys[0], right
-
-    def _split_internal(self, node: _Internal):
-        mid = len(node.keys) // 2
-        sep = node.keys[mid]
-        right = _Internal(node.keys[mid + 1 :], node.children[mid + 1 :])
-        node.keys = node.keys[:mid]
-        node.children = node.children[: mid + 1]
-        self._io.write_index(2)
-        return sep, right
+            if len(leaf_keys) <= order:
+                continue
+            sep, right = _split_leaf(node)
+            splits += 1
+            while path:
+                parent, idx = path.pop()
+                parent.keys.insert(idx, sep)
+                parent.children.insert(idx + 1, right)
+                if len(parent.keys) <= order:
+                    break
+                sep, right = _split_internal(parent)
+                splits += 1
+            else:
+                self._root = _Internal([sep], [self._root, right])
+                self._height += 1
+        self._count += len(keys)
+        self._io.write_index(len(keys) + 2 * splits)
 
     # -- search --------------------------------------------------------------
 

@@ -8,6 +8,7 @@ columns from the stored table (Figure 1).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Iterator, NamedTuple
 
 from repro.errors import StorageError
@@ -48,17 +49,48 @@ class HeapFile:
     def page_count(self) -> int:
         return len(self._pages)
 
+    @property
+    def next_rid(self) -> RID:
+        """The RID the next appended row gets."""
+        pages = self._pages
+        if pages and len(pages[-1]) < self._rows_per_page:
+            return RID(len(pages) - 1, len(pages[-1]))
+        return RID(len(pages), 0)
+
     def insert(self, row: Row) -> RID:
-        """Append a row, returning its RID.  Charges a page write when a
-        new page is allocated (bulk loads cost one write per page)."""
-        if not self._pages or len(self._pages[-1]) >= self._rows_per_page:
-            self._pages.append([])
-            self._io.write_pages(1)
-        page_no = len(self._pages) - 1
-        page = self._pages[page_no]
-        page.append(row)
-        self._count += 1
-        return RID(page_no, len(page) - 1)
+        """Append one row, returning its RID: :meth:`append` of one."""
+        rid = self.next_rid
+        self.append([row])
+        return rid
+
+    def append(self, rows: list[Row]) -> None:
+        """Append rows in order: fill the last page, then add whole pages
+        as slices of ``rows``.  Charges one page write per new page (a
+        bulk load costs one write per page)."""
+        pages = self._pages
+        per = self._rows_per_page
+        start = 0
+        if pages and len(pages[-1]) < per:
+            start = per - len(pages[-1])
+            pages[-1].extend(rows[:start])
+        new = [rows[i : i + per] for i in range(start, len(rows), per)]
+        pages.extend(new)
+        self._io.write_pages(len(new))
+        self._count += len(rows)
+
+    def rids(self, first: RID, count: int) -> list[RID]:
+        """The RIDs of ``count`` rows appended in one run from ``first``
+        on (``first`` is what :attr:`next_rid` read before the append)."""
+        per = self._rows_per_page
+        page, slot = first
+        out: list[RID] = []
+        while count > 0:
+            n = min(per - slot, count)
+            out.extend(map(RID, repeat(page, n), range(slot, slot + n)))
+            count -= n
+            page += 1
+            slot = 0
+        return out
 
     def fetch(self, rid: RID) -> Row:
         """Fetch one row by RID (one page read)."""

@@ -14,8 +14,9 @@ and ``BUILDIX`` LOLEPOPs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.catalog.catalog import Catalog
@@ -46,8 +47,14 @@ class IndexData:
     tree: BTree
     clustered: bool
 
-    def key_for(self, schema_pos: Mapping[ColumnRef, int], row: Row) -> tuple[Any, ...]:
-        return tuple(row[schema_pos[c]] for c in self.key_columns)
+    def fill(self, keys: list[tuple[Any, ...]], rids: list[RID], rows: list[Row]) -> None:
+        """Insert ``keys[i]`` for row ``rows[i]`` at ``rids[i]``: a
+        clustered index stores ``(rid, row)``, a secondary ``(rid, None)``."""
+        if self.clustered:
+            values = list(zip(rids, rows))
+        else:
+            values = list(zip(rids, repeat(None)))
+        self.tree.insert_many(keys, values)
 
 
 class TableData:
@@ -72,6 +79,9 @@ class TableData:
         self._pos: dict[ColumnRef, int] = {c: i for i, c in enumerate(self.schema)}
         if len(self._pos) != len(self.schema):
             raise StorageError(f"duplicate columns in schema of {name}")
+        #: The column names in schema order, as dict keys so that a
+        #: mapping row's names can be checked against them as a set.
+        self._names: dict[str, None] = dict.fromkeys(c.column for c in self.schema)
         self.heap = HeapFile(io, rows_per_page=rows_per_page)
         self.indexes: dict[str, IndexData] = {}
 
@@ -88,7 +98,9 @@ class TableData:
         return column in self._pos
 
     def add_index(self, path: AccessPath, key_columns: Sequence[ColumnRef]) -> IndexData:
-        """Create an index and populate it from existing rows."""
+        """Create an index and fill it from the live rows in heap order.
+        A key the index cannot take (NULL, or a duplicate in a unique
+        index) raises before the index is registered."""
         if path.name in self.indexes:
             raise StorageError(f"index {path.name} already exists on {self.name}")
         for column in key_columns:
@@ -99,30 +111,72 @@ class TableData:
             tree=BTree(self._io, unique=path.unique),
             clustered=path.clustered,
         )
+        rids: list[RID] = []
+        rows: list[Row] = []
+        for page_no, slots, page in self.heap.scan_pages():
+            if slots is None:
+                slots = range(len(page))
+            rids.extend(map(RID, repeat(page_no), slots))
+            rows.extend(page)
+        index.fill(self._keys(index, rows), rids, rows)
         self.indexes[path.name] = index
-        for rid, row in self.heap.scan():
-            self._index_row(index, rid, row)
         return index
 
-    def _index_row(self, index: IndexData, rid: RID, row: Row) -> None:
-        key = index.key_for(self._pos, row)
-        value = (rid, row) if index.clustered else (rid, None)
-        index.tree.insert(key, value)
+    def _keys(self, index: IndexData, rows: list[Row]) -> list[tuple[Any, ...]]:
+        """The key of each of ``rows`` in ``index``."""
+        picks = (map(itemgetter(self._pos[c]), rows) for c in index.key_columns)
+        return list(zip(*picks))
 
-    def insert(self, row: Row) -> RID:
-        if len(row) != len(self.schema):
+    def _tuples(self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]) -> list[Row]:
+        """Each row as a tuple in schema order: a sequence must have the
+        schema's arity; a mapping is read by column name, a column it
+        lacks is NULL and a name the schema lacks raises."""
+        out: list[Row] = []
+        add = out.append
+        names = self._names
+        for row in rows:
+            kind = type(row)
+            if kind is tuple:
+                add(row)
+            elif kind is dict or (kind is not list and isinstance(row, Mapping)):
+                if not row.keys() <= names.keys():
+                    unknown = sorted(set(row.keys()) - names.keys())
+                    raise StorageError(f"table {self.name} has no column {unknown[0]!r}")
+                add(tuple(map(row.get, names)))
+            else:
+                add(tuple(row))
+        width = len(self.schema)
+        if set(map(len, out)) - {width}:
+            arity = next(len(row) for row in out if len(row) != width)
             raise StorageError(
-                f"row arity {len(row)} != schema arity {len(self.schema)} for {self.name}"
+                f"row arity {arity} != schema arity {width} for {self.name}"
             )
-        rid = self.heap.insert(row)
-        for index in self.indexes.values():
-            self._index_row(index, rid, row)
-        return rid
+        return out
 
-    def insert_mapping(self, values: Mapping[str, Any]) -> RID:
-        """Insert from a {column_name: value} mapping (base tables only)."""
-        row = tuple(values.get(c.column) for c in self.schema)
-        return self.insert(row)
+    def append(self, rows: Iterable[Mapping[str, Any] | Sequence[Any]]) -> int:
+        """Write rows (mappings or positional sequences) into the heap and
+        every index; returns how many.  Every row and every index key is
+        checked before anything is written, so a rejected batch changes
+        nothing.  Each row gets one RID, shared by every index."""
+        batch = self._tuples(rows)
+        fills = []
+        for index in self.indexes.values():
+            keys = self._keys(index, batch)
+            index.tree.check(keys)
+            fills.append((index, keys))
+        first = self.heap.next_rid
+        self.heap.append(batch)
+        if fills and batch:
+            rids = self.heap.rids(first, len(batch))
+            for index, keys in fills:
+                index.fill(keys, rids, batch)
+        return len(batch)
+
+    def insert(self, row: Sequence[Any]) -> RID:
+        """Write one row: :meth:`append` of one; returns its RID."""
+        rid = self.heap.next_rid
+        self.append((row,))
+        return rid
 
     def fetch(self, rid: RID) -> Row:
         return self.heap.fetch(rid)
@@ -141,10 +195,15 @@ class TableData:
         except KeyError:
             raise StorageError(f"no index {name} on table {self.name}") from None
 
-    def column_values(self, column: ColumnRef) -> Iterator[Any]:
-        pos = self.position(column)
-        for _, row in self.heap.scan():
-            yield row[pos]
+    def columns(self) -> list[tuple[Any, ...]]:
+        """The live rows transposed: one tuple of values per schema
+        column, in heap order.  Charges one heap scan per column, what
+        reading each column on its own costs."""
+        rows = [row for _, _, page in self.heap.scan_pages() for row in page]
+        self._io.read_pages(self.heap.page_count * (len(self.schema) - 1))
+        if not rows:
+            return [()] * len(self.schema)
+        return list(zip(*rows))
 
 
 class Database:
@@ -160,7 +219,7 @@ class Database:
         self.io = io if io is not None else IOAccounting()
         self._tables: dict[str, TableData] = {}
         self._temps: dict[str, TableData] = {}
-        self._temp_counter = itertools.count(1)
+        self._temp_counter = count(1)
 
     # -- base tables ---------------------------------------------------------
 
@@ -188,15 +247,7 @@ class Database:
 
     def load(self, table_name: str, rows: Iterable[Mapping[str, Any] | Sequence[Any]]) -> int:
         """Load rows (mappings or positional sequences) into a table."""
-        data = self.table(table_name)
-        count = 0
-        for row in rows:
-            if isinstance(row, Mapping):
-                data.insert_mapping(row)
-            else:
-                data.insert(tuple(row))
-            count += 1
-        return count
+        return self.table(table_name).append(rows)
 
     def table(self, name: str) -> TableData:
         if name in self._tables:
@@ -212,8 +263,8 @@ class Database:
             table_name,
             TableStats(card=float(len(data)), pages=float(data.heap.page_count)),
         )
-        for column in data.schema:
-            stats = collect_column_stats(data.column_values(column))
+        for column, values in zip(data.schema, data.columns()):
+            stats = collect_column_stats(values)
             self.catalog.set_column_stats(table_name, column.column, stats)
 
     def analyze_all(self) -> None:

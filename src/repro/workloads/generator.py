@@ -210,22 +210,21 @@ def _join_columns(spec: WorkloadSpec, name: str, names: list[str]) -> tuple[str,
 
 
 def _rows_for(spec: WorkloadSpec, index: int, rng: random.Random):
+    """Rows as tuples in schema order (ID, the FK column(s), VAL, TAG);
+    each row draws VAL, then TAG, then its FKs."""
     # The fact table of a star is larger than its dimensions.
     count = spec.rows
+    fks = 0
+    if spec.shape == "chain" and index > 0:
+        fks = 1
     if spec.shape == "star" and index == 0:
         count = spec.rows * 4
+        fks = spec.n_tables - 1
+    randrange, domain, rows = rng.randrange, spec.domain, spec.rows
     for row_id in range(count):
-        row = {
-            "ID": row_id,
-            "VAL": rng.randrange(spec.domain),
-            "TAG": f"t{rng.randrange(spec.domain)}",
-        }
-        if spec.shape == "chain" and index > 0:
-            row["FK"] = rng.randrange(spec.rows)
-        if spec.shape == "star" and index == 0:
-            for dim in range(1, spec.n_tables):
-                row[f"FK{dim}"] = rng.randrange(spec.rows)
-        yield row
+        val = randrange(domain)
+        tag = f"t{randrange(domain)}"
+        yield (row_id, *[randrange(rows) for _ in range(fks)], val, tag)
 
 
 def _query_for(spec: WorkloadSpec, names: list[str], catalog: Catalog) -> QueryBlock:

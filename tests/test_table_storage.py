@@ -71,7 +71,7 @@ class TestTableData:
 
     def test_column_values(self, db):
         db.load("T", [(1, 10, "x"), (2, 20, "y")])
-        assert list(db.table("T").column_values(ColumnRef("T", "B"))) == [10, 20]
+        assert db.table("T").columns() == [(1, 2), (10, 20), ("x", "y")]
 
     def test_empty_schema_rejected(self):
         with pytest.raises(StorageError):
