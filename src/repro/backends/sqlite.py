@@ -49,7 +49,7 @@ def load_database(database: Database) -> sqlite3.Connection:
         conn.execute(f"CREATE TABLE {_q(name)} ({', '.join(col_ddl)})")
         placeholders = ", ".join("?" for _ in range(len(data.schema) + 1))
         insert = f"INSERT INTO {_q(name)} VALUES ({placeholders})"
-        rows = chain.from_iterable(page for _, _, page in data.scan_pages())
+        rows = chain.from_iterable(page for _, page in data.scan_pages())
         conn.executemany(insert, map(add, zip(count()), rows))
     conn.commit()
     return conn

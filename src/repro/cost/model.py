@@ -111,6 +111,13 @@ HASH_MEMORY_PAGES = 32
 #: 1.5 for buckets: the top of the measured 0.34-0.51 (``PlanFactory._join``).
 HASH_UNIQUE_BUILD_CPU = 0.5
 
+#: CPU of an index probe after the first, on top of the entries it reads:
+#: the batch probe kernel (``BTree.lookup_many`` and the outer row's
+#: columns gathered beside its matches) spends 11.6-16.0 unique hash
+#: probes on an outer row, of which a nested-loop join already charges 2
+#: (its method's outer row and the rescan's entry) (E40).
+INDEX_PROBE_CPU = 9.0
+
 
 class CostModel:
     """Estimation helpers shared by all property functions.

@@ -39,6 +39,7 @@ from repro.cost.model import (
     CostModel,
     HASH_MEMORY_PAGES,
     HASH_UNIQUE_BUILD_CPU,
+    INDEX_PROBE_CPU,
     SORT_MEMORY_PAGES,
 )
 from repro.cost.selectivity import Selectivity
@@ -415,9 +416,10 @@ class PlanFactory:
         scan_cost = Cost(io=io, cpu=max(1.0, base_card * sel_matched))
         # Rescans (nested-loop probes) find the internal nodes in the
         # buffer pool [MACK 86]; only the qualifying leaf fraction is
-        # re-read.
+        # re-read, and each probe costs the batch kernel INDEX_PROBE_CPU.
         rescan = Cost(
-            io=sel_matched * leaf_pages, cpu=max(1.0, base_card * sel_matched)
+            io=sel_matched * leaf_pages,
+            cpu=max(1.0, base_card * sel_matched) + INDEX_PROBE_CPU,
         )
         return PropertyVector(
             tables=own, cols=columns, preds=preds,
@@ -527,9 +529,11 @@ class PlanFactory:
             io=self.model.btree_height(p_card) + sel_matched * leaf_pages,
             cpu=max(1.0, p_card * sel_matched),
         )
-        # Probes after the first find internal nodes buffered [MACK 86].
+        # Probes after the first find internal nodes buffered [MACK 86]
+        # and cost the batch kernel INDEX_PROBE_CPU, as on a base table.
         reprobe = Cost(
-            io=sel_matched * leaf_pages, cpu=max(1.0, p_card * sel_matched)
+            io=sel_matched * leaf_pages,
+            cpu=max(1.0, p_card * sel_matched) + INDEX_PROBE_CPU,
         )
         return self._card(p_card, preds, own), probe, reprobe
 

@@ -358,13 +358,10 @@ class _BatchRun:
         batch_size = self.batch_size
         rids: list = []
         raws: list = []
-        for page_no, slots, page_rows in data.scan_pages():
+        for page_no, page_rows in data.scan_pages():
             raws.extend(page_rows)
             if tid is not None:
-                if slots is None:
-                    rids.extend(RID(page_no, s) for s in range(len(page_rows)))
-                else:
-                    rids.extend(RID(page_no, s) for s in slots)
+                rids.extend(RID(page_no, s) for s in range(len(page_rows)))
             if len(raws) < batch_size:
                 continue
             yield self._scan_batch(node, raws, rids, positions, tid, preds, bindings)

@@ -39,7 +39,7 @@ class HeapFile:
             raise StorageError("rows_per_page must be >= 1")
         self._io = io
         self._rows_per_page = rows_per_page
-        self._pages: list[list[Row | None]] = []
+        self._pages: list[list[Row]] = []
         self._count = 0
 
     def __len__(self) -> int:
@@ -98,20 +98,8 @@ class HeapFile:
             row = self._pages[rid.page][rid.slot]
         except IndexError:
             raise StorageError(f"bad RID {rid}") from None
-        if row is None:
-            raise StorageError(f"RID {rid} was deleted")
         self._io.read_pages(1)
         return row
-
-    def delete(self, rid: RID) -> None:
-        """Tombstone a row (slot stays occupied)."""
-        try:
-            if self._pages[rid.page][rid.slot] is None:
-                raise StorageError(f"RID {rid} already deleted")
-            self._pages[rid.page][rid.slot] = None
-        except IndexError:
-            raise StorageError(f"bad RID {rid}") from None
-        self._count -= 1
 
     def scan(self) -> Iterator[tuple[RID, Row]]:
         """Physically-sequential scan.  Charges one read per page as the
@@ -120,20 +108,14 @@ class HeapFile:
         for page_no, page in enumerate(self._pages):
             self._io.read_pages(1)
             for slot, row in enumerate(page):
-                if row is not None:
-                    yield RID(page_no, slot), row
+                yield RID(page_no, slot), row
 
-    def scan_pages(self) -> Iterator[tuple[int, list[int] | None, list[Row]]]:
+    def scan_pages(self) -> Iterator[tuple[int, list[Row]]]:
         """Page-at-a-time scan for the vectorized executor, with the same
         lazy accounting as :meth:`scan` — one read charged per page
-        entered.  Yields ``(page_no, slots, rows)`` per page; ``slots`` is
-        ``None`` for a tombstone-free page (rows occupy slots ``0..n-1``
-        and the yielded list is the live page — callers must not mutate
-        it), so the common case builds no RIDs and copies nothing."""
+        entered.  Yields ``(page_no, rows)`` per page: row ``s`` has RID
+        ``(page_no, s)``, and ``rows`` is the stored page (callers must not
+        mutate it), so a scan builds no RIDs and copies nothing."""
         for page_no, page in enumerate(self._pages):
             self._io.read_pages(1)
-            if None in page:
-                slots = [s for s, row in enumerate(page) if row is not None]
-                yield page_no, slots, [page[s] for s in slots]
-            else:
-                yield page_no, None, page
+            yield page_no, page

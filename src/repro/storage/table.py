@@ -98,7 +98,7 @@ class TableData:
         return column in self._pos
 
     def add_index(self, path: AccessPath, key_columns: Sequence[ColumnRef]) -> IndexData:
-        """Create an index and fill it from the live rows in heap order.
+        """Create an index and fill it from the rows in heap order.
         A key the index cannot take (NULL, or a duplicate in a unique
         index) raises before the index is registered."""
         if path.name in self.indexes:
@@ -113,10 +113,8 @@ class TableData:
         )
         rids: list[RID] = []
         rows: list[Row] = []
-        for page_no, slots, page in self.heap.scan_pages():
-            if slots is None:
-                slots = range(len(page))
-            rids.extend(map(RID, repeat(page_no), slots))
+        for page_no, page in self.heap.scan_pages():
+            rids.extend(map(RID, repeat(page_no), range(len(page))))
             rows.extend(page)
         index.fill(self._keys(index, rows), rids, rows)
         self.indexes[path.name] = index
@@ -185,7 +183,7 @@ class TableData:
         """Physically-sequential scan in heap order."""
         return self.heap.scan()
 
-    def scan_pages(self) -> Iterator[tuple[int, list[int] | None, list[Row]]]:
+    def scan_pages(self) -> Iterator[tuple[int, list[Row]]]:
         """Page-at-a-time scan in heap order (vectorized executor)."""
         return self.heap.scan_pages()
 
@@ -196,10 +194,10 @@ class TableData:
             raise StorageError(f"no index {name} on table {self.name}") from None
 
     def columns(self) -> list[tuple[Any, ...]]:
-        """The live rows transposed: one tuple of values per schema
+        """The rows transposed: one tuple of values per schema
         column, in heap order.  Charges one heap scan per column, what
         reading each column on its own costs."""
-        rows = [row for _, _, page in self.heap.scan_pages() for row in page]
+        rows = [row for _, page in self.heap.scan_pages() for row in page]
         self._io.read_pages(self.heap.page_count * (len(self.schema) - 1))
         if not rows:
             return [()] * len(self.schema)

@@ -220,11 +220,22 @@ def _rows_for(spec: WorkloadSpec, index: int, rng: random.Random):
     if spec.shape == "star" and index == 0:
         count = spec.rows * 4
         fks = spec.n_tables - 1
-    randrange, domain, rows = rng.randrange, spec.domain, spec.rows
+    bits, domain, rows = rng.getrandbits, spec.domain, spec.rows
+    dk, rk = domain.bit_length(), rows.bit_length()
     for row_id in range(count):
-        val = randrange(domain)
-        tag = f"t{randrange(domain)}"
-        yield (row_id, *[randrange(rows) for _ in range(fks)], val, tag)
+        val = _below(bits, domain, dk)
+        tag = f"t{_below(bits, domain, dk)}"
+        yield (row_id, *[_below(bits, rows, rk) for _ in range(fks)], val, tag)
+
+
+def _below(getrandbits, n: int, k: int) -> int:
+    """``Random.randrange(n)``'s value and draws, without its argument
+    checks: ``k`` random bits (``k = n.bit_length()``), redrawn while the
+    value is ``n`` or more, as ``Random._randbelow`` draws them."""
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _query_for(spec: WorkloadSpec, names: list[str], catalog: Catalog) -> QueryBlock:

@@ -22,7 +22,7 @@ from repro.catalog.catalog import make_columns
 from repro.catalog.statistics import collect_column_stats
 from repro.errors import StorageError
 from repro.query.expressions import ColumnRef
-from repro.storage import RID, BTree, Database, IOAccounting, TableData
+from repro.storage import BTree, Database, IOAccounting, TableData
 from tests import reference_storage as ref
 from tests.reference_btree import lookup
 
@@ -93,7 +93,6 @@ def scenarios(draw):
         st.tuples(st.just("append"), st.lists(row, max_size=80),
                   st.booleans() if not temp else st.just(False)),
         st.tuples(st.just("insert"), row),
-        st.tuples(st.just("delete"), st.integers(0, 10**6)),
         st.tuples(st.just("index"), index_spec()),
     )
     return {
@@ -142,14 +141,6 @@ def test_append_matches_the_per_row_loader(scenario):
     for step in scenario["steps"]:
         trial = copy.deepcopy(expected)
         kind = step[0]
-        if kind == "delete":
-            live = [RID(p, s) for p, page in enumerate(data.heap._pages)
-                    for s, row in enumerate(page) if row is not None]
-            if live:
-                rid = live[step[1] % len(live)]
-                data.heap.delete(rid)
-                expected.heap.delete(rid)
-            continue
         if kind == "index":
             path, key = _path(n, schema, step[1])
             n += 1
@@ -295,7 +286,6 @@ class TestColumnReads:
     def test_mirror_rows_are_the_live_rows_in_scan_order(self, db):
         db.load("T", [(i, i * 10) for i in range(10)])
         data = db.table("T")
-        data.heap.delete(next(iter(data.scan()))[0])
         conn = load_database(db)
         mirrored = conn.execute('SELECT * FROM "T"').fetchall()
         assert mirrored == [(n, *row) for n, (_, row) in enumerate(data.scan())]

@@ -185,7 +185,9 @@ def bumped(side: tuple, field: int, delta: float) -> tuple:
 def test_the_charge_is_monotone_in_its_inputs(sides, outer, inner, bump_inner, field, delta):
     """Unique build (P inner) and buckets (F inner) alike: every cost and
     rescan component and the total are no lower after one input number
-    rises, the relational record held fixed."""
+    rises, the relational record held fixed.  Each side is priced by its
+    own factory: a factory finds an application by its parameters, and
+    both sides share them."""
     f = PlanFactory(ANALYZED)
     outer2, inner2 = outer, inner
     if bump_inner:
@@ -193,7 +195,9 @@ def test_the_charge_is_monotone_in_its_inputs(sides, outer, inner, bump_inner, f
     else:
         outer2 = bumped(outer, field, delta)
     low = f.join("HA", leaf(sides[0], *outer), leaf(sides[1], *inner), [MONO_PRED])
-    high = f.join("HA", leaf(sides[0], *outer2), leaf(sides[1], *inner2), [MONO_PRED])
+    high = PlanFactory(ANALYZED).join(
+        "HA", leaf(sides[0], *outer2), leaf(sides[1], *inner2), [MONO_PRED]
+    )
     assert all(a <= b for a, b in zip(components(low), components(high)))
     assert f.model.total(low.props.cost) <= f.model.total(high.props.cost)
     assert low.props.card <= high.props.card

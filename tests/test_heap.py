@@ -43,16 +43,6 @@ class TestHeapBasics:
             heap.insert(row)
         assert [row for _, row in heap.scan()] == rows
 
-    def test_delete_tombstones(self, heap):
-        rids = [heap.insert((i,)) for i in range(4)]
-        heap.delete(rids[1])
-        assert len(heap) == 3
-        assert [row for _, row in heap.scan()] == [(0,), (2,), (3,)]
-        with pytest.raises(StorageError, match="deleted"):
-            heap.fetch(rids[1])
-        with pytest.raises(StorageError, match="already deleted"):
-            heap.delete(rids[1])
-
     def test_rows_per_page_validated(self, io):
         with pytest.raises(StorageError):
             HeapFile(io, rows_per_page=0)

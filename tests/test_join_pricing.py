@@ -10,7 +10,10 @@ candidate's ``total``, which the plan table judges — must have the same
 ``repr`` (bit-identical floats), for NL / MG / HA including the hash-spill
 branch and both hash builds (a unique build key, once DEPT.DNO's collected
 statistics say so, and buckets), ``card`` floored at ``MIN_CARD``, zero and
-huge rescan costs, and an attached ``FeedbackCache``.  ``ci`` in ``tests/conftest.py`` raises the
+huge rescan costs, and an attached ``FeedbackCache``.  An inner that is an
+index ACCESS is priced by its property function, and its rescan must be
+the reference's: the matched leaf fraction, the entries it yields and the
+batch kernel's ``INDEX_PROBE_CPU`` a probe.  ``ci`` in ``tests/conftest.py`` raises the
 example budget.
 """
 
@@ -22,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import ColumnStats, TableStats
-from repro.cost.model import Cost, HASH_MEMORY_PAGES, HASH_UNIQUE_BUILD_CPU
+from repro.cost.model import (
+    Cost,
+    HASH_MEMORY_PAGES,
+    HASH_UNIQUE_BUILD_CPU,
+    INDEX_PROBE_CPU,
+)
 from repro.cost.propfuncs import MIN_CARD, PlanFactory
 from repro.plans.plan import PlanNode
 from repro.plans.properties import PropertyVector
@@ -102,6 +110,22 @@ def reference_estimates(factory: PlanFactory, flavor: str, outer, inner, residua
     return card, cost + method, rescan_cost + method
 
 
+def reference_index_rescan(factory: PlanFactory, table: str, path, preds) -> Cost:
+    """What probing ``path`` again costs when every one of ``preds`` is a
+    search argument on its key: the internal nodes stay buffered, the
+    matched fraction of the leaves is re-read, each entry found is one
+    CPU unit (at least one a probe), and the batch probe kernel adds
+    ``INDEX_PROBE_CPU``."""
+    own = frozenset([table])
+    sel = factory._sel(frozenset(preds), own)
+    card = factory.model.table_card(table)
+    key_cols = frozenset(ColumnRef(table, c) for c in path.columns)
+    leaf_pages = max(
+        1.0, card * factory.model.row_width(key_cols) / factory.catalog.page_size
+    )
+    return Cost(io=sel * leaf_pages, cpu=max(1.0, card * sel) + INDEX_PROBE_CPU)
+
+
 def make_factory(observed: float | None, analyzed: bool = False) -> PlanFactory:
     feedback = None
     if observed is not None:
@@ -142,6 +166,37 @@ def test_floats_and_cost_objects_price_a_join_alike(
     # Asked again, the same application is looked up, not re-priced.
     assert factory.join(flavor, outer, inner, [JOIN_PRED], residual) is node
     assert factory.join_candidate(flavor, outer, inner, [JOIN_PRED], residual) is node
+
+
+@budget
+@given(
+    flavor=st.sampled_from(["NL", "MG", "HA"]),
+    analyzed=st.booleans(),
+    outer=st.tuples(cards, costs, costs),
+    residual=st.booleans(),
+    observed=st.one_of(st.none(), st.sampled_from([0.0, 7.0, 1e6])),
+)
+def test_an_index_inner_is_priced_with_its_probe_charge(
+    flavor, analyzed, outer, residual, observed
+):
+    """DEPT probing EMP's index on DNO: the index ACCESS's rescan is the
+    reference's, probe charge included, and the join over it prices as
+    the object chain does."""
+    factory = make_factory(observed, analyzed)
+    [path] = factory.catalog.paths_for("EMP")
+    inner = factory.access_index("EMP", path, preds=[JOIN_PRED])
+    assert repr(inner.props.rescan_cost) == repr(
+        reference_index_rescan(factory, "EMP", path, [JOIN_PRED])
+    )
+    outer = leaf("DEPT", *outer)
+    residual = frozenset([RESIDUAL] if residual else [])
+    node = factory.join(flavor, outer, inner, [JOIN_PRED], residual)
+    card, cost, rescan_cost = reference_estimates(
+        factory, flavor, outer, inner, residual
+    )
+    assert (
+        repr(node.props.card), repr(node.props.cost), repr(node.props.rescan_cost),
+    ) == (repr(card), repr(cost), repr(rescan_cost))
 
 
 def test_the_generator_reaches_every_branch():

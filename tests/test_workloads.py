@@ -1,6 +1,7 @@
 """Unit tests for workload generation (paper scenario + synthetic)."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.workloads import (
     star_workload,
     synthesize,
 )
+from repro.workloads.generator import _below
 from repro.workloads.paper import with_proj
 
 
@@ -177,3 +179,17 @@ def test_e2e_rows_and_stats_are_pinned(
     spec = WorkloadSpec(shape=shape, n_tables=n_tables, rows=rows,
                         index_fraction=index_fraction, n_sites=n_sites, seed=seed)
     assert _synthesized_sha256(spec) == sha256
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 100, 8000])
+@pytest.mark.parametrize("seed", [0, 11, 23, 1000])
+def test_rows_draw_values_as_randrange_does(n, seed):
+    """``_below`` gives ``randrange``'s values and leaves the generator
+    where ``randrange`` leaves it, so every row the generator writes (and
+    every later draw) is what ``randrange`` per value wrote."""
+    drawn, reference = random.Random(seed), random.Random(seed)
+    k = n.bit_length()
+    assert [_below(drawn.getrandbits, n, k) for _ in range(500)] == [
+        reference.randrange(n) for _ in range(500)
+    ]
+    assert drawn.getstate() == reference.getstate()

@@ -26,6 +26,9 @@ Per class:
    tau and Spearman rho (``scipy.stats``) between estimated total and
    measured time.
 
+After the classes of a workload, one total line sums the chosen plans'
+times and the fastest plans' times over its classes.
+
 Usage::
 
     python tools/plan_regret.py                   # both workloads, seed 11
@@ -165,6 +168,7 @@ def measure(workload: str, seed: int, scale: int) -> bool:
     )
     agreed = True
     data = None
+    chosen_ms = fastest_ms = 0.0
     for label, spec, sql in classes(workload, seed, scale):
         if data is None or data.spec != spec:  # a database's classes are adjacent
             data = None  # so the collection below frees the previous one
@@ -193,6 +197,8 @@ def measure(workload: str, seed: int, scale: int) -> bool:
                       f"chosen {len(reference)}")
             runs.append((sig, est, ms))
         chosen, fastest = runs[0], min(runs, key=lambda run: run[2])
+        chosen_ms += chosen[2]
+        fastest_ms += fastest[2]
         ests, times = [r[1] for r in runs], [r[2] for r in runs]
         tau = rho = float("nan")
         if len(runs) > 2:
@@ -207,6 +213,11 @@ def measure(workload: str, seed: int, scale: int) -> bool:
             f"{chosen[2] / fastest[2]:>6.2f} {tau:>6.2f} {rho:>6.2f}",
             flush=True,
         )
+    print(
+        f"  {'total':<12} {'':>5}  {f'chosen {chosen_ms:.1f} ms':<34} "
+        f"{f'fastest {fastest_ms:.1f} ms':<34} {chosen_ms / fastest_ms:>6.2f}",
+        flush=True,
+    )
     return agreed
 
 
