@@ -218,9 +218,9 @@ class PlanFactory:
 
     def _apply(self, key: tuple, propfunc, *args) -> PlanNode | JoinCandidate:
         """Apply a LOLEPOP whose arguments were validated: the node (for a
-        JOIN, possibly the candidate) an earlier application with the same
-        ``key = (op, flavor, params, inputs)`` made, else what
-        ``propfunc(args)`` prices — run on a miss only — built and
+        JOIN, the candidate while it is not built) an earlier application
+        with the same ``key = (op, flavor, params, inputs)`` made, else
+        what ``propfunc(args)`` prices — run on a miss only — built and
         interned (a join candidate is held unbuilt).  A property function
         is pure in (parameters, inputs), so what is found is what pricing
         would rebuild.  Emits the application's one ``propfunc`` trace
@@ -237,6 +237,8 @@ class PlanFactory:
                 interner.hold(found)
             else:
                 found = interner.intern(PlanNode(*key, found))
+        elif type(found) is JoinCandidate and found.built is not None:
+            found = found.built
         if self.tracer is not None:
             self._trace(found)
         return found
@@ -734,10 +736,10 @@ class PlanFactory:
         Returns the node an earlier application built, or a
         :class:`~repro.plans.sap.JoinCandidate` holding the estimates and
         the dominance record the plan table judges: the property vector,
-        ``Cost`` s, ``PlanNode`` and interner entry are made by
-        :meth:`build_join` only when something reads the candidate as a
-        plan — for a class insert, only if it survives pruning.  (A
-        semijoin is built at once.)
+        ``Cost`` s and ``PlanNode`` are made by
+        :meth:`~repro.plans.sap.JoinCandidate.node` only when something
+        reads the candidate as a plan — for a class insert, only if it
+        survives pruning.  (A semijoin is built at once.)
         """
         join_preds = frozenset(join_preds)
         residual_preds = frozenset(residual_preds)
@@ -813,21 +815,8 @@ class PlanFactory:
             (io, cpu, msgs, sent),
             (r_io + m_io, r_cpu + m_cpu, r_msgs + 0.0, r_sent + 0.0),
             self.model.weights.combine(io, cpu, msgs, sent),
-            self,
+            self.interner.stats,
         )
-
-    def build_join(self, cand: JoinCandidate) -> PlanNode:
-        """The node a join candidate stands for: its property vector,
-        ``Cost`` s and ``PlanNode``, interned (the ``propfunc`` instant was
-        emitted when it was priced)."""
-        props = PropertyVector(
-            tables=cand.tables, cols=cand.cols, preds=cand.preds,
-            order=cand.order, site=cand.site, card=cand.card,
-            cost=Cost(cand.io, cand.cpu, cand.msgs, cand.sent),
-            rescan_cost=Cost(cand.r_io, cand.r_cpu, cand.r_msgs, cand.r_sent),
-        )
-        node = PlanNode(JOIN, cand.flavor, cand.params, cand.inputs, props)
-        return self.interner.intern(node)
 
     def _join_relational(
         self,

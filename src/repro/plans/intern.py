@@ -21,15 +21,17 @@ pricing*; a hit returns the existing node and the property function never
 runs; a miss is priced, built and registered through
 :meth:`PlanInterner.intern`.  A JOIN miss is priced into a
 :class:`~repro.plans.sap.JoinCandidate` that :meth:`PlanInterner.hold`
-keeps under the same key, unbuilt, so a repeated application finds it;
-it reaches :meth:`PlanInterner.intern` only if it is built, and the node
-then takes its place.  One table holds both, so a lookup hashes its key
-once.  Every hit is a :meth:`find` hit, and :meth:`intern` registers a
-node nobody built before.  Nothing here computes a digest —
-:attr:`PlanNode.digest` stays lazy and is paid only for nodes somebody
-names.  One interner lives for one optimization (it is part of the
-factory's per-query state), so interned plans never leak property vectors
-across catalogs or feedback epochs.
+keeps under the same key, unbuilt, so a repeated application finds it.
+It stays the entry for its key: if it is built, it builds its own node,
+keeps it, and counts the build in this interner's :class:`InternStats`
+(which it holds — not the interner, so ownership runs one way and an
+optimization leaves no cycle behind).  One table holds nodes and
+candidates, so a lookup hashes its key once.  Every hit is a :meth:`find`
+hit, and :meth:`intern` registers a node nobody built before.  Nothing
+here computes a digest — :attr:`PlanNode.digest` stays lazy and is paid
+only for nodes somebody names.  One interner lives for one optimization
+(it is part of the factory's per-query state), so interned plans never
+leak property vectors across catalogs or feedback epochs.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class PlanInterner:
     __slots__ = ("_entries", "stats")
 
     def __init__(self) -> None:
-        #: Application key → its node, or its join candidate while that is
-        #: priced and not built.  A candidate hashes and compares like its
-        #: key, so it is its own dictionary key.
+        #: Application key → its node, or the join candidate priced for it
+        #: (which holds its node once built).  A candidate hashes and
+        #: compares like its key, so it is its own dictionary key.
         self._entries: dict[tuple, PlanNode | JoinCandidate] = {}
         self.stats = InternStats()
 
@@ -86,8 +88,8 @@ class PlanInterner:
 
     def hold(self, candidate: JoinCandidate) -> None:
         """Remember a priced join so a repeated application finds it.
-        Counts nothing: a candidate pruning discards never reaches
-        :meth:`intern`."""
+        Counts nothing: a candidate that pruning discards is never built,
+        and one that is built counts itself."""
         self._entries[candidate] = candidate
 
     def intern(self, node: PlanNode) -> PlanNode:
@@ -95,25 +97,21 @@ class PlanInterner:
 
         Returns the previously interned object when one exists (a *hit*:
         the new construction is discarded), otherwise registers ``node``
-        as the canonical representative — in place of the held candidate
-        it was built from, if any.
+        as the canonical representative.
         """
         self.stats.requests += 1
         key = (node.op, node.flavor, node.params, node.inputs)
         existing = self._entries.setdefault(key, node)
         if existing is node:
             self.stats.unique += 1
-        elif type(existing) is not PlanNode:
-            self._entries[key] = node
-            self.stats.unique += 1
-            existing = node
         else:
             self.stats.hits += 1
         return existing
 
     def nodes(self) -> list[PlanNode]:
-        """Every node interned so far (held candidates are not nodes)."""
-        return [n for n in self._entries.values() if type(n) is PlanNode]
+        """Every node interned or built from a held candidate so far."""
+        built = (e if type(e) is PlanNode else e.built for e in self._entries.values())
+        return [node for node in built if node is not None]
 
     def __len__(self) -> int:
         return len(self.nodes())

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import le
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from repro.cost.model import CostModel
+from repro.cost.model import Cost, CostModel
+from repro.plans.intern import InternStats
 from repro.plans.operators import JOIN
 from repro.plans.plan import PlanNode, plan_links, plan_sites
-from repro.plans.properties import Requirements
-
-if TYPE_CHECKING:
-    from repro.cost.propfuncs import PlanFactory
+from repro.plans.properties import PropertyVector, Requirements
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,29 +52,32 @@ class Stream:
 
 
 class JoinCandidate:
-    """A JOIN application that has been priced and not built.
+    """A JOIN application that has been priced, and is built only when read.
 
     Section 3.2 lets Glue return "the cheapest" plan: nothing needs a plan
     object for an alternative that pruning discards, and ≈ 96 % of the joins
     a search prices are discarded.  A candidate carries the fields of the
     dominance record the plan table judges (:class:`_DominanceJudge`) and
     the estimates building needs; :meth:`node` builds — property vector,
-    two ``Cost`` s, ``PlanNode``, interner entry — once, through the factory
-    that priced it, exactly the node eager pricing would have built.  It
-    hashes and compares like that node and like its application key
-    ``(op, flavor, params, inputs)``, so a SAP holds one or the other,
-    never both, and the interner finds it by the key.
+    two ``Cost`` s, ``PlanNode`` — once, from these slots alone, exactly
+    the node eager pricing would have built, and counts it in the
+    interner's :class:`~repro.plans.intern.InternStats` as one request and
+    one unique node.  It hashes and compares like that node and like its
+    application key ``(op, flavor, params, inputs)``, so a SAP holds one or
+    the other, never both, and the interner finds it by the key; the
+    candidate stays the interner's entry once built, and keeps its node.
 
-    Everything sits in slots of the one object: most candidates are held
-    (by the STAR memo's SAPs) until the optimization ends, and each
-    container they kept would be one more object for the cyclic collector
-    to walk.
+    A candidate points at its inputs and at a counter, never back at the
+    factory or interner that hold it: an optimization's objects form no
+    cycle, so a dropped result is freed by reference counting.  Everything
+    sits in slots of the one object: most candidates are held (by the STAR
+    memo's SAPs) until the optimization ends.
     """
 
     __slots__ = (
         "flavor", "params", "outer", "inner", "tables", "cols", "preds",
         "order", "site", "card", "io", "cpu", "msgs", "sent", "r_io",
-        "r_cpu", "r_msgs", "r_sent", "total", "_hash", "_factory", "_node",
+        "r_cpu", "r_msgs", "r_sent", "total", "_hash", "_stats", "built",
     )
 
     op = JOIN
@@ -97,7 +98,7 @@ class JoinCandidate:
         cost: tuple[float, float, float, float],
         rescan: tuple[float, float, float, float],
         total: float,
-        factory: "PlanFactory",
+        stats: InternStats,
     ) -> None:
         _, self.flavor, self.params, (self.outer, self.inner) = key
         self.tables = tables
@@ -112,8 +113,9 @@ class JoinCandidate:
         #: ``model.total`` of the cost, to the bit.
         self.total = total
         self._hash = hash(key)
-        self._factory = factory
-        self._node: PlanNode | None = None
+        self._stats = stats
+        #: The node :meth:`node` built, else None.
+        self.built: PlanNode | None = None
 
     @property
     def inputs(self) -> tuple[PlanNode, PlanNode]:
@@ -126,9 +128,20 @@ class JoinCandidate:
 
     def node(self) -> PlanNode:
         """The plan node, built on first request."""
-        node = self._node
+        node = self.built
         if node is None:
-            node = self._node = self._factory.build_join(self)
+            props = PropertyVector(
+                tables=self.tables, cols=self.cols, preds=self.preds,
+                order=self.order, site=self.site, card=self.card,
+                cost=Cost(self.io, self.cpu, self.msgs, self.sent),
+                rescan_cost=Cost(self.r_io, self.r_cpu, self.r_msgs, self.r_sent),
+            )
+            node = self.built = PlanNode(
+                JOIN, self.flavor, self.params, (self.outer, self.inner), props
+            )
+            stats = self._stats
+            stats.requests += 1
+            stats.unique += 1
         return node
 
     def __hash__(self) -> int:

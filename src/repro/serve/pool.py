@@ -215,21 +215,15 @@ class _Worker:
             pass
 
 
-def optimize_under_limits(optimizer, query, limits) -> dict:
-    """One optimization under a budget of shape ``limits``
-    (``(max_expansions, max_plans, deadline_ticks)``, None = unlimited),
-    answered as a picklable dict: the full / anytime tiers' one call,
-    run by a pool worker on its own optimizer and by the service on the
-    in-loop one.  The budget is always a real object — an unlimited one
-    still counts — so ``expansions`` is the search's true size on both
-    sides.
+def optimize_under_limits(optimizer, query, deadline_ticks: int | None) -> dict:
+    """One optimization under a budget bounded by ``deadline_ticks`` only
+    (None = unlimited), answered as a picklable dict: the full / anytime
+    tiers' one call, run by a pool worker on its own optimizer and by the
+    service on the in-loop one.  The budget is always a real object — an
+    unlimited one still counts — so ``expansions`` is the search's true
+    size on both sides.
     """
-    max_expansions, max_plans, deadline_ticks = limits
-    budget = OptimizerBudget(
-        max_expansions=max_expansions,
-        max_plans=max_plans,
-        deadline_ticks=deadline_ticks,
-    )
+    budget = OptimizerBudget(deadline_ticks=deadline_ticks)
     try:
         result = optimizer.optimize(query, budget=budget)
     except ReproError as exc:
@@ -256,7 +250,7 @@ def _worker_main(conn, spec: BatchSpec, chaos: PoolChaos | None) -> None:
             return
         if message is None:
             return
-        seq, query, template, limits = message
+        seq, query, template, deadline_ticks = message
         if chaos is not None:
             action = chaos.decide(seq, template)
             if action == "crash":
@@ -266,7 +260,7 @@ def _worker_main(conn, spec: BatchSpec, chaos: PoolChaos | None) -> None:
             elif action == "slow":
                 time.sleep(chaos.slow_seconds)
         try:
-            conn.send((seq, optimize_under_limits(optimizer, query, limits)))
+            conn.send((seq, optimize_under_limits(optimizer, query, deadline_ticks)))
         except (BrokenPipeError, OSError):
             return
 
@@ -410,16 +404,15 @@ class OptimizerPool:
         query: QueryBlock | str,
         seq: int,
         template: str | None = None,
-        limits: tuple[int | None, int | None, int | None] = (None, None, None),
-        timeout: float | None = None,
+        deadline_ticks: int | None = None,
     ) -> PoolResult:
         """Dispatch one optimization; never raises on worker misbehavior.
 
-        ``limits`` are the ``(max_expansions, max_plans, deadline_ticks)``
-        budget bounds the worker rebuilds locally (budget *objects* stay
-        loop-side — only their shapes travel).  The result is a labeled
-        :class:`PoolResult`: crash, timeout, degraded and optimizer
-        errors are data, not exceptions.
+        ``deadline_ticks`` bounds the budget the worker builds locally
+        (budget *objects* stay loop-side — only the bound travels).  The
+        worker's answer is awaited for ``request_timeout`` seconds.  The
+        result is a labeled :class:`PoolResult`: crash, timeout, degraded
+        and optimizer errors are data, not exceptions.
         """
         started = time.perf_counter()
         self.stats.dispatched += 1
@@ -429,12 +422,11 @@ class OptimizerPool:
                 ok=False, failure="degraded",
                 elapsed_seconds=time.perf_counter() - started,
             )
-        wait = timeout if timeout is not None else self.config.request_timeout
         try:
-            worker.conn.send((seq, query, template, limits))
+            worker.conn.send((seq, query, template, deadline_ticks))
         except (BrokenPipeError, OSError):
             return self._bury(worker, "crash", started)
-        deadline = started + wait
+        deadline = started + self.config.request_timeout
         payload = None
         while payload is None:
             remaining = deadline - time.perf_counter()

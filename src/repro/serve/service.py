@@ -935,26 +935,25 @@ class OptimizerService:
             )
             tier = TIER_HEURISTIC
         if tier != TIER_HEURISTIC:
-            # The budget *shape* optimize_under_limits builds a budget
-            # from, in the loop or in a worker (budget objects never
-            # cross the pipe).  Only the deadline is ever bounded.
+            # The one bound optimize_under_limits builds a budget from,
+            # in the loop or in a worker (budget objects never cross the
+            # pipe).
             deadline = request.deadline_ticks
             if tier == TIER_ANYTIME:
                 deadline = min(
                     d for d in (deadline, self.config.anytime_ticks)
                     if d is not None
                 )
-            limits = (None, None, deadline)
             if self.pool is not None:
                 response.pooled = True
                 answer = self.pool.optimize(
                     query, seq=self._pool_seq,  # the chaos RNG key
-                    template=request.template, limits=limits,
+                    template=request.template, deadline_ticks=deadline,
                 )
                 self._pool_seq += 1
             else:
                 answer = PoolResult.of(
-                    optimize_under_limits(self.optimizer, query, limits)
+                    optimize_under_limits(self.optimizer, query, deadline)
                 )
             if answer.failure == "error":
                 # The optimizer raised a ReproError, in the loop or in a

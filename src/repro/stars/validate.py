@@ -234,30 +234,33 @@ def _check_expr(
 
 
 def _find_cycle(edges: dict[str, set[str]]) -> list[str] | None:
-    """Return one cycle in the reference graph, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in edges}
-    stack: list[str] = []
+    """Return one cycle in the reference graph, or None.
 
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for target in sorted(edges.get(node, ())):
-            if target not in color:
-                continue
-            if color[target] == GRAY:
-                return stack[stack.index(target) :] + [target]
-            if color[target] == WHITE:
-                found = visit(target)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for node in edges:
-        if color[node] == WHITE:
-            found = visit(node)
-            if found is not None:
-                return found
+    A depth-first walk over targets in sorted order that keeps the path and
+    each path node's unvisited targets on its own stacks (no recursive
+    closure, which would reference itself and outlive the call as cyclic
+    garbage)."""
+    GRAY, BLACK = 1, 2
+    color: dict[str, int] = {}
+    for root in edges:
+        if root in color:
+            continue
+        color[root] = GRAY
+        path = [root]
+        pending = [iter(sorted(edges[root]))]
+        while pending:
+            for target in pending[-1]:
+                if target not in edges:
+                    continue
+                state = color.get(target)
+                if state == GRAY:
+                    return path[path.index(target) :] + [target]
+                if state is None:
+                    color[target] = GRAY
+                    path.append(target)
+                    pending.append(iter(sorted(edges[target])))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                pending.pop()
     return None

@@ -47,13 +47,17 @@ class ForgetfulMemo(StarMemo):
 
 
 class SeparateInterner(PlanInterner):
-    """Every application is new: nothing is found before pricing and every
-    node built is its own canonical representative."""
+    """Every application is new: nothing is found before pricing, no join
+    candidate is held, and every node built is its own canonical
+    representative."""
 
     __slots__ = ()
 
     def find(self, key: tuple) -> None:
         return None
+
+    def hold(self, candidate) -> None:
+        pass
 
     def intern(self, node: PlanNode) -> PlanNode:
         self.stats.requests += 1
@@ -63,8 +67,8 @@ class SeparateInterner(PlanInterner):
 
 class EagerFactory(PlanFactory):
     """Every join is built where it is priced — property vector, two
-    ``Cost`` s, ``PlanNode`` and interner entry — whether pruning keeps it
-    or not."""
+    ``Cost`` s and ``PlanNode``, counted as one interned node — whether
+    pruning keeps it or not."""
 
     def join_candidate(self, *args, **kwargs):
         # Reading a SAP builds the candidates it holds.

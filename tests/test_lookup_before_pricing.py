@@ -30,6 +30,7 @@ from repro import StarburstOptimizer
 from repro.cost import propfuncs
 from repro.cost.model import Cost
 from repro.cost.propfuncs import PlanFactory
+from repro.plans import sap
 from repro.plans.plan import make_params
 from repro.plans.sap import JoinCandidate
 from repro.query.expressions import ColumnRef
@@ -154,7 +155,10 @@ class TestOneApplicationPath:
             priced.append(kind)
             return vector(*args, **kwargs)
 
+        # A JOIN candidate builds its vector in ``sap``; the rest in
+        # ``propfuncs``.
         monkeypatch.setattr(propfuncs, "PropertyVector", counted)
+        monkeypatch.setattr(sap, "PropertyVector", counted)
         first = apply()
         assert apply() is first
         assert len(priced) == 1

@@ -65,8 +65,9 @@ class TestDispatch:
         assert result.plan.digest  # the plan crossed the pipe whole
 
     def test_budget_limits_travel_as_shapes(self, spec):
+        # Only the deadline crosses the pipe; the worker builds the budget.
         with _pool(spec) as pool:
-            result = pool.optimize(SQL, seq=0, limits=(5, None, None))
+            result = pool.optimize(SQL, seq=0, deadline_ticks=5)
         assert result.ok
         assert result.budget_exhausted
         assert result.expansions > 0
