@@ -91,7 +91,10 @@ class BaselineResult:
 
 
 class TransformationalOptimizer:
-    """EXODUS-style search over the same substrate as the STAR optimizer."""
+    """EXODUS-style search over the same substrate as the STAR optimizer.
+
+    The optimizer keeps only what it was constructed with; each call's
+    search lives in one :class:`_Search`, freed when the call returns."""
 
     def __init__(
         self,
@@ -106,23 +109,44 @@ class TransformationalOptimizer:
     def optimize(self, query: QueryBlock) -> BaselineResult:
         started = time.perf_counter()
         stats = BaselineStats()
-        # Factory and model memoize per-class work and so, like the STAR
-        # engine's, serve exactly one optimization.
-        self.factory = PlanFactory(
-            self.catalog, CostModel(self.catalog, self.weights)
+        trees = closure(
+            query, stats, allow_cartesian=self.config.cartesian_products
         )
+        if not trees:
+            raise OptimizationError("transformational closure produced no trees")
+        search = _Search(self.catalog, query, stats, self.weights)
+        return BaselineResult(
+            query=query,
+            best_plan=search.best(trees),
+            stats=stats,
+            logical_trees=len(trees),
+            elapsed_seconds=time.perf_counter() - started,
+            model=search.model,
+        )
+
+
+class _Search:
+    """One optimization's implementation phase: the plan factory and cost
+    model (which memoize per-class work and so, like the STAR engine's,
+    serve exactly one optimization) and the memo of physical SAPs."""
+
+    def __init__(
+        self,
+        catalog: Catalog,
+        query: QueryBlock,
+        stats: BaselineStats,
+        weights: CostWeights | None,
+    ):
+        self.catalog = catalog
+        self.factory = PlanFactory(catalog, CostModel(catalog, weights))
         self.model = self.factory.model
         self._memo: dict[tuple, SAP] = {}
         self._query = query
         self._stats = stats
         self._interesting = query.interesting_order_columns()
 
-        trees = closure(
-            query, stats, allow_cartesian=self.config.cartesian_products
-        )
-        if not trees:
-            raise OptimizationError("transformational closure produced no trees")
-
+    def best(self, trees: list[LogicalTree]) -> PlanNode:
+        """The cheapest finished plan over every logical tree."""
         best: PlanNode | None = None
         for tree in trees:
             for plan in self._physical(tree, frozenset()):
@@ -135,14 +159,7 @@ class TransformationalOptimizer:
                     best = final
         if best is None:
             raise OptimizationError("no physical plan produced by the baseline")
-        return BaselineResult(
-            query=query,
-            best_plan=best,
-            stats=stats,
-            logical_trees=len(trees),
-            elapsed_seconds=time.perf_counter() - started,
-            model=self.model,
-        )
+        return best
 
     # -- implementation rules ---------------------------------------------------------
 

@@ -8,8 +8,12 @@ frozen property vectors of plans (the ``PATHS`` property is a set of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import CatalogError
+
+if TYPE_CHECKING:
+    from repro.query.expressions import ColumnRef
 
 COLUMN_TYPES = ("int", "float", "str")
 
@@ -51,7 +55,10 @@ class AccessPath:
 
     ``columns`` is the ordered key: the paper's prefix test
     ``order ⊑ a`` (section 2.1) asks whether a required order's columns are
-    a prefix of ``columns``.
+    a prefix of ``columns``.  A temp's index (BUILDIX) also keeps its key
+    as ``key``, each column with its table: a temp of a join holds one
+    column of a name per table (every table's ``ID``), which a name alone
+    does not tell apart.
     """
 
     name: str
@@ -60,6 +67,7 @@ class AccessPath:
     kind: str = "btree"
     unique: bool = False
     clustered: bool = False
+    key: tuple[ColumnRef, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.columns:

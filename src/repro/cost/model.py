@@ -111,6 +111,14 @@ HASH_MEMORY_PAGES = 32
 #: 1.5 for buckets: the top of the measured 0.34-0.51 (``PlanFactory._join``).
 HASH_UNIQUE_BUILD_CPU = 0.5
 
+#: CPU per outer row of a hash join that probes buckets, against 1 for a
+#: unique table (``PlanFactory._join``): ``_BatchRun._join_ha``'s bucket
+#: loop, which repeats each outer row once per match and gathers the outer
+#: columns by the repeats, spends 3.2-4.2 unique probes an outer row at
+#: ``exec-scan`` sizes (30 000-40 000 rows, FK -> PK, seeds 11 and 23),
+#: the bottom of which rounded down is 3 (E42).
+HASH_BUCKET_PROBE_CPU = 3.0
+
 #: CPU of an index probe after the first, on top of the entries it reads:
 #: the batch probe kernel (``BTree.lookup_many`` and the outer row's
 #: columns gathered beside its matches) spends 11.6-16.0 unique hash

@@ -37,6 +37,7 @@ from repro.catalog.schema import AccessPath
 from repro.cost.model import (
     Cost,
     CostModel,
+    HASH_BUCKET_PROBE_CPU,
     HASH_MEMORY_PAGES,
     HASH_UNIQUE_BUILD_CPU,
     INDEX_PROBE_CPU,
@@ -493,25 +494,19 @@ class PlanFactory:
     def _access_temp_index(self, args: tuple) -> PropertyVector:
         p, path, columns, preds = args
         card, probe, reprobe = self._charge(
-            ("temp index", p.card, p.cols, p.tables, path.columns,
+            ("temp index", p.card, p.cols, p.tables, path.key,
              path.clustered, preds),
             self._temp_probe,
         )
-        # ORDER stays per plan: it follows the iteration order of this
-        # plan's COLS (see ``_temp_probe`` on names without their table).
         return _derived(
             p, card, p.cost + probe, reprobe,
-            cols=columns, preds=p.preds | preds,
-            order=tuple(c for name in path.columns for c in p.cols if c.column == name),
+            cols=columns, preds=p.preds | preds, order=path.key,
             temp=True, stored_as=p.stored_as,
         )
 
     def _temp_probe(self, key: tuple) -> tuple[float, Cost, Cost]:
-        _, p_card, cols, own, path_columns, clustered, preds = key
-        # A temp index names its columns without their table, so it takes
-        # every column of that name the temp holds — a known bug, pinned
-        # as an expected failure in tests/test_propfuncs.py.
-        key_cols = frozenset(c for c in cols if c.column in path_columns)
+        _, p_card, cols, own, path_key, clustered, preds = key
+        key_cols = frozenset(path_key)
         # Every sargable predicate on a key column narrows the leaf scan.
         matched = frozenset(
             pred
@@ -519,11 +514,11 @@ class PlanFactory:
             for t in own
             if (sarg := sargable_column(pred, t, bound_tables=pred.tables() - own))
             is not None
-            and sarg[0].column in path_columns
+            and sarg[0] in key_cols
         )
         sel_matched = self._sel(matched, own)
         # Clustered temp indexes carry full rows in their leaves.
-        leaf_width = cols if clustered else (key_cols or cols)
+        leaf_width = cols if clustered else key_cols
         leaf_pages = max(
             1.0, p_card * self.model.row_width(leaf_width) / self.catalog.page_size
         )
@@ -687,6 +682,7 @@ class PlanFactory:
             columns=tuple(c.column for c in key),
             kind="btree",
             clustered=True,
+            key=key,
         )
         build = self._charge((BUILDIX, p.card, p.cols, key), self._buildix_charge)
         return _derived(
@@ -798,10 +794,13 @@ class PlanFactory:
             # build plus probe is 120-265 ns a row on a unique table (one
             # ``dict.update``, ``map(table.get)``) and 350-880 ns on
             # buckets (Python loops): 0.23-0.34x, so 0.34-0.51 (E34).
+            # A probe costs 1 into a unique table and
+            # HASH_BUCKET_PROBE_CPU into buckets (E42).
             inner_pages = self._pages(i_card, pi.cols)
             if inner_pages > HASH_MEMORY_PAGES:
                 m_io = 2.0 * (inner_pages + self._pages(o_card, po.cols))
-            m_cpu = rel.build * i_card + o_card + card
+            probe = 1.0 if rel.build == HASH_UNIQUE_BUILD_CPU else HASH_BUCKET_PROBE_CPU
+            m_cpu = rel.build * i_card + probe * o_card + card
         else:
             raise ReproError(f"unknown join flavor {flavor!r}")
         # The method's msgs and bytes are 0.0, and still added.

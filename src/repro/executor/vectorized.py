@@ -990,10 +990,9 @@ class _BatchRun:
             return cached
         if node.op == BUILDIX:
             data = self._materialize(node.inputs[0])
-            key: tuple[ColumnRef, ...] = node.param("key", ())
             path = next(iter(node.props.paths - node.inputs[0].props.paths))
             if path.name not in data.indexes:  # reused temps keep their indexes
-                data.add_index(path, key)
+                data.add_index(path, path.key)
             self._temps[digest] = data
             return data
         if node.op != STORE:

@@ -83,9 +83,10 @@ class PropertyVector:
 
     def has_path_on(self, key_columns: OrderSpec) -> bool:
         """Is there an available access path whose key starts with
-        ``key_columns``?  (The ``paths ≥ IX`` requirement of 4.5.3.)"""
-        wanted = tuple(c.column for c in key_columns)
-        return any(p.provides_order_prefix(wanted) for p in self.paths)
+        ``key_columns``?  (The ``paths ≥ IX`` requirement of 4.5.3.)  Every
+        path here indexes a temp, so its key names each column's table."""
+        wanted = tuple(key_columns)
+        return any(p.key[: len(wanted)] == wanted for p in self.paths)
 
     def describe(self) -> str:
         """Multi-line rendering used by the Figure-2 benchmark."""

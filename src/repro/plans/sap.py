@@ -245,7 +245,7 @@ def merge_pruned(
     * A's ORDER satisfies B's ORDER (B's order is a prefix of A's),
     * A is materialized if B is (``temp``/``stored_as``),
     * A's PATHS cover B's — an index on the plan's own temp compared by
-      its shape (columns, clustered, kind, unique), since its name
+      its shape (key, clustered, kind, unique), since its name
       carries the temp's digest.
 
     This is System R's "interesting order" pruning generalized to the
@@ -437,7 +437,7 @@ def _path_shapes(paths: frozenset, stored_as: str) -> frozenset:
     the name BUILDIX gives it carries the temp's digest, so two temps'
     equal indexes would otherwise never compare equal."""
     return frozenset(
-        (p.columns, p.clustered, p.kind, p.unique) if p.table == stored_as else p
+        (p.key, p.clustered, p.kind, p.unique) if p.table == stored_as else p
         for p in paths
     )
 

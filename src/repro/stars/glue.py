@@ -223,8 +223,7 @@ def _veneers(
         indexed = _try(ctx, lambda: factory.buildix(stored, key))
         if indexed is None:
             return []
-    wanted = tuple(c.column for c in key)
-    path = next(p for p in indexed.props.paths if p.provides_order_prefix(wanted[:1]))
+    path = next(p for p in indexed.props.paths if p.key[:1] == key[:1])
     return _counted(
         ctx,
         _try(ctx, lambda: factory.access_temp_index(indexed, path, preds=sideways)),

@@ -89,12 +89,12 @@ def dominates(a: PlanNode, b: PlanNode, judge: ReferenceJudge) -> bool:
 
 
 def own_temp_shapes(props) -> set:
-    """PATHS, with an index on the plan's own temp as (columns, clustered,
+    """PATHS, with an index on the plan's own temp as (key, clustered,
     kind, unique)."""
     shapes = set()
     for path in props.paths:
         if props.stored_as is not None and path.table == props.stored_as:
-            shapes.add((path.columns, path.clustered, path.kind, path.unique))
+            shapes.add((path.key, path.clustered, path.kind, path.unique))
         else:
             shapes.add(path)
     return shapes

@@ -129,3 +129,28 @@ def test_constructing_an_optimizer_leaves_no_cyclic_garbage():
     catalog = paper_catalog()
     StarburstOptimizer(catalog)  # warm
     assert _cyclic_garbage(lambda: StarburstOptimizer(catalog)) == 0
+
+
+def test_the_baseline_optimizer_keeps_no_search():
+    """``TransformationalOptimizer`` keeps only what it was constructed
+    with: a call's factory, model and memo are one per-call search, so a
+    dropped ``BaselineResult`` leaves the GC-tracked objects where they
+    were before the call.  A first call on another optimizer warms what is
+    process-wide."""
+    catalog, query = _workload(chain_workload, 5)
+    TransformationalOptimizer(catalog).optimize(query)  # warm
+    optimizer = TransformationalOptimizer(catalog)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        result = optimizer.optimize(query)
+        assert result.best_plan.props.tables == {f"R{i}" for i in range(5)}
+        del result
+        after = len(gc.get_objects())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert set(vars(optimizer)) == {"catalog", "config", "weights"}
+    assert after == before

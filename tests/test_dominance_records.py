@@ -59,7 +59,10 @@ def plans(draw) -> list[PlanNode]:
         owner = draw(st.sampled_from([stored_as or TEMPS[0], TEMPS[0]]))
         keys = draw(st.sets(st.sampled_from(COLUMNS[:2])))
         paths = frozenset(
-            AccessPath(f"ix({key})@{owner}", owner, (key,), clustered=True)
+            AccessPath(
+                f"ix({key})@{owner}", owner, (key,), clustered=True,
+                key=(ColumnRef("T", key),),
+            )
             for key in keys
         )
         props = PropertyVector(

@@ -9,7 +9,8 @@ is kept here as the reference: over random input vectors the built node's
 candidate's ``total``, which the plan table judges — must have the same
 ``repr`` (bit-identical floats), for NL / MG / HA including the hash-spill
 branch and both hash builds (a unique build key, once DEPT.DNO's collected
-statistics say so, and buckets), ``card`` floored at ``MIN_CARD``, zero and
+statistics say so, and buckets, whose probe costs ``HASH_BUCKET_PROBE_CPU``
+an outer row), ``card`` floored at ``MIN_CARD``, zero and
 huge rescan costs, and an attached ``FeedbackCache``.  An inner that is an
 index ACCESS is priced by its property function, and its rescan must be
 the reference's: the matched leaf fraction, the entries it yields and the
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from repro.catalog.statistics import ColumnStats, TableStats
 from repro.cost.model import (
     Cost,
+    HASH_BUCKET_PROBE_CPU,
     HASH_MEMORY_PAGES,
     HASH_UNIQUE_BUILD_CPU,
     INDEX_PROBE_CPU,
@@ -84,7 +86,9 @@ def unique_build(factory: PlanFactory, inner) -> bool:
 def reference_estimates(factory: PlanFactory, flavor: str, outer, inner, residual):
     """(card, cost, rescan_cost) by the object chain ``join`` used to run,
     with the build charged per row at ``HASH_UNIQUE_BUILD_CPU`` when the
-    inner is DEPT of the analyzed catalog, else at 1.5."""
+    inner is DEPT of the analyzed catalog, else at 1.5, and the probe per
+    outer row at 1 into that unique table, else at
+    ``HASH_BUCKET_PROBE_CPU``."""
     po, pi = outer.props, inner.props
     rel = factory._join_relational(po, pi, frozenset([JOIN_PRED]), residual)
     card = factory._feedback_card(
@@ -105,8 +109,10 @@ def reference_estimates(factory: PlanFactory, flavor: str, outer, inner, residua
             if inner_pages > HASH_MEMORY_PAGES
             else 0.0
         )
-        build = HASH_UNIQUE_BUILD_CPU if unique_build(factory, inner) else 1.5
-        method = Cost(io=spill_io, cpu=build * pi.card + po.card + card)
+        unique = unique_build(factory, inner)
+        build = HASH_UNIQUE_BUILD_CPU if unique else 1.5
+        probe = 1.0 if unique else HASH_BUCKET_PROBE_CPU
+        method = Cost(io=spill_io, cpu=build * pi.card + probe * po.card + card)
     return card, cost + method, rescan_cost + method
 
 

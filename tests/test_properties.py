@@ -60,7 +60,7 @@ class TestSatisfies:
         assert vector(temp=True).satisfies(Requirements.EMPTY)
 
     def test_paths_requirement(self):
-        path = AccessPath("ix", "T", ("A", "B"))
+        path = AccessPath("ix", "T", ("A", "B"), key=(A, B))
         v = vector(paths=frozenset([path]))
         assert v.satisfies(requirements(paths=[A]))
         assert v.satisfies(requirements(paths=[A, B]))

@@ -179,12 +179,6 @@ class TestBuildix:
         scan = factory.access_temp(stored, preds={join_pred})
         assert probe.props.rescan_cost.io < scan.props.rescan_cost.io
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known model bug: BUILDIX names a temp index's columns without "
-        "their table, so an index on EMP.DNO over a temp that also holds "
-        "DEPT.DNO orders by, is as wide as and matches predicates on both "
-        "(ROADMAP item 10)"
-    ))
     def test_temp_index_on_a_join_reads_its_own_key_only(
         self, factory, join_pred
     ):

@@ -210,10 +210,11 @@ class TestEveryExecutionIsPriced:
         assert report.succeeded
         assert (report.executions, report.sap_failovers) == (2, 1)
         assert report.checkpoint_violations == 0
-        # 27.01 for the execution N.Y.'s outage aborted, 31.438 for the
-        # replica plan that delivered the answer.
-        assert report.final_attempt_cost == pytest.approx(31.438)
-        assert report.executed_cost == pytest.approx(27.01 + 31.438)
+        # 1.01 for the execution N.Y.'s outage aborted, 33.448 for the
+        # replica plan that delivered the answer (both probe DEPT's unique
+        # table with EMP).
+        assert report.final_attempt_cost == pytest.approx(33.448)
+        assert report.executed_cost == pytest.approx(1.01 + 33.448)
 
     def test_checkpoint_and_failover_in_one_run(self):
         """E12's misestimated join with R1 stored at S1 and replicated at
